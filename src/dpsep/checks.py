@@ -46,28 +46,25 @@ def _case_transposed_conv1d(rng):
     return finite_diff_check(f, [frames, k])
 
 
-def _case_lstm_step(rng):
+def _case_lstm_sequence(rng, reverse):
     params = nt.init_lstm_params(rng, 3, 4, dtype=F64)
-    x = _t(rng, (3,))
-    h = _t(rng, (4,))
-    c = _t(rng, (4,))
-    tensors = [x, h, c] + [t for _, t in params.tensors()]
+    xs = _t(rng, (5, 2, 3))
+    tensors = [xs] + [t for _, t in params.tensors()]
 
-    def f(xv, hv, cv, *_):
-        h2, c2 = nt.lstm_step(xv, hv, cv, params)
-        return nt.add(nt.tsum(nt.mul(h2, h2)), nt.tsum(nt.tanh(c2)))
+    def f(xv, *_):
+        return nt.tsum(nt.tanh(nt.lstm_sequence(xv, params, reverse=reverse)))
 
-    return finite_diff_check(f, tensors)
+    return finite_diff_check(f, tensors, max_elements=24)
 
 
-def _case_bilstm(rng):
+def _case_bilstm_batched(rng):
     fwd = nt.init_lstm_params(rng, 3, 4, dtype=F64)
     bwd = nt.init_lstm_params(rng, 3, 4, dtype=F64)
-    seq = _t(rng, (3, 5))
-    tensors = [seq] + [t for _, t in fwd.tensors()] + [t for _, t in bwd.tensors()]
+    xs = _t(rng, (5, 2, 3))
+    tensors = [xs] + [t for _, t in fwd.tensors()] + [t for _, t in bwd.tensors()]
 
-    def f(sv, *_):
-        return nt.tsum(nt.tanh(nt.bilstm(sv, fwd, bwd)))
+    def f(xv, *_):
+        return nt.tsum(nt.tanh(nt.bilstm_batched(xv, fwd, bwd)))
 
     return finite_diff_check(f, tensors, max_elements=24)
 
@@ -119,7 +116,9 @@ def _case_dprnn_stack(rng):
     return finite_diff_check(f, tensors, max_elements=10)
 
 
-def _case_tiny_separator(rng):
+def _separator_case(rng, t_len, valid_len):
+    """uPIT loss over the first `valid_len` of the estimates of a (1, t_len)
+    mixture, as for a zero-padded training segment."""
     model = tasnet.build_model(
         num_filters=4,
         window=4,
@@ -131,12 +130,14 @@ def _case_tiny_separator(rng):
         seed=7,
         dtype=F64,
     )
-    mixture = _t(rng, (1, 30), scale=0.5)
-    refs = Tensor(rng.standard_normal((2, 30)), dtype=F64)
+    mixture = _t(rng, (1, t_len), scale=0.5)
+    refs = Tensor(rng.standard_normal((2, valid_len)), dtype=F64)
     tensors = [mixture] + model.parameter_tensors()
 
     def f(mv, *_):
         est = tasnet.separate(mv, model)
+        if valid_len < t_len:
+            est = nt.slice_axis(est, 1, 0, valid_len)
         loss, _ = upit_loss(est, refs)
         return loss
 
@@ -167,8 +168,9 @@ def _case_si_snr(rng):
 GRADCHECK_CASES = (
     ("conv1d", _case_conv1d),
     ("transposed_conv1d", _case_transposed_conv1d),
-    ("lstm_step", _case_lstm_step),
-    ("bilstm", _case_bilstm),
+    ("lstm_sequence", lambda rng: _case_lstm_sequence(rng, reverse=False)),
+    ("lstm_sequence_reverse", lambda rng: _case_lstm_sequence(rng, reverse=True)),
+    ("bilstm_batched", _case_bilstm_batched),
     ("global_layer_norm", _case_global_layer_norm),
     ("segment_overlap_add", _case_segment_overlap),
     ("intra_chunk_pass", lambda rng: _intra_inter_case(rng, dp.intra_chunk_pass)),
@@ -176,7 +178,9 @@ GRADCHECK_CASES = (
     ("dprnn_stack", _case_dprnn_stack),
     ("si_snr", _case_si_snr),
     ("upit_si_snr", _case_upit_si_snr),
-    ("tiny_separator", _case_tiny_separator),
+    ("tiny_separator", lambda rng: _separator_case(rng, 30, 30)),
+    # W=4, stride 2: the decoder gives 30 samples for T=31, so separate pads
+    ("padded_separator", lambda rng: _separator_case(rng, 31, 25)),
 )
 
 

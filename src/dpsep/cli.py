@@ -53,7 +53,6 @@ class RunConfig:
     sample_rate: int = 8000
     manifest: str = ""
     run_dir: str = "runs/default"
-    deterministic: bool = True
     threads: int = 1
     nan_checks: bool = True
 
@@ -159,7 +158,6 @@ def cmd_train(config_path):
     )
     train_config = TrainConfig(
         epochs=config.epochs,
-        segment_seconds=config.segment_seconds,
         lr_init=config.lr_init,
         lr_decay=config.lr_decay,
         lr_decay_every=config.lr_decay_every,
@@ -174,10 +172,7 @@ def cmd_train(config_path):
     )
     run_dir = _resolve_run_dir(config.run_dir)
     try:
-        result = train_loop(
-            model, train_set, valid_set, train_config, run_dir,
-            deterministic=config.deterministic,
-        )
+        result = train_loop(model, train_set, valid_set, train_config, run_dir)
     except TrainingAbort as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -232,7 +227,7 @@ EVAL_SEGMENT_SECONDS = 4.0
 def cmd_evaluate(ckpt_path, manifest_path):
     from . import data, tasnet
     from .numerics import CheckpointError, Tensor
-    from .training import plain_snr, upit_si_snri
+    from .training import upit_si_snri
 
     try:
         model, _ = tasnet.load_model(ckpt_path)
@@ -248,24 +243,15 @@ def cmd_evaluate(ckpt_path, manifest_path):
         return EXIT_CONFIG
 
     si_snri_values = []
-    snri_values = []
     for i, ex in enumerate(examples):
         est = tasnet.separate(Tensor(ex.mixture), model).data[:, : ex.valid_len]
         refs = ex.sources[:, : ex.valid_len]
         mix = ex.mixture[:, : ex.valid_len]
-        si_snri, result = upit_si_snri(est, refs, mix)
-        flat_mix = mix.reshape(-1)
-        snri = sum(
-            plain_snr(est[a], refs[b]) - plain_snr(flat_mix, refs[b])
-            for a, b in enumerate(result.best_perm)
-        ) / len(result.best_perm)
+        si_snri, _ = upit_si_snri(est, refs, mix)
         si_snri_values.append(si_snri)
-        snri_values.append(snri)
-        print(f"example {i}: si_snri={si_snri:.4f} dB snri={snri:.4f} dB")
+        print(f"example {i}: si_snri={si_snri:.4f} dB")
     mean_si = sum(si_snri_values) / len(si_snri_values)
-    mean_snr = sum(snri_values) / len(snri_values)
     print(f"mean si_snri={mean_si:.4f} dB over {len(examples)} examples")
-    print(f"mean snri={mean_snr:.4f} dB over {len(examples)} examples")
     return EXIT_OK
 
 
@@ -295,7 +281,7 @@ def main(argv=None):
     p_sep.add_argument("ckpt")
     p_sep.add_argument("wav")
     p_sep.add_argument("outdir")
-    p_eval = sub.add_parser("evaluate", help="report SI-SNRi/SNRi over a test manifest")
+    p_eval = sub.add_parser("evaluate", help="report uPIT SI-SNRi over a test manifest")
     p_eval.add_argument("ckpt")
     p_eval.add_argument("manifest")
     sub.add_parser("gradcheck", help="run finite-difference checks over all modules")

@@ -2,8 +2,6 @@
 
 One record per line: `split<TAB>spec1<TAB>spec2<TAB>snr_db`, where a spec is
 either `wav:<path>` or `synth:<kind>:<seed>`. Splits are train/valid/test.
-An optional `rir` column is reserved for future reverberant pipelines and is
-not accepted yet.
 """
 
 from __future__ import annotations
@@ -55,7 +53,6 @@ class ManifestRecord:
     spec2: SourceSpec
     snr_db: float
     line_no: int
-    offset: float = 0.0  # reserved; always 0 in the v1 wire format
 
 
 def parse_manifest(path):

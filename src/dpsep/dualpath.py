@@ -134,31 +134,13 @@ def overlap_add(t):
     return apply_op("overlap_add", (x,), forward_fn, backward_fn)
 
 
-@dataclass
-class LayerNormStats:
-    """Scalar statistics of one normalization: mean, biased variance, epsilon."""
-
-    mean: float
-    variance: float
-    epsilon: float
-
-    def __post_init__(self):
-        if self.variance < 0:
-            raise ShapeError(f"variance must be nonnegative, got {self.variance}")
-        if self.epsilon <= 0:
-            raise ShapeError(f"epsilon must be positive, got {self.epsilon}")
-
-
-def layer_norm_stats(x, eps=LN_EPS):
-    """Plain-value statistics used by global_layer_norm over a full tensor."""
-    mean = float(x.data.mean())
-    variance = float(((x.data - mean) ** 2).mean())
-    return LayerNormStats(mean=mean, variance=variance, epsilon=eps)
-
-
 def global_layer_norm(x, scale, bias, eps=LN_EPS):
     """Normalize x (N, K, S) by the mean/variance of all N*K*S entries, then
-    rescale per feature: out = (x - mu)/sqrt(var + eps) * scale + bias."""
+    rescale per feature: out = (x - mu)/sqrt(var + eps) * scale + bias.
+
+    One tape op. With xhat = (x - mu)/sqrt(var + eps) and gy = g * scale,
+    the input gradient is (gy - mean(gy) - xhat * mean(gy * xhat)) / sqrt(var + eps).
+    """
     if eps <= 0:
         raise ShapeError(f"global_layer_norm: eps must be positive, got {eps}")
     n = x.shape[0]
@@ -166,13 +148,34 @@ def global_layer_norm(x, scale, bias, eps=LN_EPS):
         raise ShapeError(
             f"global_layer_norm: scale {scale.shape} / bias {bias.shape} must be ({n},)"
         )
-    mu = nt.tmean(x)
-    centered = nt.sub(x, mu)
-    var = nt.tmean(nt.mul(centered, centered))
-    normed = nt.div(centered, nt.sqrt(nt.add(var, eps)))
-    scale3 = nt.reshape(scale, (n, 1, 1))
-    bias3 = nt.reshape(bias, (n, 1, 1))
-    return nt.add(nt.mul(normed, scale3), bias3)
+    xd, sd, bd = x.data, scale.data, bias.data
+    inv_size = xd.dtype.type(1.0 / x.size)
+    xhat = std = None
+
+    def forward_fn():
+        nonlocal xhat, std
+        centered = xd - xd.sum() * inv_size
+        std = np.sqrt((centered * centered).sum() * inv_size + xd.dtype.type(eps))
+        xhat = centered / std
+        return xhat * sd[:, None, None] + bd[:, None, None]
+
+    def backward_fn(g):
+        g_scale = (g * xhat).sum(axis=(1, 2))
+        g_bias = g.sum(axis=(1, 2))
+        gx = None
+        if _needs(x):
+            # mean(gy) = scale . g_bias / size, mean(gy * xhat) = scale . g_scale / size
+            gx = g * sd[:, None, None]
+            gx -= (sd @ g_bias) * inv_size
+            gx -= xhat * ((sd @ g_scale) * inv_size)
+            gx /= std
+        return (
+            gx,
+            g_scale if _needs(scale) else None,
+            g_bias if _needs(bias) else None,
+        )
+
+    return apply_op("global_layer_norm", (x, scale, bias), forward_fn, backward_fn)
 
 
 @dataclass

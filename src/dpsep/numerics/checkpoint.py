@@ -8,6 +8,7 @@ the raw little-endian scalar data concatenated in header order.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -50,34 +51,48 @@ def save_arrays(path, named_arrays, meta=None):
             fh.write(arr.astype(_DTYPES[arr.dtype.name], copy=False).tobytes())
 
 
+def _read_u32(blob, pos, what):
+    """uint32 LE at `pos` -> (value, position after it)."""
+    if pos + 4 > len(blob):
+        raise CheckpointError(f"file ends inside the {what}")
+    return struct.unpack_from("<I", blob, pos)[0], pos + 4
+
+
+def _read_text(blob, pos, what):
+    """Length-prefixed UTF-8 section at `pos` -> (text, position after it)."""
+    length, pos = _read_u32(blob, pos, f"{what} length")
+    if pos + length > len(blob):
+        raise CheckpointError(f"file ends inside the {what}")
+    try:
+        return blob[pos : pos + length].decode("utf-8"), pos + length
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{what} is not valid UTF-8") from None
+
+
 def load_arrays(path):
-    """Read a checkpoint; returns (meta dict, dict name -> ndarray in file order)."""
+    """Read a checkpoint; returns (meta dict, dict name -> ndarray in file order).
+
+    Every read is bound-checked: a truncated or corrupt file raises
+    CheckpointError.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise CheckpointError(f"bad magic in {path}: expected {MAGIC!r}, got {blob[:4]!r}")
-    pos = 4
-    version, = struct.unpack_from("<I", blob, pos)
-    pos += 4
+    version, pos = _read_u32(blob, 4, "format version")
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    meta_len, = struct.unpack_from("<I", blob, pos)
-    pos += 4
-    meta_blob = blob[pos : pos + meta_len].decode("utf-8")
-    pos += meta_len
+    meta_text, pos = _read_text(blob, pos, "metadata")
     meta = {}
-    for line in meta_blob.splitlines():
+    for line in meta_text.splitlines():
         if not line:
             continue
         key, _, value = line.partition("=")
         meta[key] = value
-    header_len, = struct.unpack_from("<I", blob, pos)
-    pos += 4
-    header_blob = blob[pos : pos + header_len].decode("utf-8")
-    pos += header_len
+    header_text, pos = _read_text(blob, pos, "tensor header")
 
     arrays = {}
-    for line in header_blob.splitlines():
+    for line in header_text.splitlines():
         if not line:
             continue
         try:
@@ -86,8 +101,13 @@ def load_arrays(path):
             raise CheckpointError(f"malformed header line {line!r}") from None
         if dtype_name not in _DTYPES:
             raise CheckpointError(f"unsupported dtype {dtype_name!r} in header")
-        shape = tuple(int(d) for d in shape_text.split(",")) if shape_text else ()
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        try:
+            shape = tuple(int(d) for d in shape_text.split(",")) if shape_text else ()
+            if any(d < 0 for d in shape):
+                raise ValueError
+        except ValueError:
+            raise CheckpointError(f"malformed shape {shape_text!r} for tensor {name!r}") from None
+        count = math.prod(shape)
         nbytes = count * np.dtype(_DTYPES[dtype_name]).itemsize
         if pos + nbytes > len(blob):
             raise CheckpointError(f"truncated data for tensor {name!r}")

@@ -127,29 +127,14 @@ def _lstm_gates(z, c):
     return apply_op("lstm_gates", (z, c), lambda: (h2, c2), backward_fn)
 
 
-def lstm_step(x, h, c, params):
-    """One cell update. x (In,), h (H,), c (H,) -> (h2 (H,), c2 (H,))."""
-    hid = params.hidden_size
-    if x.shape != (params.input_size,) or h.shape != (hid,) or c.shape != (hid,):
-        raise ShapeError(
-            f"lstm_step: x={x.shape} h={h.shape} c={c.shape} do not match params "
-            f"(In={params.input_size}, H={hid})"
-        )
-    wx, wh, b = params.packed()
-    x2 = nt.reshape(x, (1, params.input_size))
-    h2d = nt.reshape(h, (1, hid))
-    c2d = nt.reshape(c, (1, hid))
-    z = nt.add(nt.affine(x2, wx, b), nt.affine(h2d, wh))
-    hn, cn = _lstm_gates(z, c2d)
-    return nt.reshape(hn, (hid,)), nt.reshape(cn, (hid,))
-
-
 def lstm_sequence(xs, params, reverse=False):
     """Run a cell over xs (T, B, In) with zero initial states -> (T, B, H).
 
     Input preactivations for all steps are computed in one matmul; the
     recurrence costs one matmul plus one fused gate node per step.
     """
+    if xs.data.ndim != 3:
+        raise ShapeError(f"lstm_sequence: expected (T, B, In), got {xs.shape}")
     steps, batch, _ = xs.shape
     hid = params.hidden_size
     wx, wh, b = params.packed()
@@ -171,15 +156,3 @@ def bilstm_batched(xs, fwd, bwd):
     hb = lstm_sequence(xs, bwd, reverse=True)
     return nt.concat([hf, hb], axis=2)
 
-
-def bilstm(seq, fwd, bwd):
-    """seq (In, T) -> (2H, T): forward and backward passes concatenated per step."""
-    if seq.data.ndim != 2:
-        raise ShapeError(f"bilstm: expected (In, T), got {seq.shape}")
-    if seq.shape[1] < 1:
-        raise ShapeError("bilstm: empty sequence")
-    in_dim, steps = seq.shape
-    xs = nt.reshape(nt.transpose(seq, (1, 0)), (steps, 1, in_dim))
-    hs = bilstm_batched(xs, fwd, bwd)  # (T, 1, 2H)
-    two_h = hs.shape[2]
-    return nt.transpose(nt.reshape(hs, (steps, two_h)), (1, 0))

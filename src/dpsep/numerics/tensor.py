@@ -31,10 +31,6 @@ def set_nan_checks(enabled):
     _nan_checks = bool(enabled)
 
 
-def nan_checks_enabled():
-    return _nan_checks
-
-
 class Tensor:
     """N-dimensional numeric array with optional gradient tracking.
 
@@ -121,10 +117,6 @@ def _wrap(arr):
 
 def zeros(shape, dtype=np.float32):
     return _wrap(np.zeros(shape, dtype=dtype))
-
-
-def ones(shape, dtype=np.float32):
-    return _wrap(np.ones(shape, dtype=dtype))
 
 
 def zero_grads(params):
@@ -216,11 +208,6 @@ class GradTape:
             if t.grad is None:
                 t.grad = np.zeros_like(t.data)
             t.grad += g
-
-
-def backward(loss, tape):
-    """Functional form of GradTape.backward."""
-    tape.backward(loss)
 
 
 def apply_op(name, inputs, forward_fn, backward_fn):
@@ -384,12 +371,6 @@ def tanh(x):
     return apply_op("tanh", (x,), lambda: out, lambda g: (g * (1.0 - out * out),))
 
 
-def exp(x):
-    with np.errstate(over="ignore"):  # surveilled by the nan-checks flag instead
-        out = np.exp(x.data)
-    return apply_op("exp", (x,), lambda: out, lambda g: (g * out,))
-
-
 def log(x):
     if np.any(x.data <= 0):
         raise NumericsError("log requires strictly positive input")
@@ -405,14 +386,6 @@ def sqrt(x):
         return (g * 0.5 / out,)
 
     return apply_op("sqrt", (x,), lambda: out, backward_fn)
-
-
-def elementwise(name, *args):
-    """Dispatch a pointwise op by name: relu, sigmoid, tanh, add, mul."""
-    table = {"relu": relu, "sigmoid": sigmoid, "tanh": tanh, "add": add, "mul": mul}
-    if name not in table:
-        raise ValueError(f"unknown elementwise op '{name}' (have {sorted(table)})")
-    return table[name](*args)
 
 
 def tsum(x, axis=None):

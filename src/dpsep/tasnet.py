@@ -17,17 +17,6 @@ from .numerics import ShapeError, Tensor
 
 
 @dataclass
-class MaskSet:
-    """C nonnegative masks over the encoded representation, shape (C, N, L)."""
-
-    masks: Tensor
-
-    @property
-    def num_sources(self):
-        return self.masks.shape[0]
-
-
-@dataclass
 class SeparatorModel:
     num_filters: int
     window: int
@@ -143,7 +132,7 @@ def encode(mixture, model):
 
 
 def estimate_masks(rep, model):
-    """rep (N, L) -> MaskSet of C nonnegative (N, L) masks.
+    """rep (N, L) -> C nonnegative masks (C, N, L).
 
     Pipeline: segment -> dual-path stack -> per-position affine N -> C*N ->
     overlap-add each feature map -> relu -> reshape to (C, N, L).
@@ -155,13 +144,11 @@ def estimate_masks(rep, model):
     x = nt.affine(x, model.mask_weight, model.mask_bias)  # (K, S, C*N)
     x = nt.transpose(x, (2, 0, 1))  # (C*N, K, S)
     maps = dp.overlap_add(processed.with_data(x))  # (C*N, L)
-    masks = nt.reshape(nt.relu(maps), (model.num_sources, n, length))
-    return MaskSet(masks=masks)
+    return nt.reshape(nt.relu(maps), (model.num_sources, n, length))
 
 
-def apply_masks(rep, mask_set):
+def apply_masks(rep, masks):
     """out[c] = rep (*) masks[c]; shapes (N, L) x (C, N, L) -> (C, N, L)."""
-    masks = mask_set.masks
     if masks.shape[1:] != rep.shape:
         raise ShapeError(f"masks {masks.shape} do not match representation {rep.shape}")
     per_source = [
@@ -192,12 +179,16 @@ def separate(mixture, model):
     A silent (all-zero) mixture skips the scaling and gives silent estimates.
     Nor does SI-SNR training fix the estimates' own gain, so `dpsep separate`
     rescales each one to the mixture's peak before writing it as a WAV.
+    A mixture shorter than the model's minimum input (T >= W and K <= 2L) is
+    zero-padded to that minimum, and the estimates are cut back to T.
     """
     t_len = mixture.shape[1]
     rms = None
     if np.any(mixture.data):
         rms = nt.sqrt(nt.tmean(nt.mul(mixture, mixture)))
         mixture = nt.div(mixture, rms)
+    min_len = model.window + (max(model.chunk_len // 2, 1) - 1) * model.stride
+    mixture = nt.pad_last_axis(mixture, max(t_len, min_len))
     rep = encode(mixture, model)
     masks = estimate_masks(rep, model)
     est = decode(apply_masks(rep, masks), model)
@@ -225,21 +216,32 @@ def save_model(model, path, extra_meta=None):
     nt.save_arrays(path, ((name, t.data) for name, t in model.parameters()), meta=meta)
 
 
+# geometry keys read back from a checkpoint, with the least value each may take
+_GEOMETRY_MINIMA = {
+    "num_filters": 1, "window": 1, "num_sources": 1, "num_blocks": 0,
+    "hidden": 1, "chunk_len": 2, "sample_rate": 1,
+}
+
+
 def load_model(path):
     meta, arrays = nt.load_arrays(path)
     if meta.get("format") != "dpsep-separator":
         raise nt.CheckpointError(f"{path} is not a separator checkpoint")
-    dtype = np.dtype(meta.get("dtype", "float32"))
-    model = build_model(
-        num_filters=int(meta["num_filters"]),
-        window=int(meta["window"]),
-        num_sources=int(meta["num_sources"]),
-        num_blocks=int(meta["num_blocks"]),
-        hidden=int(meta["hidden"]),
-        chunk_len=int(meta["chunk_len"]),
-        sample_rate=int(meta["sample_rate"]),
-        dtype=dtype,
-    )
+    try:
+        geometry = {key: int(meta[key]) for key in _GEOMETRY_MINIMA}
+    except (KeyError, ValueError) as err:
+        raise nt.CheckpointError(f"{path}: missing or non-integer metadata {err}") from None
+    dtype_name = meta.get("dtype", "float32")
+    if (
+        any(geometry[key] < least for key, least in _GEOMETRY_MINIMA.items())
+        or geometry["chunk_len"] % 2
+        or dtype_name not in ("float32", "float64")
+    ):
+        raise nt.CheckpointError(
+            f"{path}: invalid model geometry {geometry} or dtype {dtype_name!r}"
+        )
+    dtype = np.dtype(dtype_name)
+    model = build_model(**geometry, dtype=dtype)
     for name, t in model.parameters():
         if name not in arrays:
             raise nt.CheckpointError(f"checkpoint missing tensor {name!r}")

@@ -13,7 +13,6 @@ from .loop import (
 from .loss import (
     PermutationResult,
     mixture_si_snr,
-    plain_snr,
     si_snr,
     si_snr_value,
     upit_loss,
@@ -34,7 +33,6 @@ __all__ = [
     "clip_grad_norm",
     "lr_at",
     "mixture_si_snr",
-    "plain_snr",
     "si_snr",
     "si_snr_value",
     "train_loop",

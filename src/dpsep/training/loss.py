@@ -111,12 +111,3 @@ def upit_si_snri(est, refs, mixture):
     ref_t = Tensor(np.asarray(refs, dtype=np.float64))
     _, result = upit_loss(est_t, ref_t)
     return result.mean_db - mixture_si_snr(mixture, refs), result
-
-
-def plain_snr(est, ref, eps=SI_SNR_EPS):
-    """Plain (scale-sensitive) SNR in dB: ref energy over residual energy."""
-    est = np.asarray(est, dtype=np.float64).reshape(-1)
-    ref = np.asarray(ref, dtype=np.float64).reshape(-1)
-    num = float(ref @ ref) + eps
-    den = float((ref - est) @ (ref - est)) + eps
-    return 10.0 * np.log10(num / den)

@@ -10,7 +10,6 @@ import numpy as np
 @dataclass
 class TrainConfig:
     epochs: int = 100
-    segment_seconds: float = 4.0
     lr_init: float = 1e-3
     lr_decay: float = 0.98
     lr_decay_every: int = 2
@@ -25,7 +24,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in (
-            "epochs", "segment_seconds", "lr_init", "lr_decay", "lr_decay_every",
+            "epochs", "lr_init", "lr_decay", "lr_decay_every",
             "clip_norm", "beta1", "beta2", "adam_eps", "batch_size",
         ):
             if getattr(self, name) <= 0:

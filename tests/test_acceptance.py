@@ -146,7 +146,7 @@ def test_criterion_6_toy_overfit(tmp_path):
         nominal_samples=4000, sample_rate=8000, seed=0,
     )
     config = TrainConfig(
-        epochs=125, segment_seconds=0.5, lr_init=TOY_LR, batch_size=2,
+        epochs=125, lr_init=TOY_LR, batch_size=2,
         patience=10**6, seed=0,
     )
     started = time.perf_counter()

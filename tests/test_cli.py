@@ -1,6 +1,7 @@
 """CLI surface: config parsing, exit codes, train/separate/evaluate round trip."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -59,10 +60,10 @@ class TestConfig:
 
     def test_parse_with_comments_and_types(self, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text("window=4  # samples\n\ndeterministic=false\nlr_init=2e-3\n")
+        path.write_text("window=4  # samples\n\nnan_checks=false\nlr_init=2e-3\n")
         config = parse_config(path)
         assert config.window == 4
-        assert config.deterministic is False
+        assert config.nan_checks is False
         assert config.lr_init == pytest.approx(2e-3)
 
     def test_unknown_key_is_hard_error(self, tmp_path):
@@ -192,6 +193,84 @@ class TestSeparateCommand:
     def test_missing_checkpoint_exits_2(self, tmp_path):
         assert cli.main(["separate", str(tmp_path / "no.ckpt"), "x.wav", "o"]) == 2
 
+    def test_short_inputs_give_sources_of_input_length(self, trained, tmp_path):
+        # the toy model needs 24 samples (W=8, K=10); shorter input is padded
+        ckpt, _ = trained
+        from dpsep.data import read_wav, write_wav
+
+        rng = np.random.default_rng(5)
+        for length in (5, 20, 30):
+            wav_in = tmp_path / f"mix{length}.wav"
+            write_wav(wav_in, 0.5 * rng.uniform(-1, 1, length), 8000)
+            out_dir = tmp_path / f"sep{length}"
+            assert cli.main(["separate", str(ckpt), str(wav_in), str(out_dir)]) == 0
+            for c in range(2):
+                audio, _ = read_wav(out_dir / f"source{c + 1}.wav")
+                assert audio.shape == (1, length)
+
+
+class TestMalformedCheckpoint:
+    """Every corrupt checkpoint exits 2 with an error line, never a traceback."""
+
+    @pytest.fixture
+    def sections(self, tmp_path):
+        """(meta, header, data) bytes of a saved toy checkpoint."""
+        from dpsep import tasnet
+
+        model = tasnet.build_model(
+            num_filters=4, window=8, num_sources=2, num_blocks=1, hidden=4, chunk_len=10
+        )
+        path = tmp_path / "toy.ckpt"
+        tasnet.save_model(model, path)
+        blob = path.read_bytes()
+        meta_len = struct.unpack_from("<I", blob, 8)[0]
+        meta = blob[12 : 12 + meta_len]
+        pos = 12 + meta_len
+        header_len = struct.unpack_from("<I", blob, pos)[0]
+        header = blob[pos + 4 : pos + 4 + header_len]
+        return meta, header, blob[pos + 4 + header_len :]
+
+    @staticmethod
+    def _blob(meta, header, data):
+        return (
+            b"DPSP" + struct.pack("<I", 1) + struct.pack("<I", len(meta)) + meta
+            + struct.pack("<I", len(header)) + header + data
+        )
+
+    @staticmethod
+    def _separate_exits_2(path, capsys):
+        code = cli.main(["separate", str(path), "x.wav", str(path.parent / "o")])
+        err = capsys.readouterr().err
+        return code == 2 and err.startswith("error: ")
+
+    def test_every_cut_through_the_header_exits_2(self, sections, tmp_path, capsys):
+        meta, header, data = sections
+        blob = self._blob(meta, header, data)
+        path = tmp_path / "cut.ckpt"
+        header_end = len(blob) - len(data)
+        for cut in range(header_end + 1):
+            path.write_bytes(blob[:cut])
+            assert self._separate_exits_2(path, capsys), f"cut at byte {cut}"
+
+    def test_crafted_blobs_exit_2(self, sections, tmp_path, capsys):
+        meta, header, data = sections
+        first, rest = header.split(b"\n", 1)
+        name, dtype, _ = first.split(b"\t")
+        crafted = {
+            "non-UTF-8 metadata": (meta + b"\nnote=\xff\xfe", header),
+            "non-integer shape": (meta, b"\t".join([name, dtype, b"4,x"]) + b"\n" + rest),
+            "non-integer metadata": (meta.replace(b"window=8", b"window=eight"), header),
+            "missing geometry key": (
+                b"\n".join(l for l in meta.split(b"\n") if not l.startswith(b"hidden=")),
+                header,
+            ),
+        }
+        for label, (m, h) in crafted.items():
+            assert (m, h) != (meta, header), label
+            path = tmp_path / "crafted.ckpt"
+            path.write_bytes(self._blob(m, h, data))
+            assert self._separate_exits_2(path, capsys), label
+
 
 class TestEvaluateCommand:
     def test_reports_per_example_and_mean(self, tmp_path, capsys):
@@ -202,7 +281,7 @@ class TestEvaluateCommand:
         assert code == 0
         assert "example 0:" in out
         assert "mean si_snri=" in out
-        assert "mean snri=" in out
+        assert "snri=" not in out.replace("si_snri=", "")
 
     def test_manifest_without_test_split_exits_2(self, tmp_path, capsys):
         config, _, run_dir = _write_toy(tmp_path)
@@ -216,4 +295,7 @@ def test_gradcheck_command_passes(capsys):
     assert cli.main(["gradcheck"]) == 0
     out = capsys.readouterr().out
     assert "tiny_separator: pass" in out
-    assert "12/12" in out
+    assert "padded_separator: pass" in out
+    names = [line.split(":")[0] for line in out.splitlines()]
+    assert "lstm_step" not in names and "bilstm" not in names
+    assert "14/14" in out

@@ -5,7 +5,7 @@ import pytest
 
 from dpsep import dualpath as dp
 from dpsep import numerics as nt
-from dpsep.numerics import ShapeError, Tensor
+from dpsep.numerics import GradTape, ShapeError, Tensor
 
 
 class TestChooseChunkSize:
@@ -108,19 +108,6 @@ class TestSegmentOverlapAdd:
         np.testing.assert_allclose(out.data, w, atol=1e-6)
 
 
-def test_layer_norm_stats_type():
-    rng = np.random.default_rng(30)
-    x = Tensor(rng.standard_normal((2, 3, 4)) * 3 + 1)
-    stats = dp.layer_norm_stats(x)
-    assert stats.variance >= 0
-    assert stats.epsilon > 0
-    assert stats.mean == pytest.approx(float(x.data.mean()))
-    with pytest.raises(ShapeError):
-        dp.LayerNormStats(mean=0.0, variance=-1.0, epsilon=1e-8)
-    with pytest.raises(ShapeError):
-        dp.LayerNormStats(mean=0.0, variance=1.0, epsilon=0.0)
-
-
 class TestGlobalLayerNorm:
     def test_constant_input_returns_bias(self):
         x = Tensor(np.full((2, 3, 4), 5.0))
@@ -150,6 +137,13 @@ class TestGlobalLayerNorm:
             Tensor(r, dtype=np.float64),
         )
         np.testing.assert_allclose(out.data, expected, rtol=1e-10)
+
+    def test_records_one_tape_node(self):
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
+        with GradTape() as tape:
+            dp.global_layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)))
+        assert [node.name for node in tape._nodes] == ["global_layer_norm"]
 
     def test_normalizes_mean_and_variance(self):
         rng = np.random.default_rng(10)
@@ -192,10 +186,10 @@ class TestBlockPasses:
         x = rng.standard_normal((3, 6, 1))
         out = dp.intra_chunk_pass(Tensor(x, dtype=np.float64), params).data
 
-        seq = Tensor(x[:, :, 0], dtype=np.float64)
-        hs = nt.bilstm(seq, params.lstm_fwd, params.lstm_bwd)  # (2H, K)
-        proj = nt.affine(nt.transpose(hs, (1, 0)), params.fc_weight, params.fc_bias)
-        back = nt.reshape(nt.transpose(proj, (1, 0)), (3, 6, 1))
+        seq = Tensor(x[:, :, 0].T.reshape(6, 1, 3), dtype=np.float64)  # (K, 1, N)
+        hs = nt.bilstm_batched(seq, params.lstm_fwd, params.lstm_bwd)  # (K, 1, 2H)
+        proj = nt.affine(hs, params.fc_weight, params.fc_bias)  # (K, 1, N)
+        back = nt.transpose(proj, (2, 0, 1))  # (N, K, 1)
         normed = dp.global_layer_norm(back, params.ln_scale, params.ln_bias)
         expected = nt.add(Tensor(x, dtype=np.float64), normed).data
         np.testing.assert_array_equal(out, expected)
@@ -226,10 +220,10 @@ class TestBlockPasses:
         # unroll: for each of the K=3 positions, run the BLSTM over the S=2 steps
         proj = np.zeros_like(x)
         for k in range(3):
-            seq = Tensor(x[:, k, :], dtype=np.float64)  # (N, S)
-            hs = nt.bilstm(seq, params.lstm_fwd, params.lstm_bwd)
-            pr = nt.affine(nt.transpose(hs, (1, 0)), params.fc_weight, params.fc_bias)
-            proj[:, k, :] = pr.data.T
+            seq = Tensor(x[:, k, :].T.reshape(2, 1, 2), dtype=np.float64)  # (S, 1, N)
+            hs = nt.bilstm_batched(seq, params.lstm_fwd, params.lstm_bwd)
+            pr = nt.affine(hs, params.fc_weight, params.fc_bias)  # (S, 1, N)
+            proj[:, k, :] = pr.data[:, 0, :].T
         mu = proj.mean()
         var = ((proj - mu) ** 2).mean()
         ln = (proj - mu) / np.sqrt(var + dp.LN_EPS)

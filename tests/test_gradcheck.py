@@ -72,3 +72,36 @@ def test_subsampled_elements_reported():
     report = finite_diff_check(lambda v: nt.tsum(nt.tanh(v)), x, max_elements=10)
     assert report.entries[0].checked == 10
     assert report.entries[0].total == 50
+
+
+def test_suite_covers_every_op_of_a_training_step(tmp_path, monkeypatch):
+    # a segment whose decoder output is one sample short (padded) and whose
+    # zero-padded tail is masked out of the loss (sliced)
+    from dpsep import tasnet
+    from dpsep.checks import run_gradcheck_suite
+    from dpsep.data import mix_at_snr
+    from dpsep.training import TrainConfig, train_loop
+
+    seen = set()
+    original = nt.GradTape._record
+
+    def record(tape, node):
+        seen.add(node.name)
+        return original(tape, node)
+
+    monkeypatch.setattr(nt.GradTape, "_record", record)
+    rng = np.random.default_rng(3)
+    example = mix_at_snr(rng.standard_normal(31), rng.standard_normal(31), 0.0)
+    example.mixture[:, 25:] = 0.0
+    example.sources[:, 25:] = 0.0
+    example.valid_len = 25
+    model = tasnet.build_model(
+        num_filters=4, window=4, num_sources=2, num_blocks=1, hidden=3, chunk_len=6
+    )
+    train_loop(model, [example], [example], TrainConfig(epochs=1, batch_size=1),
+               str(tmp_path / "run"))
+    step_ops = set(seen)
+    assert {"pad", "slice", "global_layer_norm", "lstm_gates"} <= step_ops
+    seen.clear()
+    run_gradcheck_suite()
+    assert step_ops <= seen, sorted(step_ops - seen)

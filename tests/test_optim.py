@@ -114,6 +114,5 @@ def test_train_config_validation():
         TrainConfig(lr_init=-1.0)
     defaults = TrainConfig()
     assert defaults.epochs == 100
-    assert defaults.segment_seconds == 4.0
     assert defaults.clip_norm == 5.0
     assert defaults.patience == 10

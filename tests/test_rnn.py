@@ -1,4 +1,4 @@
-"""LSTM cell semantics against a scalar gate-equation oracle; bilstm unrolling."""
+"""LSTM sequences against a scalar gate-equation oracle; bidirectional unrolling."""
 
 import numpy as np
 import pytest
@@ -36,40 +36,57 @@ def _scalar_oracle(x, h, c, p):
     return h2, c2
 
 
+def _oracle_sequence(xs, p, reverse=False):
+    """Scalar-oracle unroll of xs (T, B, In) from zero states -> (T, B, H)."""
+    steps, batch, _ = xs.shape
+    hid = p.hidden_size
+    out = np.zeros((steps, batch, hid))
+    for b in range(batch):
+        h = np.zeros(hid)
+        c = np.zeros(hid)
+        for t in (range(steps - 1, -1, -1) if reverse else range(steps)):
+            h, c = _scalar_oracle(xs[t, b].astype(np.float64), h, c, p)
+            out[t, b] = h
+    return out
+
+
 def test_all_zero_everything_gives_zero_states():
     p = _zero_params(3, 4)
-    h2, c2 = nt.lstm_step(nt.zeros((3,)), nt.zeros((4,)), nt.zeros((4,)), p)
-    np.testing.assert_array_equal(h2.data, np.zeros(4))
-    np.testing.assert_array_equal(c2.data, np.zeros(4))
+    hs = nt.lstm_sequence(nt.zeros((5, 2, 3)), p)
+    np.testing.assert_array_equal(hs.data, np.zeros((5, 2, 4)))
 
 
 def test_saturated_gates_preserve_cell():
+    # step 0 opens the input gate through x and writes c = tanh(b_g); later
+    # steps close it, forget ~ 1 keeps c, and output ~ 1 exposes h = tanh(c)
     p = _zero_params(2, 3)
-    p.b_f.data[:] = 20.0  # forget gate ~1
-    p.b_i.data[:] = -20.0  # input gate ~0
-    c = Tensor([0.3, -0.7, 1.1])
-    _, c2 = nt.lstm_step(Tensor([0.5, -0.5]), nt.zeros((3,)), c, p)
-    np.testing.assert_allclose(c2.data, c.data, atol=1e-6)
+    p.wx_i.data[:, 0] = 40.0
+    p.b_i.data[:] = -20.0
+    p.b_f.data[:] = 20.0
+    p.b_o.data[:] = 20.0
+    p.b_g.data[:] = [0.3, -0.7, 1.1]
+    xs = np.zeros((4, 1, 2), dtype=np.float32)
+    xs[0, 0, 0] = 1.0
+    hs = nt.lstm_sequence(Tensor(xs), p).data
+    expected = np.tanh(np.tanh(p.b_g.data))
+    for t in range(4):
+        np.testing.assert_allclose(hs[t, 0], expected, atol=1e-6)
 
 
-def test_lstm_step_matches_scalar_oracle():
+def test_lstm_sequence_matches_scalar_oracle():
     rng = np.random.default_rng(9)
     p = init_lstm_params(rng, 5, 4, dtype=np.float32)
-    x = rng.standard_normal(5).astype(np.float32)
-    h = rng.standard_normal(4).astype(np.float32)
-    c = rng.standard_normal(4).astype(np.float32)
-    h2, c2 = nt.lstm_step(Tensor(x), Tensor(h), Tensor(c), p)
-    eh, ec = _scalar_oracle(
-        x.astype(np.float64), h.astype(np.float64), c.astype(np.float64), p
-    )
-    assert np.max(np.abs(h2.data - eh)) < 1e-6
-    assert np.max(np.abs(c2.data - ec)) < 1e-6
+    xs = rng.standard_normal((3, 2, 5)).astype(np.float32)
+    for reverse in (False, True):
+        hs = nt.lstm_sequence(Tensor(xs), p, reverse=reverse)
+        expected = _oracle_sequence(xs, p, reverse=reverse)
+        assert np.max(np.abs(hs.data - expected)) < 1e-6
 
 
-def test_lstm_step_shape_error():
+def test_lstm_sequence_shape_error():
     p = _zero_params(3, 4)
     with pytest.raises(ShapeError):
-        nt.lstm_step(nt.zeros((2,)), nt.zeros((4,)), nt.zeros((4,)), p)
+        nt.lstm_sequence(nt.zeros((5, 2, 2)), p)
 
 
 def test_param_count_formula():
@@ -83,46 +100,33 @@ def test_bilstm_single_step_is_concat_of_cells():
     rng = np.random.default_rng(2)
     fwd = init_lstm_params(rng, 3, 2, dtype=np.float64)
     bwd = init_lstm_params(rng, 3, 2, dtype=np.float64)
-    seq = Tensor(rng.standard_normal((3, 1)), dtype=np.float64)
-    out = nt.bilstm(seq, fwd, bwd)
-    x = nt.reshape(seq, (3,))
-    hf, _ = nt.lstm_step(x, nt.zeros((2,), np.float64), nt.zeros((2,), np.float64), fwd)
-    hb, _ = nt.lstm_step(x, nt.zeros((2,), np.float64), nt.zeros((2,), np.float64), bwd)
-    np.testing.assert_allclose(out.data[:, 0], np.concatenate([hf.data, hb.data]), rtol=1e-12)
+    x = rng.standard_normal(3)
+    out = nt.bilstm_batched(Tensor(x.reshape(1, 1, 3), dtype=np.float64), fwd, bwd)
+    hf, _ = _scalar_oracle(x, np.zeros(2), np.zeros(2), fwd)
+    hb, _ = _scalar_oracle(x, np.zeros(2), np.zeros(2), bwd)
+    np.testing.assert_allclose(out.data[0, 0], np.concatenate([hf, hb]), rtol=1e-12)
 
 
 def test_bilstm_time_reversal_symmetry():
     rng = np.random.default_rng(4)
     fwd = init_lstm_params(rng, 2, 3, dtype=np.float64)
     bwd = init_lstm_params(rng, 2, 3, dtype=np.float64)
-    seq = rng.standard_normal((2, 5))
-    out = nt.bilstm(Tensor(seq, dtype=np.float64), fwd, bwd).data
-    flipped = nt.bilstm(Tensor(seq[:, ::-1].copy(), dtype=np.float64), bwd, fwd).data
+    seq = rng.standard_normal((5, 2, 2))
+    out = nt.bilstm_batched(Tensor(seq, dtype=np.float64), fwd, bwd).data
+    flipped = nt.bilstm_batched(Tensor(seq[::-1].copy(), dtype=np.float64), bwd, fwd).data
     # reversing time and swapping directions reverses the output and swaps halves
-    np.testing.assert_allclose(out[:3], flipped[3:, ::-1], rtol=1e-12)
-    np.testing.assert_allclose(out[3:], flipped[:3, ::-1], rtol=1e-12)
+    np.testing.assert_allclose(out[..., :3], flipped[::-1, :, 3:], rtol=1e-12)
+    np.testing.assert_allclose(out[..., 3:], flipped[::-1, :, :3], rtol=1e-12)
 
 
 def test_bilstm_matches_unrolled_chain():
     rng = np.random.default_rng(6)
     fwd = init_lstm_params(rng, 3, 4, dtype=np.float64)
     bwd = init_lstm_params(rng, 3, 4, dtype=np.float64)
-    seq = rng.standard_normal((3, 3))
-    out = nt.bilstm(Tensor(seq, dtype=np.float64), fwd, bwd).data
-
-    def unroll(params, order):
-        h = nt.zeros((4,), np.float64)
-        c = nt.zeros((4,), np.float64)
-        hs = {}
-        for t in order:
-            h, c = nt.lstm_step(Tensor(seq[:, t], dtype=np.float64), h, c, params)
-            hs[t] = h.data
-        return hs
-
-    hf = unroll(fwd, [0, 1, 2])
-    hb = unroll(bwd, [2, 1, 0])
-    expected = np.stack(
-        [np.concatenate([hf[t], hb[t]]) for t in range(3)], axis=1
+    seq = rng.standard_normal((3, 2, 3))
+    out = nt.bilstm_batched(Tensor(seq, dtype=np.float64), fwd, bwd).data
+    expected = np.concatenate(
+        [_oracle_sequence(seq, fwd), _oracle_sequence(seq, bwd, reverse=True)], axis=2
     )
     np.testing.assert_allclose(out, expected, rtol=1e-10)
 
@@ -131,4 +135,4 @@ def test_bilstm_rejects_wrong_rank():
     rng = np.random.default_rng(1)
     p = init_lstm_params(rng, 2, 2)
     with pytest.raises(ShapeError):
-        nt.bilstm(Tensor(np.ones((2, 2, 2))), p, p)
+        nt.bilstm_batched(Tensor(np.ones((2, 2))), p, p)

@@ -31,7 +31,7 @@ def test_relu_trivial():
 
 def test_mul_identity():
     x = Tensor([1.5, -2.0, 3.0])
-    out = nt.mul(x, nt.ones((3,)))
+    out = nt.mul(x, Tensor(np.ones(3)))
     np.testing.assert_array_equal(out.data, x.data)
 
 
@@ -52,16 +52,6 @@ def test_sigmoid_equals_per_sign_formulas_without_overflow(dtype):
     ex = np.exp(x[~pos])
     expected[~pos] = ex / (1.0 + ex)
     np.testing.assert_array_equal(out, expected)
-
-
-def test_elementwise_dispatch():
-    x = Tensor([-1.0, 2.0])
-    np.testing.assert_array_equal(nt.elementwise("relu", x).data, [0.0, 2.0])
-    np.testing.assert_array_equal(
-        nt.elementwise("add", x, Tensor([1.0, 1.0])).data, [0.0, 3.0]
-    )
-    with pytest.raises(ValueError):
-        nt.elementwise("softmax", x)
 
 
 def test_affine_identity():
@@ -190,13 +180,13 @@ def test_mixed_dtypes_rejected():
 
 
 def test_nan_surveillance_names_op():
-    x = Tensor([700.0], requires_grad=True)
+    x = Tensor([1e30], requires_grad=True)
     nt.set_nan_checks(True)
     try:
         with GradTape():
             with pytest.raises(NumericsError) as exc:
-                nt.exp(x)  # overflows float32
-        assert "exp" in str(exc.value)
+                nt.mul(x, x)  # overflows float32
+        assert "'mul'" in str(exc.value)
     finally:
         nt.set_nan_checks(False)
 
