@@ -54,7 +54,7 @@ def _case_lstm_sequence(rng, reverse):
     def f(xv, *_):
         return nt.tsum(nt.tanh(nt.lstm_sequence(xv, params, reverse=reverse)))
 
-    return finite_diff_check(f, tensors, max_elements=24)
+    return finite_diff_check(f, tensors)
 
 
 def _case_bilstm_batched(rng):
@@ -66,7 +66,7 @@ def _case_bilstm_batched(rng):
     def f(xv, *_):
         return nt.tsum(nt.tanh(nt.bilstm_batched(xv, fwd, bwd)))
 
-    return finite_diff_check(f, tensors, max_elements=24)
+    return finite_diff_check(f, tensors)
 
 
 def _case_global_layer_norm(rng):

@@ -10,6 +10,7 @@ to the BLAS environment, so `threads=1` gives bit-reproducible runs.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -73,32 +74,72 @@ def _parse_value(name, kind, text, context):
 
 def parse_config(path):
     """Read a flat key=value config file into a RunConfig."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     types = {f.name: type(f.default) for f in fields(RunConfig)}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read config file {path}: {err}") from None
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            context = f"{path}:{line_no}"
-            key, sep, text = line.partition("=")
-            key = key.strip()
-            text = text.strip()
-            if not sep or not key:
-                raise ConfigError(f"{context}: expected key=value, got {raw.strip()!r}")
-            if key not in types:
-                raise ConfigError(f"{context}: unknown config key {key!r}")
-            if key in values:
-                raise ConfigError(f"{context}: duplicate config key {key!r}")
-            values[key] = _parse_value(key, types[key], text, context)
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        context = f"{path}:{line_no}"
+        key, sep, text = line.partition("=")
+        key = key.strip()
+        text = text.strip()
+        if not sep or not key:
+            raise ConfigError(f"{context}: expected key=value, got {raw.strip()!r}")
+        if key not in types:
+            raise ConfigError(f"{context}: unknown config key {key!r}")
+        if key in values:
+            raise ConfigError(f"{context}: duplicate config key {key!r}")
+        values[key] = _parse_value(key, types[key], text, context)
     config = RunConfig(**values)
-    if config.threads < 1:
-        raise ConfigError(f"{path}: threads must be >= 1, got {config.threads}")
-    if config.window < 1 or config.num_sources < 1 or config.num_filters < 1:
-        raise ConfigError(f"{path}: model dimensions must be positive")
+    problem = _config_problem(config)
+    if problem:
+        raise ConfigError(f"{path}: {problem}")
     return config
+
+
+_AT_LEAST_ONE = (
+    "num_filters", "window", "num_blocks", "hidden", "epochs", "lr_decay_every",
+    "patience", "batch_size", "sample_rate", "threads",
+)
+_POSITIVE = ("segment_seconds", "lr_init", "lr_decay", "clip_norm", "adam_eps")
+
+
+def _config_problem(config):
+    """Why `config` cannot run, or None."""
+    for f in fields(RunConfig):
+        value = getattr(config, f.name)
+        if f.name in _AT_LEAST_ONE and value < 1:
+            return f"{f.name} must be >= 1, got {value}"
+        if isinstance(value, float) and not math.isfinite(value):
+            return f"{f.name} must be finite, got {value}"
+        if f.name in _POSITIVE and value <= 0:
+            return f"{f.name} must be positive, got {value}"
+    for name in ("beta1", "beta2"):
+        if not 0 < getattr(config, name) < 1:
+            return f"{name} must lie in (0, 1), got {getattr(config, name)}"
+    if config.num_sources != 2:
+        return f"num_sources must be 2, as a manifest record holds two, got {config.num_sources}"
+    if config.chunk_len < 0 or config.chunk_len % 2:
+        return f"chunk_len must be 0 (derived) or positive and even, got {config.chunk_len}"
+    if config.seed < 0:
+        return f"seed must be >= 0, got {config.seed}"
+    samples = int(round(config.segment_seconds * config.sample_rate))
+    # deriving chunk_len takes at least 4 encoder frames of a segment
+    least = config.window + 3 * max(config.window // 2, 1) if config.chunk_len == 0 else 1
+    if samples < least:
+        return (
+            f"segment_seconds={config.segment_seconds} gives {samples} samples, "
+            f"fewer than the {least} the model needs"
+        )
+    return None
 
 
 def _export_threads(threads):
@@ -211,13 +252,17 @@ def cmd_separate(ckpt_path, wav_path, out_dir):
     # SI-SNR training fixes no output gain, so each estimate is rescaled to the
     # mixture's peak: SI-SNR is unchanged and the PCM16 write cannot clip.
     mix_peak = float(np.abs(samples).max())
-    os.makedirs(out_dir, exist_ok=True)
-    for c in range(model.num_sources):
-        peak = float(np.abs(est[c]).max())
-        source = est[c] * (mix_peak / peak) if peak > 0 else est[c]
-        out_path = os.path.join(out_dir, f"source{c + 1}.wav")
-        data.write_wav(out_path, source, rate)
-        print(out_path)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for c in range(model.num_sources):
+            peak = float(np.abs(est[c]).max())
+            source = est[c] * (mix_peak / peak) if peak > 0 else est[c]
+            out_path = os.path.join(out_dir, f"source{c + 1}.wav")
+            data.write_wav(out_path, source, rate)
+            print(out_path)
+    except OSError as err:
+        print(f"error: cannot write to {out_dir}: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 
@@ -235,8 +280,14 @@ def cmd_evaluate(ckpt_path, manifest_path):
         examples = data.make_dataset(
             records, EVAL_SEGMENT_SECONDS, model.sample_rate, seed=0
         )
-    except (OSError, CheckpointError, data.ManifestError) as err:
+    except (OSError, CheckpointError, data.ManifestError, data.MixingError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    if model.num_sources != 2:
+        print(
+            f"error: {ckpt_path} separates {model.num_sources} sources; test records hold 2",
+            file=sys.stderr,
+        )
         return EXIT_CONFIG
     if not examples:
         print(f"error: manifest {manifest_path} has no test records", file=sys.stderr)

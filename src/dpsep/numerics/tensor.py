@@ -115,10 +115,6 @@ def _wrap(arr):
     return t
 
 
-def zeros(shape, dtype=np.float32):
-    return _wrap(np.zeros(shape, dtype=dtype))
-
-
 def zero_grads(params):
     """Reset the grad buffer of every tensor in `params`."""
     for p in params:
@@ -184,7 +180,12 @@ class GradTape:
         # id -> [tensor, accumulated output gradient]; populated back-to-front.
         pending = {id(loss): [loss, np.ones((), dtype=loss.data.dtype)]}
         leaf_grads = {}
-        for node in reversed(self._nodes):
+        # Drop each node once its backward has run: its saved arrays go at
+        # once, and the consumed tape no longer forms a reference cycle with
+        # its output tensors that only the cyclic GC would free.
+        nodes, self._nodes = self._nodes, []
+        while nodes:
+            node = nodes.pop()
             entries = [pending.pop(id(o), None) for o in node.outputs]
             if all(e is None for e in entries):
                 continue

@@ -218,7 +218,7 @@ def save_model(model, path, extra_meta=None):
 
 # geometry keys read back from a checkpoint, with the least value each may take
 _GEOMETRY_MINIMA = {
-    "num_filters": 1, "window": 1, "num_sources": 1, "num_blocks": 0,
+    "num_filters": 1, "window": 1, "num_sources": 1, "num_blocks": 1,
     "hidden": 1, "chunk_len": 2, "sample_rate": 1,
 }
 

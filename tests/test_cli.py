@@ -118,6 +118,54 @@ class TestTrainCommand:
         assert (override / "best.ckpt").exists()
 
 
+def _toy_with(tmp_path, **overrides):
+    """The toy config with some keys replaced or added."""
+    config, _, _ = _write_toy(tmp_path)
+    lines = [
+        line for line in config.read_text().splitlines()
+        if line.split("=", 1)[0] not in overrides
+    ]
+    config.write_text("\n".join(lines + [f"{k}={v}" for k, v in overrides.items()]) + "\n")
+    return config
+
+
+CONFIG_FAULTS = {
+    "hidden=0": dict(hidden=0),
+    "num_blocks=0": dict(num_blocks=0),
+    "odd chunk_len": dict(chunk_len=3),
+    "negative chunk_len": dict(chunk_len=-2),
+    "epochs=0": dict(epochs=0),
+    "batch_size=0": dict(batch_size=0),
+    "lr_init=0": dict(lr_init=0),
+    "patience=0": dict(patience=0),
+    "segment too short to derive chunk_len": dict(segment_seconds=0.001, window=16, chunk_len=0),
+    "num_sources=3": dict(num_sources=3),
+    "lr_init=nan": dict(lr_init="nan"),
+    "clip_norm=inf": dict(clip_norm="inf"),
+    "beta1=1": dict(beta1=1.0),
+}
+
+
+class TestConfigFaults:
+    """Every config that cannot run exits 2 with an error line, never a traceback."""
+
+    @pytest.mark.parametrize("overrides", CONFIG_FAULTS.values(), ids=CONFIG_FAULTS.keys())
+    def test_bad_value_exits_2(self, overrides, tmp_path, capsys):
+        config = _toy_with(tmp_path, **overrides)
+        assert cli.main(["train", str(config)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"window=4 # \xff\xfe\n")
+        assert cli.main(["train", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_directory_config_exits_2(self, tmp_path, capsys):
+        assert cli.main(["train", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestSeparateCommand:
     @pytest.fixture
     def trained(self, tmp_path):
@@ -193,6 +241,17 @@ class TestSeparateCommand:
     def test_missing_checkpoint_exits_2(self, tmp_path):
         assert cli.main(["separate", str(tmp_path / "no.ckpt"), "x.wav", "o"]) == 2
 
+    def test_output_dir_that_is_a_file_exits_2(self, trained, tmp_path, capsys):
+        ckpt, _ = trained
+        from dpsep.data import write_wav
+
+        wav_in = tmp_path / "mix.wav"
+        write_wav(wav_in, 0.5 * np.sin(np.arange(400) * 0.1), 8000)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        assert cli.main(["separate", str(ckpt), str(wav_in), str(taken)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_short_inputs_give_sources_of_input_length(self, trained, tmp_path):
         # the toy model needs 24 samples (W=8, K=10); shorter input is padded
         ckpt, _ = trained
@@ -239,7 +298,13 @@ class TestMalformedCheckpoint:
 
     @staticmethod
     def _separate_exits_2(path, capsys):
-        code = cli.main(["separate", str(path), "x.wav", str(path.parent / "o")])
+        # a readable mixture, so that only the checkpoint can be at fault
+        from dpsep.data import write_wav
+
+        wav = path.parent / "mix.wav"
+        if not wav.exists():
+            write_wav(wav, 0.5 * np.sin(np.arange(400) * 0.1), 8000)
+        code = cli.main(["separate", str(path), str(wav), str(path.parent / "o")])
         err = capsys.readouterr().err
         return code == 2 and err.startswith("error: ")
 
@@ -272,6 +337,39 @@ class TestMalformedCheckpoint:
             assert self._separate_exits_2(path, capsys), label
 
 
+    def test_zero_block_checkpoint_exits_2(self, tmp_path, capsys):
+        from dpsep import tasnet
+
+        model = tasnet.build_model(
+            num_filters=4, window=8, num_sources=2, num_blocks=0, hidden=4, chunk_len=10
+        )
+        path = tmp_path / "noblocks.ckpt"
+        tasnet.save_model(model, path)
+        assert self._separate_exits_2(path, capsys)
+
+    def test_per_gate_checkpoint_exits_2(self, tmp_path, capsys):
+        # the layout of earlier versions: twelve tensors per cell, one per gate
+        from dpsep import tasnet
+        from dpsep.numerics import load_arrays, save_arrays
+
+        model = tasnet.build_model(
+            num_filters=4, window=8, num_sources=2, num_blocks=1, hidden=4, chunk_len=10
+        )
+        arrays = []
+        for name, t in model.parameters():
+            prefix, _, group = name.rpartition(".")
+            if group in ("wx", "wh", "b"):
+                for k, gate in enumerate("ifgo"):
+                    arrays.append((f"{prefix}.{group}_{gate}", t.data[4 * k : 4 * k + 4]))
+            else:
+                arrays.append((name, t.data))
+        path = tmp_path / "per_gate.ckpt"
+        tasnet.save_model(model, path)
+        meta, _ = load_arrays(path)
+        save_arrays(path, arrays, meta=meta)
+        assert self._separate_exits_2(path, capsys)
+
+
 class TestEvaluateCommand:
     def test_reports_per_example_and_mean(self, tmp_path, capsys):
         config, manifest, run_dir = _write_toy(tmp_path)
@@ -289,6 +387,35 @@ class TestEvaluateCommand:
         other = tmp_path / "train_only.tsv"
         other.write_text("train\tsynth:harmonic:1\tsynth:chirp:2\t0.0\n")
         assert cli.main(["evaluate", str(run_dir / "best.ckpt"), str(other)]) == 2
+
+    def test_checkpoint_with_other_than_two_sources_exits_2(self, tmp_path, capsys):
+        from dpsep import tasnet
+
+        model = tasnet.build_model(
+            num_filters=4, window=8, num_sources=3, num_blocks=1, hidden=4, chunk_len=10
+        )
+        ckpt = tmp_path / "three.ckpt"
+        tasnet.save_model(model, ckpt)
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(MANIFEST)
+        assert cli.main(["evaluate", str(ckpt), str(manifest)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_silent_test_sources_exit_2(self, tmp_path, capsys):
+        from dpsep import tasnet
+        from dpsep.data import write_wav
+
+        model = tasnet.build_model(
+            num_filters=4, window=8, num_sources=2, num_blocks=1, hidden=4, chunk_len=10
+        )
+        ckpt = tmp_path / "toy.ckpt"
+        tasnet.save_model(model, ckpt)
+        silent = tmp_path / "silent.wav"
+        write_wav(silent, np.zeros(800), 8000)
+        manifest = tmp_path / "silent.tsv"
+        manifest.write_text(f"test\twav:{silent}\twav:{silent}\t0.0\n")
+        assert cli.main(["evaluate", str(ckpt), str(manifest)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_gradcheck_command_passes(capsys):

@@ -101,7 +101,7 @@ def test_suite_covers_every_op_of_a_training_step(tmp_path, monkeypatch):
     train_loop(model, [example], [example], TrainConfig(epochs=1, batch_size=1),
                str(tmp_path / "run"))
     step_ops = set(seen)
-    assert {"pad", "slice", "global_layer_norm", "lstm_gates"} <= step_ops
+    assert {"pad", "slice", "global_layer_norm", "lstm_sequence"} <= step_ops
     seen.clear()
     run_gradcheck_suite()
     assert step_ops <= seen, sorted(step_ops - seen)

@@ -12,11 +12,14 @@ def _zero_params(in_dim, hid, dtype=np.float32):
         return Tensor(np.zeros(shape), dtype=dtype, requires_grad=True)
 
     return nt.LstmCellParams(
-        wx_i=zt((hid, in_dim)), wx_f=zt((hid, in_dim)), wx_g=zt((hid, in_dim)),
-        wx_o=zt((hid, in_dim)), wh_i=zt((hid, hid)), wh_f=zt((hid, hid)),
-        wh_g=zt((hid, hid)), wh_o=zt((hid, hid)), b_i=zt((hid,)), b_f=zt((hid,)),
-        b_g=zt((hid,)), b_o=zt((hid,)),
+        wx=zt((4 * hid, in_dim)), wh=zt((4 * hid, hid)), b=zt((4 * hid,))
     )
+
+
+def _rows(t, k):
+    """Gate k's rows (order i, f, g, o) of a packed tensor."""
+    hid = t.shape[0] // 4
+    return t.data[k * hid : (k + 1) * hid]
 
 
 def _scalar_oracle(x, h, c, p):
@@ -27,10 +30,10 @@ def _scalar_oracle(x, h, c, p):
         return squash(pre)
 
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
-    i = gate(p.wx_i.data, p.wh_i.data, p.b_i.data, sig)
-    f = gate(p.wx_f.data, p.wh_f.data, p.b_f.data, sig)
-    g = gate(p.wx_g.data, p.wh_g.data, p.b_g.data, np.tanh)
-    o = gate(p.wx_o.data, p.wh_o.data, p.b_o.data, sig)
+    i, f, g, o = (
+        gate(_rows(p.wx, k), _rows(p.wh, k), _rows(p.b, k), squash)
+        for k, squash in enumerate((sig, sig, np.tanh, sig))
+    )
     c2 = f * c + i * g
     h2 = o * np.tanh(c2)
     return h2, c2
@@ -52,7 +55,7 @@ def _oracle_sequence(xs, p, reverse=False):
 
 def test_all_zero_everything_gives_zero_states():
     p = _zero_params(3, 4)
-    hs = nt.lstm_sequence(nt.zeros((5, 2, 3)), p)
+    hs = nt.lstm_sequence(Tensor(np.zeros((5, 2, 3))), p)
     np.testing.assert_array_equal(hs.data, np.zeros((5, 2, 4)))
 
 
@@ -60,15 +63,16 @@ def test_saturated_gates_preserve_cell():
     # step 0 opens the input gate through x and writes c = tanh(b_g); later
     # steps close it, forget ~ 1 keeps c, and output ~ 1 exposes h = tanh(c)
     p = _zero_params(2, 3)
-    p.wx_i.data[:, 0] = 40.0
-    p.b_i.data[:] = -20.0
-    p.b_f.data[:] = 20.0
-    p.b_o.data[:] = 20.0
-    p.b_g.data[:] = [0.3, -0.7, 1.1]
+    wx_i, b_i, b_f, b_g, b_o = _rows(p.wx, 0), *(_rows(p.b, k) for k in range(4))
+    wx_i[:, 0] = 40.0
+    b_i[:] = -20.0
+    b_f[:] = 20.0
+    b_o[:] = 20.0
+    b_g[:] = [0.3, -0.7, 1.1]
     xs = np.zeros((4, 1, 2), dtype=np.float32)
     xs[0, 0, 0] = 1.0
     hs = nt.lstm_sequence(Tensor(xs), p).data
-    expected = np.tanh(np.tanh(p.b_g.data))
+    expected = np.tanh(np.tanh(b_g))
     for t in range(4):
         np.testing.assert_allclose(hs[t, 0], expected, atol=1e-6)
 
@@ -86,14 +90,51 @@ def test_lstm_sequence_matches_scalar_oracle():
 def test_lstm_sequence_shape_error():
     p = _zero_params(3, 4)
     with pytest.raises(ShapeError):
-        nt.lstm_sequence(nt.zeros((5, 2, 2)), p)
+        nt.lstm_sequence(Tensor(np.zeros((5, 2, 2))), p)
 
 
 def test_param_count_formula():
     rng = np.random.default_rng(0)
     p = init_lstm_params(rng, 64, 128)
+    assert [name for name, _ in p.tensors()] == ["wx", "wh", "b"]
     counted = sum(t.size for _, t in p.tensors())
-    assert counted == p.param_count() == 4 * (128 * 64 + 128 * 128 + 128)
+    assert counted == 4 * (128 * 64 + 128 * 128 + 128)
+
+
+def test_packed_layout_keeps_gate_order_and_init():
+    # uniform input rows, an orthogonal recurrent block per gate, and the
+    # forget bias in rows H:2H only
+    rng = np.random.default_rng(0)
+    p = init_lstm_params(rng, 5, 3, dtype=np.float64)
+    for k in range(4):
+        block = _rows(p.wh, k)
+        np.testing.assert_allclose(block @ block.T, np.eye(3), atol=1e-12)
+        assert np.all(np.abs(_rows(p.wx, k)) <= 1.0 / np.sqrt(5))
+    np.testing.assert_array_equal(p.b.data, [0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0])
+
+
+def test_packed_shape_mismatch_rejected():
+    good = _zero_params(3, 4)
+    with pytest.raises(ShapeError):
+        nt.LstmCellParams(wx=good.wx, wh=good.wh, b=Tensor(np.zeros(12)))
+    with pytest.raises(ShapeError):
+        nt.LstmCellParams(wx=Tensor(np.zeros((12, 3))), wh=good.wh, b=good.b)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_sequence_is_one_tape_node(reverse):
+    rng = np.random.default_rng(3)
+    p = init_lstm_params(rng, 3, 4)
+    xs = Tensor(rng.standard_normal((6, 2, 3)), requires_grad=True)
+    with nt.GradTape() as tape:
+        nt.lstm_sequence(xs, p, reverse=reverse)
+    assert [node.name for node in tape._nodes] == ["lstm_sequence"]
+
+
+def test_lstm_sequence_rejects_wrong_input_size():
+    p = _zero_params(3, 4)
+    with pytest.raises(ShapeError):
+        nt.lstm_sequence(Tensor(np.zeros((5, 2, 4))), p)
 
 
 def test_bilstm_single_step_is_concat_of_cells():

@@ -69,7 +69,7 @@ def test_apply_masks_identity_and_zero():
     np.testing.assert_array_equal(out.data[0], rep.data)
     np.testing.assert_array_equal(out.data[1], rep.data)
     np.testing.assert_array_equal(
-        tasnet.apply_masks(rep, nt.zeros((2, 4, 10))).data, np.zeros((2, 4, 10))
+        tasnet.apply_masks(rep, Tensor(np.zeros((2, 4, 10)))).data, np.zeros((2, 4, 10))
     )
 
 
@@ -188,7 +188,7 @@ def test_parameter_count_default_config():
 def test_parameter_count_single_lstm_cell():
     model = tasnet.build_model(num_blocks=1)
     cell = model.blocks[0].intra.lstm_fwd
-    assert cell.param_count() == 4 * (128 * 64 + 128 * 128 + 128) == 98816
+    assert sum(t.size for _, t in cell.tensors()) == 4 * (128 * 64 + 128 * 128 + 128) == 98816
 
 
 def test_parameter_count_zero_blocks_is_head_only():
@@ -220,7 +220,9 @@ def test_checkpoint_round_trip(tmp_path):
 def test_checkpoint_block_naming():
     model = tiny_model()
     names = [name for name, _ in model.parameters()]
-    assert "block0.intra.lstm_fwd.wx_i" in names
+    assert "block0.intra.lstm_fwd.wx" in names
+    assert "block0.inter.lstm_bwd.b" in names
+    assert not any("wx_" in name or "wh_" in name for name in names)
     assert "block0.inter.fc.weight" in names
     assert "block0.intra.ln.scale" in names
 

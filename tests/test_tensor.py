@@ -1,5 +1,8 @@
 """Core tensor ops: elementwise semantics, affine, tape backward, broadcasting rules."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -140,6 +143,22 @@ def test_backward_rejects_repeat_without_reset():
         tape.backward(loss)
     tape.reset()
     assert len(tape) == 0
+
+
+def test_backward_releases_the_graph_without_the_cyclic_gc():
+    x = Tensor([0.5, -1.0], requires_grad=True)
+    gc.disable()
+    try:
+        with GradTape() as tape:
+            hidden = nt.tanh(x)
+            loss = nt.tsum(hidden)
+        saved = weakref.ref(hidden.data)
+        del hidden
+        tape.backward(loss)
+        assert len(tape) == 0
+        assert saved() is None
+    finally:
+        gc.enable()
 
 
 def test_broadcast_trailing_singleton():
