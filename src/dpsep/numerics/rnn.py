@@ -5,6 +5,11 @@ no peepholes). Its weights are stored packed, as in cuDNN: the rows of each
 tensor hold the gates in the order i, f, g, o. A sequence is one tape op: one
 matmul projects every step's input, then the recurrence runs one matmul per
 step, and backward runs the mirrored loop by hand.
+
+The sigmoid gates use the tanh form sigma(x) = 1/2 + tanh(x/2)/2. The x/2 is
+folded into halved copies of the i, f and o rows of the weights and bias
+(exact in binary floating point), so each step runs one tanh over all four
+gates and finishes i, f and o with a multiply and an add.
 """
 
 from __future__ import annotations
@@ -74,10 +79,15 @@ def init_lstm_params(rng, input_size, hidden_size, dtype=np.float32, forget_bias
 def lstm_sequence(xs, params, reverse=False):
     """Run a cell over xs (T, B, In) with zero initial states -> (T, B, H).
 
-    One tape op. Forward keeps the gate activations (T, B, 4H), written over
-    the input projection step by step, the cell states and the outputs.
-    Backward runs BPTT in one reverse loop, then forms the input and weight
-    gradients with one matmul or sum each over all steps.
+    One tape op. Forward projects the inputs with copies of wx and b whose
+    i, f and o rows are halved, and adds h_prev @ wh.T with wh halved the
+    same way, so that one tanh over a step's (B, 4H) preactivations gives g
+    and, after `* 0.5 + 0.5`, sigma(x) = 1/2 + tanh(x/2)/2 for i, f and o.
+    It keeps the gate activations (T, B, 4H), written over the input
+    projection step by step, the cell states and the outputs. Backward reads
+    those activations and the unscaled weights, runs BPTT in one reverse
+    loop, then forms the input and weight gradients with one matmul or sum
+    each over all steps.
     """
     if xs.data.ndim != 3 or xs.shape[2] != params.input_size:
         raise ShapeError(
@@ -88,7 +98,6 @@ def lstm_sequence(xs, params, reverse=False):
     x2 = xs.data.reshape(-1, in_dim)
     wx, wh, b = params.wx.data, params.wh.data, params.b.data
     order = range(steps - 1, -1, -1) if reverse else range(steps)
-    sig = nt._stable_sigmoid
     # hs and cs hold T+1 states, the zero initial state at the end where the
     # recurrence starts: step t writes out[t] and reads h_prev[t], one slot
     # towards that end
@@ -97,24 +106,39 @@ def lstm_sequence(xs, params, reverse=False):
     (out, h_prev), (cells, c_prev) = (
         (a[:-1], a[1:]) if reverse else (a[1:], a[:-1]) for a in (hs, cs)
     )
+    ifo = (slice(0, 2 * hid), slice(3 * hid, 4 * hid))  # the sigmoid gates of 4H
     gates = None
 
     def split(z):
         return tuple(z[:, k * hid : (k + 1) * hid] for k in range(4))
 
+    def halve_ifo(a):
+        a = a.copy()  # never scale the parameters in place
+        for rows in ifo:
+            a[rows] *= 0.5
+        return a
+
     def forward_fn():
         nonlocal gates
-        gates = x2 @ wx.T
-        gates += b
+        whs_t = halve_ifo(wh).T
+        gates = x2 @ halve_ifo(wx).T
+        gates += halve_ifo(b)
         gates = gates.reshape(steps, batch, 4 * hid)
+        tmp = np.empty((batch, hid), dtype=gates.dtype)
         for t in order:
             z = gates[t]
-            z += h_prev[t] @ wh.T
-            for gate, act in zip(split(z), (sig, sig, np.tanh, sig)):
-                gate[...] = act(gate)
+            z += h_prev[t] @ whs_t
+            np.tanh(z, out=z)
+            for cols in ifo:
+                zs = z[:, cols]
+                zs *= 0.5
+                zs += 0.5
             gi, gf, gg, go = split(z)
-            np.add(gf * c_prev[t], gi * gg, out=cells[t])
-            np.multiply(go, np.tanh(cells[t]), out=out[t])
+            np.multiply(gf, c_prev[t], out=cells[t])
+            np.multiply(gi, gg, out=tmp)
+            cells[t] += tmp
+            np.tanh(cells[t], out=tmp)
+            np.multiply(go, tmp, out=out[t])
         return out
 
     def backward_fn(g):
@@ -131,7 +155,8 @@ def lstm_sequence(xs, params, reverse=False):
                 dc * gi * (1.0 - gg * gg), dh * tc * go * (1.0 - go),
             ], axis=1, out=dz[t])
             dc *= gf
-            dh_next = dz[t] @ wh
+            if t != order[0]:  # the first step's h_prev is the zero state
+                dh_next = dz[t] @ wh
         dz2 = dz.reshape(-1, 4 * hid)
         return (
             (dz2 @ wx).reshape(xs.shape) if _needs(xs) else None,

@@ -355,18 +355,6 @@ def relu(x):
     return apply_op("relu", (x,), lambda: np.maximum(x.data, 0), lambda g: (g * mask,))
 
 
-def sigmoid(x):
-    out = _stable_sigmoid(x.data)
-    return apply_op("sigmoid", (x,), lambda: out, lambda g: (g * out * (1.0 - out),))
-
-
-def _stable_sigmoid(x):
-    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, without boolean indexing,
-    # whose cost grows with how mixed the signs are
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
 def tanh(x):
     out = np.tanh(x.data)
     return apply_op("tanh", (x,), lambda: out, lambda g: (g * (1.0 - out * out),))

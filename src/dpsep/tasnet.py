@@ -46,6 +46,8 @@ class SeparatorModel:
                 f"mask head must map {n} -> {c * n}, got weight {self.mask_weight.shape} "
                 f"bias {self.mask_bias.shape}"
             )
+        if self.num_blocks < 1:
+            raise ShapeError(f"num_blocks must be at least 1, got {self.num_blocks}")
         if len(self.blocks) != self.num_blocks:
             raise ShapeError(f"expected {self.num_blocks} blocks, got {len(self.blocks)}")
 

@@ -177,3 +177,67 @@ def test_bilstm_rejects_wrong_rank():
     p = init_lstm_params(rng, 2, 2)
     with pytest.raises(ShapeError):
         nt.bilstm_batched(Tensor(np.ones((2, 2))), p, p)
+
+
+# a DPRNN chunk batch: T steps of B sequences, recipe sizes In=64, H=128
+_RECIPE = dict(steps=46, batch=45, in_dim=64, hid=128)
+
+
+def _recipe_case(seed, dtype=np.float32):
+    rng = np.random.default_rng(seed)
+    p = init_lstm_params(rng, _RECIPE["in_dim"], _RECIPE["hid"], dtype=dtype)
+    xs = rng.standard_normal((_RECIPE["steps"], _RECIPE["batch"], _RECIPE["in_dim"]))
+    return rng, p, xs.astype(dtype)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_sequence_float32_matches_float64(reverse):
+    _, p, xs = _recipe_case(10)
+    p64 = nt.LstmCellParams(*(Tensor(t.data, dtype=np.float64) for _, t in p.tensors()))
+    h32 = nt.lstm_sequence(Tensor(xs), p, reverse=reverse).data
+    h64 = nt.lstm_sequence(Tensor(xs, dtype=np.float64), p64, reverse=reverse).data
+    assert h32.dtype == np.float32
+    assert np.max(np.abs(h32 - h64)) < 1e-5
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_sequence_saturates_gates_exactly(reverse):
+    # input 0 at +-1000 through unit weights puts every preactivation beyond
+    # +-900, far past what the other inputs, the bias and wh @ h (|h| <= 1,
+    # orthogonal blocks) can add, so each gate is the step of its sign
+    rng, p, xs = _recipe_case(11)
+    signs = rng.choice([-1.0, 1.0], size=4 * _RECIPE["hid"]).astype(np.float32)
+    p.wx.data[:, 0] = signs
+    xs[:, :, 0] = 1000.0 * rng.choice([-1.0, 1.0], size=xs.shape[:2])
+    xt = Tensor(xs, requires_grad=True)
+    with nt.GradTape() as tape:
+        hs = nt.lstm_sequence(xt, p, reverse=reverse)
+        loss = nt.tsum(hs)
+    tape.backward(loss)
+    assert np.all(np.isfinite(hs.data))
+    # gates of exactly 0 or 1 (and g of exactly +-1) keep c an integer
+    on = np.sign(xs[:, :, :1]) * signs  # (T, B, 4H)
+    hid = _RECIPE["hid"]
+    gi, gf, gg, go = ((on[..., k * hid : (k + 1) * hid] > 0) for k in range(4))
+    gg = np.where(gg, 1.0, -1.0)
+    c = np.zeros(xs.shape[1:2] + (hid,), dtype=np.float32)
+    expected = np.empty_like(hs.data)
+    for t in (range(len(xs) - 1, -1, -1) if reverse else range(len(xs))):
+        c = np.where(gf[t], c, 0.0) + np.where(gi[t], gg[t], 0.0)
+        expected[t] = np.where(go[t], np.tanh(c.astype(np.float32)), 0.0)
+    np.testing.assert_array_equal(hs.data, expected)
+    # every gate derivative, s(1-s) or 1-g^2, is then exactly zero
+    for leaf in (xt, p.wx, p.wh, p.b):
+        assert leaf.grad is not None and not np.any(leaf.grad)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_sequence_leaves_parameters_unchanged(reverse):
+    _, p, xs = _recipe_case(12)
+    before = [t.data.copy() for _, t in p.tensors()]
+    xt = Tensor(xs, requires_grad=True)
+    with nt.GradTape() as tape:
+        loss = nt.tsum(nt.lstm_sequence(xt, p, reverse=reverse))
+    tape.backward(loss)
+    for (name, t), saved in zip(p.tensors(), before):
+        assert t.data.tobytes() == saved.tobytes(), name

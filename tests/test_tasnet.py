@@ -192,14 +192,21 @@ def test_parameter_count_single_lstm_cell():
 
 
 def test_parameter_count_zero_blocks_is_head_only():
-    model = tiny_model(num_blocks=0)
-    head_only = (
+    # encoder, decoder and mask head: a one-block model less its block
+    model = tiny_model(num_blocks=1)
+    head_only = tasnet.parameter_count(model) - sum(t.size for _, t in model.blocks[0].tensors())
+    assert head_only == (
         model.encoder_kernels.size
         + model.decoder_kernels.size
         + model.mask_weight.size
         + model.mask_bias.size
     )
-    assert tasnet.parameter_count(model) == head_only
+
+
+@pytest.mark.parametrize("num_blocks", [0, -1])
+def test_build_model_rejects_fewer_than_one_block(num_blocks):
+    with pytest.raises(ShapeError, match="num_blocks"):
+        tiny_model(num_blocks=num_blocks)
 
 
 def test_checkpoint_round_trip(tmp_path):
