@@ -37,7 +37,7 @@ def _case_conv1d(rng):
 
 
 def _case_transposed_conv1d(rng):
-    frames = _t(rng, (3, 5))
+    frames = _t(rng, (2, 3, 5))
     k = _t(rng, (3, 4))
 
     def f(fv, kv):

@@ -42,6 +42,8 @@ class SourceSpec:
                 seed = int(seed_text)
             except ValueError:
                 raise ManifestError(f"{context}: bad synth seed {seed_text!r}") from None
+            if seed < 0:
+                raise ManifestError(f"{context}: synth seed must be non-negative, got {seed}")
             return cls(kind="synth", synth_kind=kind, seed=seed)
         raise ManifestError(f"{context}: unknown source spec {text!r} (wav: or synth:)")
 
@@ -61,7 +63,7 @@ def parse_manifest(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ManifestError(f"cannot read manifest {path}: {err}") from None
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()

@@ -1,8 +1,8 @@
 """Strided 1-D convolution and its transpose, as single tape ops.
 
 conv1d frames a (1, T) signal into L = floor((T-W)/stride)+1 windows and
-dots each against N kernels; transposed_conv1d is its exact adjoint,
-scattering weighted kernels back by overlap-add.
+dots each against N kernels; transposed_conv1d is its exact adjoint, applied
+to each of C frame sets, scattering weighted kernels back by overlap-add.
 """
 
 import numpy as np
@@ -11,9 +11,9 @@ from .tensor import ShapeError, _needs, apply_op
 
 
 def _windows(sig, width, stride, count):
-    # (count, width) strided view over a 1-D array; read-only.
-    view = np.lib.stride_tricks.sliding_window_view(sig, width)
-    return view[::stride][:count]
+    # (..., count, width) strided view over the last axis; read-only.
+    view = np.lib.stride_tricks.sliding_window_view(sig, width, axis=-1)
+    return view[..., ::stride, :][..., :count, :]
 
 
 def conv1d(signal, kernels, stride):
@@ -47,34 +47,34 @@ def conv1d(signal, kernels, stride):
 
 
 def transposed_conv1d(frames, kernels, stride):
-    """frames (N, L), kernels (N, W), stride >= 1 -> (1, T), T = (L-1)*stride + W.
+    """frames (C, N, L), kernels (N, W), stride >= 1 -> (C, T), T = (L-1)*stride + W.
 
-    Adjoint of conv1d: <conv1d(x, k), y> == <x, transposed_conv1d(y, k)>.
+    Each of the C frame sets is decoded by the same kernels. Adjoint of conv1d:
+    <conv1d(x, k), y[c]> == <x, transposed_conv1d(y, k)[c]> for every c.
     """
-    if frames.data.ndim != 2:
-        raise ShapeError(f"transposed_conv1d: frames must be (N, L), got {frames.shape}")
-    if kernels.data.ndim != 2 or kernels.shape[0] != frames.shape[0]:
+    if frames.data.ndim != 3:
+        raise ShapeError(f"transposed_conv1d: frames must be (C, N, L), got {frames.shape}")
+    if kernels.data.ndim != 2 or kernels.shape[0] != frames.shape[1]:
         raise ShapeError(
             f"transposed_conv1d: kernels {kernels.shape} do not match frames {frames.shape}"
         )
     if stride < 1:
         raise ShapeError(f"transposed_conv1d: stride must be >= 1, got {stride}")
-    n_frames = frames.shape[1]
+    num_sets, _, n_frames = frames.shape
     width = kernels.shape[1]
     t_len = (n_frames - 1) * stride + width
     fd, kd = frames.data, kernels.data
 
     def forward_fn():
-        out = np.zeros((1, t_len), dtype=fd.dtype)
-        row = out[0]
+        out = np.zeros((num_sets, t_len), dtype=fd.dtype)
         for w in range(width):
-            row[w : w + n_frames * stride : stride] += kd[:, w] @ fd
+            out[:, w : w + n_frames * stride : stride] += kd[:, w] @ fd
         return out
 
     def backward_fn(g):
-        win = _windows(g[0], width, stride, n_frames)
-        gf = kd @ win.T if _needs(frames) else None
-        gk = fd @ win if _needs(kernels) else None
+        win = _windows(g, width, stride, n_frames)  # (C, L, W)
+        gf = kd @ win.transpose(0, 2, 1) if _needs(frames) else None
+        gk = (fd @ win).sum(axis=0) if _needs(kernels) else None
         return gf, gk
 
     return apply_op("transposed_conv1d", (frames, kernels), forward_fn, backward_fn)

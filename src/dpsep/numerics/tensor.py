@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-FLOAT_DTYPES = (np.float32, np.float64)
-
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
@@ -65,43 +63,11 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self):
-        return float(self.data)
-
     def zero_grad(self):
         self.grad = None
 
-    def detach(self):
-        """Copy of the values with no grad tracking."""
-        return _wrap(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; delegates to the module-level ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def _wrap(arr):
@@ -113,12 +79,6 @@ def _wrap(arr):
     t._is_leaf = True
     t._tape = None
     return t
-
-
-def zero_grads(params):
-    """Reset the grad buffer of every tensor in `params`."""
-    for p in params:
-        p.zero_grad()
 
 
 class _TapeNode:
@@ -258,10 +218,8 @@ def _check_same_dtype(name, a, b):
 
 
 def _broadcast_spec(name, a_shape, b_shape):
-    """Validate the restricted broadcast rule and return per-operand expanded axes.
-
-    Allowed: identical shapes, a 0-d scalar on either side, or equal-rank
-    shapes whose size-1 expansions form a trailing block of axes.
+    """Validate numpy's broadcast rule for equal-rank operands (or a 0-d
+    scalar on either side) and return the axes each operand is expanded along.
     """
     if a_shape == b_shape:
         return (), ()
@@ -281,23 +239,15 @@ def _broadcast_spec(name, a_shape, b_shape):
             b_axes.append(i)
         else:
             raise ShapeError(f"{name}: incompatible shapes {a_shape} vs {b_shape}")
-    rank = len(a_shape)
-    for axes, shape in ((a_axes, a_shape), (b_axes, b_shape)):
-        # expanded axes must start a pure-singleton tail of the operand
-        if axes and any(shape[j] != 1 for j in range(axes[0], rank)):
-            raise ShapeError(
-                f"{name}: broadcasting is limited to trailing singleton axes, "
-                f"got {a_shape} vs {b_shape}"
-            )
     return tuple(a_axes), tuple(b_axes)
 
 
-def _unbroadcast(g, axes, shape):
+def _unbroadcast(g, axes):
     if not axes:
         return np.array(g, copy=True)
     if axes == ("scalar",):
         return np.asarray(g.sum())
-    return g.sum(axis=axes, keepdims=True).reshape(shape)
+    return g.sum(axis=axes, keepdims=True)
 
 
 def _binary(name, a, b, fwd, da_fn, db_fn):
@@ -310,8 +260,8 @@ def _binary(name, a, b, fwd, da_fn, db_fn):
     ad, bd = a.data, b.data
 
     def backward_fn(g):
-        ga = _unbroadcast(da_fn(g, ad, bd), a_axes, a.shape) if _needs(a) else None
-        gb = _unbroadcast(db_fn(g, ad, bd), b_axes, b.shape) if _needs(b) else None
+        ga = _unbroadcast(da_fn(g, ad, bd), a_axes) if _needs(a) else None
+        gb = _unbroadcast(db_fn(g, ad, bd), b_axes) if _needs(b) else None
         return ga, gb
 
     return apply_op(name, (a, b), lambda: fwd(ad, bd), backward_fn)
@@ -346,10 +296,6 @@ def div(a, b):
     )
 
 
-def neg(x):
-    return apply_op("neg", (x,), lambda: -x.data, lambda g: (-g,))
-
-
 def relu(x):
     mask = x.data > 0
     return apply_op("relu", (x,), lambda: np.maximum(x.data, 0), lambda g: (g * mask,))
@@ -378,28 +324,24 @@ def sqrt(x):
 
 
 def tsum(x, axis=None):
-    """Sum over all entries (axis=None, scalar output) or over given axes."""
+    """Sum over all entries (axis=None, scalar output) or over the given axes,
+    which are kept with extent 1."""
     if axis is None:
         def backward_fn(g):
             return (np.full(x.shape, g, dtype=x.data.dtype),)
 
         return apply_op("sum", (x,), lambda: np.array(x.data.sum()), backward_fn)
-    axes = (axis,) if isinstance(axis, int) else tuple(axis)
 
     def backward_axis_fn(g):
-        expand = list(x.shape)
-        for ax in axes:
-            expand[ax] = 1
-        return (np.broadcast_to(g.reshape(expand), x.shape).astype(x.data.dtype).copy(),)
+        return (np.broadcast_to(g, x.shape).copy(),)
 
-    return apply_op("sum", (x,), lambda: x.data.sum(axis=axes), backward_axis_fn)
+    return apply_op("sum", (x,), lambda: x.data.sum(axis=axis, keepdims=True), backward_axis_fn)
 
 
 def tmean(x, axis=None):
-    n = x.size if axis is None else int(
-        np.prod([x.shape[a] for a in ((axis,) if isinstance(axis, int) else axis)])
-    )
-    return mul(tsum(x, axis), 1.0 / n)
+    total = tsum(x, axis)
+    # an int ratio divides exactly once, so this is 1/n correctly rounded
+    return mul(total, total.size / x.size)
 
 
 def affine(x, weight, bias=None):
@@ -480,38 +422,6 @@ def concat(tensors, axis=0):
         lambda: np.concatenate([t.data for t in tensors], axis=axis),
         backward_fn,
     )
-
-
-def stack(tensors, axis=0):
-    tensors = list(tensors)
-    if not tensors:
-        raise ShapeError("stack of zero tensors")
-
-    def backward_fn(g):
-        moved = np.moveaxis(g, axis, 0)
-        return tuple(
-            np.ascontiguousarray(moved[i]) if _needs(t) else None
-            for i, t in enumerate(tensors)
-        )
-
-    return apply_op(
-        "stack",
-        tuple(tensors),
-        lambda: np.stack([t.data for t in tensors], axis=axis),
-        backward_fn,
-    )
-
-
-def index_axis0(x, i):
-    """x[i] along the first axis, rank reduced by one."""
-    i = int(i)
-
-    def backward_fn(g):
-        gx = np.zeros_like(x.data)
-        gx[i] = g
-        return (gx,)
-
-    return apply_op("index_axis0", (x,), lambda: x.data[i].copy(), backward_fn)
 
 
 def slice_axis(x, axis, start, stop):

@@ -153,21 +153,12 @@ def apply_masks(rep, masks):
     """out[c] = rep (*) masks[c]; shapes (N, L) x (C, N, L) -> (C, N, L)."""
     if masks.shape[1:] != rep.shape:
         raise ShapeError(f"masks {masks.shape} do not match representation {rep.shape}")
-    per_source = [
-        nt.mul(rep, nt.index_axis0(masks, c)) for c in range(masks.shape[0])
-    ]
-    return nt.stack(per_source, axis=0)
+    return nt.mul(nt.reshape(rep, (1,) + rep.shape), masks)
 
 
 def decode(masked, model):
     """masked (C, N, L) -> waveforms (C, T'), T' = (L-1)*stride + W."""
-    waves = [
-        nt.transposed_conv1d(
-            nt.index_axis0(masked, c), model.decoder_kernels, model.stride
-        )
-        for c in range(masked.shape[0])
-    ]
-    return nt.concat(waves, axis=0)
+    return nt.transposed_conv1d(masked, model.decoder_kernels, model.stride)
 
 
 def separate(mixture, model):

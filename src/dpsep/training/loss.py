@@ -23,24 +23,37 @@ _LOG10 = float(np.log(10.0))
 
 
 def si_snr(est, ref, eps=SI_SNR_EPS):
-    """SI-SNR in dB of est (T,) against ref (T,), as a differentiable scalar."""
-    if est.shape != ref.shape or est.data.ndim != 1:
-        raise ShapeError(f"si_snr: need matching 1-D signals, got {est.shape} vs {ref.shape}")
-    ref_zm = nt.sub(ref, nt.tmean(ref))
-    ref_energy = nt.tsum(nt.mul(ref_zm, ref_zm))
-    if float(ref_energy.data) == 0.0:
+    """SI-SNR in dB of est against ref along their last axis, differentiable.
+
+    est and ref are equal-rank signals of T samples whose leading axes
+    broadcast. The result has their broadcast shape without the last axis:
+    two (T,) signals give a scalar, and est (C, 1, T) against ref (1, C, T)
+    gives the (C, C) matrix of every pair. A zero-energy estimate is left
+    unscaled, row by row.
+    """
+    if est.data.ndim != ref.data.ndim or est.data.ndim == 0 or est.shape[-1] != ref.shape[-1]:
+        raise ShapeError(
+            f"si_snr: need equal-rank signals of one length, got {est.shape} vs {ref.shape}"
+        )
+    ref_zm = nt.sub(ref, nt.tmean(ref, -1))
+    ref_energy = nt.tsum(nt.mul(ref_zm, ref_zm), -1)
+    if np.any(ref_energy.data == 0.0):
         raise NumericsError("si_snr: reference has zero energy after mean removal")
-    est_zm = nt.sub(est, nt.tmean(est))
-    est_energy = nt.tsum(nt.mul(est_zm, est_zm))
-    if float(est_energy.data) > 0.0:
-        est_zm = nt.div(est_zm, nt.sqrt(est_energy))
-    proj = nt.div(nt.tsum(nt.mul(est_zm, ref_zm)), ref_energy)
+    est_zm = nt.sub(est, nt.tmean(est, -1))
+    est_energy = nt.tsum(nt.mul(est_zm, est_zm), -1)
+    silent = est_energy.data == 0.0
+    if np.any(silent):
+        # divide the silent rows by sqrt(0 + 1) = 1 instead
+        est_energy = nt.add(est_energy, silent.astype(est_energy.dtype))
+    est_zm = nt.div(est_zm, nt.sqrt(est_energy))
+    proj = nt.div(nt.tsum(nt.mul(est_zm, ref_zm), -1), ref_energy)
     target = nt.mul(ref_zm, proj)
     residual = nt.sub(est_zm, target)
-    target_energy = nt.add(nt.tsum(nt.mul(target, target)), eps)
-    residual_energy = nt.add(nt.tsum(nt.mul(residual, residual)), eps)
+    target_energy = nt.add(nt.tsum(nt.mul(target, target), -1), eps)
+    residual_energy = nt.add(nt.tsum(nt.mul(residual, residual), -1), eps)
     ratio_log = nt.sub(nt.log(target_energy), nt.log(residual_energy))
-    return nt.mul(ratio_log, 10.0 / _LOG10)
+    db = nt.mul(ratio_log, 10.0 / _LOG10)
+    return nt.reshape(db, db.shape[:-1])
 
 
 @dataclass
@@ -61,33 +74,29 @@ def upit_loss(est, ref):
     """
     if est.shape != ref.shape or est.data.ndim != 2:
         raise ShapeError(f"upit_loss: need matching (C, T), got {est.shape} vs {ref.shape}")
-    num_sources = est.shape[0]
+    num_sources, t_len = est.shape
     if num_sources > 6:
         raise ShapeError(
             f"upit_loss: exhaustive search supports at most 6 sources, got {num_sources}"
         )
-    pair = [
-        [
-            si_snr(nt.index_axis0(est, a), nt.index_axis0(ref, b))
-            for b in range(num_sources)
-        ]
-        for a in range(num_sources)
-    ]
+    # pair[a, b] = si_snr(est[a], ref[b]) for every pair, in one broadcast
+    pair = si_snr(
+        nt.reshape(est, (num_sources, 1, t_len)), nt.reshape(ref, (1, num_sources, t_len))
+    )
+    values = pair.data.tolist()
     best_perm = None
     best_value = -np.inf
     for perm in permutations(range(num_sources)):
-        value = sum(float(pair[a][b].data) for a, b in enumerate(perm)) / num_sources
+        value = sum(values[a][b] for a, b in enumerate(perm)) / num_sources
         if value > best_value:
             best_value = value
             best_perm = perm
-    chosen = [pair[a][b] for a, b in enumerate(best_perm)]
-    total = chosen[0]
-    for term in chosen[1:]:
-        total = nt.add(total, term)
-    loss = nt.neg(nt.mul(total, 1.0 / num_sources))
+    weights = np.zeros(pair.shape, dtype=pair.dtype)
+    weights[range(num_sources), best_perm] = -1.0 / num_sources
+    loss = nt.tsum(nt.mul(pair, weights))
     result = PermutationResult(
         best_perm=best_perm,
-        per_source_db=[float(t.data) for t in chosen],
+        per_source_db=[values[a][b] for a, b in enumerate(best_perm)],
         mean_db=best_value,
     )
     return loss, result

@@ -423,6 +423,33 @@ class TestEvaluateCommand:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def _assert_manifest_fault_exits_2(tmp_path, capsys, blob):
+    """`train` and `evaluate` on a manifest holding `blob` both exit 2 with an error line."""
+    from dpsep import tasnet
+
+    config, manifest, _ = _write_toy(tmp_path)
+    manifest.write_bytes(blob)
+    assert cli.main(["train", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    model = tasnet.build_model(
+        num_filters=4, window=8, num_sources=2, num_blocks=1, hidden=4, chunk_len=10
+    )
+    ckpt = tmp_path / "toy.ckpt"
+    tasnet.save_model(model, ckpt)
+    assert cli.main(["evaluate", str(ckpt), str(manifest)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestManifestFaults:
+    def test_non_utf8_manifest_exits_2(self, tmp_path, capsys):
+        blob = MANIFEST.encode() + b"test\tsynth:harmonic:7\tsynth:chirp:8\t1.0 # \xff\xfe\n"
+        _assert_manifest_fault_exits_2(tmp_path, capsys, blob)
+
+    def test_negative_synth_seed_exits_2(self, tmp_path, capsys):
+        blob = (MANIFEST + "test\tsynth:harmonic:-1\tsynth:chirp:8\t1.0\n").encode()
+        _assert_manifest_fault_exits_2(tmp_path, capsys, blob)
+
+
 def test_gradcheck_command_passes(capsys):
     assert cli.main(["gradcheck"]) == 0
     out = capsys.readouterr().out

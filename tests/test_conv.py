@@ -47,7 +47,7 @@ def test_conv_rejects_short_input():
 
 
 def test_transposed_single_frame_is_weighted_kernel_sum():
-    frames = Tensor([[2.0], [3.0]])
+    frames = Tensor([[[2.0], [3.0]]])
     kernels = Tensor([[1.0, 0.5], [0.0, 1.0]])
     out = nt.transposed_conv1d(frames, kernels, stride=1)
     np.testing.assert_allclose(out.data, [[2.0, 4.0]])
@@ -55,7 +55,7 @@ def test_transposed_single_frame_is_weighted_kernel_sum():
 
 def test_transposed_hand_overlap_add_oracle():
     # frozen from the hand computation: ones frames, kernel [1,1], stride 1, L=3
-    frames = Tensor(np.ones((1, 3)))
+    frames = Tensor(np.ones((1, 1, 3)))
     kernels = Tensor([[1.0, 1.0]])
     out = nt.transposed_conv1d(frames, kernels, stride=1)
     np.testing.assert_array_equal(out.data, [[1.0, 2.0, 2.0, 1.0]])
@@ -63,28 +63,34 @@ def test_transposed_hand_overlap_add_oracle():
 
 def test_zero_frames_give_zero_waveform():
     out = nt.transposed_conv1d(
-        Tensor(np.zeros((2, 5))), Tensor(np.ones((2, 3))), stride=2
+        Tensor(np.zeros((3, 2, 5))), Tensor(np.ones((2, 3))), stride=2
     )
-    np.testing.assert_array_equal(out.data, np.zeros((1, 11)))
+    np.testing.assert_array_equal(out.data, np.zeros((3, 11)))
 
 
 @pytest.mark.parametrize("trial", range(50))
 def test_adjoint_identity(trial):
-    # <conv1d(x, k), y> == <x, transposed_conv1d(y, k)> at exact-fit sizes
+    # <conv1d(x, k), y[c]> == <x, transposed_conv1d(y, k)[c]> at exact-fit sizes
     rng = np.random.default_rng(1000 + trial)
     width = int(rng.integers(1, 9))
     stride = int(rng.integers(1, 5))
     frames = int(rng.integers(1, 40))
     n = int(rng.integers(1, 6))
+    sets = int(rng.integers(1, 4))
     t_len = (frames - 1) * stride + width
     x = Tensor(rng.standard_normal((1, t_len)), dtype=np.float64)
     k = Tensor(rng.standard_normal((n, width)), dtype=np.float64)
-    y = Tensor(rng.standard_normal((n, frames)), dtype=np.float64)
-    lhs = float((nt.conv1d(x, k, stride).data * y.data).sum())
-    rhs = float((x.data * nt.transposed_conv1d(y, k, stride).data).sum())
-    assert lhs == pytest.approx(rhs, rel=1e-5)
+    y = Tensor(rng.standard_normal((sets, n, frames)), dtype=np.float64)
+    encoded = nt.conv1d(x, k, stride).data
+    waves = nt.transposed_conv1d(y, k, stride).data
+    for c in range(sets):
+        lhs = float((encoded * y.data[c]).sum())
+        rhs = float((x.data[0] * waves[c]).sum())
+        assert lhs == pytest.approx(rhs, rel=1e-5)
 
 
 def test_transposed_length_formula():
-    out = nt.transposed_conv1d(Tensor(np.ones((2, 7))), Tensor(np.ones((2, 4))), stride=3)
-    assert out.shape == (1, (7 - 1) * 3 + 4)
+    out = nt.transposed_conv1d(Tensor(np.ones((3, 2, 7))), Tensor(np.ones((2, 4))), stride=3)
+    assert out.shape == (3, (7 - 1) * 3 + 4)
+    with pytest.raises(ShapeError):
+        nt.transposed_conv1d(Tensor(np.ones((2, 7))), Tensor(np.ones((2, 4))), stride=3)

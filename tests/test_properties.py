@@ -1,0 +1,125 @@
+"""Property tests: broadcasting, the uPIT pair matrix, the conv adjoint, chunking."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dpsep import dualpath as dp
+from dpsep import numerics as nt
+from dpsep.numerics import GradTape, Tensor
+from dpsep.training import si_snr, upit_loss
+
+SETTINGS = settings(max_examples=60, deadline=None)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def broadcast_shapes(draw):
+    """Two equal-rank shapes where each axis is full on both sides or 1 on one or both."""
+    extents = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    a_shape, b_shape = [], []
+    for extent in extents:
+        ones = draw(st.sampled_from(("", "a", "b", "ab")))
+        a_shape.append(1 if "a" in ones else extent)
+        b_shape.append(1 if "b" in ones else extent)
+    return tuple(a_shape), tuple(b_shape)
+
+
+def _expanded(shape, out_shape):
+    return tuple(i for i, (d, e) in enumerate(zip(shape, out_shape)) if d != e)
+
+
+@SETTINGS
+@given(shapes=broadcast_shapes(), seed=SEEDS, op=st.sampled_from(("add", "mul")))
+def test_broadcast_matches_numpy_forward_and_gradient(shapes, seed, op):
+    a_shape, b_shape = shapes
+    rng = np.random.default_rng(seed)
+    a_data = rng.standard_normal(a_shape)
+    b_data = rng.standard_normal(b_shape)
+    out_shape = np.broadcast_shapes(a_shape, b_shape)
+    g = rng.standard_normal(out_shape)
+    a = Tensor(a_data, dtype=np.float64, requires_grad=True)
+    b = Tensor(b_data, dtype=np.float64, requires_grad=True)
+    with GradTape() as tape:
+        out = getattr(nt, op)(a, b)
+        loss = nt.tsum(nt.mul(out, g))
+    expected = a_data + b_data if op == "add" else a_data * b_data
+    assert out.shape == out_shape
+    np.testing.assert_array_equal(out.data, expected)
+    tape.backward(loss)
+    ga, gb = (g, g) if op == "add" else (g * b_data, g * a_data)
+    np.testing.assert_array_equal(
+        a.grad, ga.sum(axis=_expanded(a_shape, out_shape), keepdims=True)
+    )
+    np.testing.assert_array_equal(
+        b.grad, gb.sum(axis=_expanded(b_shape, out_shape), keepdims=True)
+    )
+
+
+@SETTINGS
+@given(
+    num_sources=st.integers(2, 4),
+    t_len=st.integers(2, 300),
+    seed=SEEDS,
+    silent_row=st.booleans(),
+)
+def test_upit_pair_matrix_equals_per_pair_si_snr(num_sources, t_len, seed, silent_row):
+    rng = np.random.default_rng(seed)
+    est = rng.standard_normal((num_sources, t_len))
+    ref = rng.standard_normal((num_sources, t_len))
+    if silent_row:
+        est[0] = 0.5  # zero energy after mean removal
+    pair = si_snr(
+        Tensor(est.reshape(num_sources, 1, t_len), dtype=np.float64),
+        Tensor(ref.reshape(1, num_sources, t_len), dtype=np.float64),
+    ).data
+    oracle = np.array([
+        [
+            float(si_snr(Tensor(est[a], dtype=np.float64), Tensor(ref[b], dtype=np.float64)).data)
+            for b in range(num_sources)
+        ]
+        for a in range(num_sources)
+    ])
+    np.testing.assert_array_equal(pair, oracle)
+    _, result = upit_loss(Tensor(est, dtype=np.float64), Tensor(ref, dtype=np.float64))
+    assert result.per_source_db == [oracle[a, b] for a, b in enumerate(result.best_perm)]
+
+
+@SETTINGS
+@given(
+    width=st.integers(1, 8),
+    stride=st.integers(1, 4),
+    frames=st.integers(1, 40),
+    filters=st.integers(1, 5),
+    sets=st.integers(2, 4),
+    seed=SEEDS,
+)
+def test_transposed_conv_is_adjoint_for_every_source(width, stride, frames, filters, sets, seed):
+    rng = np.random.default_rng(seed)
+    t_len = (frames - 1) * stride + width
+    x = Tensor(rng.standard_normal((1, t_len)), dtype=np.float64)
+    k = Tensor(rng.standard_normal((filters, width)), dtype=np.float64)
+    y = Tensor(rng.standard_normal((sets, filters, frames)), dtype=np.float64)
+    encoded = nt.conv1d(x, k, stride).data
+    waves = nt.transposed_conv1d(y, k, stride).data
+    assert waves.shape == (sets, t_len)
+    for c in range(sets):
+        lhs = float((encoded * y.data[c]).sum())
+        rhs = float((x.data[0] * waves[c]).sum())
+        assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
+
+
+@SETTINGS
+@given(
+    filters=st.integers(1, 4),
+    length=st.integers(1, 200),
+    half_chunk=st.integers(1, 40),
+    seed=SEEDS,
+    dtype=st.sampled_from((np.float32, np.float64)),
+)
+def test_overlap_add_inverts_segment(filters, length, half_chunk, seed, dtype):
+    chunk_len = 2 * min(half_chunk, length)  # segment needs K <= 2L
+    w = np.random.default_rng(seed).standard_normal((filters, length)).astype(dtype)
+    out = dp.overlap_add(dp.segment(Tensor(w, dtype=dtype), chunk_len, chunk_len // 2))
+    np.testing.assert_array_equal(out.data, w)

@@ -107,11 +107,13 @@ def test_encode_decode_adjoint_linear_parts():
     x = Tensor(rng.standard_normal((1, 34)), dtype=np.float64)
     kernels = Tensor(model.encoder_kernels.data.astype(np.float64))
     frames = (34 - model.window) // model.stride + 1
-    y = Tensor(rng.standard_normal((4, frames)), dtype=np.float64)
-    lhs = float((nt.conv1d(x, kernels, model.stride).data * y.data).sum())
-    rhs_wave = nt.transposed_conv1d(y, kernels, model.stride)
-    rhs = float((x.data[:, : rhs_wave.shape[1]] * rhs_wave.data).sum())
-    assert lhs == pytest.approx(rhs, rel=1e-10)
+    y = Tensor(rng.standard_normal((2, 4, frames)), dtype=np.float64)
+    encoded = nt.conv1d(x, kernels, model.stride).data
+    rhs_waves = nt.transposed_conv1d(y, kernels, model.stride).data
+    for c in range(2):
+        lhs = float((encoded * y.data[c]).sum())
+        rhs = float((x.data[0, : rhs_waves.shape[1]] * rhs_waves[c]).sum())
+        assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
 @pytest.mark.parametrize("t_len", [1, 3, 5, 16, 23, 40, 57, 100])

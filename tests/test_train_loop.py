@@ -78,14 +78,18 @@ def test_early_stopping_counts_eleven_epochs(toy_sets, tmp_path, monkeypatch):
 
 
 def test_fixed_seed_reproduces_metrics_log_byte_identically(toy_sets, tmp_path):
+    # the metrics log and both checkpoints, from two calls in one process
     train, valid = toy_sets
-    logs = []
+    runs = []
     for i in range(2):
         run_dir = tmp_path / f"run{i}"
         config = TrainConfig(epochs=3, batch_size=1, seed=7)
         train_loop(_tiny_model(seed=5), train, valid, config, str(run_dir))
-        logs.append((run_dir / METRICS_FILENAME).read_bytes())
-    assert logs[0] == logs[1]
+        runs.append([
+            (run_dir / name).read_bytes()
+            for name in (METRICS_FILENAME, BEST_FILENAME, LAST_FILENAME)
+        ])
+    assert runs[0] == runs[1]
 
 
 def test_nan_abort_carries_epoch_and_batch(toy_sets, tmp_path):
