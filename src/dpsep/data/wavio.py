@@ -12,7 +12,8 @@ import numpy as np
 
 
 class WavFormatError(ValueError):
-    """Raised for non-RIFF files or unsupported codec parameters."""
+    """Raised for non-RIFF files, unsupported codec parameters or a data chunk
+    shorter than the header declares."""
 
 
 def read_wav(path):
@@ -37,6 +38,11 @@ def read_wav(path):
         raise WavFormatError(f"{path}: sample width {sample_width} bytes (16-bit required)")
     if n_frames == 0:
         raise WavFormatError(f"{path}: empty audio stream")
+    if len(payload) < n_frames * sample_width:
+        raise WavFormatError(
+            f"{path}: data chunk holds {len(payload)} bytes, header declares "
+            f"{n_frames} frames of {sample_width} bytes"
+        )
     samples = np.frombuffer(payload, dtype="<i2").astype(np.float32) / 32768.0
     return samples.reshape(1, -1), rate
 

@@ -2,9 +2,9 @@
 
 The cell uses the standard four-gate formulation (input, forget, cell, output;
 no peepholes). Its weights are stored packed, as in cuDNN: the rows of each
-tensor hold the gates in the order i, f, g, o. A sequence is one tape op: one
-matmul projects every step's input, then the recurrence runs one matmul per
-step, and backward runs the mirrored loop by hand.
+tensor hold the gates in the order i, f, g, o. A sequence is one tape op: the
+inputs are projected a block of steps at a time, the recurrence runs one matmul
+per step, and backward runs the mirrored loop by hand.
 
 The sigmoid gates use the tanh form sigma(x) = 1/2 + tanh(x/2)/2. The x/2 is
 folded into halved copies of the i, f and o rows of the weights and bias
@@ -19,7 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as nt
-from .tensor import ShapeError, Tensor, _needs, apply_op
+from .tensor import ShapeError, Tensor, _needs, apply_op, recording_tape
+
+# Byte budget of the input-projection block when no tape records: a few steps
+# are projected at a time into one reused buffer that stays in cache, instead
+# of a (T, B, 4H) array that large inputs get as fresh pages from the kernel.
+_BLOCK_BYTES = 2 << 20
 
 
 @dataclass
@@ -83,25 +88,33 @@ def lstm_sequence(xs, params, reverse=False):
     i, f and o rows are halved, and adds h_prev @ wh.T with wh halved the
     same way, so that one tanh over a step's (B, 4H) preactivations gives g
     and, after `* 0.5 + 0.5`, sigma(x) = 1/2 + tanh(x/2)/2 for i, f and o.
-    It keeps the gate activations (T, B, 4H), written over the input
-    projection step by step, the cell states and the outputs. Backward reads
-    those activations and the unscaled weights, runs BPTT in one reverse
-    loop, then forms the input and weight gradients with one matmul or sum
-    each over all steps.
+    The projection runs in blocks of P steps, from the end when `reverse`,
+    each written into a (P, B, 4H) buffer that the recurrence then turns into
+    gate activations in place. When a tape records, P = T: backward reads
+    every step's activations, the cell states and the outputs. Otherwise P
+    keeps the buffer within `_BLOCK_BYTES` and it is reused by every block.
+    Backward runs BPTT in one reverse loop, then forms the input and weight
+    gradients with one matmul or sum each over all steps.
     """
     if xs.data.ndim != 3 or xs.shape[2] != params.input_size:
         raise ShapeError(
             f"lstm_sequence: expected (T, B, {params.input_size}), got {xs.shape}"
         )
+    inputs = (xs, params.wx, params.wh, params.b)
     steps, batch, in_dim = xs.shape
     hid = params.hidden_size
+    dtype = xs.data.dtype
     x2 = xs.data.reshape(-1, in_dim)
     wx, wh, b = params.wx.data, params.wh.data, params.b.data
     order = range(steps - 1, -1, -1) if reverse else range(steps)
+    if recording_tape(inputs) is not None:
+        span = steps
+    else:
+        span = min(steps, max(1, _BLOCK_BYTES // (batch * 4 * hid * dtype.itemsize)))
     # hs and cs hold T+1 states, the zero initial state at the end where the
     # recurrence starts: step t writes out[t] and reads h_prev[t], one slot
     # towards that end
-    hs = np.zeros((steps + 1, batch, hid), dtype=xs.data.dtype)
+    hs = np.zeros((steps + 1, batch, hid), dtype=dtype)
     cs = np.zeros_like(hs)
     (out, h_prev), (cells, c_prev) = (
         (a[:-1], a[1:]) if reverse else (a[1:], a[:-1]) for a in (hs, cs)
@@ -120,25 +133,30 @@ def lstm_sequence(xs, params, reverse=False):
 
     def forward_fn():
         nonlocal gates
-        whs_t = halve_ifo(wh).T
-        gates = x2 @ halve_ifo(wx).T
-        gates += halve_ifo(b)
-        gates = gates.reshape(steps, batch, 4 * hid)
-        tmp = np.empty((batch, hid), dtype=gates.dtype)
-        for t in order:
-            z = gates[t]
-            z += h_prev[t] @ whs_t
-            np.tanh(z, out=z)
-            for cols in ifo:
-                zs = z[:, cols]
-                zs *= 0.5
-                zs += 0.5
-            gi, gf, gg, go = split(z)
-            np.multiply(gf, c_prev[t], out=cells[t])
-            np.multiply(gi, gg, out=tmp)
-            cells[t] += tmp
-            np.tanh(cells[t], out=tmp)
-            np.multiply(go, tmp, out=out[t])
+        wxs_t, whs_t, bs = halve_ifo(wx).T, halve_ifo(wh).T, halve_ifo(b)
+        gates = np.empty((span, batch, 4 * hid), dtype=dtype)
+        tmp = np.empty((batch, hid), dtype=dtype)
+        starts = range(0, steps, span)
+        for start in reversed(starts) if reverse else starts:
+            block = range(start, min(start + span, steps))
+            slot = gates[: len(block)]
+            np.matmul(x2[start * batch : block.stop * batch], wxs_t,
+                      out=slot.reshape(-1, 4 * hid))
+            slot += bs
+            for t in reversed(block) if reverse else block:
+                z = slot[t - start]
+                z += h_prev[t] @ whs_t
+                np.tanh(z, out=z)
+                for cols in ifo:
+                    zs = z[:, cols]
+                    zs *= 0.5
+                    zs += 0.5
+                gi, gf, gg, go = split(z)
+                np.multiply(gf, c_prev[t], out=cells[t])
+                np.multiply(gi, gg, out=tmp)
+                cells[t] += tmp
+                np.tanh(cells[t], out=tmp)
+                np.multiply(go, tmp, out=out[t])
         return out
 
     def backward_fn(g):
@@ -165,7 +183,6 @@ def lstm_sequence(xs, params, reverse=False):
             dz2.sum(axis=0) if _needs(params.b) else None,
         )
 
-    inputs = (xs, params.wx, params.wh, params.b)
     return apply_op("lstm_sequence", inputs, forward_fn, backward_fn)
 
 

@@ -94,14 +94,17 @@ class _TapeNode:
 _TAPE_STACK = []
 
 
-def active_tape():
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+def recording_tape(inputs):
+    """The tape that an op over `inputs` is recorded on, or None: the active
+    tape, when one is active and some input needs grads."""
+    if _TAPE_STACK and any(t.requires_grad for t in inputs):
+        return _TAPE_STACK[-1]
+    return None
 
 
 class GradTape:
     """Ordered record of operations; replaying backward visits them in exact
-    reverse recording order. Single-owner, one backward pass per tape unless
-    reset."""
+    reverse recording order. Single-owner, one backward pass per tape."""
 
     def __init__(self):
         self._nodes = []
@@ -119,17 +122,13 @@ class GradTape:
     def __len__(self):
         return len(self._nodes)
 
-    def reset(self):
-        self._nodes = []
-        self._consumed = False
-
     def _record(self, node):
         self._nodes.append(node)
 
     def backward(self, loss):
         """Populate the grad of every requires_grad leaf reachable from `loss`."""
         if self._consumed:
-            raise NumericsError("backward already ran on this tape; call reset() first")
+            raise NumericsError("backward already ran on this tape; record a new one")
         if not isinstance(loss, Tensor) or loss.shape != ():
             got = getattr(loss, "shape", type(loss))
             raise NumericsError(f"loss must be a scalar tensor, got shape {got}")
@@ -194,8 +193,8 @@ def apply_op(name, inputs, forward_fn, backward_fn):
                 raise NumericsError(f"non-finite values produced by op '{name}'")
     outputs = tuple(_wrap(arr) for arr in out_data)
 
-    tape = active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    tape = recording_tape(inputs)
+    if tape is not None:
         for o in outputs:
             o.requires_grad = True
             o._is_leaf = False

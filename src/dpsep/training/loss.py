@@ -109,9 +109,8 @@ def si_snr_value(est, ref):
 
 def mixture_si_snr(mixture, refs):
     """Mean SI-SNR of the unprocessed mixture against each reference (floats)."""
-    mix = np.asarray(mixture, dtype=np.float64).reshape(-1)
-    refs = np.asarray(refs, dtype=np.float64)
-    return float(np.mean([si_snr_value(mix, refs[c]) for c in range(refs.shape[0])]))
+    mix = Tensor(np.reshape(mixture, (1, -1)), dtype=np.float64)
+    return float(np.mean(si_snr(mix, Tensor(refs, dtype=np.float64)).data))
 
 
 def upit_si_snri(est, refs, mixture):

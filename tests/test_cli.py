@@ -238,6 +238,21 @@ class TestSeparateCommand:
         assert cli.main(["separate", str(ckpt), str(wav_in), str(tmp_path / "o")]) == 2
         assert "sample rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data_bytes", [16, 17])
+    def test_data_chunk_shorter_than_header_exits_2(self, data_bytes, trained, tmp_path, capsys):
+        # the header declares 4000 frames (8000 bytes) but the data chunk
+        # holds 8 whole frames, or 8 and a half
+        ckpt, _ = trained
+        from dpsep.data import write_wav
+
+        wav_in = tmp_path / "cut.wav"
+        write_wav(wav_in, 0.5 * np.sin(np.arange(4000) * 0.1), 8000)
+        wav_in.write_bytes(wav_in.read_bytes()[: 44 + data_bytes])
+        out_dir = tmp_path / "o"
+        assert cli.main(["separate", str(ckpt), str(wav_in), str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out_dir.exists()
+
     def test_missing_checkpoint_exits_2(self, tmp_path):
         assert cli.main(["separate", str(tmp_path / "no.ckpt"), "x.wav", "o"]) == 2
 

@@ -7,7 +7,7 @@ import pytest
 
 from dpsep import numerics as nt
 from dpsep.numerics import NumericsError, ShapeError, Tensor
-from dpsep.training import PermutationResult, si_snr, si_snr_value, upit_loss
+from dpsep.training import PermutationResult, mixture_si_snr, si_snr, si_snr_value, upit_loss
 
 
 def _t64(arr):
@@ -154,3 +154,17 @@ class TestUpit:
         tape.backward(loss)
         assert result.best_perm == (1, 0)
         assert np.abs(x.grad).sum() > 0
+
+
+@pytest.mark.parametrize("num_refs", [2, 3])
+def test_mixture_si_snr_is_the_mean_over_references(num_refs):
+    # one broadcast si_snr call gives the same bits as one call per reference
+    rng = np.random.default_rng(30 + num_refs)
+    refs = rng.standard_normal((num_refs, 1200)).astype(np.float32)
+    mixture = (refs.sum(axis=0) + 0.3 * rng.standard_normal(1200)).astype(np.float32)
+    refs64 = refs.astype(np.float64)
+    expected = float(
+        np.mean([si_snr_value(mixture.astype(np.float64), refs64[c]) for c in range(num_refs)])
+    )
+    assert mixture_si_snr(mixture, refs) == expected
+    assert mixture_si_snr(mixture.reshape(1, -1), refs) == expected

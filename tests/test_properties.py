@@ -1,4 +1,7 @@
-"""Property tests: broadcasting, the uPIT pair matrix, the conv adjoint, chunking."""
+"""Property tests: broadcasting, the uPIT pair matrix, the conv adjoint,
+chunking, and gain-equivariant separation."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +10,8 @@ from hypothesis import strategies as st
 
 from dpsep import dualpath as dp
 from dpsep import numerics as nt
-from dpsep.numerics import GradTape, Tensor
+from dpsep import tasnet
+from dpsep.numerics import GradTape, Tensor, rnn
 from dpsep.training import si_snr, upit_loss
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -123,3 +127,30 @@ def test_overlap_add_inverts_segment(filters, length, half_chunk, seed, dtype):
     w = np.random.default_rng(seed).standard_normal((filters, length)).astype(dtype)
     out = dp.overlap_add(dp.segment(Tensor(w, dtype=dtype), chunk_len, chunk_len // 2))
     np.testing.assert_array_equal(out.data, w)
+
+
+# one DPRNN block, W=4, K=10: lengths of a few hundred samples give tens of
+# chunks, so both passes run a few dozen LSTM steps
+_SMALL_MODEL = tasnet.build_model(
+    num_filters=8, window=4, num_sources=2, num_blocks=1, hidden=8, chunk_len=10, seed=5
+)
+
+
+@SETTINGS
+@given(
+    length=st.integers(1, 800),
+    exponent=st.integers(-8, 8),
+    block_bytes=st.integers(1, 1 << 15),
+    seed=SEEDS,
+)
+def test_separate_is_gain_equivariant_bit_for_bit(length, exponent, block_bytes, seed):
+    # a small projection budget splits each LSTM pass into blocks of a few
+    # steps with a ragged last one; the output must not see the blocking
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(1, length)).astype(np.float32)
+    gain = np.float32(2.0**exponent)
+    base = tasnet.separate(Tensor(x), _SMALL_MODEL).data
+    with mock.patch.object(rnn, "_BLOCK_BYTES", block_bytes):
+        blocked = tasnet.separate(Tensor(x), _SMALL_MODEL).data
+        scaled = tasnet.separate(Tensor(gain * x), _SMALL_MODEL).data
+    np.testing.assert_array_equal(blocked, base)
+    np.testing.assert_array_equal(scaled, gain * base)

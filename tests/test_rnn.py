@@ -1,10 +1,12 @@
 """LSTM sequences against a scalar gate-equation oracle; bidirectional unrolling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dpsep import numerics as nt
-from dpsep.numerics import ShapeError, Tensor, init_lstm_params
+from dpsep.numerics import ShapeError, Tensor, init_lstm_params, rnn
 
 
 def _zero_params(in_dim, hid, dtype=np.float32):
@@ -241,3 +243,40 @@ def test_lstm_sequence_leaves_parameters_unchanged(reverse):
     tape.backward(loss)
     for (name, t), saved in zip(p.tensors(), before):
         assert t.data.tobytes() == saved.tobytes(), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("extra", [-1, 0, 3], ids=["below", "equal", "above"])
+def test_lstm_sequence_without_tape_matches_recorded_output(dtype, reverse, extra):
+    # B=64, H=32 gives blocks of 64 (float32) or 32 (float64) steps; T is one
+    # step short of a block, one block, or two blocks and a ragged third
+    batch, in_dim, hid = 64, 5, 32
+    span = rnn._BLOCK_BYTES // (batch * 4 * hid * np.dtype(dtype).itemsize)
+    steps = span - 1 if extra < 0 else span if extra == 0 else 2 * span + extra
+    rng = np.random.default_rng(13)
+    p = init_lstm_params(rng, in_dim, hid, dtype=dtype)
+    xs = Tensor(rng.standard_normal((steps, batch, in_dim)), dtype=dtype, requires_grad=True)
+    plain = nt.lstm_sequence(xs, p, reverse=reverse).data
+    with nt.GradTape() as tape:
+        recorded = nt.lstm_sequence(xs, p, reverse=reverse)
+    assert len(tape) == 1
+    assert plain.dtype == recorded.data.dtype
+    np.testing.assert_array_equal(plain, recorded.data)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_sequence_without_tape_never_holds_all_gates(reverse):
+    steps, batch, in_dim, hid = 256, 64, 8, 32
+    gates_bytes = steps * batch * 4 * hid * 4  # (T, B, 4H) float32: 8 MiB
+    rng = np.random.default_rng(14)
+    p = init_lstm_params(rng, in_dim, hid)
+    xs = Tensor(rng.standard_normal((steps, batch, in_dim)))
+    tracemalloc.start()
+    try:
+        hs = nt.lstm_sequence(xs, p, reverse=reverse)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hs.shape == (steps, batch, hid)
+    assert peak < gates_bytes

@@ -115,15 +115,13 @@ def test_backward_rejects_detached_loss():
         tape.backward(other)
 
 
-def test_backward_rejects_repeat_without_reset():
+def test_backward_rejects_repeat():
     x = Tensor([1.0], requires_grad=True)
     with GradTape() as tape:
         loss = nt.tsum(x)
     tape.backward(loss)
     with pytest.raises(NumericsError):
         tape.backward(loss)
-    tape.reset()
-    assert len(tape) == 0
 
 
 def test_backward_releases_the_graph_without_the_cyclic_gc():
