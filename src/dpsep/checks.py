@@ -70,7 +70,7 @@ def _case_bilstm_batched(rng):
 
 
 def _case_global_layer_norm(rng):
-    x = _t(rng, (3, 4, 2))
+    x = _t(rng, (4, 2, 3))
     z = _t(rng, (3,))
     r = _t(rng, (3,))
 
@@ -82,7 +82,7 @@ def _case_global_layer_norm(rng):
 
 def _intra_inter_case(rng, pass_fn):
     params = _sub_params(rng, 4, 3)
-    x = _t(rng, (4, 6, 5))
+    x = _t(rng, (6, 5, 4))
     tensors = [x] + [t for _, t in params.tensors()]
 
     def f(xv, *_):
@@ -95,23 +95,21 @@ def _case_segment_overlap(rng):
     x = _t(rng, (3, 10))
 
     def f(xv):
-        chunks = dp.segment(xv, 4, 2)
-        y = nt.tanh(chunks.data)
-        return nt.tsum(nt.tanh(dp.overlap_add(chunks.with_data(y))))
+        y = nt.tanh(dp.segment(xv, 4))
+        return nt.tsum(nt.tanh(dp.overlap_add(y, 10)))
 
     return finite_diff_check(f, x)
 
 
 def _case_dprnn_stack(rng):
-    # one full block on the N=4, K=6, S=5, H=3 chunk geometry (L=12)
+    # one full block on the K=6, S=5, N=4, H=3 chunk geometry (L=12)
     block = dp.init_block_params(rng, 4, 3, dtype=F64)
     w = _t(rng, (4, 12))
     tensors = [w] + [t for _, t in block.tensors()]
 
     def f(wv, *_):
-        chunks = dp.segment(wv, 6, 3)
-        out = dp.dprnn_stack(chunks, [block])
-        return nt.tsum(nt.tanh(dp.overlap_add(out)))
+        out = dp.dprnn_stack(dp.segment(wv, 6), [block])
+        return nt.tsum(nt.tanh(dp.overlap_add(out, 12)))
 
     return finite_diff_check(f, tensors, max_elements=10)
 

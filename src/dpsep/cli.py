@@ -131,7 +131,10 @@ def _config_problem(config):
         return f"chunk_len must be 0 (derived) or positive and even, got {config.chunk_len}"
     if config.seed < 0:
         return f"seed must be >= 0, got {config.seed}"
-    samples = int(round(config.segment_seconds * config.sample_rate))
+    samples = config.segment_seconds * config.sample_rate
+    if not math.isfinite(samples):
+        return f"segment_seconds={config.segment_seconds} overflows at {config.sample_rate} Hz"
+    samples = int(round(samples))
     # deriving chunk_len takes at least 4 encoder frames of a segment
     least = config.window + 3 * max(config.window // 2, 1) if config.chunk_len == 0 else 1
     if samples < least:

@@ -30,6 +30,9 @@ def read_wav(path):
         raise WavFormatError(f"{path}: not a readable RIFF/WAVE file ({err})") from None
     except EOFError:
         raise WavFormatError(f"{path}: truncated RIFF/WAVE file") from None
+    except RuntimeError:
+        # what the wave module raises for a chunk smaller than its own fields
+        raise WavFormatError(f"{path}: RIFF chunk size disagrees with its contents") from None
     if compression != "NONE":
         raise WavFormatError(f"{path}: compression type {compression!r} (PCM required)")
     if channels != 1:

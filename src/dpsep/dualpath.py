@@ -5,6 +5,11 @@ residual, and the inverse overlap-add.
 Chunking a length-L sequence with chunk length K ~= sqrt(2L) gives S =
 ceil(2L/K)+1 chunks, so both recurrent directions see O(sqrt(L)) steps
 instead of O(L).
+
+Chunks are one plain (K, S, N) tensor, features last, from `segment` to
+`overlap_add`. That is the (T, B, N) layout of the BLSTM and the FC: the
+intra pass reads it as S sequences of K steps with no copy, and the inter
+pass transposes it to (S, K, N) and back.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ LN_EPS = 1e-8
 
 
 def choose_chunk_size(frame_count):
-    """Chunk length K (even) and hop P = K/2 for a length-L frame sequence.
+    """Chunk length K (even) for a length-L frame sequence; the hop is K/2.
 
     K is the smallest even integer >= sqrt(2L), keeping both chunk length and
     chunk count near sqrt(2L). Callers may override K from config; empirical
@@ -30,8 +35,7 @@ def choose_chunk_size(frame_count):
     """
     if frame_count < 4:
         raise ShapeError(f"choose_chunk_size: need at least 4 frames, got {frame_count}")
-    k = 2 * math.ceil(math.sqrt(2.0 * frame_count) / 2.0)
-    return k, k // 2
+    return 2 * math.ceil(math.sqrt(2.0 * frame_count) / 2.0)
 
 
 def chunk_count(frame_count, chunk_len):
@@ -39,103 +43,65 @@ def chunk_count(frame_count, chunk_len):
     return -(-2 * frame_count // chunk_len) + 1
 
 
-@dataclass
-class ChunkTensor:
-    """3-D chunk tensor (N, K, S) with the geometry needed to invert it."""
-
-    data: Tensor
-    chunk_len: int
-    hop: int
-    original_len: int
-
-    def __post_init__(self):
-        n, k, s = self.data.shape
-        if k != self.chunk_len:
-            raise ShapeError(f"chunk tensor K={k} disagrees with chunk_len={self.chunk_len}")
-        if self.chunk_len % self.hop != 0:
-            raise ShapeError(f"chunk_len {self.chunk_len} not a multiple of hop {self.hop}")
-        expected = chunk_count(self.original_len, self.chunk_len)
-        if s != expected:
-            raise ShapeError(
-                f"chunk tensor S={s} inconsistent with L={self.original_len}, "
-                f"K={self.chunk_len} (expected {expected})"
-            )
-
-    @property
-    def feature_dim(self):
-        return self.data.shape[0]
-
-    @property
-    def num_chunks(self):
-        return self.data.shape[2]
-
-    def with_data(self, data):
-        return ChunkTensor(data, self.chunk_len, self.hop, self.original_len)
+def _chunk(w, hop, s):
+    """(F, L) -> the (2P, S, F) chunks of w padded with P zero frames in front
+    and zeros to (S+1)*P frames in all: chunk s holds frames s*P .. s*P + 2P."""
+    padded = np.zeros(((s + 1) * hop, w.shape[0]), dtype=w.dtype)
+    padded[hop : hop + w.shape[1]] = w.T
+    blocks = padded.reshape(s + 1, hop, -1).transpose(1, 0, 2)  # (P, S+1, F)
+    return np.concatenate((blocks[:, :-1], blocks[:, 1:]))
 
 
-def segment(w, chunk_len, hop):
-    """Split w (N, L) into the (N, K, S) chunk tensor with 50% overlap.
+def _fold(x, length):
+    """Adjoint of `_chunk`: sum the (K, S, F) chunks at their offsets and drop
+    the padding -> (F, L)."""
+    hop = x.shape[0] // 2
+    folded = np.zeros((x.shape[1] + 1, hop, x.shape[2]), dtype=x.dtype)  # (S+1, P, F)
+    folded[:-1] += x[:hop].transpose(1, 0, 2)
+    folded[1:] += x[hop:].transpose(1, 0, 2)
+    return np.ascontiguousarray(folded.reshape(-1, x.shape[2])[hop : hop + length].T)
 
-    Zero-pads hop frames at the front and enough at the tail that every
-    original frame lands in exactly K/P = 2 chunks and the last chunk is full.
+
+def segment(w, chunk_len):
+    """Split w (N, L) into the (K, S, N) chunk tensor with hop P = K/2.
+
+    Zero-pads P frames at the front and enough at the tail that every
+    original frame lands in exactly two chunks and the last chunk is full.
     """
-    if chunk_len % 2 != 0 or hop != chunk_len // 2:
-        raise ShapeError(f"segment: need even K with P=K/2, got K={chunk_len}, P={hop}")
+    if chunk_len < 2 or chunk_len % 2:
+        raise ShapeError(f"segment: need an even chunk length K >= 2, got {chunk_len}")
     if w.data.ndim != 2:
         raise ShapeError(f"segment: expected (N, L), got {w.shape}")
-    n, length = w.shape
+    length = w.shape[1]
     if chunk_len > 2 * length:
         raise ShapeError(
             f"segment: K={chunk_len} exceeds 2L={2 * length}; choose a smaller chunk size"
         )
-    s = chunk_count(length, chunk_len)
-    padded_len = (s - 1) * hop + chunk_len
-
-    def forward_fn():
-        padded = np.zeros((n, padded_len), dtype=w.data.dtype)
-        padded[:, hop : hop + length] = w.data
-        win = np.lib.stride_tricks.sliding_window_view(padded, chunk_len, axis=1)
-        return np.ascontiguousarray(win[:, ::hop].transpose(0, 2, 1))
+    hop, s = chunk_len // 2, chunk_count(length, chunk_len)
 
     def backward_fn(g):
-        if not _needs(w):
-            return (None,)
-        gp = np.zeros((n, padded_len), dtype=g.dtype)
-        for i in range(s):
-            gp[:, i * hop : i * hop + chunk_len] += g[:, :, i]
-        return (np.ascontiguousarray(gp[:, hop : hop + length]),)
+        return (_fold(g, length) if _needs(w) else None,)
 
-    data = apply_op("segment", (w,), forward_fn, backward_fn)
-    return ChunkTensor(data, chunk_len, hop, length)
+    return apply_op("segment", (w,), lambda: _chunk(w.data, hop, s), backward_fn)
 
 
-def overlap_add(t):
-    """Invert `segment`: sum chunks at their source offsets, trim the padding,
-    divide by K/P so that overlap_add(segment(w)) == w."""
-    n, chunk_len, s = t.data.shape
-    hop, length = t.hop, t.original_len
-    overlap = chunk_len // hop
-    x = t.data
-
-    def forward_fn():
-        folded = np.zeros((n, (s - 1) * hop + chunk_len), dtype=x.data.dtype)
-        for i in range(s):
-            folded[:, i * hop : i * hop + chunk_len] += x.data[:, :, i]
-        return np.ascontiguousarray(folded[:, hop : hop + length]) / overlap
+def overlap_add(x, length):
+    """Invert `segment`: x (K, S, F) -> (F, L). Sums the chunks at their
+    offsets, trims the padding and divides by the two chunks every frame is
+    in, so that overlap_add(segment(w, K), L) == w."""
+    chunk_len, s, _ = x.shape
+    if chunk_len % 2 or s != chunk_count(length, chunk_len):
+        raise ShapeError(f"overlap_add: chunks {x.shape} do not tile length {length}")
+    hop = chunk_len // 2
 
     def backward_fn(g):
-        if not _needs(x):
-            return (None,)
-        gp = np.zeros((n, (s - 1) * hop + chunk_len), dtype=g.dtype)
-        gp[:, hop : hop + length] = g
-        win = np.lib.stride_tricks.sliding_window_view(gp, chunk_len, axis=1)
-        return (np.ascontiguousarray(win[:, ::hop].transpose(0, 2, 1)) / overlap,)
+        return (_chunk(g, hop, s) / 2 if _needs(x) else None,)
 
-    return apply_op("overlap_add", (x,), forward_fn, backward_fn)
+    return apply_op("overlap_add", (x,), lambda: _fold(x.data, length) / 2, backward_fn)
 
 
 def global_layer_norm(x, scale, bias, eps=LN_EPS):
-    """Normalize x (N, K, S) by the mean/variance of all N*K*S entries, then
+    """Normalize x (..., N) by the mean/variance of all its entries, then
     rescale per feature: out = (x - mu)/sqrt(var + eps) * scale + bias.
 
     One tape op. With xhat = (x - mu)/sqrt(var + eps) and gy = g * scale,
@@ -143,7 +109,7 @@ def global_layer_norm(x, scale, bias, eps=LN_EPS):
     """
     if eps <= 0:
         raise ShapeError(f"global_layer_norm: eps must be positive, got {eps}")
-    n = x.shape[0]
+    n = x.shape[-1]
     if scale.shape != (n,) or bias.shape != (n,):
         raise ShapeError(
             f"global_layer_norm: scale {scale.shape} / bias {bias.shape} must be ({n},)"
@@ -157,15 +123,15 @@ def global_layer_norm(x, scale, bias, eps=LN_EPS):
         centered = xd - xd.sum() * inv_size
         std = np.sqrt((centered * centered).sum() * inv_size + xd.dtype.type(eps))
         xhat = centered / std
-        return xhat * sd[:, None, None] + bd[:, None, None]
+        return xhat * sd + bd
 
     def backward_fn(g):
-        g_scale = (g * xhat).sum(axis=(1, 2))
-        g_bias = g.sum(axis=(1, 2))
+        g_scale = (g * xhat).reshape(-1, n).sum(axis=0)
+        g_bias = g.reshape(-1, n).sum(axis=0)
         gx = None
         if _needs(x):
             # mean(gy) = scale . g_bias / size, mean(gy * xhat) = scale . g_scale / size
-            gx = g * sd[:, None, None]
+            gx = g * sd
             gx -= (sd @ g_bias) * inv_size
             gx -= xhat * ((sd @ g_scale) * inv_size)
             gx /= std
@@ -245,38 +211,31 @@ def init_block_params(rng, feature_dim, hidden, dtype=np.float32):
     )
 
 
-def _sub_pass(x, params, time_axis):
-    """Shared intra/inter body: BLSTM along `time_axis` of x (N, K, S), FC back
-    to N features, global LN, residual."""
-    n, k, s = x.shape
-    if time_axis == 1:  # intra: S sequences of length K
-        fwd_axes, inv_axes = (1, 2, 0), (2, 0, 1)
-    else:  # inter: K sequences of length S
-        fwd_axes, inv_axes = (2, 1, 0), (2, 1, 0)
-    seq = nt.transpose(x, fwd_axes)  # (T, B, N)
+def _sub_pass(seq, params):
+    """BLSTM over seq (T, B, N), FC back to N features, global LN."""
     hs = nt.bilstm_batched(seq, params.lstm_fwd, params.lstm_bwd)  # (T, B, 2H)
     proj = nt.affine(hs, params.fc_weight, params.fc_bias)  # (T, B, N)
-    back = nt.transpose(proj, inv_axes)  # (N, K, S)
-    normed = global_layer_norm(back, params.ln_scale, params.ln_bias)
-    return nt.add(x, normed)
+    return global_layer_norm(proj, params.ln_scale, params.ln_bias)
 
 
 def intra_chunk_pass(x, params):
-    """Process each of the S chunks independently along its K frames."""
-    return _sub_pass(x, params, time_axis=1)
+    """Run each of the S chunks of x (K, S, N) along its K frames, plus the
+    residual."""
+    return nt.add(x, _sub_pass(x, params))
 
 
 def inter_chunk_pass(x, params):
-    """Process each of the K aligned frame positions along the S chunks."""
-    return _sub_pass(x, params, time_axis=2)
+    """Run each of the K aligned frame positions of x (K, S, N) along the S
+    chunks, plus the residual."""
+    seq = nt.transpose(x, (1, 0, 2))  # (S, K, N)
+    return nt.add(x, nt.transpose(_sub_pass(seq, params), (1, 0, 2)))
 
 
-def dprnn_stack(t, blocks):
-    """Apply B blocks, each an intra pass followed by an inter pass."""
+def dprnn_stack(x, blocks):
+    """Apply B blocks to x (K, S, N), each an intra pass then an inter pass."""
     if not blocks:
         raise ShapeError("dprnn_stack: need at least one block")
-    x = t.data
     for block in blocks:
         x = intra_chunk_pass(x, block.intra)
         x = inter_chunk_pass(x, block.inter)
-    return t.with_data(x)
+    return x

@@ -296,13 +296,18 @@ def div(a, b):
 
 
 def relu(x):
-    mask = x.data > 0
-    return apply_op("relu", (x,), lambda: np.maximum(x.data, 0), lambda g: (g * mask,))
+    return apply_op("relu", (x,), lambda: np.maximum(x.data, 0), lambda g: (g * (x.data > 0),))
 
 
 def tanh(x):
-    out = np.tanh(x.data)
-    return apply_op("tanh", (x,), lambda: out, lambda g: (g * (1.0 - out * out),))
+    out = None
+
+    def forward_fn():
+        nonlocal out
+        out = np.tanh(x.data)
+        return out
+
+    return apply_op("tanh", (x,), forward_fn, lambda g: (g * (1.0 - out * out),))
 
 
 def log(x):
@@ -314,12 +319,14 @@ def log(x):
 def sqrt(x):
     if np.any(x.data < 0):
         raise NumericsError("sqrt requires nonnegative input")
-    out = np.sqrt(x.data)
+    out = None
 
-    def backward_fn(g):
-        return (g * 0.5 / out,)
+    def forward_fn():
+        nonlocal out
+        out = np.sqrt(x.data)
+        return out
 
-    return apply_op("sqrt", (x,), lambda: out, backward_fn)
+    return apply_op("sqrt", (x,), forward_fn, lambda g: (g * 0.5 / out,))
 
 
 def tsum(x, axis=None):

@@ -1,8 +1,10 @@
 """Encoder/masker/decoder assembly operating directly on waveform samples.
 
-A learned conv front-end encodes the mixture, the dual-path stack estimates
-one nonnegative mask per source over the encoded representation, and a
-transposed-conv decoder maps each masked representation back to a waveform.
+A learned conv front-end encodes the mixture (N, L), the dual-path stack
+runs over its (K, S, N) chunks and the mask head maps each chunk frame's N
+features to C*N before overlap-add gives one nonnegative mask per source,
+(C, N, L). A transposed-conv decoder maps each masked representation back to
+a waveform.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def build_model(
     stride = max(window // 2, 1)
     if chunk_len is None:
         frames = frame_count(nominal_samples, window, stride)
-        chunk_len, _ = dp.choose_chunk_size(frames)
+        chunk_len = dp.choose_chunk_size(frames)
     if chunk_len % 2 != 0:
         raise ShapeError(f"chunk_len must be even, got {chunk_len}")
     rng = np.random.default_rng(seed)
@@ -136,16 +138,13 @@ def encode(mixture, model):
 def estimate_masks(rep, model):
     """rep (N, L) -> C nonnegative masks (C, N, L).
 
-    Pipeline: segment -> dual-path stack -> per-position affine N -> C*N ->
-    overlap-add each feature map -> relu -> reshape to (C, N, L).
+    Pipeline: segment to (K, S, N) -> dual-path stack -> per-position affine
+    N -> C*N -> overlap-add to (C*N, L) -> relu -> reshape to (C, N, L).
     """
     n, length = rep.shape
-    chunks = dp.segment(rep, model.chunk_len, model.chunk_len // 2)
-    processed = dp.dprnn_stack(chunks, model.blocks)
-    x = nt.transpose(processed.data, (1, 2, 0))  # (K, S, N)
+    x = dp.dprnn_stack(dp.segment(rep, model.chunk_len), model.blocks)  # (K, S, N)
     x = nt.affine(x, model.mask_weight, model.mask_bias)  # (K, S, C*N)
-    x = nt.transpose(x, (2, 0, 1))  # (C*N, K, S)
-    maps = dp.overlap_add(processed.with_data(x))  # (C*N, L)
+    maps = dp.overlap_add(x, length)  # (C*N, L)
     return nt.reshape(nt.relu(maps), (model.num_sources, n, length))
 
 
@@ -216,7 +215,29 @@ _GEOMETRY_MINIMA = {
 }
 
 
+def _parameter_shapes(num_filters, window, num_sources, num_blocks, hidden, **_):
+    """(name, shape) of each parameter `build_model` makes, in checkpoint
+    order, without allocating any."""
+    n, h = num_filters, hidden
+    yield "encoder.kernels", (n, window)
+    yield "decoder.kernels", (n, window)
+    yield "mask_head.weight", (num_sources * n, n)
+    yield "mask_head.bias", (num_sources * n,)
+    cell = (("wx", (4 * h, n)), ("wh", (4 * h, h)), ("b", (4 * h,)))
+    head = (("fc.weight", (n, 2 * h)), ("fc.bias", (n,)), ("ln.scale", (n,)), ("ln.bias", (n,)))
+    for b in range(num_blocks):
+        for side in ("intra", "inter"):
+            for lstm in ("lstm_fwd", "lstm_bwd"):
+                for name, shape in cell:
+                    yield f"block{b}.{side}.{lstm}.{name}", shape
+            for name, shape in head:
+                yield f"block{b}.{side}.{name}", shape
+
+
 def load_model(path):
+    """Read a separator checkpoint -> (model, metadata). Raises CheckpointError
+    for a file that cannot run, checking every tensor before building the
+    model, so that no metadata makes it allocate more than the file holds."""
     meta, arrays = nt.load_arrays(path)
     if meta.get("format") != "dpsep-separator":
         raise nt.CheckpointError(f"{path} is not a separator checkpoint")
@@ -233,15 +254,18 @@ def load_model(path):
         raise nt.CheckpointError(
             f"{path}: invalid model geometry {geometry} or dtype {dtype_name!r}"
         )
-    dtype = np.dtype(dtype_name)
-    model = build_model(**geometry, dtype=dtype)
-    for name, t in model.parameters():
-        if name not in arrays:
-            raise nt.CheckpointError(f"checkpoint missing tensor {name!r}")
-        arr = arrays[name].astype(dtype)
-        if arr.shape != t.shape:
+    params = {}
+    for name, shape in _parameter_shapes(**geometry):
+        found = arrays[name].shape if name in arrays else "missing"
+        if found != shape:
+            raise nt.CheckpointError(f"checkpoint tensor {name!r}: {found}, expected {shape}")
+        with np.errstate(over="ignore"):  # reported just below
+            params[name] = arrays[name].astype(dtype_name)
+        if not np.all(np.isfinite(params[name])):
             raise nt.CheckpointError(
-                f"checkpoint tensor {name!r} has shape {arr.shape}, expected {t.shape}"
+                f"checkpoint tensor {name!r} holds values that are not finite in {dtype_name}"
             )
-        t.data = arr
+    model = build_model(**geometry, dtype=np.dtype(dtype_name))
+    for name, t in model.parameters():
+        t.data = params[name]
     return model, meta

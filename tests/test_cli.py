@@ -143,6 +143,7 @@ CONFIG_FAULTS = {
     "lr_init=nan": dict(lr_init="nan"),
     "clip_norm=inf": dict(clip_norm="inf"),
     "beta1=1": dict(beta1=1.0),
+    "segment_seconds * sample_rate overflows": dict(segment_seconds=1e308),
 }
 
 
@@ -366,6 +367,40 @@ class TestMalformedCheckpoint:
         heads = [(name, a) for name, a in arrays.items() if not name.startswith("block")]
         save_arrays(path, heads, meta=meta)
         assert self._separate_exits_2(path, capsys)
+
+    @staticmethod
+    def _resaved(tmp_path, edit):
+        """A toy checkpoint whose (meta, arrays) went through `edit`."""
+        from dpsep import tasnet
+        from dpsep.numerics import load_arrays, save_arrays
+
+        model = tasnet.build_model(
+            num_filters=4, window=8, num_sources=2, num_blocks=1, hidden=4, chunk_len=10
+        )
+        path = tmp_path / "edited.ckpt"
+        tasnet.save_model(model, path)
+        meta, arrays = load_arrays(path)
+        edit(meta, arrays)
+        save_arrays(path, arrays.items(), meta=meta)
+        return path
+
+    def test_inflated_geometry_exits_2(self, tmp_path, capsys):
+        # the tensors are checked against the metadata before any model is
+        # built, so a 10^7-filter claim allocates nothing
+        def inflate(meta, arrays):
+            meta["num_filters"] = meta["hidden"] = "10000000"
+
+        assert self._separate_exits_2(self._resaved(tmp_path, inflate), capsys)
+
+    @pytest.mark.parametrize("value, stored", [(np.nan, np.float32), (1e300, np.float64)],
+                             ids=["nan", "float64 beyond float32"])
+    def test_non_finite_weight_exits_2(self, value, stored, tmp_path, capsys):
+        def poison(meta, arrays):
+            kernels = arrays["encoder.kernels"].astype(stored)
+            kernels[1, 2] = value
+            arrays["encoder.kernels"] = kernels
+
+        assert self._separate_exits_2(self._resaved(tmp_path, poison), capsys)
 
     def test_per_gate_checkpoint_exits_2(self, tmp_path, capsys):
         # the layout of earlier versions: twelve tensors per cell, one per gate

@@ -10,19 +10,17 @@ from dpsep.numerics import GradTape, ShapeError, Tensor
 
 class TestChooseChunkSize:
     def test_exact_square(self):
-        assert dp.choose_chunk_size(8) == (4, 2)
+        assert dp.choose_chunk_size(8) == 4
 
     def test_window16_frames(self):
-        k, p = dp.choose_chunk_size(3999)
-        assert (k, p) == (90, 45)  # paper's empirical pick is 100
+        assert dp.choose_chunk_size(3999) == 90  # paper's empirical pick is 100
 
     def test_window2_frames(self):
-        k, p = dp.choose_chunk_size(31999)
-        assert (k, p) == (254, 127)  # paper's empirical pick is 250
+        assert dp.choose_chunk_size(31999) == 254  # paper's empirical pick is 250
 
     def test_within_15pct_of_empirical_table(self):
         for frames, empirical in ((3999, 100), (7999, 150), (15999, 200), (31999, 250)):
-            k, _ = dp.choose_chunk_size(frames)
+            k = dp.choose_chunk_size(frames)
             assert abs(k - empirical) / empirical <= 0.15
 
     def test_rejects_tiny_input(self):
@@ -40,7 +38,7 @@ class TestChooseChunkSize:
             )
         )
         for length in lengths:
-            k, _ = dp.choose_chunk_size(int(length))
+            k = dp.choose_chunk_size(int(length))
             s = dp.chunk_count(int(length), k)
             assert max(k, s) <= 3 * np.sqrt(length)
 
@@ -48,51 +46,54 @@ class TestChooseChunkSize:
 class TestSegmentOverlapAdd:
     def test_hand_enumerated_example(self):
         w = Tensor([[1.0, 2.0, 3.0, 4.0]])
-        ct = dp.segment(w, 4, 2)
-        assert ct.num_chunks == 3 == dp.chunk_count(4, 4)
+        chunks = dp.segment(w, 4)
+        assert chunks.shape == (4, 3, 1) and dp.chunk_count(4, 4) == 3
         expected = np.array([[0, 0, 1, 2], [1, 2, 3, 4], [3, 4, 0, 0]], dtype=np.float32)
-        np.testing.assert_array_equal(ct.data.data[0].T, expected)
+        np.testing.assert_array_equal(chunks.data[:, :, 0].T, expected)
 
     def test_zero_input_zero_chunks(self):
-        ct = dp.segment(Tensor(np.zeros((2, 10))), 4, 2)
-        np.testing.assert_array_equal(ct.data.data, np.zeros((2, 4, 6)))
+        chunks = dp.segment(Tensor(np.zeros((2, 10))), 4)
+        np.testing.assert_array_equal(chunks.data, np.zeros((4, 6, 2)))
 
     def test_chunk_count_formula_large(self):
         assert dp.chunk_count(31999, 250) == 257
 
     def test_every_sample_in_exactly_two_chunks(self):
-        ct = dp.segment(Tensor(np.ones((1, 11))), 6, 3)
+        chunks = dp.segment(Tensor(np.ones((1, 11))), 6)
         counts = np.zeros(11)
-        hop = ct.hop
-        for s in range(ct.num_chunks):
-            for k in range(ct.chunk_len):
+        hop = 3
+        for s in range(chunks.shape[1]):
+            for k in range(6):
                 pos = s * hop + k - hop  # remove the front padding
                 if 0 <= pos < 11:
-                    counts[pos] += ct.data.data[0, k, s]
+                    counts[pos] += chunks.data[k, s, 0]
         np.testing.assert_array_equal(counts, np.full(11, 2.0))
 
-    def test_rejects_odd_chunk_or_wrong_hop(self):
+    def test_rejects_odd_or_empty_chunk(self):
         w = Tensor(np.ones((1, 10)))
-        with pytest.raises(ShapeError):
-            dp.segment(w, 5, 2)
-        with pytest.raises(ShapeError):
-            dp.segment(w, 6, 2)
+        for chunk_len in (5, 0):
+            with pytest.raises(ShapeError):
+                dp.segment(w, chunk_len)
 
     def test_rejects_degenerate_chunking(self):
         with pytest.raises(ShapeError) as exc:
-            dp.segment(Tensor(np.ones((1, 4))), 10, 5)
+            dp.segment(Tensor(np.ones((1, 4))), 10)
         assert "smaller chunk" in str(exc.value)
+
+    def test_overlap_add_rejects_chunks_that_do_not_tile_the_length(self):
+        chunks = dp.segment(Tensor(np.ones((1, 9))), 4)
+        for length in (4, 20):
+            with pytest.raises(ShapeError):
+                dp.overlap_add(chunks, length)
 
     def test_overlap_add_of_ones_chunks(self):
         # all-ones chunks of the L=4, K=4 geometry collapse to ones after /2
-        ct = dp.segment(Tensor(np.zeros((1, 4))), 4, 2)
-        ones = ct.with_data(Tensor(np.ones((1, 4, 3))))
-        out = dp.overlap_add(ones)
+        out = dp.overlap_add(Tensor(np.ones((4, 3, 1))), 4)
         np.testing.assert_array_equal(out.data, [[1.0, 1.0, 1.0, 1.0]])
 
     def test_zero_chunks_give_zero_sequence(self):
-        ct = dp.segment(Tensor(np.zeros((3, 9))), 4, 2)
-        np.testing.assert_array_equal(dp.overlap_add(ct).data, np.zeros((3, 9)))
+        chunks = dp.segment(Tensor(np.zeros((3, 9))), 4)
+        np.testing.assert_array_equal(dp.overlap_add(chunks, 9).data, np.zeros((3, 9)))
 
     @pytest.mark.parametrize("trial", range(50))
     def test_round_trip_identity(self, trial):
@@ -102,24 +103,24 @@ class TestSegmentOverlapAdd:
         max_k = min(2 * length, 60)
         k = 2 * int(rng.integers(1, max_k // 2 + 1))
         w = rng.standard_normal((n, length)).astype(np.float32)
-        ct = dp.segment(Tensor(w), k, k // 2)
-        assert ct.num_chunks == dp.chunk_count(length, k)
-        out = dp.overlap_add(ct)
+        chunks = dp.segment(Tensor(w), k)
+        assert chunks.shape == (k, dp.chunk_count(length, k), n)
+        out = dp.overlap_add(chunks, length)
         np.testing.assert_allclose(out.data, w, atol=1e-6)
 
 
 class TestGlobalLayerNorm:
     def test_constant_input_returns_bias(self):
-        x = Tensor(np.full((2, 3, 4), 5.0))
+        x = Tensor(np.full((3, 4, 2), 5.0))
         z = Tensor(np.ones(2))
         r = Tensor(np.array([1.5, -2.0]))
         out = dp.global_layer_norm(x, z, r)
-        np.testing.assert_allclose(out.data[0], np.full((3, 4), 1.5), atol=1e-5)
-        np.testing.assert_allclose(out.data[1], np.full((3, 4), -2.0), atol=1e-5)
+        np.testing.assert_allclose(out.data[..., 0], np.full((3, 4), 1.5), atol=1e-5)
+        np.testing.assert_allclose(out.data[..., 1], np.full((3, 4), -2.0), atol=1e-5)
 
     def test_standardized_input_passes_through(self):
         rng = np.random.default_rng(8)
-        x = rng.standard_normal((4, 5, 6))
+        x = rng.standard_normal((5, 6, 4))
         x = (x - x.mean()) / x.std()
         out = dp.global_layer_norm(Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)))
         np.testing.assert_allclose(out.data, x, atol=1e-4)
@@ -131,7 +132,7 @@ class TestGlobalLayerNorm:
         r = rng.standard_normal(2)
         mu = x.mean()
         var = ((x - mu) ** 2).mean()
-        expected = (x - mu) / np.sqrt(var + dp.LN_EPS) * z[:, None, None] + r[:, None, None]
+        expected = (x - mu) / np.sqrt(var + dp.LN_EPS) * z + r
         out = dp.global_layer_norm(
             Tensor(x, dtype=np.float64), Tensor(z, dtype=np.float64),
             Tensor(r, dtype=np.float64),
@@ -140,14 +141,14 @@ class TestGlobalLayerNorm:
 
     def test_records_one_tape_node(self):
         rng = np.random.default_rng(11)
-        x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
+        x = Tensor(rng.standard_normal((4, 5, 3)), requires_grad=True)
         with GradTape() as tape:
             dp.global_layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)))
         assert [node.name for node in tape._nodes] == ["global_layer_norm"]
 
     def test_normalizes_mean_and_variance(self):
         rng = np.random.default_rng(10)
-        x = Tensor(rng.standard_normal((3, 8, 9)) * 7.0 + 3.0)
+        x = Tensor(rng.standard_normal((8, 9, 3)) * 7.0 + 3.0)
         out = dp.global_layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3))).data
         assert abs(out.mean()) < 1e-5
         assert abs(out.var() - 1.0) < 1e-3
@@ -157,18 +158,24 @@ def _random_sub_params(rng, feat, hidden, dtype=np.float64):
     return dp.init_sub_params(rng, feat, hidden, dtype=dtype)
 
 
+def _recorded_ops(pass_fn, x, params):
+    with GradTape() as tape:
+        pass_fn(Tensor(x, dtype=np.float64, requires_grad=True), params)
+    return [node.name for node in tape._nodes]
+
+
 class TestBlockPasses:
     def test_intra_permutation_equivariance_along_chunks(self):
         rng = np.random.default_rng(12)
         params = _random_sub_params(rng, 3, 2)
-        x = rng.standard_normal((3, 4, 5))
+        x = rng.standard_normal((4, 5, 3))
         perm = rng.permutation(5)
         out = dp.intra_chunk_pass(Tensor(x, dtype=np.float64), params).data
         out_perm = dp.intra_chunk_pass(
-            Tensor(x[:, :, perm], dtype=np.float64), params
+            Tensor(x[:, perm], dtype=np.float64), params
         ).data
         # equal up to float reassociation in the global LN reductions
-        np.testing.assert_allclose(out[:, :, perm], out_perm, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out[:, perm], out_perm, rtol=1e-12, atol=1e-12)
 
     def test_zero_params_reduce_to_bias_residual(self):
         rng = np.random.default_rng(13)
@@ -176,92 +183,98 @@ class TestBlockPasses:
         for name, t in params.tensors():
             t.data = np.zeros_like(t.data)
         params.ln_bias.data = np.array([0.5, -1.0, 2.0], dtype=np.float32)
-        x = rng.standard_normal((3, 4, 5)).astype(np.float32)
+        x = rng.standard_normal((4, 5, 3)).astype(np.float32)
         out = dp.intra_chunk_pass(Tensor(x), params).data
-        np.testing.assert_allclose(out, x + params.ln_bias.data[:, None, None], atol=1e-6)
+        np.testing.assert_allclose(out, x + params.ln_bias.data, atol=1e-6)
 
     def test_single_chunk_matches_direct_composition(self):
         rng = np.random.default_rng(14)
         params = _random_sub_params(rng, 3, 2)
-        x = rng.standard_normal((3, 6, 1))
-        out = dp.intra_chunk_pass(Tensor(x, dtype=np.float64), params).data
+        x = Tensor(rng.standard_normal((6, 1, 3)), dtype=np.float64)  # (K, S=1, N)
+        out = dp.intra_chunk_pass(x, params).data
 
-        seq = Tensor(x[:, :, 0].T.reshape(6, 1, 3), dtype=np.float64)  # (K, 1, N)
-        hs = nt.bilstm_batched(seq, params.lstm_fwd, params.lstm_bwd)  # (K, 1, 2H)
+        hs = nt.bilstm_batched(x, params.lstm_fwd, params.lstm_bwd)  # (K, 1, 2H)
         proj = nt.affine(hs, params.fc_weight, params.fc_bias)  # (K, 1, N)
-        back = nt.transpose(proj, (2, 0, 1))  # (N, K, 1)
-        normed = dp.global_layer_norm(back, params.ln_scale, params.ln_bias)
-        expected = nt.add(Tensor(x, dtype=np.float64), normed).data
+        normed = dp.global_layer_norm(proj, params.ln_scale, params.ln_bias)
+        expected = nt.add(x, normed).data
         np.testing.assert_array_equal(out, expected)
 
     def test_inter_equals_intra_on_swapped_axes(self):
         rng = np.random.default_rng(15)
         params = _random_sub_params(rng, 3, 2)
-        x = rng.standard_normal((3, 4, 5))
+        x = rng.standard_normal((4, 5, 3))
         direct = dp.inter_chunk_pass(Tensor(x, dtype=np.float64), params).data
         swapped = dp.intra_chunk_pass(
-            Tensor(x.transpose(0, 2, 1).copy(), dtype=np.float64), params
-        ).data.transpose(0, 2, 1)
+            Tensor(x.transpose(1, 0, 2).copy(), dtype=np.float64), params
+        ).data.transpose(1, 0, 2)
         np.testing.assert_allclose(direct, swapped, rtol=1e-12, atol=1e-12)
 
     def test_inter_degenerate_single_chunk(self):
         rng = np.random.default_rng(16)
         params = _random_sub_params(rng, 2, 3)
-        x = rng.standard_normal((2, 5, 1))
+        x = rng.standard_normal((5, 1, 2))
         out = dp.inter_chunk_pass(Tensor(x, dtype=np.float64), params)
-        assert out.shape == (2, 5, 1)
+        assert out.shape == (5, 1, 2)
 
     def test_inter_two_chunks_matches_unrolled_oracle(self):
         rng = np.random.default_rng(17)
         params = _random_sub_params(rng, 2, 2)
-        x = rng.standard_normal((2, 3, 2))
+        x = rng.standard_normal((3, 2, 2))
         out = dp.inter_chunk_pass(Tensor(x, dtype=np.float64), params).data
 
         # unroll: for each of the K=3 positions, run the BLSTM over the S=2 steps
         proj = np.zeros_like(x)
         for k in range(3):
-            seq = Tensor(x[:, k, :].T.reshape(2, 1, 2), dtype=np.float64)  # (S, 1, N)
+            seq = Tensor(x[k].reshape(2, 1, 2), dtype=np.float64)  # (S, 1, N)
             hs = nt.bilstm_batched(seq, params.lstm_fwd, params.lstm_bwd)
             pr = nt.affine(hs, params.fc_weight, params.fc_bias)  # (S, 1, N)
-            proj[:, k, :] = pr.data[:, 0, :].T
+            proj[k] = pr.data[:, 0, :]
         mu = proj.mean()
         var = ((proj - mu) ** 2).mean()
         ln = (proj - mu) / np.sqrt(var + dp.LN_EPS)
-        ln = ln * params.ln_scale.data[:, None, None] + params.ln_bias.data[:, None, None]
+        ln = ln * params.ln_scale.data + params.ln_bias.data
         np.testing.assert_allclose(out, x + ln, rtol=1e-8, atol=1e-10)
+
+    def test_intra_records_no_transpose(self):
+        rng = np.random.default_rng(21)
+        params = _random_sub_params(rng, 3, 2)
+        ops = _recorded_ops(dp.intra_chunk_pass, rng.standard_normal((4, 5, 3)), params)
+        assert "global_layer_norm" in ops and ops.count("transpose") == 0
+
+    def test_inter_records_two_transposes(self):
+        rng = np.random.default_rng(22)
+        params = _random_sub_params(rng, 3, 2)
+        ops = _recorded_ops(dp.inter_chunk_pass, rng.standard_normal((4, 5, 3)), params)
+        assert "global_layer_norm" in ops and ops.count("transpose") == 2
 
 
 class TestDprnnStack:
     def test_single_block_is_intra_then_inter(self):
         rng = np.random.default_rng(18)
         block = dp.init_block_params(rng, 3, 2, dtype=np.float64)
-        x = rng.standard_normal((3, 4, 5))
-        ct = dp.segment(Tensor(np.zeros((3, 8)), dtype=np.float64), 4, 2)
-        ct = ct.with_data(Tensor(x, dtype=np.float64))
-        out = dp.dprnn_stack(ct, [block]).data.data
-        expected = dp.inter_chunk_pass(
-            dp.intra_chunk_pass(Tensor(x, dtype=np.float64), block.intra), block.inter
-        ).data
+        x = Tensor(rng.standard_normal((4, 5, 3)), dtype=np.float64)
+        out = dp.dprnn_stack(x, [block]).data
+        expected = dp.inter_chunk_pass(dp.intra_chunk_pass(x, block.intra), block.inter).data
         np.testing.assert_array_equal(out, expected)
 
     def test_shape_preserved_across_stack(self):
         rng = np.random.default_rng(19)
         blocks = [dp.init_block_params(rng, 4, 3) for _ in range(3)]
-        ct = dp.segment(Tensor(rng.standard_normal((4, 20)).astype(np.float32)), 6, 3)
-        out = dp.dprnn_stack(ct, blocks)
-        assert out.data.shape == ct.data.shape
+        chunks = dp.segment(Tensor(rng.standard_normal((4, 20)).astype(np.float32)), 6)
+        out = dp.dprnn_stack(chunks, blocks)
+        assert out.shape == chunks.shape
 
     def test_two_blocks_match_manual_composition(self):
         rng = np.random.default_rng(20)
         blocks = [dp.init_block_params(rng, 2, 2, dtype=np.float64) for _ in range(2)]
-        ct = dp.segment(Tensor(rng.standard_normal((2, 9)), dtype=np.float64), 4, 2)
-        out = dp.dprnn_stack(ct, blocks).data.data
-        x = ct.data
+        chunks = dp.segment(Tensor(rng.standard_normal((2, 9)), dtype=np.float64), 4)
+        out = dp.dprnn_stack(chunks, blocks).data
+        x = chunks
         for b in blocks:
             x = dp.inter_chunk_pass(dp.intra_chunk_pass(x, b.intra), b.inter)
         np.testing.assert_array_equal(out, x.data)
 
     def test_empty_stack_rejected(self):
-        ct = dp.segment(Tensor(np.ones((1, 8))), 4, 2)
+        chunks = dp.segment(Tensor(np.ones((1, 8))), 4)
         with pytest.raises(ShapeError):
-            dp.dprnn_stack(ct, [])
+            dp.dprnn_stack(chunks, [])

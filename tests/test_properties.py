@@ -1,13 +1,17 @@
-"""Property tests: broadcasting, the uPIT pair matrix, the conv adjoint,
-chunking, and gain-equivariant separation."""
+"""Property tests: broadcasting, the uPIT pair matrix, SI-SNR gain
+invariance, the conv adjoint, chunking, gain-equivariant separation, and the
+input parsers on damaged files."""
 
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dpsep import cli, data
 from dpsep import dualpath as dp
 from dpsep import numerics as nt
 from dpsep import tasnet
@@ -92,6 +96,47 @@ def test_upit_pair_matrix_equals_per_pair_si_snr(num_sources, t_len, seed, silen
 
 @SETTINGS
 @given(
+    t_len=st.integers(2, 300),
+    exponent=st.integers(-16, 16),
+    scale_est=st.booleans(),
+    seed=SEEDS,
+    dtype=st.sampled_from((np.float32, np.float64)),
+)
+def test_si_snr_is_bit_invariant_to_power_of_two_gains(t_len, exponent, scale_est, seed, dtype):
+    rng = np.random.default_rng(seed)
+    est = rng.standard_normal((2, t_len)).astype(dtype)
+    ref = rng.standard_normal((2, t_len)).astype(dtype)
+    gain = dtype(2.0**exponent)
+    base = si_snr(Tensor(est, dtype=dtype), Tensor(ref, dtype=dtype)).data
+    if scale_est:
+        est = gain * est
+    else:
+        ref = gain * ref
+    scaled = si_snr(Tensor(est, dtype=dtype), Tensor(ref, dtype=dtype)).data
+    np.testing.assert_array_equal(scaled, base)
+
+
+@SETTINGS
+@given(
+    t_len=st.integers(2, 300),
+    gain=st.floats(1e-3, 1e3),
+    scale_est=st.booleans(),
+    seed=SEEDS,
+)
+def test_si_snr_is_invariant_to_any_gain(t_len, gain, scale_est, seed):
+    rng = np.random.default_rng(seed)
+    est, ref = rng.standard_normal((2, 2, t_len))
+    base = si_snr(Tensor(est, dtype=np.float64), Tensor(ref, dtype=np.float64)).data
+    if scale_est:
+        est = gain * est
+    else:
+        ref = gain * ref
+    scaled = si_snr(Tensor(est, dtype=np.float64), Tensor(ref, dtype=np.float64)).data
+    np.testing.assert_allclose(scaled, base, rtol=0, atol=1e-9)
+
+
+@SETTINGS
+@given(
     width=st.integers(1, 8),
     stride=st.integers(1, 4),
     frames=st.integers(1, 40),
@@ -125,7 +170,7 @@ def test_transposed_conv_is_adjoint_for_every_source(width, stride, frames, filt
 def test_overlap_add_inverts_segment(filters, length, half_chunk, seed, dtype):
     chunk_len = 2 * min(half_chunk, length)  # segment needs K <= 2L
     w = np.random.default_rng(seed).standard_normal((filters, length)).astype(dtype)
-    out = dp.overlap_add(dp.segment(Tensor(w, dtype=dtype), chunk_len, chunk_len // 2))
+    out = dp.overlap_add(dp.segment(Tensor(w, dtype=dtype), chunk_len), length)
     np.testing.assert_array_equal(out.data, w)
 
 
@@ -154,3 +199,78 @@ def test_separate_is_gain_equivariant_bit_for_bit(length, exponent, block_bytes,
         scaled = tasnet.separate(Tensor(gain * x), _SMALL_MODEL).data
     np.testing.assert_array_equal(blocked, base)
     np.testing.assert_array_equal(scaled, gain * base)
+
+
+def _valid_files():
+    """name -> (bytes of a valid file, its parser, the error the parser
+    documents for a file it cannot use)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt, wav = Path(tmp) / "m.ckpt", Path(tmp) / "x.wav"
+        tasnet.save_model(
+            tasnet.build_model(num_filters=3, window=4, num_blocks=1, hidden=2, chunk_len=4), ckpt
+        )
+        data.write_wav(wav, 0.5 * np.sin(np.arange(64) * 0.3), 8000)
+        ckpt_bytes, wav_bytes = ckpt.read_bytes(), wav.read_bytes()
+    manifest = (
+        b"# split  source 1  source 2  snr\n"
+        b"train\tsynth:harmonic:1\tsynth:chirp:2\t0.0\n"
+        b"valid\twav:a.wav\tsynth:modulated-noise:3\t-2.5\n"
+    )
+    config = b"num_filters=16\nwindow=16  # samples\nsegment_seconds=0.5\nnan_checks=yes\n"
+    return {
+        "checkpoint": (ckpt_bytes, tasnet.load_model, nt.CheckpointError),
+        "manifest": (manifest, data.parse_manifest, data.ManifestError),
+        "config": (config, cli.parse_config, cli.ConfigError),
+        "wav": (wav_bytes, data.read_wav, data.WavFormatError),
+    }
+
+
+_VALID_FILES = _valid_files()
+
+# (kind, position, bytes): cut the file at the position, overwrite bytes
+# there, or append them; positions wrap around the current length
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(("cut", "overwrite", "append")),
+        st.integers(0, 1 << 16),
+        st.binary(min_size=1, max_size=8),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _damage(blob, edits):
+    for kind, at, chunk in edits:
+        at %= len(blob) + 1
+        if kind == "cut":
+            blob = blob[:at]
+        elif kind == "overwrite":
+            blob = blob[:at] + chunk + blob[at + len(chunk):]
+        else:
+            blob += chunk
+    return blob
+
+
+@pytest.mark.parametrize("name", sorted(_VALID_FILES))
+def test_parser_accepts_its_valid_file(name, tmp_path):
+    blob, parse, _ = _VALID_FILES[name]
+    path = tmp_path / name
+    path.write_bytes(blob)
+    parse(path)
+
+
+@pytest.mark.parametrize("name", sorted(_VALID_FILES))
+@settings(max_examples=150, deadline=None)
+@given(edits=_EDITS)
+# in a WAV: a zero fmt chunk size, so the wave module reads past the chunk
+@example(edits=[("overwrite", 16, b"\x00\x00\x00\x00")])
+def test_parser_on_damaged_file_succeeds_or_raises_its_error(name, edits):
+    blob, parse, error = _VALID_FILES[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(_damage(blob, edits))
+        try:
+            parse(path)
+        except error:
+            pass

@@ -52,14 +52,24 @@ def test_estimate_masks_matches_straight_line_oracle():
     )
     got = tasnet.estimate_masks(rep, model).data
 
-    chunks = dp.segment(rep, model.chunk_len, model.chunk_len // 2)
-    hidden = dp.dprnn_stack(chunks, model.blocks)
-    x = nt.transpose(hidden.data, (1, 2, 0))
-    x = nt.affine(x, model.mask_weight, model.mask_bias)
-    x = nt.transpose(x, (2, 0, 1))
-    maps = dp.overlap_add(hidden.with_data(x))
+    hidden = dp.dprnn_stack(dp.segment(rep, model.chunk_len), model.blocks)  # (K, S, N)
+    x = nt.affine(hidden, model.mask_weight, model.mask_bias)  # (K, S, C*N)
+    maps = dp.overlap_add(x, 20)
     expected = nt.reshape(nt.relu(maps), (2, 4, 20)).data
     np.testing.assert_array_equal(got, expected)
+
+
+def test_estimate_masks_records_no_transpose():
+    # chunks stay (K, S, N) through the head: the only transposes are the
+    # inter pass's two per block
+    model = tiny_model(num_blocks=2)
+    rep = Tensor(np.abs(np.random.default_rng(2).standard_normal((4, 20))).astype(np.float32),
+                 requires_grad=True)
+    with GradTape() as tape:
+        tasnet.estimate_masks(rep, model)
+    names = [node.name for node in tape._nodes]
+    assert names.count("transpose") == 2 * 2
+    assert names[-4:] == ["affine", "overlap_add", "relu", "reshape"]
 
 
 def test_apply_masks_identity_and_zero():
@@ -234,6 +244,16 @@ def test_checkpoint_block_naming():
     assert not any("wx_" in name or "wh_" in name for name in names)
     assert "block0.inter.fc.weight" in names
     assert "block0.intra.ln.scale" in names
+
+
+@pytest.mark.parametrize("overrides", [{}, dict(num_blocks=3, num_sources=3, window=2)])
+def test_checked_shapes_are_the_built_shapes(overrides):
+    # load_model checks a file against these before it builds the model
+    model = tiny_model(**overrides)
+    geometry = {key: getattr(model, key) for key in tasnet._GEOMETRY_MINIMA}
+    assert list(tasnet._parameter_shapes(**geometry)) == [
+        (name, t.shape) for name, t in model.parameters()
+    ]
 
 
 def test_separate_gradcheck_end_to_end():
