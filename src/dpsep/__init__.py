@@ -3,3 +3,8 @@ separator inside an encoder/masker/decoder, with its own reverse-mode
 differentiation core, uPIT/SI-SNR training, and a synthetic-mixture harness."""
 
 __version__ = "0.1.0"
+
+# The largest chunk length K a config or checkpoint may set. The sqrt(2L) rule
+# reaches it only at L = 2^31 encoder frames, and `separate` pads every input
+# to at least K/2 frames, so a larger K would only allocate and run padding.
+MAX_CHUNK_LEN = 1 << 16

@@ -57,10 +57,10 @@ def _case_lstm_sequence(rng, reverse):
     return finite_diff_check(f, tensors)
 
 
-def _case_bilstm_batched(rng):
+def _case_bilstm_batched(rng, steps=5):
     fwd = nt.init_lstm_params(rng, 3, 4, dtype=F64)
     bwd = nt.init_lstm_params(rng, 3, 4, dtype=F64)
-    xs = _t(rng, (5, 2, 3))
+    xs = _t(rng, (steps, 2, 3))
     tensors = [xs] + [t for _, t in fwd.tensors()] + [t for _, t in bwd.tensors()]
 
     def f(xv, *_):

@@ -15,6 +15,8 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
+from . import MAX_CHUNK_LEN
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -127,8 +129,11 @@ def _config_problem(config):
             return f"{name} must lie in (0, 1), got {getattr(config, name)}"
     if config.num_sources != 2:
         return f"num_sources must be 2, as a manifest record holds two, got {config.num_sources}"
-    if config.chunk_len < 0 or config.chunk_len % 2:
-        return f"chunk_len must be 0 (derived) or positive and even, got {config.chunk_len}"
+    if config.chunk_len < 0 or config.chunk_len % 2 or config.chunk_len > MAX_CHUNK_LEN:
+        return (
+            f"chunk_len must be 0 (derived) or positive, even and at most "
+            f"{MAX_CHUNK_LEN}, got {config.chunk_len}"
+        )
     if config.seed < 0:
         return f"seed must be >= 0, got {config.seed}"
     samples = config.segment_seconds * config.sample_rate

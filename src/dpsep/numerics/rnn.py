@@ -1,15 +1,24 @@
-"""LSTM cells with packed weights and a whole-sequence recurrence op.
+"""LSTM cells with packed weights and whole-sequence recurrence ops.
 
 The cell uses the standard four-gate formulation (input, forget, cell, output;
 no peepholes). Its weights are stored packed, as in cuDNN: the rows of each
 tensor hold the gates in the order i, f, g, o. A sequence is one tape op: the
 inputs are projected a block of steps at a time, the recurrence runs one matmul
-per step, and backward runs the mirrored loop by hand.
+per step, and backward runs the mirrored loop by hand. A BLSTM is one op too:
+both directions write their halves of one (T, B, 2H) output.
+
+The recurrence runs gate-major: the state h, c is (H, B) and each step's
+preactivations are (4H, B) = wh @ h_prev + (wx @ x_t^T + b), computed with
+working copies of the weights whose rows are reordered to i, f, o, g. Every
+gate is then one contiguous (H, B) block, and so is each cell, output and
+BPTT operand. The stored weights and checkpoints keep the order i, f, g, o;
+gradients are mapped back to it. Step t's hidden state is written into the
+(T, B, H) output with one transposed copy.
 
 The sigmoid gates use the tanh form sigma(x) = 1/2 + tanh(x/2)/2. The x/2 is
-folded into halved copies of the i, f and o rows of the weights and bias
-(exact in binary floating point), so each step runs one tanh over all four
-gates and finishes i, f and o with a multiply and an add.
+folded into the working copies, whose i, f and o rows are halved (exact in
+binary floating point), so each step runs one tanh over all four gates and
+finishes i, f and o with one multiply and one add over the rows [:3H].
 """
 
 from __future__ import annotations
@@ -18,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as nt
 from .tensor import ShapeError, Tensor, _needs, apply_op, recording_tape
 
 # Byte budget of the input-projection block when no tape records: a few steps
@@ -81,113 +89,208 @@ def init_lstm_params(rng, input_size, hidden_size, dtype=np.float32, forget_bias
     return LstmCellParams(wx=wx, wh=wh, b=b)
 
 
-def lstm_sequence(xs, params, reverse=False):
-    """Run a cell over xs (T, B, In) with zero initial states -> (T, B, H).
+def _gate_major(a, out=None):
+    """Copy of a packed array (gate rows first) with the rows reordered from
+    i, f, g, o to i, f, o, g, into `out` if given. The swap is its own
+    inverse, so it also maps working rows back to the stored order."""
+    hid = a.shape[0] // 4
+    if out is None:
+        out = np.empty(a.shape, dtype=a.dtype)
+    out[: 2 * hid] = a[: 2 * hid]
+    out[2 * hid : 3 * hid] = a[3 * hid :]
+    out[3 * hid :] = a[2 * hid : 3 * hid]
+    return out
 
-    One tape op. Forward projects the inputs with copies of wx and b whose
-    i, f and o rows are halved, and adds h_prev @ wh.T with wh halved the
-    same way, so that one tanh over a step's (B, 4H) preactivations gives g
-    and, after `* 0.5 + 0.5`, sigma(x) = 1/2 + tanh(x/2)/2 for i, f and o.
-    The projection runs in blocks of P steps, from the end when `reverse`,
-    each written into a (P, B, 4H) buffer that the recurrence then turns into
-    gate activations in place. When a tape records, P = T: backward reads
-    every step's activations, the cell states and the outputs. Otherwise P
-    keeps the buffer within `_BLOCK_BYTES` and it is reused by every block.
-    Backward runs BPTT in one reverse loop, then forms the input and weight
-    gradients with one matmul or sum each over all steps.
-    """
+
+def _halved(a):
+    """Working copy of a packed parameter: rows i, f, o, g, with the sigmoid
+    rows i, f, o halved."""
+    out = _gate_major(a)
+    out[: 3 * (a.shape[0] // 4)] *= 0.5
+    return out
+
+
+def _check_input(name, xs, params):
     if xs.data.ndim != 3 or xs.shape[2] != params.input_size:
-        raise ShapeError(
-            f"lstm_sequence: expected (T, B, {params.input_size}), got {xs.shape}"
-        )
-    inputs = (xs, params.wx, params.wh, params.b)
-    steps, batch, in_dim = xs.shape
+        raise ShapeError(f"{name}: expected (T, B, {params.input_size}), got {xs.shape}")
+
+
+def _run(x, params, out, reverse, keep):
+    """Forward recurrence of one direction over x (T, B, In) from zero states.
+
+    Writes each step's h (H, B), transposed, into out[t] of the (T, B, H)
+    array or view `out`. The inputs are projected P steps at a time into a
+    (P, 4H, B) buffer that the recurrence turns into gate activations in
+    place. With `keep`, P = T and the activations and the T+1 cell states
+    (T+1, H, B), the zero state at the end where the recurrence starts, are
+    returned for `_bptt`. Otherwise P keeps the buffer within `_BLOCK_BYTES`,
+    the cell state is one (H, B) array updated in place, and None is returned.
+    """
+    steps, batch, _ = x.shape
     hid = params.hidden_size
-    dtype = xs.data.dtype
-    x2 = xs.data.reshape(-1, in_dim)
-    wx, wh, b = params.wx.data, params.wh.data, params.b.data
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    if recording_tape(inputs) is not None:
+    dtype = x.dtype
+    wx, wh, b = (_halved(t.data) for _, t in params.tensors())
+    b = b[:, None]
+    if keep:
         span = steps
     else:
         span = min(steps, max(1, _BLOCK_BYTES // (batch * 4 * hid * dtype.itemsize)))
-    # hs and cs hold T+1 states, the zero initial state at the end where the
-    # recurrence starts: step t writes out[t] and reads h_prev[t], one slot
-    # towards that end
-    hs = np.zeros((steps + 1, batch, hid), dtype=dtype)
-    cs = np.zeros_like(hs)
-    (out, h_prev), (cells, c_prev) = (
-        (a[:-1], a[1:]) if reverse else (a[1:], a[:-1]) for a in (hs, cs)
-    )
-    ifo = (slice(0, 2 * hid), slice(3 * hid, 4 * hid))  # the sigmoid gates of 4H
-    gates = None
+    gates = np.empty((span, 4 * hid, batch), dtype=dtype)
+    h = np.empty((hid, batch), dtype=dtype)
+    tmp = np.empty_like(h)
+    if keep:
+        cs = np.zeros((steps + 1, hid, batch), dtype=dtype)
+        cells = cs[:-1] if reverse else cs[1:]
+        c = cs[-1] if reverse else cs[0]
+    else:
+        c = np.zeros_like(h)
+    first = steps - 1 if reverse else 0
+    starts = range(0, steps, span)
+    for start in reversed(starts) if reverse else starts:
+        block = range(start, min(start + span, steps))
+        slot = gates[: len(block)]
+        np.matmul(wx, x[start : block.stop].transpose(0, 2, 1), out=slot)
+        slot += b
+        for t in reversed(block) if reverse else block:
+            z = slot[t - start]
+            if t != first:  # the zero initial state adds nothing
+                z += wh @ h
+            np.tanh(z, out=z)
+            sig = z[: 3 * hid]
+            sig *= 0.5
+            sig += 0.5
+            gi, gf, go, gg = z.reshape(4, hid, batch)
+            c_new = cells[t] if keep else c
+            np.multiply(gf, c, out=c_new)
+            np.multiply(gi, gg, out=tmp)
+            c_new += tmp
+            c = c_new
+            np.tanh(c, out=tmp)
+            np.multiply(go, tmp, out=h)
+            out[t] = h.T
+    return (gates, cs) if keep else None
 
-    def split(z):
-        return tuple(z[:, k * hid : (k + 1) * hid] for k in range(4))
 
-    def halve_ifo(a):
-        a = a.copy()  # never scale the parameters in place
-        for rows in ifo:
-            a[rows] *= 0.5
-        return a
+def _bptt(g, params, saved, reverse):
+    """Backward of a kept `_run` given g (T, B, H), the gradient of its
+    output: the preactivation gradients as (4H, T*B), stored row order,
+    column t*B + j for step t of sequence j. They are written over the saved
+    activations, whose pages are already mapped, so `saved` is spent."""
+    gates, cs = saved
+    steps, batch, hid = g.shape
+    dtype = gates.dtype
+    cells, c_prev = (cs[:-1], cs[1:]) if reverse else (cs[1:], cs[:-1])
+    wh = _gate_major(params.wh.data)  # unhalved
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    dz = np.empty_like(gates)
+    dc = np.zeros((hid, batch), dtype=dtype)
+    dh, tc, tmp = (np.empty_like(dc) for _ in range(3))
+    # dh_prev = (dz^T @ wh)^T, formed as (B, H): BLAS is faster that way round
+    dh_next = np.empty((batch, hid), dtype=dtype)
+    one_minus_sig = np.empty((3 * hid, batch), dtype=dtype)
+    for t in reversed(order):
+        sig = gates[t][: 3 * hid]
+        gi, gf, go, gg = gates[t].reshape(4, hid, batch)
+        dz_ifo = dz[t][: 3 * hid]
+        di, df, do, dg = dz[t].reshape(4, hid, batch)
+        np.tanh(cells[t], out=tc)
+        if t == order[-1]:
+            np.copyto(dh, g[t].T)
+        else:
+            np.add(g[t].T, dh_next.T, out=dh)
+        # dc += dh * go * (1 - tc^2), with do as scratch
+        np.multiply(tc, tc, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        np.multiply(dh, go, out=do)
+        do *= tmp
+        dc += do
+        # i, f, o: (dc * gg, dc * c_prev, dh * tc) * s * (1 - s)
+        np.multiply(dc, gg, out=di)
+        np.multiply(dc, c_prev[t], out=df)
+        np.multiply(dh, tc, out=do)
+        dz_ifo *= sig
+        np.subtract(1.0, sig, out=one_minus_sig)
+        dz_ifo *= one_minus_sig
+        # g: dc * gi * (1 - gg^2)
+        np.multiply(gg, gg, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        np.multiply(dc, gi, out=dg)
+        dg *= tmp
+        dc *= gf
+        if t != order[0]:  # the first step's h_prev is the zero state
+            np.matmul(dz[t].T, wh, out=dh_next)
+    spent = gates.reshape(4 * hid, steps, batch)
+    return _gate_major(dz.transpose(1, 0, 2), out=spent).reshape(4 * hid, -1)
+
+
+def _grads(dz, xs, params, out, reverse):
+    """Gradients (xs, wx, wh, b) of one direction from its preactivation
+    gradients dz (4H, T*B) and its output out (T, B, H), which holds every
+    step's h_prev."""
+    _, batch, in_dim = xs.shape
+    hid = params.hidden_size
+    dx = (dz.T @ params.wx.data).reshape(xs.shape) if _needs(xs) else None
+    dwx = dz @ xs.data.reshape(-1, in_dim) if _needs(params.wx) else None
+    dwh = None
+    if _needs(params.wh):
+        # step t reads h_prev = out[t -+ 1]; the first step's zero state adds nothing
+        cols, h_prev = (slice(None, -batch), out[1:]) if reverse else (slice(batch, None), out[:-1])
+        dwh = dz[:, cols] @ h_prev.reshape(-1, hid)
+    db = dz.sum(axis=1) if _needs(params.b) else None
+    return dx, dwx, dwh, db
+
+
+def lstm_sequence(xs, params, reverse=False):
+    """Run a cell over xs (T, B, In) with zero initial states -> (T, B, H).
+
+    One tape op over `_run`; backward is `_bptt` followed by one matmul or
+    sum each for the input and weight gradients over all steps.
+    """
+    _check_input("lstm_sequence", xs, params)
+    inputs = (xs, params.wx, params.wh, params.b)
+    keep = recording_tape(inputs) is not None
+    out = np.empty(xs.shape[:2] + (params.hidden_size,), dtype=xs.data.dtype)
+    saved = None
 
     def forward_fn():
-        nonlocal gates
-        wxs_t, whs_t, bs = halve_ifo(wx).T, halve_ifo(wh).T, halve_ifo(b)
-        gates = np.empty((span, batch, 4 * hid), dtype=dtype)
-        tmp = np.empty((batch, hid), dtype=dtype)
-        starts = range(0, steps, span)
-        for start in reversed(starts) if reverse else starts:
-            block = range(start, min(start + span, steps))
-            slot = gates[: len(block)]
-            np.matmul(x2[start * batch : block.stop * batch], wxs_t,
-                      out=slot.reshape(-1, 4 * hid))
-            slot += bs
-            for t in reversed(block) if reverse else block:
-                z = slot[t - start]
-                z += h_prev[t] @ whs_t
-                np.tanh(z, out=z)
-                for cols in ifo:
-                    zs = z[:, cols]
-                    zs *= 0.5
-                    zs += 0.5
-                gi, gf, gg, go = split(z)
-                np.multiply(gf, c_prev[t], out=cells[t])
-                np.multiply(gi, gg, out=tmp)
-                cells[t] += tmp
-                np.tanh(cells[t], out=tmp)
-                np.multiply(go, tmp, out=out[t])
+        nonlocal saved
+        saved = _run(xs.data, params, out, reverse, keep)
         return out
 
     def backward_fn(g):
-        dz = np.empty_like(gates)
-        dh_next = 0.0
-        dc = np.zeros_like(hs[0])
-        for t in reversed(order):
-            gi, gf, gg, go = split(gates[t])
-            tc = np.tanh(cells[t])
-            dh = g[t] + dh_next
-            dc += dh * go * (1.0 - tc * tc)
-            np.concatenate([
-                dc * gg * gi * (1.0 - gi), dc * c_prev[t] * gf * (1.0 - gf),
-                dc * gi * (1.0 - gg * gg), dh * tc * go * (1.0 - go),
-            ], axis=1, out=dz[t])
-            dc *= gf
-            if t != order[0]:  # the first step's h_prev is the zero state
-                dh_next = dz[t] @ wh
-        dz2 = dz.reshape(-1, 4 * hid)
-        return (
-            (dz2 @ wx).reshape(xs.shape) if _needs(xs) else None,
-            dz2.T @ x2 if _needs(params.wx) else None,
-            dz2.T @ h_prev.reshape(-1, hid) if _needs(params.wh) else None,
-            dz2.sum(axis=0) if _needs(params.b) else None,
-        )
+        return _grads(_bptt(g, params, saved, reverse), xs, params, out, reverse)
 
     return apply_op("lstm_sequence", inputs, forward_fn, backward_fn)
 
 
 def bilstm_batched(xs, fwd, bwd):
-    """Bidirectional pass over xs (T, B, In) -> (T, B, 2H), forward half first."""
-    hf = lstm_sequence(xs, fwd, reverse=False)
-    hb = lstm_sequence(xs, bwd, reverse=True)
-    return nt.concat([hf, hb], axis=2)
+    """Bidirectional pass over xs (T, B, In) -> (T, B, 2H), forward half first.
+
+    One tape op, `bilstm`: both directions run `_run` into their halves of
+    one output, and backward sums their input gradients.
+    """
+    _check_input("bilstm_batched", xs, fwd)
+    _check_input("bilstm_batched", xs, bwd)
+    hid = fwd.hidden_size
+    if bwd.hidden_size != hid:
+        raise ShapeError(f"bilstm_batched: hidden sizes differ, {hid} and {bwd.hidden_size}")
+    inputs = (xs, fwd.wx, fwd.wh, fwd.b, bwd.wx, bwd.wh, bwd.b)
+    keep = recording_tape(inputs) is not None
+    out = np.empty(xs.shape[:2] + (2 * hid,), dtype=xs.data.dtype)
+    sides = ((fwd, slice(0, hid), False), (bwd, slice(hid, 2 * hid), True))
+    saved = []
+
+    def forward_fn():
+        saved[:] = [_run(xs.data, p, out[..., half], rev, keep) for p, half, rev in sides]
+        return out
+
+    def backward_fn(g):
+        dx, grads = None, []
+        for (p, half, rev), kept in zip(sides, saved):
+            dz = _bptt(g[..., half], p, kept, rev)
+            gx, *gp = _grads(dz, xs, p, out[..., half], rev)
+            dx = gx if dx is None else dx + gx
+            grads += gp
+        return (dx, *grads)
+
+    return apply_op("bilstm", inputs, forward_fn, backward_fn)

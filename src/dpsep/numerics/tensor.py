@@ -409,27 +409,6 @@ def transpose(x, axes):
     )
 
 
-def concat(tensors, axis=0):
-    tensors = list(tensors)
-    if not tensors:
-        raise ShapeError("concat of zero tensors")
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def backward_fn(g):
-        pieces = np.split(g, offsets, axis=axis)
-        return tuple(
-            np.ascontiguousarray(p) if _needs(t) else None for p, t in zip(pieces, tensors)
-        )
-
-    return apply_op(
-        "concat",
-        tuple(tensors),
-        lambda: np.concatenate([t.data for t in tensors], axis=axis),
-        backward_fn,
-    )
-
-
 def slice_axis(x, axis, start, stop):
     """Contiguous slice [start:stop) along one axis."""
     idx = tuple(slice(None) if a != axis else slice(start, stop) for a in range(x.data.ndim))

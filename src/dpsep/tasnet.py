@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import MAX_CHUNK_LEN
 from . import dualpath as dp
 from . import numerics as nt
 from .numerics import ShapeError, Tensor
@@ -236,8 +237,9 @@ def _parameter_shapes(num_filters, window, num_sources, num_blocks, hidden, **_)
 
 def load_model(path):
     """Read a separator checkpoint -> (model, metadata). Raises CheckpointError
-    for a file that cannot run, checking every tensor before building the
-    model, so that no metadata makes it allocate more than the file holds."""
+    for a file that cannot run. Every tensor is checked before the model is
+    built from the checked arrays, so that no metadata makes it allocate more
+    than the file holds."""
     meta, arrays = nt.load_arrays(path)
     if meta.get("format") != "dpsep-separator":
         raise nt.CheckpointError(f"{path} is not a separator checkpoint")
@@ -248,24 +250,56 @@ def load_model(path):
     dtype_name = meta.get("dtype", "float32")
     if (
         any(geometry[key] < least for key, least in _GEOMETRY_MINIMA.items())
-        or geometry["chunk_len"] % 2
         or dtype_name not in ("float32", "float64")
     ):
         raise nt.CheckpointError(
             f"{path}: invalid model geometry {geometry} or dtype {dtype_name!r}"
+        )
+    chunk_len = geometry["chunk_len"]
+    if chunk_len % 2 or chunk_len > MAX_CHUNK_LEN:
+        raise nt.CheckpointError(
+            f"{path}: chunk_len must be even and at most {MAX_CHUNK_LEN}, got {chunk_len}"
         )
     params = {}
     for name, shape in _parameter_shapes(**geometry):
         found = arrays[name].shape if name in arrays else "missing"
         if found != shape:
             raise nt.CheckpointError(f"checkpoint tensor {name!r}: {found}, expected {shape}")
-        with np.errstate(over="ignore"):  # reported just below
-            params[name] = arrays[name].astype(dtype_name)
-        if not np.all(np.isfinite(params[name])):
+        try:
+            with np.errstate(over="ignore"):  # Tensor rejects what overflows
+                params[name] = Tensor(arrays[name], dtype=dtype_name, requires_grad=True)
+        except nt.NumericsError:
             raise nt.CheckpointError(
                 f"checkpoint tensor {name!r} holds values that are not finite in {dtype_name}"
-            )
-    model = build_model(**geometry, dtype=np.dtype(dtype_name))
-    for name, t in model.parameters():
-        t.data = params[name]
-    return model, meta
+            ) from None
+    return _model_from_params(geometry, params), meta
+
+
+def _model_from_params(geometry, params):
+    """The model whose tensors are `params`, named as in `parameters()`."""
+
+    def cell(prefix):
+        return nt.LstmCellParams(*(params[f"{prefix}.{key}"] for key in ("wx", "wh", "b")))
+
+    def sub(prefix):
+        return dp.DprnnSubParams(
+            lstm_fwd=cell(f"{prefix}.lstm_fwd"),
+            lstm_bwd=cell(f"{prefix}.lstm_bwd"),
+            fc_weight=params[f"{prefix}.fc.weight"],
+            fc_bias=params[f"{prefix}.fc.bias"],
+            ln_scale=params[f"{prefix}.ln.scale"],
+            ln_bias=params[f"{prefix}.ln.bias"],
+        )
+
+    return SeparatorModel(
+        **geometry,
+        stride=max(geometry["window"] // 2, 1),
+        encoder_kernels=params["encoder.kernels"],
+        decoder_kernels=params["decoder.kernels"],
+        mask_weight=params["mask_head.weight"],
+        mask_bias=params["mask_head.bias"],
+        blocks=[
+            dp.DprnnBlockParams(intra=sub(f"block{b}.intra"), inter=sub(f"block{b}.inter"))
+            for b in range(geometry["num_blocks"])
+        ],
+    )

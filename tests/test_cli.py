@@ -134,6 +134,7 @@ CONFIG_FAULTS = {
     "num_blocks=0": dict(num_blocks=0),
     "odd chunk_len": dict(chunk_len=3),
     "negative chunk_len": dict(chunk_len=-2),
+    "chunk_len above the cap": dict(chunk_len=2 * 65536),
     "epochs=0": dict(epochs=0),
     "batch_size=0": dict(batch_size=0),
     "lr_init=0": dict(lr_init=0),
@@ -391,6 +392,21 @@ class TestMalformedCheckpoint:
             meta["num_filters"] = meta["hidden"] = "10000000"
 
         assert self._separate_exits_2(self._resaved(tmp_path, inflate), capsys)
+
+    def test_huge_chunk_len_exits_2_naming_the_cap(self, tmp_path, capsys):
+        # no tensor pins chunk_len, and separate pads every input to K/2 frames
+        from dpsep import MAX_CHUNK_LEN
+        from dpsep.data import write_wav
+
+        def widen(meta, arrays):
+            meta["chunk_len"] = "2000000000000000"
+
+        path = self._resaved(tmp_path, widen)
+        wav = tmp_path / "mix.wav"
+        write_wav(wav, 0.5 * np.sin(np.arange(400) * 0.1), 8000)
+        assert cli.main(["separate", str(path), str(wav), str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"at most {MAX_CHUNK_LEN}" in err
 
     @pytest.mark.parametrize("value, stored", [(np.nan, np.float32), (1e300, np.float64)],
                              ids=["nan", "float64 beyond float32"])

@@ -280,3 +280,37 @@ def test_lstm_sequence_without_tape_never_holds_all_gates(reverse):
         tracemalloc.stop()
     assert hs.shape == (steps, batch, hid)
     assert peak < gates_bytes
+
+
+def test_bilstm_is_one_tape_node():
+    rng = np.random.default_rng(15)
+    fwd, bwd = init_lstm_params(rng, 3, 4), init_lstm_params(rng, 3, 4)
+    xs = Tensor(rng.standard_normal((6, 2, 3)), requires_grad=True)
+    with nt.GradTape() as tape:
+        nt.bilstm_batched(xs, fwd, bwd)
+    assert [node.name for node in tape._nodes] == ["bilstm"]
+
+
+def test_bilstm_rejects_mismatched_hidden_sizes():
+    rng = np.random.default_rng(16)
+    with pytest.raises(ShapeError):
+        nt.bilstm_batched(Tensor(np.ones((2, 2, 3))), init_lstm_params(rng, 3, 4),
+                          init_lstm_params(rng, 3, 5))
+
+
+def test_bilstm_without_tape_holds_little_beyond_its_output():
+    # no (T+1, B, H) state buffers and no concatenation: beyond the output,
+    # only the 2 MiB projection block and (H, B) states
+    steps, batch, in_dim, hid = 256, 64, 8, 64
+    out_bytes = steps * batch * 2 * hid * 4  # (T, B, 2H) float32: 8 MiB
+    rng = np.random.default_rng(17)
+    fwd, bwd = init_lstm_params(rng, in_dim, hid), init_lstm_params(rng, in_dim, hid)
+    xs = Tensor(rng.standard_normal((steps, batch, in_dim)))
+    tracemalloc.start()
+    try:
+        out = nt.bilstm_batched(xs, fwd, bwd)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (steps, batch, 2 * hid)
+    assert peak < 1.5 * out_bytes

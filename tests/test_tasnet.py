@@ -236,6 +236,32 @@ def test_checkpoint_round_trip(tmp_path):
     )
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_load_model_builds_from_the_saved_arrays_alone(dtype, tmp_path, monkeypatch):
+    from dpsep.numerics import rnn
+
+    model = tiny_model(dtype=dtype, seed=12, num_blocks=2)
+    path = tmp_path / "model.ckpt"
+    tasnet.save_model(model, path)
+
+    def initialiser(*_, **__):
+        raise AssertionError("load_model ran an initialiser")
+
+    for module, name in ((tasnet, "build_model"), (dp, "init_block_params"),
+                         (dp, "init_sub_params"), (nt, "init_lstm_params"),
+                         (rnn, "init_lstm_params"), (np.random, "default_rng")):
+        monkeypatch.setattr(module, name, initialiser)
+    loaded, _ = tasnet.load_model(path)
+    saved = list(model.parameters())
+    assert [name for name, _ in loaded.parameters()] == [name for name, _ in saved]
+    for (name, t), (_, ref) in zip(loaded.parameters(), saved):
+        assert t.data.dtype == dtype and t.requires_grad, name
+        assert t.data.tobytes() == ref.data.tobytes(), name
+    geometry = ("num_filters", "window", "stride", "num_sources", "num_blocks", "hidden",
+                "chunk_len", "sample_rate")
+    assert [getattr(loaded, k) for k in geometry] == [getattr(model, k) for k in geometry]
+
+
 def test_checkpoint_block_naming():
     model = tiny_model()
     names = [name for name, _ in model.parameters()]
