@@ -120,10 +120,16 @@ def global_layer_norm(x, scale, bias, eps=LN_EPS):
 
     def forward_fn():
         nonlocal xhat, std
-        centered = xd - xd.sum() * inv_size
-        std = np.sqrt((centered * centered).sum() * inv_size + xd.dtype.type(eps))
-        xhat = centered / std
-        return xhat * sd + bd
+        # xhat and the output are the only full-size arrays: the square goes
+        # through the output buffer and xhat is normalised in place
+        out = np.empty_like(xd)
+        xhat = xd - xd.sum() * inv_size
+        np.multiply(xhat, xhat, out=out)
+        std = np.sqrt(out.sum() * inv_size + xd.dtype.type(eps))
+        xhat /= std
+        np.multiply(xhat, sd, out=out)
+        out += bd
+        return out
 
     def backward_fn(g):
         g_scale = (g * xhat).reshape(-1, n).sum(axis=0)

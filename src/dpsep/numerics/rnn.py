@@ -3,20 +3,22 @@
 The cell uses the standard four-gate formulation (input, forget, cell, output;
 no peepholes). Its weights are stored packed, as in cuDNN: the rows of each
 tensor hold the gates in the order i, f, g, o. A sequence is one tape op: the
-inputs are projected a block of steps at a time, the recurrence runs one matmul
-per step, and backward runs the mirrored loop by hand. A BLSTM is one op too:
-both directions write their halves of one (T, B, 2H) output.
+recurrence runs one matmul per step, and backward runs the mirrored loop by
+hand. A BLSTM is one op too: both directions write their halves of one
+(T, B, 2H) output.
 
 The recurrence runs gate-major: the state h, c is (H, B) and each step's
-preactivations are (4H, B) = wh @ h_prev + (wx @ x_t^T + b), computed with
-working copies of the weights whose rows are reordered to i, f, o, g. Every
-gate is then one contiguous (H, B) block, and so is each cell, output and
-BPTT operand. The stored weights and checkpoints keep the order i, f, g, o;
-gradients are mapped back to it. Step t's hidden state is written into the
-(T, B, H) output with one transposed copy.
+preactivations are (4H, B) = [wh | wx | b] @ [h_prev; x_t^T; 1], one GEMM
+with a working matrix whose rows are reordered to i, f, o, g. The operand
+[h_prev; x_t^T; 1] is one (H+In+1, B) array: each step copies x_t^T into its
+middle rows and writes the new h straight into its first H rows. Every gate is
+then one contiguous (H, B) block, and so is each cell, output and BPTT operand.
+The stored weights and checkpoints keep the order i, f, g, o; gradients are
+mapped back to it. Step t's hidden state is written into the (T, B, H) output
+with one transposed copy.
 
 The sigmoid gates use the tanh form sigma(x) = 1/2 + tanh(x/2)/2. The x/2 is
-folded into the working copies, whose i, f and o rows are halved (exact in
+folded into the working matrix, whose i, f and o rows are halved (exact in
 binary floating point), so each step runs one tanh over all four gates and
 finishes i, f and o with one multiply and one add over the rows [:3H].
 """
@@ -28,12 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import ShapeError, Tensor, _needs, apply_op, recording_tape
-
-# Byte budget of the input-projection block when no tape records: a few steps
-# are projected at a time into one reused buffer that stays in cache, instead
-# of a (T, B, 4H) array that large inputs get as fresh pages from the kernel.
-_BLOCK_BYTES = 2 << 20
-
 
 @dataclass
 class LstmCellParams:
@@ -103,8 +99,8 @@ def _gate_major(a, out=None):
 
 
 def _halved(a):
-    """Working copy of a packed parameter: rows i, f, o, g, with the sigmoid
-    rows i, f, o halved."""
+    """Working copy of a packed array (gate rows first): rows i, f, o, g,
+    with the sigmoid rows i, f, o halved."""
     out = _gate_major(a)
     out[: 3 * (a.shape[0] // 4)] *= 0.5
     return out
@@ -119,55 +115,48 @@ def _run(x, params, out, reverse, keep):
     """Forward recurrence of one direction over x (T, B, In) from zero states.
 
     Writes each step's h (H, B), transposed, into out[t] of the (T, B, H)
-    array or view `out`. The inputs are projected P steps at a time into a
-    (P, 4H, B) buffer that the recurrence turns into gate activations in
-    place. With `keep`, P = T and the activations and the T+1 cell states
-    (T+1, H, B), the zero state at the end where the recurrence starts, are
-    returned for `_bptt`. Otherwise P keeps the buffer within `_BLOCK_BYTES`,
-    the cell state is one (H, B) array updated in place, and None is returned.
+    array or view `out`. Each step's preactivations z (4H, B) are one matmul
+    of the working matrix [wh | wx | b] (4H, H+In+1) with u = [h; x_t^T; 1],
+    and the recurrence turns z into the gate activations in place. With
+    `keep`, z is gates[t] of a (T, 4H, B) array and the cell states are
+    (T+1, H, B), the zero state at the end where the recurrence starts; both
+    are returned for `_bptt`. Otherwise z and c are single arrays reused at
+    every step, and None is returned.
     """
-    steps, batch, _ = x.shape
+    steps, batch, in_dim = x.shape
     hid = params.hidden_size
     dtype = x.dtype
-    wx, wh, b = (_halved(t.data) for _, t in params.tensors())
-    b = b[:, None]
+    w = _halved(np.concatenate((params.wh.data, params.wx.data, params.b.data[:, None]), axis=1))
+    u = np.zeros((hid + in_dim + 1, batch), dtype=dtype)
+    h, xt = u[:hid], u[hid:-1]
+    u[-1] = 1.0
+    tmp = np.empty((hid, batch), dtype=dtype)
     if keep:
-        span = steps
-    else:
-        span = min(steps, max(1, _BLOCK_BYTES // (batch * 4 * hid * dtype.itemsize)))
-    gates = np.empty((span, 4 * hid, batch), dtype=dtype)
-    h = np.empty((hid, batch), dtype=dtype)
-    tmp = np.empty_like(h)
-    if keep:
+        gates = np.empty((steps, 4 * hid, batch), dtype=dtype)
         cs = np.zeros((steps + 1, hid, batch), dtype=dtype)
         cells = cs[:-1] if reverse else cs[1:]
         c = cs[-1] if reverse else cs[0]
     else:
-        c = np.zeros_like(h)
-    first = steps - 1 if reverse else 0
-    starts = range(0, steps, span)
-    for start in reversed(starts) if reverse else starts:
-        block = range(start, min(start + span, steps))
-        slot = gates[: len(block)]
-        np.matmul(wx, x[start : block.stop].transpose(0, 2, 1), out=slot)
-        slot += b
-        for t in reversed(block) if reverse else block:
-            z = slot[t - start]
-            if t != first:  # the zero initial state adds nothing
-                z += wh @ h
-            np.tanh(z, out=z)
-            sig = z[: 3 * hid]
-            sig *= 0.5
-            sig += 0.5
-            gi, gf, go, gg = z.reshape(4, hid, batch)
-            c_new = cells[t] if keep else c
-            np.multiply(gf, c, out=c_new)
-            np.multiply(gi, gg, out=tmp)
-            c_new += tmp
-            c = c_new
-            np.tanh(c, out=tmp)
-            np.multiply(go, tmp, out=h)
-            out[t] = h.T
+        z = np.empty((4 * hid, batch), dtype=dtype)
+        c = np.zeros_like(tmp)
+    for t in range(steps - 1, -1, -1) if reverse else range(steps):
+        if keep:
+            z = gates[t]
+        xt[...] = x[t].T
+        np.matmul(w, u, out=z)
+        np.tanh(z, out=z)
+        sig = z[: 3 * hid]
+        sig *= 0.5
+        sig += 0.5
+        gi, gf, go, gg = z.reshape(4, hid, batch)
+        c_new = cells[t] if keep else c
+        np.multiply(gf, c, out=c_new)
+        np.multiply(gi, gg, out=tmp)
+        c_new += tmp
+        c = c_new
+        np.tanh(c, out=tmp)
+        np.multiply(go, tmp, out=h)
+        out[t] = h.T
     return (gates, cs) if keep else None
 
 

@@ -371,7 +371,7 @@ def affine(x, weight, bias=None):
     def forward_fn():
         y = x2 @ wd.T
         if bias is not None:
-            y = y + bias.data
+            y += bias.data
         return y.reshape(lead + (wd.shape[0],))
 
     def backward_fn(g):

@@ -119,9 +119,9 @@ def train_loop(model, train_set, valid_set, config, run_dir):
                         if not np.isfinite(value):
                             raise NumericsError("non-finite batch loss")
                         tape.backward(batch_loss)
+                        clip_grad_norm(params, config.clip_norm)
                     except NumericsError as err:
                         raise TrainingAbort(epoch, batch_idx // config.batch_size, str(err))
-                    clip_grad_norm(params, config.clip_norm)
                     optimizer.step(lr)
                     steps += 1
                     batch_losses.append(value)

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..numerics import NumericsError
+
 
 @dataclass
 class TrainConfig:
@@ -43,19 +45,23 @@ def lr_at(epoch, config):
 def clip_grad_norm(params, max_norm):
     """Rescale all gradients so their global L2 norm is at most max_norm.
 
-    Returns the applied scale (1.0 when no clipping happened).
+    Returns (norm, scale): the global norm before clipping and the applied
+    scale (1.0 when no clipping happened). Raises NumericsError, leaving every
+    gradient as it was, when the norm is not finite.
     """
     total = 0.0
     grads = [p.grad for p in params if p.grad is not None]
     for g in grads:
         total += float((g.astype(np.float64) ** 2).sum())
-    global_norm = np.sqrt(total)
+    global_norm = float(np.sqrt(total))
+    if not np.isfinite(global_norm):
+        raise NumericsError(f"non-finite gradient norm ({global_norm})")
     if global_norm <= max_norm or global_norm == 0.0:
-        return 1.0
+        return global_norm, 1.0
     scale = max_norm / global_norm
     for g in grads:
         g *= g.dtype.type(scale)
-    return scale
+    return global_norm, scale
 
 
 class Adam:

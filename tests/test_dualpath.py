@@ -1,5 +1,7 @@
 """Segmentation geometry, overlap-add inversion, layer norm, block passes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,19 @@ class TestGlobalLayerNorm:
         with GradTape() as tape:
             dp.global_layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)))
         assert [node.name for node in tape._nodes] == ["global_layer_norm"]
+
+    def test_forward_without_tape_holds_two_input_sizes(self):
+        # xhat, kept for backward, and the output; no other full-size array
+        x = Tensor(np.random.default_rng(12).standard_normal((64, 64, 64)))
+        scale, bias = Tensor(np.ones(64)), Tensor(np.zeros(64))
+        tracemalloc.start()
+        try:
+            out = dp.global_layer_norm(x, scale, bias)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == x.shape
+        assert peak < 2.5 * x.data.nbytes
 
     def test_normalizes_mean_and_variance(self):
         rng = np.random.default_rng(10)

@@ -3,21 +3,22 @@
 import numpy as np
 import pytest
 
-from dpsep.numerics import Tensor
+from dpsep.numerics import NumericsError, Tensor
 from dpsep.training import Adam, TrainConfig, clip_grad_norm, lr_at
 
 
 def test_clip_noop_below_threshold():
     p = Tensor(np.zeros(4), requires_grad=True)
     p.grad = np.full(4, 1.25, dtype=np.float32)  # norm 2.5
-    assert clip_grad_norm([p], 5.0) == 1.0
+    assert clip_grad_norm([p], 5.0) == (2.5, 1.0)
     np.testing.assert_array_equal(p.grad, np.full(4, 1.25))
 
 
 def test_clip_exact_halving():
     p = Tensor(np.zeros(4), requires_grad=True)
     p.grad = np.full(4, 5.0, dtype=np.float32)  # norm 10
-    scale = clip_grad_norm([p], 5.0)
+    norm, scale = clip_grad_norm([p], 5.0)
+    assert norm == pytest.approx(10.0)
     assert scale == pytest.approx(0.5)
     assert np.linalg.norm(p.grad) == pytest.approx(5.0, abs=1e-6)
 
@@ -33,7 +34,8 @@ def test_clip_many_tensors_matches_concat_oracle():
         flat.append(p.grad.reshape(-1).copy())
     concat = np.concatenate(flat)
     expected_scale = min(1.0, 2.0 / np.linalg.norm(concat))
-    scale = clip_grad_norm(params, 2.0)
+    norm, scale = clip_grad_norm(params, 2.0)
+    assert norm == pytest.approx(np.linalg.norm(concat), rel=1e-6)
     assert scale == pytest.approx(expected_scale, rel=1e-6)
     got = np.concatenate([p.grad.reshape(-1) for p in params])
     np.testing.assert_allclose(got, concat * expected_scale, rtol=1e-6)
@@ -51,6 +53,20 @@ def test_clip_norm_bound_holds_randomized():
         clip_grad_norm(params, 5.0)
         total = np.sqrt(sum(float((p.grad**2).sum()) for p in params))
         assert total <= 5.0 + 1e-5
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_clip_rejects_non_finite_norm_and_leaves_grads(bad):
+    # a scale of max_norm / inf = 0 would zero every other gradient and turn
+    # the inf into NaN
+    params = [Tensor(np.zeros(3), requires_grad=True) for _ in range(2)]
+    params[0].grad = np.array([1.0, bad, 0.0], dtype=np.float32)
+    params[1].grad = np.array([1.0, 2.0, 3.0], dtype=np.float32)
+    before = [p.grad.copy() for p in params]
+    with pytest.raises(NumericsError, match="non-finite gradient norm"):
+        clip_grad_norm(params, 5.0)
+    for p, saved in zip(params, before):
+        np.testing.assert_array_equal(p.grad, saved)
 
 
 def test_adam_first_step_size_is_about_lr():

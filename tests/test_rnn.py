@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dpsep import numerics as nt
-from dpsep.numerics import ShapeError, Tensor, init_lstm_params, rnn
+from dpsep.numerics import ShapeError, Tensor, init_lstm_params
 
 
 def _zero_params(in_dim, hid, dtype=np.float32):
@@ -247,13 +247,11 @@ def test_lstm_sequence_leaves_parameters_unchanged(reverse):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("reverse", [False, True])
-@pytest.mark.parametrize("extra", [-1, 0, 3], ids=["below", "equal", "above"])
-def test_lstm_sequence_without_tape_matches_recorded_output(dtype, reverse, extra):
-    # B=64, H=32 gives blocks of 64 (float32) or 32 (float64) steps; T is one
-    # step short of a block, one block, or two blocks and a ragged third
-    batch, in_dim, hid = 64, 5, 32
-    span = rnn._BLOCK_BYTES // (batch * 4 * hid * np.dtype(dtype).itemsize)
-    steps = span - 1 if extra < 0 else span if extra == 0 else 2 * span + extra
+@pytest.mark.parametrize("steps", [1, 2, 37], ids=["below", "equal", "above"])
+def test_lstm_sequence_without_tape_matches_recorded_output(dtype, reverse, steps):
+    # T below, equal to and above B=2, so a mix-up of the step and batch axes
+    # cannot hide behind a square shape; T=1 reads only the zero initial state
+    batch, in_dim, hid = 2, 5, 32
     rng = np.random.default_rng(13)
     p = init_lstm_params(rng, in_dim, hid, dtype=dtype)
     xs = Tensor(rng.standard_normal((steps, batch, in_dim)), dtype=dtype, requires_grad=True)
@@ -299,8 +297,9 @@ def test_bilstm_rejects_mismatched_hidden_sizes():
 
 
 def test_bilstm_without_tape_holds_little_beyond_its_output():
-    # no (T+1, B, H) state buffers and no concatenation: beyond the output,
-    # only the 2 MiB projection block and (H, B) states
+    # no (T+1, B, H) state buffers, no (T, B, 4H) activations and no
+    # concatenation: beyond the output, only per-step (H, B)-sized buffers
+    # and the working weights
     steps, batch, in_dim, hid = 256, 64, 8, 64
     out_bytes = steps * batch * 2 * hid * 4  # (T, B, 2H) float32: 8 MiB
     rng = np.random.default_rng(17)
@@ -313,4 +312,4 @@ def test_bilstm_without_tape_holds_little_beyond_its_output():
     finally:
         tracemalloc.stop()
     assert out.shape == (steps, batch, 2 * hid)
-    assert peak < 1.5 * out_bytes
+    assert peak < 1.1 * out_bytes

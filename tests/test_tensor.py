@@ -1,6 +1,7 @@
 """Core tensor ops: elementwise semantics, affine, tape backward, broadcasting rules."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -62,6 +63,21 @@ def test_affine_matches_scalar_loop_oracle():
     )
     got = nt.affine(Tensor(x), Tensor(w), Tensor(b))
     np.testing.assert_allclose(got.data, expected, rtol=1e-6)
+
+
+def test_affine_adds_its_bias_in_place():
+    # the matmul's result is the only full-size array the forward makes
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.standard_normal((4096, 64)))
+    w, b = Tensor(rng.standard_normal((64, 64))), Tensor(rng.standard_normal(64))
+    tracemalloc.start()
+    try:
+        out = nt.affine(x, w, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (4096, 64)
+    assert peak < 1.5 * out.data.nbytes
 
 
 def test_affine_shape_error_names_both_shapes():

@@ -103,6 +103,30 @@ def test_nan_abort_carries_epoch_and_batch(toy_sets, tmp_path):
     assert exc.value.batch == 0
 
 
+def test_non_finite_gradient_aborts_before_the_update(toy_sets, tmp_path, monkeypatch):
+    # the loss is finite but one gradient entry is inf: the clip must abort
+    # the batch before Adam writes NaN into the weights
+    from dpsep.numerics import GradTape
+
+    train, valid = toy_sets
+    model = _tiny_model()
+    before = [p.data.copy() for p in model.parameter_tensors()]
+    backward = GradTape.backward
+
+    def inf_backward(tape, loss):
+        backward(tape, loss)
+        model.mask_weight.grad.flat[0] = np.inf
+
+    monkeypatch.setattr(GradTape, "backward", inf_backward)
+    config = TrainConfig(epochs=1, batch_size=1)
+    with pytest.raises(TrainingAbort) as exc:
+        train_loop(model, train, valid, config, str(tmp_path / "run"))
+    assert (exc.value.epoch, exc.value.batch) == (1, 0)
+    assert "non-finite gradient norm" in exc.value.detail
+    for p, saved in zip(model.parameter_tensors(), before):
+        assert p.data.tobytes() == saved.tobytes()
+
+
 def test_empty_sets_rejected(toy_sets, tmp_path):
     train, valid = toy_sets
     config = TrainConfig(epochs=1)
