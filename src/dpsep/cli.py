@@ -10,6 +10,7 @@ to the BLAS environment, so `threads=1` gives bit-reproducible runs.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import os
 import sys
@@ -155,6 +156,28 @@ def _export_threads(threads):
         os.environ[var] = str(threads)
 
 
+# mallopt parameters, from glibc's <malloc.h>
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory():
+    """Keep freed blocks in glibc's heap, so that each forward and step after
+    the first reuses the pages of the last one instead of faulting in fresh
+    ones. Blocks up to 32 MiB come from the heap, and the heap top is returned
+    to the kernel only past 1 GiB free. Both are set: setting either one ends
+    glibc's dynamic mmap threshold, and the trim threshold alone would leave
+    every block above 128 KiB a fresh mmap. Without glibc this does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20):
+        mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def _resolve_run_dir(config_value):
     return os.environ.get(RUN_DIR_ENV) or config_value
 
@@ -166,6 +189,7 @@ def cmd_train(config_path):
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     _export_threads(config.threads)
+    _keep_freed_memory()
 
     from . import data, tasnet
     from .training import TrainConfig, TrainingAbort, train_loop
@@ -278,6 +302,7 @@ EVAL_SEGMENT_SECONDS = 4.0
 
 
 def cmd_evaluate(ckpt_path, manifest_path):
+    _keep_freed_memory()
     from . import data, tasnet
     from .numerics import CheckpointError, Tensor
     from .training import upit_si_snri

@@ -278,7 +278,7 @@ def bilstm_batched(xs, fwd, bwd):
         for (p, half, rev), kept in zip(sides, saved):
             dz = _bptt(g[..., half], p, kept, rev)
             gx, *gp = _grads(dz, xs, p, out[..., half], rev)
-            dx = gx if dx is None else dx + gx
+            dx = gx if dx is None else np.add(dx, gx, out=dx)
             grads += gp
         return (dx, *grads)
 

@@ -311,18 +311,21 @@ def tanh(x):
 
 
 def log(x):
-    if np.any(x.data <= 0):
-        raise NumericsError("log requires strictly positive input")
-    return apply_op("log", (x,), lambda: np.log(x.data), lambda g: (g / x.data,))
+    def forward_fn():
+        if np.any(x.data <= 0):
+            raise NumericsError("log requires strictly positive input")
+        return np.log(x.data)
+
+    return apply_op("log", (x,), forward_fn, lambda g: (g / x.data,))
 
 
 def sqrt(x):
-    if np.any(x.data < 0):
-        raise NumericsError("sqrt requires nonnegative input")
     out = None
 
     def forward_fn():
         nonlocal out
+        if np.any(x.data < 0):
+            raise NumericsError("sqrt requires nonnegative input")
         out = np.sqrt(x.data)
         return out
 

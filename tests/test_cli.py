@@ -1,7 +1,11 @@
 """CLI surface: config parsing, exit codes, train/separate/evaluate round trip."""
 
 import os
+import platform
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -524,3 +528,48 @@ def test_gradcheck_command_passes(capsys):
     names = [line.split(":")[0] for line in out.splitlines()]
     assert "lstm_step" not in names and "bilstm" not in names
     assert "14/14" in out
+
+
+# Two optimizer steps of a model whose per-op arrays exceed glibc's default
+# 128 KiB mmap threshold; prints the minor faults of each step.
+TWO_STEPS = """
+import resource
+import numpy as np
+from dpsep import cli, tasnet
+from dpsep.numerics import GradTape, Tensor
+from dpsep.training import Adam
+from dpsep.training.loss import upit_loss
+
+cli._keep_freed_memory()
+model = tasnet.build_model(num_filters=32, hidden=64, window=2, num_blocks=1,
+                           nominal_samples=2000, seed=0)
+optimizer = Adam(model.parameter_tensors())
+rng = np.random.default_rng(0)
+mixture = Tensor(rng.standard_normal((1, 2000)), dtype=np.float32)
+refs = Tensor(rng.standard_normal((2, 2000)), dtype=np.float32)
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    optimizer.zero_grads()
+    with GradTape() as tape:
+        loss, _ = upit_loss(tasnet.separate(mixture, model), refs)
+    tape.backward(loss)
+    optimizer.step(1e-3)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_second_step_reuses_the_first_steps_memory():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        OPENBLAS_NUM_THREADS="1",
+        NUMPY_MADVISE_HUGEPAGE="0",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", TWO_STEPS], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    first, second = map(int, proc.stdout.split())
+    assert second < 0.1 * first, (first, second)

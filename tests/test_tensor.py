@@ -220,6 +220,22 @@ def test_nan_surveillance_names_op():
         nt.set_nan_checks(False)
 
 
+@pytest.mark.parametrize(
+    "op, bad, message",
+    [
+        (nt.log, [1.0, 0.0], "log requires strictly positive input"),
+        (nt.sqrt, [1.0, -1.0], "sqrt requires nonnegative input"),
+    ],
+    ids=["log", "sqrt"],
+)
+def test_domain_error_records_nothing(op, bad, message):
+    x = Tensor(bad, requires_grad=True)
+    with GradTape() as tape:
+        with pytest.raises(NumericsError, match=message):
+            op(x)
+    assert len(tape) == 0
+
+
 def test_no_recording_without_tape():
     x = Tensor([1.0], requires_grad=True)
     y = nt.mul(x, x)
