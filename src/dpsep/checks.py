@@ -46,18 +46,7 @@ def _case_transposed_conv1d(rng):
     return finite_diff_check(f, [frames, k])
 
 
-def _case_lstm_sequence(rng, reverse):
-    params = nt.init_lstm_params(rng, 3, 4, dtype=F64)
-    xs = _t(rng, (5, 2, 3))
-    tensors = [xs] + [t for _, t in params.tensors()]
-
-    def f(xv, *_):
-        return nt.tsum(nt.tanh(nt.lstm_sequence(xv, params, reverse=reverse)))
-
-    return finite_diff_check(f, tensors)
-
-
-def _case_bilstm_batched(rng, steps=5):
+def _case_bilstm_batched(rng, steps):
     fwd = nt.init_lstm_params(rng, 3, 4, dtype=F64)
     bwd = nt.init_lstm_params(rng, 3, 4, dtype=F64)
     xs = _t(rng, (steps, 2, 3))
@@ -166,9 +155,9 @@ def _case_si_snr(rng):
 GRADCHECK_CASES = (
     ("conv1d", _case_conv1d),
     ("transposed_conv1d", _case_transposed_conv1d),
-    ("lstm_sequence", lambda rng: _case_lstm_sequence(rng, reverse=False)),
-    ("lstm_sequence_reverse", lambda rng: _case_lstm_sequence(rng, reverse=True)),
-    ("bilstm_batched", _case_bilstm_batched),
+    # one BLSTM runs both directions; T=1 reads only the zero initial states
+    ("bilstm_batched_t1", lambda rng: _case_bilstm_batched(rng, steps=1)),
+    ("bilstm_batched_t5", lambda rng: _case_bilstm_batched(rng, steps=5)),
     ("global_layer_norm", _case_global_layer_norm),
     ("segment_overlap_add", _case_segment_overlap),
     ("intra_chunk_pass", lambda rng: _intra_inter_case(rng, dp.intra_chunk_pass)),

@@ -229,20 +229,7 @@ def cmd_train(config_path):
         sample_rate=config.sample_rate,
         seed=config.seed,
     )
-    train_config = TrainConfig(
-        epochs=config.epochs,
-        lr_init=config.lr_init,
-        lr_decay=config.lr_decay,
-        lr_decay_every=config.lr_decay_every,
-        clip_norm=config.clip_norm,
-        patience=config.patience,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        adam_eps=config.adam_eps,
-        batch_size=config.batch_size,
-        seed=config.seed,
-        nan_checks=config.nan_checks,
-    )
+    train_config = TrainConfig(**{f.name: getattr(config, f.name) for f in fields(TrainConfig)})
     run_dir = _resolve_run_dir(config.run_dir)
     try:
         result = train_loop(model, train_set, valid_set, train_config, run_dir)
@@ -323,7 +310,10 @@ def cmd_evaluate(ckpt_path, manifest_path):
         )
         return EXIT_CONFIG
     if not examples:
-        print(f"error: manifest {manifest_path} has no test records", file=sys.stderr)
+        print(
+            f"error: manifest {manifest_path} has no test segments that SI-SNR can score",
+            file=sys.stderr,
+        )
         return EXIT_CONFIG
 
     si_snri_values = []

@@ -2,7 +2,8 @@
 
 Synthetic sources are generated at exactly the segment length; WAV sources
 use their file length and are chopped into segments, zero-padding the final
-partial one (its real extent is kept in `valid_len`).
+partial one (its real extent is kept in `valid_len`). A segment in which a
+source is constant over its real samples is dropped: SI-SNR cannot score it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,11 @@ def _sub_seed(seed, index):
 
 
 def make_dataset(records, segment_seconds, sample_rate, seed):
-    """Turn manifest records into fixed-length MixtureExamples, deterministically."""
+    """Turn manifest records into fixed-length MixtureExamples, deterministically.
+
+    Drops each segment in which a source is constant over its `valid_len`
+    samples (a silent stretch, or a 1-sample tail): its reference has no
+    energy after mean removal, so SI-SNR is undefined."""
     seg_len = int(round(segment_seconds * sample_rate))
     if seg_len < 1:
         raise ValueError(f"segment of {segment_seconds}s at {sample_rate}Hz is empty")
@@ -52,10 +57,10 @@ def make_dataset(records, segment_seconds, sample_rate, seed):
             sample_rate=sample_rate,
             seed=_sub_seed(seed, index),
         )
-        n_segments = -(-length // seg_len)
-        for i in range(n_segments):
-            start = i * seg_len
+        for start in range(0, length, seg_len):
             stop = min(start + seg_len, length)
+            if np.any(np.ptp(full.sources[:, start:stop], axis=1) == 0):
+                continue
             mixture = np.zeros((1, seg_len), dtype=np.float32)
             sources = np.zeros((full.sources.shape[0], seg_len), dtype=np.float32)
             mixture[:, : stop - start] = full.mixture[:, start:stop]

@@ -1,11 +1,11 @@
-"""LSTM cells with packed weights and whole-sequence recurrence ops.
+"""LSTM cells with packed weights and the one recurrence op, `bilstm`.
 
 The cell uses the standard four-gate formulation (input, forget, cell, output;
 no peepholes). Its weights are stored packed, as in cuDNN: the rows of each
-tensor hold the gates in the order i, f, g, o. A sequence is one tape op: the
-recurrence runs one matmul per step, and backward runs the mirrored loop by
-hand. A BLSTM is one op too: both directions write their halves of one
-(T, B, 2H) output.
+tensor hold the gates in the order i, f, g, o. A BLSTM is one tape op,
+`bilstm`: its forward and backward directions write the two halves of one
+(T, B, 2H) output. Each direction runs one matmul per step, and backward runs
+the mirrored loop by hand.
 
 The recurrence runs gate-major: the state h, c is (H, B) and each step's
 preactivations are (4H, B) = [wh | wx | b] @ [h_prev; x_t^T; 1], one GEMM
@@ -14,8 +14,8 @@ with a working matrix whose rows are reordered to i, f, o, g. The operand
 middle rows and writes the new h straight into its first H rows. Every gate is
 then one contiguous (H, B) block, and so is each cell, output and BPTT operand.
 The stored weights and checkpoints keep the order i, f, g, o; gradients are
-mapped back to it. Step t's hidden state is written into the (T, B, H) output
-with one transposed copy.
+mapped back to it. Step t's hidden state is written into its direction's
+(T, B, H) half of the output with one transposed copy.
 
 The sigmoid gates use the tanh form sigma(x) = 1/2 + tanh(x/2)/2. The x/2 is
 folded into the working matrix, whose i, f and o rows are halved (exact in
@@ -106,9 +106,9 @@ def _halved(a):
     return out
 
 
-def _check_input(name, xs, params):
+def _check_input(xs, params):
     if xs.data.ndim != 3 or xs.shape[2] != params.input_size:
-        raise ShapeError(f"{name}: expected (T, B, {params.input_size}), got {xs.shape}")
+        raise ShapeError(f"bilstm_batched: expected (T, B, {params.input_size}), got {xs.shape}")
 
 
 def _run(x, params, out, reverse, keep):
@@ -229,37 +229,14 @@ def _grads(dz, xs, params, out, reverse):
     return dx, dwx, dwh, db
 
 
-def lstm_sequence(xs, params, reverse=False):
-    """Run a cell over xs (T, B, In) with zero initial states -> (T, B, H).
-
-    One tape op over `_run`; backward is `_bptt` followed by one matmul or
-    sum each for the input and weight gradients over all steps.
-    """
-    _check_input("lstm_sequence", xs, params)
-    inputs = (xs, params.wx, params.wh, params.b)
-    keep = recording_tape(inputs) is not None
-    out = np.empty(xs.shape[:2] + (params.hidden_size,), dtype=xs.data.dtype)
-    saved = None
-
-    def forward_fn():
-        nonlocal saved
-        saved = _run(xs.data, params, out, reverse, keep)
-        return out
-
-    def backward_fn(g):
-        return _grads(_bptt(g, params, saved, reverse), xs, params, out, reverse)
-
-    return apply_op("lstm_sequence", inputs, forward_fn, backward_fn)
-
-
 def bilstm_batched(xs, fwd, bwd):
     """Bidirectional pass over xs (T, B, In) -> (T, B, 2H), forward half first.
 
     One tape op, `bilstm`: both directions run `_run` into their halves of
     one output, and backward sums their input gradients.
     """
-    _check_input("bilstm_batched", xs, fwd)
-    _check_input("bilstm_batched", xs, bwd)
+    _check_input(xs, fwd)
+    _check_input(xs, bwd)
     hid = fwd.hidden_size
     if bwd.hidden_size != hid:
         raise ShapeError(f"bilstm_batched: hidden sizes differ, {hid} and {bwd.hidden_size}")

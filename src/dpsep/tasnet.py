@@ -23,7 +23,6 @@ from .numerics import ShapeError, Tensor
 class SeparatorModel:
     num_filters: int
     window: int
-    stride: int
     num_sources: int
     num_blocks: int
     hidden: int
@@ -37,8 +36,6 @@ class SeparatorModel:
 
     def __post_init__(self):
         n, w, c = self.num_filters, self.window, self.num_sources
-        if self.stride != max(w // 2, 1):
-            raise ShapeError(f"stride must be max(W/2, 1) = {max(w // 2, 1)}, got {self.stride}")
         if self.encoder_kernels.shape != (n, w) or self.decoder_kernels.shape != (n, w):
             raise ShapeError(
                 f"encoder/decoder kernels must be ({n},{w}), got "
@@ -53,6 +50,11 @@ class SeparatorModel:
             raise ShapeError(f"num_blocks must be at least 1, got {self.num_blocks}")
         if len(self.blocks) != self.num_blocks:
             raise ShapeError(f"expected {self.num_blocks} blocks, got {len(self.blocks)}")
+
+    @property
+    def stride(self):
+        """Encoder hop: half the window, at least 1."""
+        return max(self.window // 2, 1)
 
     def parameters(self):
         """(name, tensor) pairs in the fixed checkpoint order."""
@@ -96,9 +98,8 @@ def build_model(
     When `chunk_len` is None it is derived from the encoder frame count of a
     nominal input (training segments of `nominal_samples` samples).
     """
-    stride = max(window // 2, 1)
     if chunk_len is None:
-        frames = frame_count(nominal_samples, window, stride)
+        frames = frame_count(nominal_samples, window, max(window // 2, 1))
         chunk_len = dp.choose_chunk_size(frames)
     if chunk_len % 2 != 0:
         raise ShapeError(f"chunk_len must be even, got {chunk_len}")
@@ -112,7 +113,6 @@ def build_model(
     return SeparatorModel(
         num_filters=num_filters,
         window=window,
-        stride=stride,
         num_sources=num_sources,
         num_blocks=num_blocks,
         hidden=hidden,
@@ -293,7 +293,6 @@ def _model_from_params(geometry, params):
 
     return SeparatorModel(
         **geometry,
-        stride=max(geometry["window"] // 2, 1),
         encoder_kernels=params["encoder.kernels"],
         decoder_kernels=params["decoder.kernels"],
         mask_weight=params["mask_head.weight"],

@@ -21,10 +21,13 @@ LAST_FILENAME = "last.ckpt"
 
 
 class TrainingAbort(RuntimeError):
-    """Non-finite values during training; carries (epoch, batch, op context)."""
+    """A numeric fault during training; carries (epoch, batch, op context).
+    `batch` is None when validation faulted, and the detail names the
+    validation example."""
 
     def __init__(self, epoch, batch, detail):
-        super().__init__(f"training aborted at epoch {epoch}, batch {batch}: {detail}")
+        where = "" if batch is None else f", batch {batch}"
+        super().__init__(f"training aborted at epoch {epoch}{where}: {detail}")
         self.epoch = epoch
         self.batch = batch
         self.detail = detail
@@ -61,15 +64,19 @@ def _example_loss(model, example):
 
 
 def validate_si_snri(model, examples):
-    """Mean uPIT SI-SNRi over a dataset, computed without gradient tracking."""
+    """Mean uPIT SI-SNRi over a dataset, computed without gradient tracking.
+    A NumericsError names the example that raised it."""
     scores = []
-    for ex in examples:
-        est = tasnet.separate(Tensor(ex.mixture), model)
-        est_np = est.data[:, : ex.valid_len]
-        refs_np = ex.sources[:, : ex.valid_len]
-        mix_np = ex.mixture[:, : ex.valid_len]
-        _, result = upit_loss(Tensor(est_np), Tensor(refs_np))
-        scores.append(result.mean_db - mixture_si_snr(mix_np, refs_np))
+    for i, ex in enumerate(examples):
+        try:
+            est = tasnet.separate(Tensor(ex.mixture), model)
+            est_np = est.data[:, : ex.valid_len]
+            refs_np = ex.sources[:, : ex.valid_len]
+            mix_np = ex.mixture[:, : ex.valid_len]
+            _, result = upit_loss(Tensor(est_np), Tensor(refs_np))
+            scores.append(result.mean_db - mixture_si_snr(mix_np, refs_np))
+        except NumericsError as err:
+            raise NumericsError(f"validation example {i}: {err}") from None
     return float(np.mean(scores))
 
 
@@ -126,7 +133,10 @@ def train_loop(model, train_set, valid_set, config, run_dir):
                     steps += 1
                     batch_losses.append(value)
 
-                val_si_snri = validate_si_snri(model, valid_set)
+                try:
+                    val_si_snri = validate_si_snri(model, valid_set)
+                except NumericsError as err:
+                    raise TrainingAbort(epoch, None, str(err))
                 tasnet.save_model(model, os.path.join(run_dir, LAST_FILENAME))
                 if val_si_snri > best_val:
                     best_val = val_si_snri

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,14 +26,18 @@ class TrainConfig:
     nan_checks: bool = True
 
     def __post_init__(self):
-        for name in (
-            "epochs", "lr_init", "lr_decay", "lr_decay_every",
-            "clip_norm", "beta1", "beta2", "adam_eps", "batch_size",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"TrainConfig.{name} must be positive")
-        if self.patience < 1:
-            raise ValueError("TrainConfig.patience must be >= 1")
+        rules = (
+            (("epochs", "lr_decay_every", "patience", "batch_size"), lambda v: v >= 1, ">= 1"),
+            (("lr_init", "lr_decay", "clip_norm", "adam_eps"),
+             lambda v: math.isfinite(v) and v > 0, "finite and positive"),
+            (("beta1", "beta2"), lambda v: 0 < v < 1, "in (0, 1)"),
+            (("seed",), lambda v: v >= 0, ">= 0"),
+        )
+        for names, holds, rule in rules:
+            for name in names:
+                value = getattr(self, name)
+                if not holds(value):
+                    raise ValueError(f"TrainConfig.{name} must be {rule}, got {value}")
 
 
 def lr_at(epoch, config):

@@ -47,6 +47,22 @@ def _write_toy(tmp_path):
     return config, manifest, run_dir
 
 
+def _wav_pair(tmp_path, length, silent=slice(0, 0)):
+    """Manifest specs of two noise WAVs of `length` samples; the second is
+    zero over `silent`."""
+    from dpsep.data import write_wav
+
+    specs = []
+    for seed in (1, 2):
+        sig = np.random.default_rng(seed).uniform(-0.5, 0.5, length)
+        if seed == 2:
+            sig[silent] = 0.0
+        path = tmp_path / f"noise{seed}.wav"
+        write_wav(path, sig, 8000)
+        specs.append(f"wav:{path}")
+    return specs
+
+
 class TestConfig:
     def test_defaults_match_published_recipe(self):
         config = RunConfig()
@@ -113,6 +129,17 @@ class TestTrainCommand:
         first = (run_dir / "metrics.tsv").read_bytes()
         assert cli.main(["train", str(config)]) == 0
         assert (run_dir / "metrics.tsv").read_bytes() == first
+
+    @pytest.mark.parametrize("split", ["train", "valid"])
+    def test_segment_with_a_silent_source_is_dropped(self, split, tmp_path, capsys):
+        # two 0.1 s segments, the second with a silent source: SI-SNR cannot
+        # score it, so it is left out instead of aborting the run
+        config, manifest, run_dir = _write_toy(tmp_path)
+        s1, s2 = _wav_pair(tmp_path, 1600, silent=slice(800, None))
+        with open(manifest, "a") as fh:
+            fh.write(f"{split}\t{s1}\t{s2}\t0.0\n")
+        assert cli.main(["train", str(config)]) == 0, capsys.readouterr().err
+        assert (run_dir / "best.ckpt").exists()
 
     def test_run_dir_env_override(self, tmp_path, monkeypatch):
         config, _, _ = _write_toy(tmp_path)
@@ -456,6 +483,28 @@ class TestEvaluateCommand:
         assert "mean si_snri=" in out
         assert "snri=" not in out.replace("si_snri=", "")
 
+    def test_one_sample_tail_is_dropped(self, tmp_path, capsys):
+        # 4 s evaluation segments plus one sample: the 1-sample tail is a
+        # constant reference, which SI-SNR cannot score
+        from dpsep import tasnet
+
+        model = tasnet.build_model(
+            num_filters=4, window=8, num_sources=2, num_blocks=1, hidden=4, chunk_len=10
+        )
+        ckpt = tmp_path / "toy.ckpt"
+        tasnet.save_model(model, ckpt)
+        s1, s2 = _wav_pair(tmp_path, 32001)
+        manifest = tmp_path / "tail.tsv"
+        manifest.write_text(f"test\t{s1}\t{s2}\t0.0\n")
+        assert cli.main(["evaluate", str(ckpt), str(manifest)]) == 0
+        out = capsys.readouterr().out
+        assert "example 0:" in out and "over 1 examples" in out
+        # a pair of one sample leaves no segment: the empty split exits 2
+        s1, s2 = _wav_pair(tmp_path, 1)
+        manifest.write_text(f"test\t{s1}\t{s2}\t0.0\n")
+        assert cli.main(["evaluate", str(ckpt), str(manifest)]) == 2
+        assert "no test segments" in capsys.readouterr().err
+
     def test_manifest_without_test_split_exits_2(self, tmp_path, capsys):
         config, _, run_dir = _write_toy(tmp_path)
         assert cli.main(["train", str(config)]) == 0
@@ -521,13 +570,16 @@ class TestManifestFaults:
 
 
 def test_gradcheck_command_passes(capsys):
+    from dpsep.checks import GRADCHECK_CASES
+
     assert cli.main(["gradcheck"]) == 0
     out = capsys.readouterr().out
-    assert "tiny_separator: pass" in out
-    assert "padded_separator: pass" in out
+    for name in ("tiny_separator", "padded_separator", "bilstm_batched_t1", "bilstm_batched_t5"):
+        assert f"{name}: pass" in out
     names = [line.split(":")[0] for line in out.splitlines()]
     assert "lstm_step" not in names and "bilstm" not in names
-    assert "14/14" in out
+    count = len(GRADCHECK_CASES)
+    assert f"{count}/{count} gradient checks passed" in out
 
 
 # Two optimizer steps of a model whose per-op arrays exceed glibc's default

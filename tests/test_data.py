@@ -211,6 +211,22 @@ class TestMakeDataset:
         assert examples[2].valid_len == 16000
         np.testing.assert_array_equal(examples[2].mixture[0, 16000:], np.zeros(16000))
 
+    def test_drops_segments_with_a_constant_source(self, tmp_path):
+        # 3 segments of 400 samples and a 1-sample tail; b is silent over the
+        # second segment, and any 1-sample segment is constant
+        a = np.random.default_rng(1).uniform(-0.5, 0.5, 1201).astype(np.float32)
+        b = np.random.default_rng(2).uniform(-0.5, 0.5, 1201).astype(np.float32)
+        b[400:800] = 0.0
+        write_wav(tmp_path / "a.wav", a, 8000)
+        write_wav(tmp_path / "b.wav", b, 8000)
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(f"train\twav:{tmp_path}/a.wav\twav:{tmp_path}/b.wav\t0.0\n")
+        examples = make_dataset(parse_manifest(manifest), 0.05, 8000, seed=0)
+        assert [ex.valid_len for ex in examples] == [400, 400]
+        full = mix_at_snr(read_wav(tmp_path / "a.wav")[0], read_wav(tmp_path / "b.wav")[0], 0.0)
+        np.testing.assert_array_equal(examples[0].sources, full.sources[:, :400])
+        np.testing.assert_array_equal(examples[1].sources, full.sources[:, 800:1200])
+
     def test_empty_manifest_gives_empty_dataset(self):
         assert make_dataset([], 1.0, 8000, seed=0) == []
 

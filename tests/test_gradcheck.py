@@ -88,7 +88,7 @@ def test_bilstm_op_passes_gradcheck(steps, monkeypatch):
     monkeypatch.setattr(nt.GradTape, "_record", record)
     report = _case_bilstm_batched(np.random.default_rng(steps), steps=steps)
     assert report.passed, str(report)
-    assert "bilstm" in seen and "lstm_sequence" not in seen
+    assert "bilstm" in seen
 
 
 def test_suite_covers_every_op_of_a_training_step(tmp_path, monkeypatch):

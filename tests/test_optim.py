@@ -128,6 +128,14 @@ def test_train_config_validation():
         TrainConfig(patience=0)
     with pytest.raises(ValueError):
         TrainConfig(lr_init=-1.0)
+    # what the CLI's config check rejects for these fields
+    for bad in (
+        dict(beta1=1.0), dict(beta1=0.0), dict(beta2=1.5), dict(beta2=float("nan")),
+        dict(lr_init=float("nan")), dict(lr_init=float("inf")), dict(lr_decay=float("inf")),
+        dict(clip_norm=float("nan")), dict(adam_eps=0.0), dict(batch_size=0), dict(seed=-1),
+    ):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
     defaults = TrainConfig()
     assert defaults.epochs == 100
     assert defaults.clip_norm == 5.0

@@ -1,4 +1,9 @@
-"""LSTM sequences against a scalar gate-equation oracle; bidirectional unrolling."""
+"""LSTM directions against a scalar gate-equation oracle; bidirectional unrolling.
+
+`bilstm_batched` is the only LSTM op. A `test_lstm_sequence_*` test checks one
+direction run over a sequence: the forward half of a BLSTM output or, with
+`reverse`, its backward half.
+"""
 
 import tracemalloc
 
@@ -55,15 +60,23 @@ def _oracle_sequence(xs, p, reverse=False):
     return out
 
 
+def _half(out, reverse):
+    """The forward half of a (T, B, 2H) BLSTM output, or with `reverse` the
+    backward half."""
+    hid = out.shape[-1] // 2
+    return out[..., hid:] if reverse else out[..., :hid]
+
+
 def test_all_zero_everything_gives_zero_states():
     p = _zero_params(3, 4)
-    hs = nt.lstm_sequence(Tensor(np.zeros((5, 2, 3))), p)
-    np.testing.assert_array_equal(hs.data, np.zeros((5, 2, 4)))
+    hs = nt.bilstm_batched(Tensor(np.zeros((5, 2, 3))), p, p)
+    np.testing.assert_array_equal(hs.data, np.zeros((5, 2, 8)))
 
 
 def test_saturated_gates_preserve_cell():
     # step 0 opens the input gate through x and writes c = tanh(b_g); later
-    # steps close it, forget ~ 1 keeps c, and output ~ 1 exposes h = tanh(c)
+    # steps close it, forget ~ 1 keeps c, and output ~ 1 exposes h = tanh(c);
+    # the backward direction's step 0 is the last time step
     p = _zero_params(2, 3)
     wx_i, b_i, b_f, b_g, b_o = _rows(p.wx, 0), *(_rows(p.b, k) for k in range(4))
     wx_i[:, 0] = 40.0
@@ -71,28 +84,24 @@ def test_saturated_gates_preserve_cell():
     b_f[:] = 20.0
     b_o[:] = 20.0
     b_g[:] = [0.3, -0.7, 1.1]
-    xs = np.zeros((4, 1, 2), dtype=np.float32)
-    xs[0, 0, 0] = 1.0
-    hs = nt.lstm_sequence(Tensor(xs), p).data
     expected = np.tanh(np.tanh(b_g))
-    for t in range(4):
-        np.testing.assert_allclose(hs[t, 0], expected, atol=1e-6)
+    for reverse in (False, True):
+        xs = np.zeros((4, 1, 2), dtype=np.float32)
+        xs[-1 if reverse else 0, 0, 0] = 1.0
+        hs = _half(nt.bilstm_batched(Tensor(xs), p, p).data, reverse)
+        for t in range(4):
+            np.testing.assert_allclose(hs[t, 0], expected, atol=1e-6)
 
 
 def test_lstm_sequence_matches_scalar_oracle():
     rng = np.random.default_rng(9)
-    p = init_lstm_params(rng, 5, 4, dtype=np.float32)
+    fwd = init_lstm_params(rng, 5, 4, dtype=np.float32)
+    bwd = init_lstm_params(rng, 5, 4, dtype=np.float32)
     xs = rng.standard_normal((3, 2, 5)).astype(np.float32)
-    for reverse in (False, True):
-        hs = nt.lstm_sequence(Tensor(xs), p, reverse=reverse)
+    out = nt.bilstm_batched(Tensor(xs), fwd, bwd).data
+    for p, reverse in ((fwd, False), (bwd, True)):
         expected = _oracle_sequence(xs, p, reverse=reverse)
-        assert np.max(np.abs(hs.data - expected)) < 1e-6
-
-
-def test_lstm_sequence_shape_error():
-    p = _zero_params(3, 4)
-    with pytest.raises(ShapeError):
-        nt.lstm_sequence(Tensor(np.zeros((5, 2, 2))), p)
+        assert np.max(np.abs(_half(out, reverse) - expected)) < 1e-6
 
 
 def test_param_count_formula():
@@ -125,18 +134,32 @@ def test_packed_shape_mismatch_rejected():
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_lstm_sequence_is_one_tape_node(reverse):
+    # a BLSTM of which only one direction trains is still one op, and that
+    # direction gets the gradients it gets when both train
     rng = np.random.default_rng(3)
-    p = init_lstm_params(rng, 3, 4)
-    xs = Tensor(rng.standard_normal((6, 2, 3)), requires_grad=True)
-    with nt.GradTape() as tape:
-        nt.lstm_sequence(xs, p, reverse=reverse)
-    assert [node.name for node in tape._nodes] == ["lstm_sequence"]
+    p, q = init_lstm_params(rng, 3, 4), init_lstm_params(rng, 3, 4)
+    frozen = nt.LstmCellParams(*(Tensor(t.data) for _, t in q.tensors()))
+    xs = Tensor(rng.standard_normal((6, 2, 3)))
+    grads = []
+    for other in (q, frozen):
+        with nt.GradTape() as tape:
+            loss = nt.tsum(nt.bilstm_batched(xs, *((other, p) if reverse else (p, other))))
+        assert [node.name for node in tape._nodes] == ["bilstm", "sum"]
+        tape.backward(loss)
+        grads.append([t.grad for _, t in p.tensors()])
+        for _, t in p.tensors():
+            t.zero_grad()
+    assert all(t.grad is None for _, t in frozen.tensors())
+    for trained, alone in zip(*grads):
+        np.testing.assert_array_equal(trained, alone)
 
 
 def test_lstm_sequence_rejects_wrong_input_size():
-    p = _zero_params(3, 4)
-    with pytest.raises(ShapeError):
-        nt.lstm_sequence(Tensor(np.zeros((5, 2, 4))), p)
+    # each direction's input size must match the input's last axis
+    p, wide = _zero_params(3, 4), _zero_params(4, 4)
+    for in_dim, fwd, bwd in ((2, p, p), (4, p, p), (3, p, wide), (3, wide, p)):
+        with pytest.raises(ShapeError):
+            nt.bilstm_batched(Tensor(np.zeros((5, 2, in_dim))), fwd, bwd)
 
 
 def test_bilstm_single_step_is_concat_of_cells():
@@ -196,8 +219,8 @@ def _recipe_case(seed, dtype=np.float32):
 def test_lstm_sequence_float32_matches_float64(reverse):
     _, p, xs = _recipe_case(10)
     p64 = nt.LstmCellParams(*(Tensor(t.data, dtype=np.float64) for _, t in p.tensors()))
-    h32 = nt.lstm_sequence(Tensor(xs), p, reverse=reverse).data
-    h64 = nt.lstm_sequence(Tensor(xs, dtype=np.float64), p64, reverse=reverse).data
+    h32 = _half(nt.bilstm_batched(Tensor(xs), p, p).data, reverse)
+    h64 = _half(nt.bilstm_batched(Tensor(xs, dtype=np.float64), p64, p64).data, reverse)
     assert h32.dtype == np.float32
     assert np.max(np.abs(h32 - h64)) < 1e-5
 
@@ -206,28 +229,30 @@ def test_lstm_sequence_float32_matches_float64(reverse):
 def test_lstm_sequence_saturates_gates_exactly(reverse):
     # input 0 at +-1000 through unit weights puts every preactivation beyond
     # +-900, far past what the other inputs, the bias and wh @ h (|h| <= 1,
-    # orthogonal blocks) can add, so each gate is the step of its sign
+    # orthogonal blocks) can add, so each gate is the step of its sign in both
+    # directions
     rng, p, xs = _recipe_case(11)
     signs = rng.choice([-1.0, 1.0], size=4 * _RECIPE["hid"]).astype(np.float32)
     p.wx.data[:, 0] = signs
     xs[:, :, 0] = 1000.0 * rng.choice([-1.0, 1.0], size=xs.shape[:2])
     xt = Tensor(xs, requires_grad=True)
     with nt.GradTape() as tape:
-        hs = nt.lstm_sequence(xt, p, reverse=reverse)
-        loss = nt.tsum(hs)
+        out = nt.bilstm_batched(xt, p, p)
+        loss = nt.tsum(out)
     tape.backward(loss)
-    assert np.all(np.isfinite(hs.data))
+    hs = _half(out.data, reverse)
+    assert np.all(np.isfinite(hs))
     # gates of exactly 0 or 1 (and g of exactly +-1) keep c an integer
     on = np.sign(xs[:, :, :1]) * signs  # (T, B, 4H)
     hid = _RECIPE["hid"]
     gi, gf, gg, go = ((on[..., k * hid : (k + 1) * hid] > 0) for k in range(4))
     gg = np.where(gg, 1.0, -1.0)
     c = np.zeros(xs.shape[1:2] + (hid,), dtype=np.float32)
-    expected = np.empty_like(hs.data)
+    expected = np.empty_like(hs)
     for t in (range(len(xs) - 1, -1, -1) if reverse else range(len(xs))):
         c = np.where(gf[t], c, 0.0) + np.where(gi[t], gg[t], 0.0)
         expected[t] = np.where(go[t], np.tanh(c.astype(np.float32)), 0.0)
-    np.testing.assert_array_equal(hs.data, expected)
+    np.testing.assert_array_equal(hs, expected)
     # every gate derivative, s(1-s) or 1-g^2, is then exactly zero
     for leaf in (xt, p.wx, p.wh, p.b):
         assert leaf.grad is not None and not np.any(leaf.grad)
@@ -235,11 +260,12 @@ def test_lstm_sequence_saturates_gates_exactly(reverse):
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_lstm_sequence_leaves_parameters_unchanged(reverse):
-    _, p, xs = _recipe_case(12)
+    rng, p, xs = _recipe_case(12)
+    q = init_lstm_params(rng, _RECIPE["in_dim"], _RECIPE["hid"])
     before = [t.data.copy() for _, t in p.tensors()]
     xt = Tensor(xs, requires_grad=True)
     with nt.GradTape() as tape:
-        loss = nt.tsum(nt.lstm_sequence(xt, p, reverse=reverse))
+        loss = nt.tsum(nt.bilstm_batched(xt, *((q, p) if reverse else (p, q))))
     tape.backward(loss)
     for (name, t), saved in zip(p.tensors(), before):
         assert t.data.tobytes() == saved.tobytes(), name
@@ -255,29 +281,12 @@ def test_lstm_sequence_without_tape_matches_recorded_output(dtype, reverse, step
     rng = np.random.default_rng(13)
     p = init_lstm_params(rng, in_dim, hid, dtype=dtype)
     xs = Tensor(rng.standard_normal((steps, batch, in_dim)), dtype=dtype, requires_grad=True)
-    plain = nt.lstm_sequence(xs, p, reverse=reverse).data
+    plain = _half(nt.bilstm_batched(xs, p, p).data, reverse)
     with nt.GradTape() as tape:
-        recorded = nt.lstm_sequence(xs, p, reverse=reverse)
+        recorded = _half(nt.bilstm_batched(xs, p, p).data, reverse)
     assert len(tape) == 1
-    assert plain.dtype == recorded.data.dtype
-    np.testing.assert_array_equal(plain, recorded.data)
-
-
-@pytest.mark.parametrize("reverse", [False, True])
-def test_lstm_sequence_without_tape_never_holds_all_gates(reverse):
-    steps, batch, in_dim, hid = 256, 64, 8, 32
-    gates_bytes = steps * batch * 4 * hid * 4  # (T, B, 4H) float32: 8 MiB
-    rng = np.random.default_rng(14)
-    p = init_lstm_params(rng, in_dim, hid)
-    xs = Tensor(rng.standard_normal((steps, batch, in_dim)))
-    tracemalloc.start()
-    try:
-        hs = nt.lstm_sequence(xs, p, reverse=reverse)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert hs.shape == (steps, batch, hid)
-    assert peak < gates_bytes
+    assert plain.dtype == recorded.dtype
+    np.testing.assert_array_equal(plain, recorded)
 
 
 def test_bilstm_is_one_tape_node():

@@ -127,6 +127,24 @@ def test_non_finite_gradient_aborts_before_the_update(toy_sets, tmp_path, monkey
         assert p.data.tobytes() == saved.tobytes()
 
 
+def test_undefined_validation_si_snr_aborts(toy_sets, tmp_path):
+    # a valid example whose second source is zero has no SI-SNR to score
+    train, valid = toy_sets
+    good = valid[0]
+    sources = good.sources.copy()
+    sources[1] = 0.0
+    silent = data.MixtureExample(
+        mixture=sources[:1] + sources[1:], sources=sources, sample_rate=8000,
+        snr_db=good.snr_db, seed=good.seed, valid_len=good.valid_len,
+    )
+    config = TrainConfig(epochs=1, batch_size=2)
+    with pytest.raises(TrainingAbort) as exc:
+        train_loop(_tiny_model(), train, [good, silent], config, str(tmp_path / "run"))
+    assert (exc.value.epoch, exc.value.batch) == (1, None)
+    assert "validation example 1" in str(exc.value)
+    assert "zero energy" in exc.value.detail
+
+
 def test_empty_sets_rejected(toy_sets, tmp_path):
     train, valid = toy_sets
     config = TrainConfig(epochs=1)
