@@ -154,10 +154,17 @@ def test_lstm_sequence_is_one_tape_node(reverse):
         np.testing.assert_array_equal(trained, alone)
 
 
+def test_lstm_sequence_shape_error():
+    # an input narrower than the directions' input size
+    p = _zero_params(3, 4)
+    with pytest.raises(ShapeError):
+        nt.bilstm_batched(Tensor(np.zeros((5, 2, 2))), p, p)
+
+
 def test_lstm_sequence_rejects_wrong_input_size():
     # each direction's input size must match the input's last axis
     p, wide = _zero_params(3, 4), _zero_params(4, 4)
-    for in_dim, fwd, bwd in ((2, p, p), (4, p, p), (3, p, wide), (3, wide, p)):
+    for in_dim, fwd, bwd in ((4, p, p), (3, p, wide), (3, wide, p)):
         with pytest.raises(ShapeError):
             nt.bilstm_batched(Tensor(np.zeros((5, 2, in_dim))), fwd, bwd)
 
