@@ -8,3 +8,9 @@ __version__ = "0.1.0"
 # reaches it only at L = 2^31 encoder frames, and `separate` pads every input
 # to at least K/2 frames, so a larger K would only allocate and run padding.
 MAX_CHUNK_LEN = 1 << 16
+
+
+def encoder_hop(window):
+    """The encoder's hop in samples for a window of `window`: half the
+    window, at least 1."""
+    return max(window // 2, 1)

@@ -47,13 +47,16 @@ def _case_transposed_conv1d(rng):
 
 
 def _case_bilstm_batched(rng, steps):
+    # the FC maps 2H=8 to N=3 features, as in a sub-pass whose N is the input's
     fwd = nt.init_lstm_params(rng, 3, 4, dtype=F64)
     bwd = nt.init_lstm_params(rng, 3, 4, dtype=F64)
     xs = _t(rng, (steps, 2, 3))
+    weight, bias = _t(rng, (3, 8), scale=0.5), _t(rng, (3,))
     tensors = [xs] + [t for _, t in fwd.tensors()] + [t for _, t in bwd.tensors()]
+    tensors += [weight, bias]
 
     def f(xv, *_):
-        return nt.tsum(nt.tanh(nt.bilstm_batched(xv, fwd, bwd)))
+        return nt.tsum(nt.tanh(nt.bilstm_batched(xv, fwd, bwd, weight, bias)))
 
     return finite_diff_check(f, tensors)
 

@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-from . import MAX_CHUNK_LEN
+from . import MAX_CHUNK_LEN, encoder_hop
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -142,7 +142,7 @@ def _config_problem(config):
         return f"segment_seconds={config.segment_seconds} overflows at {config.sample_rate} Hz"
     samples = int(round(samples))
     # deriving chunk_len takes at least 4 encoder frames of a segment
-    least = config.window + 3 * max(config.window // 2, 1) if config.chunk_len == 0 else 1
+    least = config.window + 3 * encoder_hop(config.window) if config.chunk_len == 0 else 1
     if samples < least:
         return (
             f"segment_seconds={config.segment_seconds} gives {samples} samples, "

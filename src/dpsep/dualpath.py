@@ -7,9 +7,14 @@ ceil(2L/K)+1 chunks, so both recurrent directions see O(sqrt(L)) steps
 instead of O(L).
 
 Chunks are one plain (K, S, N) tensor, features last, from `segment` to
-`overlap_add`. That is the (T, B, N) layout of the BLSTM and the FC: the
-intra pass reads it as S sequences of K steps with no copy, and the inter
-pass transposes it to (S, K, N) and back.
+`overlap_add`. That is the (T, B, N) layout of the BLSTM: the intra pass
+reads it as S sequences of K steps with no copy, and the inter pass
+transposes it to (S, K, N) and back.
+
+A sub-pass is two tape ops, `bilstm` and `global_layer_norm`, plus the
+residual: the FC 2H -> N runs inside the BLSTM op, which projects each
+step's hidden state as it goes, so without a tape the (T, B, 2H) BLSTM
+activations are never formed.
 """
 
 from __future__ import annotations
@@ -218,9 +223,10 @@ def init_block_params(rng, feature_dim, hidden, dtype=np.float32):
 
 
 def _sub_pass(seq, params):
-    """BLSTM over seq (T, B, N), FC back to N features, global LN."""
-    hs = nt.bilstm_batched(seq, params.lstm_fwd, params.lstm_bwd)  # (T, B, 2H)
-    proj = nt.affine(hs, params.fc_weight, params.fc_bias)  # (T, B, N)
+    """BLSTM over seq (T, B, N) with its FC back to N features, global LN."""
+    proj = nt.bilstm_batched(
+        seq, params.lstm_fwd, params.lstm_bwd, params.fc_weight, params.fc_bias
+    )  # (T, B, N)
     return global_layer_norm(proj, params.ln_scale, params.ln_bias)
 
 

@@ -2,10 +2,11 @@
 
 The cell uses the standard four-gate formulation (input, forget, cell, output;
 no peepholes). Its weights are stored packed, as in cuDNN: the rows of each
-tensor hold the gates in the order i, f, g, o. A BLSTM is one tape op,
-`bilstm`: its forward and backward directions write the two halves of one
-(T, B, 2H) output. Each direction runs one matmul per step, and backward runs
-the mirrored loop by hand.
+tensor hold the gates in the order i, f, g, o. A BLSTM and the FC that
+follows it in a DPRNN sub-pass are one tape op, `bilstm`, from (T, B, In) to
+(T, B, N): each direction runs one matmul per step for its gates and one for
+its share of the FC, and backward runs the FC's backward and then the
+mirrored loop by hand.
 
 The recurrence runs gate-major: the state h, c is (H, B) and each step's
 preactivations are (4H, B) = [wh | wx | b] @ [h_prev; x_t^T; 1], one GEMM
@@ -14,8 +15,13 @@ with a working matrix whose rows are reordered to i, f, o, g. The operand
 middle rows and writes the new h straight into its first H rows. Every gate is
 then one contiguous (H, B) block, and so is each cell, output and BPTT operand.
 The stored weights and checkpoints keep the order i, f, g, o; gradients are
-mapped back to it. Step t's hidden state is written into its direction's
-(T, B, H) half of the output with one transposed copy.
+mapped back to it.
+
+Each step projects its h through the direction's half of the FC weight,
+h^T @ W_half^T, into the contiguous (B, N) block y[t] of the output. Without
+a recording tape nothing else of h is kept, so no (T, B, 2H) array exists.
+Under a tape, step t's h is also written, transposed, into its direction's
+half of a (T, B, 2H) history that backward reads.
 
 The sigmoid gates use the tanh form sigma(x) = 1/2 + tanh(x/2)/2. The x/2 is
 folded into the working matrix, whose i, f and o rows are halved (exact in
@@ -111,26 +117,33 @@ def _check_input(xs, params):
         raise ShapeError(f"bilstm_batched: expected (T, B, {params.input_size}), got {xs.shape}")
 
 
-def _run(x, params, out, reverse, keep):
-    """Forward recurrence of one direction over x (T, B, In) from zero states.
+def _run(x, params, proj, y, hist, reverse):
+    """Forward recurrence of one direction over x (T, B, In) from zero states,
+    projected into y (T, B, N).
 
-    Writes each step's h (H, B), transposed, into out[t] of the (T, B, H)
-    array or view `out`. Each step's preactivations z (4H, B) are one matmul
-    of the working matrix [wh | wx | b] (4H, H+In+1) with u = [h; x_t^T; 1],
-    and the recurrence turns z into the gate activations in place. With
-    `keep`, z is gates[t] of a (T, 4H, B) array and the cell states are
-    (T+1, H, B), the zero state at the end where the recurrence starts; both
-    are returned for `_bptt`. Otherwise z and c are single arrays reused at
-    every step, and None is returned.
+    Each step's preactivations z (4H, B) are one matmul of the working matrix
+    [wh | wx | b] (4H, H+In+1) with u = [h; x_t^T; 1], and the recurrence
+    turns z into the gate activations in place. The new h (H, B) then goes
+    through proj (H, N), the direction's half of the FC transposed: h^T @
+    proj is written into y[t], or added to it for the reverse direction,
+    which runs second. With a (T, B, H) history view `hist`, h is also
+    written into hist[t], z is gates[t] of a (T, 4H, B) array and the cell
+    states are (T+1, H, B), the zero state at the end where the recurrence
+    starts; gates and cell states are returned for `_bptt`. Otherwise z and
+    c are single arrays reused at every step, and None is returned.
     """
     steps, batch, in_dim = x.shape
     hid = params.hidden_size
     dtype = x.dtype
+    keep = hist is not None
     w = _halved(np.concatenate((params.wh.data, params.wx.data, params.b.data[:, None]), axis=1))
     u = np.zeros((hid + in_dim + 1, batch), dtype=dtype)
     h, xt = u[:hid], u[hid:-1]
+    ht = h.T
     u[-1] = 1.0
     tmp = np.empty((hid, batch), dtype=dtype)
+    if reverse:
+        yt = np.empty(y.shape[1:], dtype=dtype)
     if keep:
         gates = np.empty((steps, 4 * hid, batch), dtype=dtype)
         cs = np.zeros((steps + 1, hid, batch), dtype=dtype)
@@ -156,13 +169,20 @@ def _run(x, params, out, reverse, keep):
         c = c_new
         np.tanh(c, out=tmp)
         np.multiply(go, tmp, out=h)
-        out[t] = h.T
+        if keep:
+            hist[t] = ht
+        # np.dot, not np.matmul: about 1 us less per call on small operands
+        if reverse:
+            np.dot(ht, proj, out=yt)
+            y[t] += yt
+        else:
+            np.dot(ht, proj, out=y[t])
     return (gates, cs) if keep else None
 
 
 def _bptt(g, params, saved, reverse):
     """Backward of a kept `_run` given g (T, B, H), the gradient of its
-    output: the preactivation gradients as (4H, T*B), stored row order,
+    history of h: the preactivation gradients as (4H, T*B), stored row order,
     column t*B + j for step t of sequence j. They are written over the saved
     activations, whose pages are already mapped, so `saved` is spent."""
     gates, cs = saved
@@ -212,9 +232,9 @@ def _bptt(g, params, saved, reverse):
     return _gate_major(dz.transpose(1, 0, 2), out=spent).reshape(4 * hid, -1)
 
 
-def _grads(dz, xs, params, out, reverse):
+def _grads(dz, xs, params, hist, reverse):
     """Gradients (xs, wx, wh, b) of one direction from its preactivation
-    gradients dz (4H, T*B) and its output out (T, B, H), which holds every
+    gradients dz (4H, T*B) and its history hist (T, B, H), which holds every
     step's h_prev."""
     _, batch, in_dim = xs.shape
     hid = params.hidden_size
@@ -222,41 +242,63 @@ def _grads(dz, xs, params, out, reverse):
     dwx = dz @ xs.data.reshape(-1, in_dim) if _needs(params.wx) else None
     dwh = None
     if _needs(params.wh):
-        # step t reads h_prev = out[t -+ 1]; the first step's zero state adds nothing
-        cols, h_prev = (slice(None, -batch), out[1:]) if reverse else (slice(batch, None), out[:-1])
+        # step t reads h_prev = hist[t -+ 1]; the first step's zero state adds nothing
+        cols, h_prev = (
+            (slice(None, -batch), hist[1:]) if reverse else (slice(batch, None), hist[:-1])
+        )
         dwh = dz[:, cols] @ h_prev.reshape(-1, hid)
     db = dz.sum(axis=1) if _needs(params.b) else None
     return dx, dwx, dwh, db
 
 
-def bilstm_batched(xs, fwd, bwd):
-    """Bidirectional pass over xs (T, B, In) -> (T, B, 2H), forward half first.
+def bilstm_batched(xs, fwd, bwd, weight, bias):
+    """Bidirectional pass over xs (T, B, In) and the FC after it -> (T, B, N):
+    [h_fwd, h_bwd] @ weight^T + bias, with weight (N, 2H) and bias (N,).
 
-    One tape op, `bilstm`: both directions run `_run` into their halves of
-    one output, and backward sums their input gradients.
+    One tape op, `bilstm`. Both directions run `_run`: the forward one writes
+    its projection into the output, the backward one adds its own, and the
+    bias is added once. Under a recording tape the op also keeps the (T, B,
+    2H) history of h; backward runs the FC's backward over it, then each
+    direction's BPTT, and sums their input gradients.
     """
     _check_input(xs, fwd)
     _check_input(xs, bwd)
     hid = fwd.hidden_size
     if bwd.hidden_size != hid:
         raise ShapeError(f"bilstm_batched: hidden sizes differ, {hid} and {bwd.hidden_size}")
-    inputs = (xs, fwd.wx, fwd.wh, fwd.b, bwd.wx, bwd.wh, bwd.b)
-    keep = recording_tape(inputs) is not None
-    out = np.empty(xs.shape[:2] + (2 * hid,), dtype=xs.data.dtype)
+    if weight.data.ndim != 2 or weight.shape[1] != 2 * hid or bias.shape != weight.shape[:1]:
+        raise ShapeError(
+            f"bilstm_batched: weight {weight.shape} / bias {bias.shape} must be "
+            f"(N, {2 * hid}) / (N,)"
+        )
+    inputs = (xs, fwd.wx, fwd.wh, fwd.b, bwd.wx, bwd.wh, bwd.b, weight, bias)
+    steps, batch, _ = xs.shape
+    dtype = xs.data.dtype
+    hist = None
+    if recording_tape(inputs) is not None:
+        hist = np.empty((steps, batch, 2 * hid), dtype=dtype)
     sides = ((fwd, slice(0, hid), False), (bwd, slice(hid, 2 * hid), True))
     saved = []
 
     def forward_fn():
-        saved[:] = [_run(xs.data, p, out[..., half], rev, keep) for p, half, rev in sides]
-        return out
+        y = np.empty((steps, batch, weight.shape[0]), dtype=dtype)
+        for p, half, rev in sides:
+            proj = np.ascontiguousarray(weight.data[:, half].T, dtype=dtype)
+            saved.append(_run(xs.data, p, proj, y, None if hist is None else hist[..., half], rev))
+        y += bias.data
+        return y
 
     def backward_fn(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        gw = g2.T @ hist.reshape(-1, 2 * hid) if _needs(weight) else None
+        gb = g2.sum(axis=0) if _needs(bias) else None
+        ghs = (g2 @ weight.data).reshape(hist.shape)
         dx, grads = None, []
         for (p, half, rev), kept in zip(sides, saved):
-            dz = _bptt(g[..., half], p, kept, rev)
-            gx, *gp = _grads(dz, xs, p, out[..., half], rev)
+            dz = _bptt(ghs[..., half], p, kept, rev)
+            gx, *gp = _grads(dz, xs, p, hist[..., half], rev)
             dx = gx if dx is None else np.add(dx, gx, out=dx)
             grads += gp
-        return (dx, *grads)
+        return (dx, *grads, gw, gb)
 
     return apply_op("bilstm", inputs, forward_fn, backward_fn)

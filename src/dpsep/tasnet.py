@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import MAX_CHUNK_LEN
+from . import MAX_CHUNK_LEN, encoder_hop
 from . import dualpath as dp
 from . import numerics as nt
 from .numerics import ShapeError, Tensor
@@ -53,8 +53,8 @@ class SeparatorModel:
 
     @property
     def stride(self):
-        """Encoder hop: half the window, at least 1."""
-        return max(self.window // 2, 1)
+        """Encoder hop, `encoder_hop(window)`."""
+        return encoder_hop(self.window)
 
     def parameters(self):
         """(name, tensor) pairs in the fixed checkpoint order."""
@@ -99,7 +99,7 @@ def build_model(
     nominal input (training segments of `nominal_samples` samples).
     """
     if chunk_len is None:
-        frames = frame_count(nominal_samples, window, max(window // 2, 1))
+        frames = frame_count(nominal_samples, window, encoder_hop(window))
         chunk_len = dp.choose_chunk_size(frames)
     if chunk_len % 2 != 0:
         raise ShapeError(f"chunk_len must be even, got {chunk_len}")

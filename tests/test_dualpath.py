@@ -208,8 +208,9 @@ class TestBlockPasses:
         x = Tensor(rng.standard_normal((6, 1, 3)), dtype=np.float64)  # (K, S=1, N)
         out = dp.intra_chunk_pass(x, params).data
 
-        hs = nt.bilstm_batched(x, params.lstm_fwd, params.lstm_bwd)  # (K, 1, 2H)
-        proj = nt.affine(hs, params.fc_weight, params.fc_bias)  # (K, 1, N)
+        proj = nt.bilstm_batched(
+            x, params.lstm_fwd, params.lstm_bwd, params.fc_weight, params.fc_bias
+        )  # (K, 1, N)
         normed = dp.global_layer_norm(proj, params.ln_scale, params.ln_bias)
         expected = nt.add(x, normed).data
         np.testing.assert_array_equal(out, expected)
@@ -241,8 +242,9 @@ class TestBlockPasses:
         proj = np.zeros_like(x)
         for k in range(3):
             seq = Tensor(x[k].reshape(2, 1, 2), dtype=np.float64)  # (S, 1, N)
-            hs = nt.bilstm_batched(seq, params.lstm_fwd, params.lstm_bwd)
-            pr = nt.affine(hs, params.fc_weight, params.fc_bias)  # (S, 1, N)
+            pr = nt.bilstm_batched(
+                seq, params.lstm_fwd, params.lstm_bwd, params.fc_weight, params.fc_bias
+            )  # (S, 1, N)
             proj[k] = pr.data[:, 0, :]
         mu = proj.mean()
         var = ((proj - mu) ** 2).mean()

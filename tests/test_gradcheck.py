@@ -73,24 +73,6 @@ def test_subsampled_elements_reported():
     assert report.entries[0].total == 50
 
 
-@pytest.mark.parametrize("steps", [1, 5])
-def test_bilstm_op_passes_gradcheck(steps, monkeypatch):
-    # the fused BLSTM records one tape op, `bilstm`, for both directions
-    from dpsep.checks import _case_bilstm_batched
-
-    seen = []
-    original = nt.GradTape._record
-
-    def record(tape, node):
-        seen.append(node.name)
-        return original(tape, node)
-
-    monkeypatch.setattr(nt.GradTape, "_record", record)
-    report = _case_bilstm_batched(np.random.default_rng(steps), steps=steps)
-    assert report.passed, str(report)
-    assert "bilstm" in seen
-
-
 def test_suite_covers_every_op_of_a_training_step(tmp_path, monkeypatch):
     # a segment whose decoder output is one sample short (padded) and whose
     # zero-padded tail is masked out of the loss (sliced)

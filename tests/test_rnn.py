@@ -1,8 +1,10 @@
 """LSTM directions against a scalar gate-equation oracle; bidirectional unrolling.
 
-`bilstm_batched` is the only LSTM op. A `test_lstm_sequence_*` test checks one
-direction run over a sequence: the forward half of a BLSTM output or, with
-`reverse`, its backward half.
+`bilstm_batched` is the only LSTM op, and it ends in an FC 2H -> N. Most tests
+run it through the identity FC (`_bilstm`), which returns both directions'
+hidden states exactly. A `test_lstm_sequence_*` test checks one direction run
+over a sequence: the forward half of that output or, with `reverse`, its
+backward half.
 """
 
 import tracemalloc
@@ -60,6 +62,17 @@ def _oracle_sequence(xs, p, reverse=False):
     return out
 
 
+def _identity_fc(hid, dtype=np.float32):
+    """FC weight I (2H, 2H) and bias 0: x * 1 and the added zeros are exact,
+    so `bilstm_batched` returns [h_fwd, h_bwd] bit for bit."""
+    return Tensor(np.eye(2 * hid), dtype=dtype), Tensor(np.zeros(2 * hid), dtype=dtype)
+
+
+def _bilstm(xs, fwd, bwd):
+    """`bilstm_batched` through the identity FC -> (T, B, 2H) hidden states."""
+    return nt.bilstm_batched(xs, fwd, bwd, *_identity_fc(fwd.hidden_size, xs.data.dtype))
+
+
 def _half(out, reverse):
     """The forward half of a (T, B, 2H) BLSTM output, or with `reverse` the
     backward half."""
@@ -69,7 +82,7 @@ def _half(out, reverse):
 
 def test_all_zero_everything_gives_zero_states():
     p = _zero_params(3, 4)
-    hs = nt.bilstm_batched(Tensor(np.zeros((5, 2, 3))), p, p)
+    hs = _bilstm(Tensor(np.zeros((5, 2, 3))), p, p)
     np.testing.assert_array_equal(hs.data, np.zeros((5, 2, 8)))
 
 
@@ -88,7 +101,7 @@ def test_saturated_gates_preserve_cell():
     for reverse in (False, True):
         xs = np.zeros((4, 1, 2), dtype=np.float32)
         xs[-1 if reverse else 0, 0, 0] = 1.0
-        hs = _half(nt.bilstm_batched(Tensor(xs), p, p).data, reverse)
+        hs = _half(_bilstm(Tensor(xs), p, p).data, reverse)
         for t in range(4):
             np.testing.assert_allclose(hs[t, 0], expected, atol=1e-6)
 
@@ -98,7 +111,7 @@ def test_lstm_sequence_matches_scalar_oracle():
     fwd = init_lstm_params(rng, 5, 4, dtype=np.float32)
     bwd = init_lstm_params(rng, 5, 4, dtype=np.float32)
     xs = rng.standard_normal((3, 2, 5)).astype(np.float32)
-    out = nt.bilstm_batched(Tensor(xs), fwd, bwd).data
+    out = _bilstm(Tensor(xs), fwd, bwd).data
     for p, reverse in ((fwd, False), (bwd, True)):
         expected = _oracle_sequence(xs, p, reverse=reverse)
         assert np.max(np.abs(_half(out, reverse) - expected)) < 1e-6
@@ -143,7 +156,7 @@ def test_lstm_sequence_is_one_tape_node(reverse):
     grads = []
     for other in (q, frozen):
         with nt.GradTape() as tape:
-            loss = nt.tsum(nt.bilstm_batched(xs, *((other, p) if reverse else (p, other))))
+            loss = nt.tsum(_bilstm(xs, *((other, p) if reverse else (p, other))))
         assert [node.name for node in tape._nodes] == ["bilstm", "sum"]
         tape.backward(loss)
         grads.append([t.grad for _, t in p.tensors()])
@@ -158,7 +171,7 @@ def test_lstm_sequence_shape_error():
     # an input narrower than the directions' input size
     p = _zero_params(3, 4)
     with pytest.raises(ShapeError):
-        nt.bilstm_batched(Tensor(np.zeros((5, 2, 2))), p, p)
+        _bilstm(Tensor(np.zeros((5, 2, 2))), p, p)
 
 
 def test_lstm_sequence_rejects_wrong_input_size():
@@ -166,7 +179,7 @@ def test_lstm_sequence_rejects_wrong_input_size():
     p, wide = _zero_params(3, 4), _zero_params(4, 4)
     for in_dim, fwd, bwd in ((4, p, p), (3, p, wide), (3, wide, p)):
         with pytest.raises(ShapeError):
-            nt.bilstm_batched(Tensor(np.zeros((5, 2, in_dim))), fwd, bwd)
+            _bilstm(Tensor(np.zeros((5, 2, in_dim))), fwd, bwd)
 
 
 def test_bilstm_single_step_is_concat_of_cells():
@@ -174,7 +187,7 @@ def test_bilstm_single_step_is_concat_of_cells():
     fwd = init_lstm_params(rng, 3, 2, dtype=np.float64)
     bwd = init_lstm_params(rng, 3, 2, dtype=np.float64)
     x = rng.standard_normal(3)
-    out = nt.bilstm_batched(Tensor(x.reshape(1, 1, 3), dtype=np.float64), fwd, bwd)
+    out = _bilstm(Tensor(x.reshape(1, 1, 3), dtype=np.float64), fwd, bwd)
     hf, _ = _scalar_oracle(x, np.zeros(2), np.zeros(2), fwd)
     hb, _ = _scalar_oracle(x, np.zeros(2), np.zeros(2), bwd)
     np.testing.assert_allclose(out.data[0, 0], np.concatenate([hf, hb]), rtol=1e-12)
@@ -185,8 +198,8 @@ def test_bilstm_time_reversal_symmetry():
     fwd = init_lstm_params(rng, 2, 3, dtype=np.float64)
     bwd = init_lstm_params(rng, 2, 3, dtype=np.float64)
     seq = rng.standard_normal((5, 2, 2))
-    out = nt.bilstm_batched(Tensor(seq, dtype=np.float64), fwd, bwd).data
-    flipped = nt.bilstm_batched(Tensor(seq[::-1].copy(), dtype=np.float64), bwd, fwd).data
+    out = _bilstm(Tensor(seq, dtype=np.float64), fwd, bwd).data
+    flipped = _bilstm(Tensor(seq[::-1].copy(), dtype=np.float64), bwd, fwd).data
     # reversing time and swapping directions reverses the output and swaps halves
     np.testing.assert_allclose(out[..., :3], flipped[::-1, :, 3:], rtol=1e-12)
     np.testing.assert_allclose(out[..., 3:], flipped[::-1, :, :3], rtol=1e-12)
@@ -197,7 +210,7 @@ def test_bilstm_matches_unrolled_chain():
     fwd = init_lstm_params(rng, 3, 4, dtype=np.float64)
     bwd = init_lstm_params(rng, 3, 4, dtype=np.float64)
     seq = rng.standard_normal((3, 2, 3))
-    out = nt.bilstm_batched(Tensor(seq, dtype=np.float64), fwd, bwd).data
+    out = _bilstm(Tensor(seq, dtype=np.float64), fwd, bwd).data
     expected = np.concatenate(
         [_oracle_sequence(seq, fwd), _oracle_sequence(seq, bwd, reverse=True)], axis=2
     )
@@ -208,7 +221,7 @@ def test_bilstm_rejects_wrong_rank():
     rng = np.random.default_rng(1)
     p = init_lstm_params(rng, 2, 2)
     with pytest.raises(ShapeError):
-        nt.bilstm_batched(Tensor(np.ones((2, 2))), p, p)
+        _bilstm(Tensor(np.ones((2, 2))), p, p)
 
 
 # a DPRNN chunk batch: T steps of B sequences, recipe sizes In=64, H=128
@@ -226,8 +239,8 @@ def _recipe_case(seed, dtype=np.float32):
 def test_lstm_sequence_float32_matches_float64(reverse):
     _, p, xs = _recipe_case(10)
     p64 = nt.LstmCellParams(*(Tensor(t.data, dtype=np.float64) for _, t in p.tensors()))
-    h32 = _half(nt.bilstm_batched(Tensor(xs), p, p).data, reverse)
-    h64 = _half(nt.bilstm_batched(Tensor(xs, dtype=np.float64), p64, p64).data, reverse)
+    h32 = _half(_bilstm(Tensor(xs), p, p).data, reverse)
+    h64 = _half(_bilstm(Tensor(xs, dtype=np.float64), p64, p64).data, reverse)
     assert h32.dtype == np.float32
     assert np.max(np.abs(h32 - h64)) < 1e-5
 
@@ -244,7 +257,7 @@ def test_lstm_sequence_saturates_gates_exactly(reverse):
     xs[:, :, 0] = 1000.0 * rng.choice([-1.0, 1.0], size=xs.shape[:2])
     xt = Tensor(xs, requires_grad=True)
     with nt.GradTape() as tape:
-        out = nt.bilstm_batched(xt, p, p)
+        out = _bilstm(xt, p, p)
         loss = nt.tsum(out)
     tape.backward(loss)
     hs = _half(out.data, reverse)
@@ -272,7 +285,7 @@ def test_lstm_sequence_leaves_parameters_unchanged(reverse):
     before = [t.data.copy() for _, t in p.tensors()]
     xt = Tensor(xs, requires_grad=True)
     with nt.GradTape() as tape:
-        loss = nt.tsum(nt.bilstm_batched(xt, *((q, p) if reverse else (p, q))))
+        loss = nt.tsum(_bilstm(xt, *((q, p) if reverse else (p, q))))
     tape.backward(loss)
     for (name, t), saved in zip(p.tensors(), before):
         assert t.data.tobytes() == saved.tobytes(), name
@@ -288,28 +301,53 @@ def test_lstm_sequence_without_tape_matches_recorded_output(dtype, reverse, step
     rng = np.random.default_rng(13)
     p = init_lstm_params(rng, in_dim, hid, dtype=dtype)
     xs = Tensor(rng.standard_normal((steps, batch, in_dim)), dtype=dtype, requires_grad=True)
-    plain = _half(nt.bilstm_batched(xs, p, p).data, reverse)
+    plain = _half(_bilstm(xs, p, p).data, reverse)
     with nt.GradTape() as tape:
-        recorded = _half(nt.bilstm_batched(xs, p, p).data, reverse)
+        recorded = _half(_bilstm(xs, p, p).data, reverse)
     assert len(tape) == 1
     assert plain.dtype == recorded.dtype
     np.testing.assert_array_equal(plain, recorded)
 
 
+def _fc(rng, n, hid, dtype=np.float32):
+    """A trainable FC 2H -> N: weight (N, 2H) and bias (N,)."""
+    weight = Tensor(rng.standard_normal((n, 2 * hid)) / np.sqrt(2 * hid), dtype=dtype,
+                    requires_grad=True)
+    return weight, Tensor(rng.standard_normal(n), dtype=dtype, requires_grad=True)
+
+
 def test_bilstm_is_one_tape_node():
+    # both directions and the FC after them
     rng = np.random.default_rng(15)
     fwd, bwd = init_lstm_params(rng, 3, 4), init_lstm_params(rng, 3, 4)
     xs = Tensor(rng.standard_normal((6, 2, 3)), requires_grad=True)
     with nt.GradTape() as tape:
-        nt.bilstm_batched(xs, fwd, bwd)
+        out = nt.bilstm_batched(xs, fwd, bwd, *_fc(rng, 3, 4))
+    assert out.shape == (6, 2, 3)
     assert [node.name for node in tape._nodes] == ["bilstm"]
 
 
 def test_bilstm_rejects_mismatched_hidden_sizes():
     rng = np.random.default_rng(16)
     with pytest.raises(ShapeError):
-        nt.bilstm_batched(Tensor(np.ones((2, 2, 3))), init_lstm_params(rng, 3, 4),
-                          init_lstm_params(rng, 3, 5))
+        _bilstm(Tensor(np.ones((2, 2, 3))), init_lstm_params(rng, 3, 4),
+                init_lstm_params(rng, 3, 5))
+
+
+def test_bilstm_rejects_mismatched_fc():
+    # the weight must read 2H features, and the bias match its N rows
+    rng = np.random.default_rng(16)
+    p = init_lstm_params(rng, 3, 4)
+    xs = Tensor(np.ones((2, 2, 3)))
+    weight, bias = _fc(rng, 5, 4)
+    for w, b in (
+        (Tensor(np.ones((5, 6))), bias),
+        (Tensor(np.ones(8)), bias),
+        (weight, Tensor(np.ones(4))),
+        (weight, Tensor(np.ones((5, 1)))),
+    ):
+        with pytest.raises(ShapeError):
+            nt.bilstm_batched(xs, p, p, w, b)
 
 
 def test_bilstm_without_tape_holds_little_beyond_its_output():
@@ -321,11 +359,72 @@ def test_bilstm_without_tape_holds_little_beyond_its_output():
     rng = np.random.default_rng(17)
     fwd, bwd = init_lstm_params(rng, in_dim, hid), init_lstm_params(rng, in_dim, hid)
     xs = Tensor(rng.standard_normal((steps, batch, in_dim)))
+    fc = _identity_fc(hid)
     tracemalloc.start()
     try:
-        out = nt.bilstm_batched(xs, fwd, bwd)
+        out = nt.bilstm_batched(xs, fwd, bwd, *fc)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert out.shape == (steps, batch, 2 * hid)
     assert peak < 1.1 * out_bytes
+
+
+def test_bilstm_without_tape_forms_no_hidden_state_array():
+    # with N = 2H/8 the (T, B, N) output is 1 MiB, and each step projects its
+    # h straight into it, so nothing near one (T, B, 2H) array of hidden
+    # states (8 MiB) is ever allocated
+    steps, batch, hid, n = 256, 64, 64, 16
+    hs_bytes = steps * batch * 2 * hid * 4
+    rng = np.random.default_rng(18)
+    fwd, bwd = init_lstm_params(rng, n, hid), init_lstm_params(rng, n, hid)
+    xs = Tensor(rng.standard_normal((steps, batch, n)))
+    fc = _fc(rng, n, hid)
+    tracemalloc.start()
+    try:
+        out = nt.bilstm_batched(xs, fwd, bwd, *fc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (steps, batch, n)
+    assert peak < hs_bytes / 2
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bilstm_fc_without_tape_matches_recorded_output(dtype):
+    # a general FC: the untaped op runs the same per-step arithmetic as the
+    # taped one, which also writes the hidden-state history
+    rng = np.random.default_rng(19)
+    fwd, bwd = (init_lstm_params(rng, 5, 32, dtype=dtype) for _ in range(2))
+    fc = _fc(rng, 7, 32, dtype=dtype)
+    xs = Tensor(rng.standard_normal((37, 2, 5)), dtype=dtype)
+    plain = nt.bilstm_batched(xs, fwd, bwd, *fc).data
+    with nt.GradTape() as tape:
+        recorded = nt.bilstm_batched(xs, fwd, bwd, *fc).data
+    assert len(tape) == 1
+    assert plain.dtype == recorded.dtype == dtype
+    np.testing.assert_array_equal(plain, recorded)
+
+
+def test_bilstm_fc_matches_affine_over_hidden_states():
+    # values and every gradient agree with the identity-FC op followed by
+    # `affine`, the FC as a separate op
+    rng = np.random.default_rng(20)
+    fwd, bwd = (init_lstm_params(rng, 4, 6, dtype=np.float64) for _ in range(2))
+    weight, bias = _fc(rng, 4, 6, dtype=np.float64)
+    xs = Tensor(rng.standard_normal((9, 3, 4)), dtype=np.float64, requires_grad=True)
+    leaves = [xs, weight, bias] + [t for p in (fwd, bwd) for _, t in p.tensors()]
+    results = []
+    for fused in (True, False):
+        with nt.GradTape() as tape:
+            if fused:
+                out = nt.bilstm_batched(xs, fwd, bwd, weight, bias)
+            else:
+                out = nt.affine(_bilstm(xs, fwd, bwd), weight, bias)
+            loss = nt.tsum(nt.tanh(out))
+        tape.backward(loss)
+        results.append([out.data] + [t.grad for t in leaves])
+        for t in leaves:
+            t.zero_grad()
+    for fused, separate in zip(*results):
+        np.testing.assert_allclose(fused, separate, rtol=0, atol=1e-13 * np.abs(separate).max())

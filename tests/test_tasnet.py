@@ -5,7 +5,7 @@ import pytest
 
 from dpsep import dualpath as dp
 from dpsep import numerics as nt
-from dpsep import tasnet
+from dpsep import encoder_hop, tasnet
 from dpsep.numerics import GradTape, ShapeError, Tensor
 
 
@@ -27,6 +27,12 @@ def test_encode_single_frame():
 def test_encode_frame_count_at_sample_level():
     # 4 s at 8 kHz, 2-sample window: the representation exceeds 30000 frames
     assert tasnet.frame_count(32000, 2, 1) == 31999
+
+
+def test_encoder_hop_is_half_the_window_and_the_model_stride():
+    assert [encoder_hop(w) for w in (1, 2, 3, 8, 16)] == [1, 1, 1, 4, 8]
+    for window in (1, 2, 4, 8):
+        assert tiny_model(window=window).stride == encoder_hop(window)
 
 
 def test_encode_relu_kills_negative_kernels():
