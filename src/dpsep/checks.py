@@ -46,17 +46,18 @@ def _case_transposed_conv1d(rng):
     return finite_diff_check(f, [frames, k])
 
 
-def _case_bilstm_batched(rng, steps):
-    # the FC maps 2H=8 to N=3 features, as in a sub-pass whose N is the input's
+def _case_bilstm_batched(rng, steps, axis):
+    # the FC maps 2H=8 to N=3 features, as in a sub-pass whose N is the input's;
+    # two sequences of `steps` steps along `axis`
     fwd = nt.init_lstm_params(rng, 3, 4, dtype=F64)
     bwd = nt.init_lstm_params(rng, 3, 4, dtype=F64)
-    xs = _t(rng, (steps, 2, 3))
+    xs = _t(rng, (steps, 2, 3) if axis == 0 else (2, steps, 3))
     weight, bias = _t(rng, (3, 8), scale=0.5), _t(rng, (3,))
     tensors = [xs] + [t for _, t in fwd.tensors()] + [t for _, t in bwd.tensors()]
     tensors += [weight, bias]
 
     def f(xv, *_):
-        return nt.tsum(nt.tanh(nt.bilstm_batched(xv, fwd, bwd, weight, bias)))
+        return nt.tsum(nt.tanh(nt.bilstm_batched(xv, fwd, bwd, weight, bias, axis)))
 
     return finite_diff_check(f, tensors)
 
@@ -159,8 +160,9 @@ GRADCHECK_CASES = (
     ("conv1d", _case_conv1d),
     ("transposed_conv1d", _case_transposed_conv1d),
     # one BLSTM runs both directions; T=1 reads only the zero initial states
-    ("bilstm_batched_t1", lambda rng: _case_bilstm_batched(rng, steps=1)),
-    ("bilstm_batched_t5", lambda rng: _case_bilstm_batched(rng, steps=5)),
+    ("bilstm_batched_t1", lambda rng: _case_bilstm_batched(rng, steps=1, axis=0)),
+    ("bilstm_batched_t5", lambda rng: _case_bilstm_batched(rng, steps=5, axis=0)),
+    ("bilstm_batched_t5_axis1", lambda rng: _case_bilstm_batched(rng, steps=5, axis=1)),
     ("global_layer_norm", _case_global_layer_norm),
     ("segment_overlap_add", _case_segment_overlap),
     ("intra_chunk_pass", lambda rng: _intra_inter_case(rng, dp.intra_chunk_pass)),

@@ -17,6 +17,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from . import MAX_CHUNK_LEN, encoder_hop
+from .config import TrainConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -30,8 +31,10 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class RunConfig:
-    """All run settings; defaults follow the published recipe where stated."""
+class RunConfig(TrainConfig):
+    """All run settings: the training ones, with their defaults and rules,
+    and the model's, the data's and the run's. Defaults follow the published
+    recipe where stated."""
 
     # model
     num_filters: int = 64
@@ -40,25 +43,12 @@ class RunConfig:
     num_blocks: int = 6
     hidden: int = 128
     chunk_len: int = 0  # 0 = derive from the sqrt(2L) rule
-    # training
-    epochs: int = 100
-    segment_seconds: float = 4.0
-    lr_init: float = 1e-3
-    lr_decay: float = 0.98
-    lr_decay_every: int = 2
-    clip_norm: float = 5.0
-    patience: int = 10
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    batch_size: int = 2
-    seed: int = 0
     # data / run
+    segment_seconds: float = 4.0
     sample_rate: int = 8000
     manifest: str = ""
     run_dir: str = "runs/default"
     threads: int = 1
-    nan_checks: bool = True
 
 
 def _parse_value(name, kind, text, context):
@@ -101,33 +91,27 @@ def parse_config(path):
         if key in values:
             raise ConfigError(f"{context}: duplicate config key {key!r}")
         values[key] = _parse_value(key, types[key], text, context)
-    config = RunConfig(**values)
+    try:
+        config = RunConfig(**values)
+    except ValueError as err:  # a training setting's rule
+        raise ConfigError(f"{path}: {err}") from None
     problem = _config_problem(config)
     if problem:
         raise ConfigError(f"{path}: {problem}")
     return config
 
 
-_AT_LEAST_ONE = (
-    "num_filters", "window", "num_blocks", "hidden", "epochs", "lr_decay_every",
-    "patience", "batch_size", "sample_rate", "threads",
-)
-_POSITIVE = ("segment_seconds", "lr_init", "lr_decay", "clip_norm", "adam_eps")
+_AT_LEAST_ONE = ("num_filters", "window", "num_blocks", "hidden", "sample_rate", "threads")
 
 
 def _config_problem(config):
-    """Why `config` cannot run, or None."""
-    for f in fields(RunConfig):
-        value = getattr(config, f.name)
-        if f.name in _AT_LEAST_ONE and value < 1:
-            return f"{f.name} must be >= 1, got {value}"
-        if isinstance(value, float) and not math.isfinite(value):
-            return f"{f.name} must be finite, got {value}"
-        if f.name in _POSITIVE and value <= 0:
-            return f"{f.name} must be positive, got {value}"
-    for name in ("beta1", "beta2"):
-        if not 0 < getattr(config, name) < 1:
-            return f"{name} must lie in (0, 1), got {getattr(config, name)}"
+    """Why `config` cannot run, or None. `TrainConfig` checks the training
+    settings."""
+    for name in _AT_LEAST_ONE:
+        if getattr(config, name) < 1:
+            return f"{name} must be >= 1, got {getattr(config, name)}"
+    if not (math.isfinite(config.segment_seconds) and config.segment_seconds > 0):
+        return f"segment_seconds must be finite and positive, got {config.segment_seconds}"
     if config.num_sources != 2:
         return f"num_sources must be 2, as a manifest record holds two, got {config.num_sources}"
     if config.chunk_len < 0 or config.chunk_len % 2 or config.chunk_len > MAX_CHUNK_LEN:
@@ -135,8 +119,6 @@ def _config_problem(config):
             f"chunk_len must be 0 (derived) or positive, even and at most "
             f"{MAX_CHUNK_LEN}, got {config.chunk_len}"
         )
-    if config.seed < 0:
-        return f"seed must be >= 0, got {config.seed}"
     samples = config.segment_seconds * config.sample_rate
     if not math.isfinite(samples):
         return f"segment_seconds={config.segment_seconds} overflows at {config.sample_rate} Hz"
@@ -192,7 +174,7 @@ def cmd_train(config_path):
     _keep_freed_memory()
 
     from . import data, tasnet
-    from .training import TrainConfig, TrainingAbort, train_loop
+    from .training import TrainingAbort, train_loop
 
     if not config.manifest:
         print("error: config key 'manifest' is required for training", file=sys.stderr)
@@ -229,10 +211,9 @@ def cmd_train(config_path):
         sample_rate=config.sample_rate,
         seed=config.seed,
     )
-    train_config = TrainConfig(**{f.name: getattr(config, f.name) for f in fields(TrainConfig)})
     run_dir = _resolve_run_dir(config.run_dir)
     try:
-        result = train_loop(model, train_set, valid_set, train_config, run_dir)
+        result = train_loop(model, train_set, valid_set, config, run_dir)
     except TrainingAbort as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .manifest import ManifestError
-from .mixing import mix_at_snr
+from .mixing import MixtureExample, mix_at_snr
 from .synth import synth_source
 from .wavio import WavFormatError, read_wav
 
@@ -31,7 +31,6 @@ def _resolve_source(spec, segment_seconds, sample_rate, context):
 
 
 def _sub_seed(seed, index):
-    # Stable per-record derivation so parallel and serial generation agree.
     return int(np.random.SeedSequence(entropy=seed, spawn_key=(index,)).entropy % (2**31))
 
 
@@ -66,7 +65,7 @@ def make_dataset(records, segment_seconds, sample_rate, seed):
             mixture[:, : stop - start] = full.mixture[:, start:stop]
             sources[:, : stop - start] = full.sources[:, start:stop]
             examples.append(
-                full.__class__(
+                MixtureExample(
                     mixture=mixture,
                     sources=sources,
                     sample_rate=sample_rate,

@@ -7,14 +7,15 @@ ceil(2L/K)+1 chunks, so both recurrent directions see O(sqrt(L)) steps
 instead of O(L).
 
 Chunks are one plain (K, S, N) tensor, features last, from `segment` to
-`overlap_add`. That is the (T, B, N) layout of the BLSTM: the intra pass
-reads it as S sequences of K steps with no copy, and the inter pass
-transposes it to (S, K, N) and back.
+`overlap_add`. The intra and inter passes are one sub-pass run along axis 0
+(S sequences of K steps) and axis 1 (K sequences of S steps) of it: the
+BLSTM op reads and writes the chunk tensor along either axis, so no pass
+copies it into another layout.
 
-A sub-pass is two tape ops, `bilstm` and `global_layer_norm`, plus the
-residual: the FC 2H -> N runs inside the BLSTM op, which projects each
-step's hidden state as it goes, so without a tape the (T, B, 2H) BLSTM
-activations are never formed.
+A sub-pass is three tape ops, `bilstm`, `global_layer_norm` and the residual
+`add`: the FC 2H -> N runs inside the BLSTM op, which projects each step's
+hidden state as it goes, so without a tape the BLSTM's 2H-wide activations
+are never formed.
 """
 
 from __future__ import annotations
@@ -222,25 +223,25 @@ def init_block_params(rng, feature_dim, hidden, dtype=np.float32):
     )
 
 
-def _sub_pass(seq, params):
-    """BLSTM over seq (T, B, N) with its FC back to N features, global LN."""
+def _sub_pass(x, params, axis):
+    """x (K, S, N) plus the global LN of the BLSTM along `axis` of x, with
+    its FC back to N features."""
     proj = nt.bilstm_batched(
-        seq, params.lstm_fwd, params.lstm_bwd, params.fc_weight, params.fc_bias
-    )  # (T, B, N)
-    return global_layer_norm(proj, params.ln_scale, params.ln_bias)
+        x, params.lstm_fwd, params.lstm_bwd, params.fc_weight, params.fc_bias, axis
+    )  # (K, S, N)
+    return nt.add(x, global_layer_norm(proj, params.ln_scale, params.ln_bias))
 
 
 def intra_chunk_pass(x, params):
     """Run each of the S chunks of x (K, S, N) along its K frames, plus the
     residual."""
-    return nt.add(x, _sub_pass(x, params))
+    return _sub_pass(x, params, 0)
 
 
 def inter_chunk_pass(x, params):
     """Run each of the K aligned frame positions of x (K, S, N) along the S
     chunks, plus the residual."""
-    seq = nt.transpose(x, (1, 0, 2))  # (S, K, N)
-    return nt.add(x, nt.transpose(_sub_pass(seq, params), (1, 0, 2)))
+    return _sub_pass(x, params, 1)
 
 
 def dprnn_stack(x, blocks):

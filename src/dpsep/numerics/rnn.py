@@ -3,25 +3,30 @@
 The cell uses the standard four-gate formulation (input, forget, cell, output;
 no peepholes). Its weights are stored packed, as in cuDNN: the rows of each
 tensor hold the gates in the order i, f, g, o. A BLSTM and the FC that
-follows it in a DPRNN sub-pass are one tape op, `bilstm`, from (T, B, In) to
-(T, B, N): each direction runs one matmul per step for its gates and one for
-its share of the FC, and backward runs the FC's backward and then the
-mirrored loop by hand.
+follows it in a DPRNN sub-pass are one tape op, `bilstm`, from (K, S, In) to
+(K, S, N), run along either axis: axis 0 runs the S sequences of K steps,
+axis 1 the K sequences of S steps, and the output keeps the input's layout.
+Each direction runs one matmul per step for its gates and one for its share
+of the FC, and backward runs the FC's backward and then the mirrored loop by
+hand.
 
-The recurrence runs gate-major: the state h, c is (H, B) and each step's
-preactivations are (4H, B) = [wh | wx | b] @ [h_prev; x_t^T; 1], one GEMM
-with a working matrix whose rows are reordered to i, f, o, g. The operand
-[h_prev; x_t^T; 1] is one (H+In+1, B) array: each step copies x_t^T into its
-middle rows and writes the new h straight into its first H rows. Every gate is
-then one contiguous (H, B) block, and so is each cell, output and BPTT operand.
-The stored weights and checkpoints keep the order i, f, g, o; gradients are
-mapped back to it.
+The recurrence works on time-major (T, B, .) views of the input and output:
+the arrays themselves for axis 0, their axis-swapped views for axis 1. It
+runs gate-major: the state h, c is (H, B) and each step's preactivations are
+(4H, B) = [wh | wx | b] @ [h_prev; x_t^T; 1], one GEMM with a working matrix
+whose rows are reordered to i, f, o, g. The operand [h_prev; x_t^T; 1] is
+one (H+In+1, B) array: each step copies x_t^T, strided or not, into its
+middle rows and writes the new h straight into its first H rows. Every gate
+is then one contiguous (H, B) block, and so is each cell, output and BPTT
+operand. The stored weights and checkpoints keep the order i, f, g, o;
+gradients are mapped back to it.
 
 Each step projects its h through the direction's half of the FC weight,
-h^T @ W_half^T, into the contiguous (B, N) block y[t] of the output. Without
-a recording tape nothing else of h is kept, so no (T, B, 2H) array exists.
-Under a tape, step t's h is also written, transposed, into its direction's
-half of a (T, B, 2H) history that backward reads.
+h^T @ W_half^T, into a contiguous (B, N) scratch, and writes or adds that
+into y[t]. Without a recording tape nothing else of h is kept, so no
+(T, B, 2H) array exists. Under a tape, step t's h is also written,
+transposed, into its direction's half of a time-major (T, B, 2H) history
+that backward reads.
 
 The sigmoid gates use the tanh form sigma(x) = 1/2 + tanh(x/2)/2. The x/2 is
 folded into the working matrix, whose i, f and o rows are halved (exact in
@@ -114,23 +119,26 @@ def _halved(a):
 
 def _check_input(xs, params):
     if xs.data.ndim != 3 or xs.shape[2] != params.input_size:
-        raise ShapeError(f"bilstm_batched: expected (T, B, {params.input_size}), got {xs.shape}")
+        raise ShapeError(f"bilstm_batched: expected (K, S, {params.input_size}), got {xs.shape}")
 
 
 def _run(x, params, proj, y, hist, reverse):
-    """Forward recurrence of one direction over x (T, B, In) from zero states,
-    projected into y (T, B, N).
+    """Forward recurrence of one direction over the time-major view x
+    (T, B, In) from zero states, projected into the time-major view y
+    (T, B, N).
 
     Each step's preactivations z (4H, B) are one matmul of the working matrix
     [wh | wx | b] (4H, H+In+1) with u = [h; x_t^T; 1], and the recurrence
     turns z into the gate activations in place. The new h (H, B) then goes
-    through proj (H, N), the direction's half of the FC transposed: h^T @
-    proj is written into y[t], or added to it for the reverse direction,
-    which runs second. With a (T, B, H) history view `hist`, h is also
-    written into hist[t], z is gates[t] of a (T, 4H, B) array and the cell
-    states are (T+1, H, B), the zero state at the end where the recurrence
-    starts; gates and cell states are returned for `_bptt`. Otherwise z and
-    c are single arrays reused at every step, and None is returned.
+    through proj (H, N), the direction's half of the FC transposed, into a
+    (B, N) scratch, since np.dot's `out` must be C-contiguous and y[t] need
+    not be; the scratch is written into y[t], or added to it for the reverse
+    direction, which runs second. With a (T, B, H) history view `hist`, h is
+    also written into hist[t], z is gates[t] of a (T, 4H, B) array and the
+    cell states are (T+1, H, B), the zero state at the end where the
+    recurrence starts; gates and cell states are returned for `_bptt`.
+    Otherwise z and c are single arrays reused at every step, and None is
+    returned.
     """
     steps, batch, in_dim = x.shape
     hid = params.hidden_size
@@ -142,8 +150,7 @@ def _run(x, params, proj, y, hist, reverse):
     ht = h.T
     u[-1] = 1.0
     tmp = np.empty((hid, batch), dtype=dtype)
-    if reverse:
-        yt = np.empty(y.shape[1:], dtype=dtype)
+    yt = np.empty(y.shape[1:], dtype=dtype)
     if keep:
         gates = np.empty((steps, 4 * hid, batch), dtype=dtype)
         cs = np.zeros((steps + 1, hid, batch), dtype=dtype)
@@ -172,11 +179,11 @@ def _run(x, params, proj, y, hist, reverse):
         if keep:
             hist[t] = ht
         # np.dot, not np.matmul: about 1 us less per call on small operands
+        np.dot(ht, proj, out=yt)
         if reverse:
-            np.dot(ht, proj, out=yt)
             y[t] += yt
         else:
-            np.dot(ht, proj, out=y[t])
+            y[t] = yt
     return (gates, cs) if keep else None
 
 
@@ -232,14 +239,15 @@ def _bptt(g, params, saved, reverse):
     return _gate_major(dz.transpose(1, 0, 2), out=spent).reshape(4 * hid, -1)
 
 
-def _grads(dz, xs, params, hist, reverse):
-    """Gradients (xs, wx, wh, b) of one direction from its preactivation
-    gradients dz (4H, T*B) and its history hist (T, B, H), which holds every
-    step's h_prev."""
-    _, batch, in_dim = xs.shape
+def _grads(dz, x, need_x, params, hist, reverse):
+    """Gradients (x, wx, wh, b) of one direction from its preactivation
+    gradients dz (4H, T*B), its contiguous time-major input x (T, B, In) and
+    its history hist (T, B, H), which holds every step's h_prev. The input
+    gradient is time-major too, and None unless `need_x`."""
+    _, batch, in_dim = x.shape
     hid = params.hidden_size
-    dx = (dz.T @ params.wx.data).reshape(xs.shape) if _needs(xs) else None
-    dwx = dz @ xs.data.reshape(-1, in_dim) if _needs(params.wx) else None
+    dx = (dz.T @ params.wx.data).reshape(x.shape) if need_x else None
+    dwx = dz @ x.reshape(-1, in_dim) if _needs(params.wx) else None
     dwh = None
     if _needs(params.wh):
         # step t reads h_prev = hist[t -+ 1]; the first step's zero state adds nothing
@@ -251,16 +259,22 @@ def _grads(dz, xs, params, hist, reverse):
     return dx, dwx, dwh, db
 
 
-def bilstm_batched(xs, fwd, bwd, weight, bias):
-    """Bidirectional pass over xs (T, B, In) and the FC after it -> (T, B, N):
-    [h_fwd, h_bwd] @ weight^T + bias, with weight (N, 2H) and bias (N,).
+def bilstm_batched(xs, fwd, bwd, weight, bias, axis):
+    """Bidirectional pass along `axis` of xs (K, S, In) and the FC after it
+    -> (K, S, N): [h_fwd, h_bwd] @ weight^T + bias, with weight (N, 2H) and
+    bias (N,). Axis 0 runs the S sequences of K steps, axis 1 the K
+    sequences of S steps.
 
-    One tape op, `bilstm`. Both directions run `_run`: the forward one writes
-    its projection into the output, the backward one adds its own, and the
-    bias is added once. Under a recording tape the op also keeps the (T, B,
-    2H) history of h; backward runs the FC's backward over it, then each
-    direction's BPTT, and sums their input gradients.
+    One tape op, `bilstm`. Both directions run `_run` on time-major views:
+    the forward one writes its projection into the output, the backward one
+    adds its own, and the bias is added once. Under a recording tape the op
+    also keeps the time-major (T, B, 2H) history of h; backward makes
+    time-major copies of the output gradient and the input (none for axis
+    0), runs the FC's backward over the history, then each direction's BPTT,
+    and sums their input gradients.
     """
+    if axis not in (0, 1):
+        raise ShapeError(f"bilstm_batched: axis must be 0 or 1, got {axis!r}")
     _check_input(xs, fwd)
     _check_input(xs, bwd)
     hid = fwd.hidden_size
@@ -272,8 +286,9 @@ def bilstm_batched(xs, fwd, bwd, weight, bias):
             f"(N, {2 * hid}) / (N,)"
         )
     inputs = (xs, fwd.wx, fwd.wh, fwd.b, bwd.wx, bwd.wh, bwd.b, weight, bias)
-    steps, batch, _ = xs.shape
-    dtype = xs.data.dtype
+    x = xs.data.swapaxes(0, axis)  # time-major (T, B, In)
+    steps, batch, _ = x.shape
+    dtype = x.dtype
     hist = None
     if recording_tape(inputs) is not None:
         hist = np.empty((steps, batch, 2 * hid), dtype=dtype)
@@ -281,24 +296,28 @@ def bilstm_batched(xs, fwd, bwd, weight, bias):
     saved = []
 
     def forward_fn():
-        y = np.empty((steps, batch, weight.shape[0]), dtype=dtype)
+        y = np.empty(xs.shape[:2] + weight.shape[:1], dtype=dtype)
         for p, half, rev in sides:
             proj = np.ascontiguousarray(weight.data[:, half].T, dtype=dtype)
-            saved.append(_run(xs.data, p, proj, y, None if hist is None else hist[..., half], rev))
+            kept = None if hist is None else hist[..., half]
+            saved.append(_run(x, p, proj, y.swapaxes(0, axis), kept, rev))
         y += bias.data
         return y
 
     def backward_fn(g):
-        g2 = g.reshape(-1, g.shape[-1])
+        g2 = np.ascontiguousarray(g.swapaxes(0, axis)).reshape(-1, g.shape[-1])
         gw = g2.T @ hist.reshape(-1, 2 * hid) if _needs(weight) else None
         gb = g2.sum(axis=0) if _needs(bias) else None
         ghs = (g2 @ weight.data).reshape(hist.shape)
+        xc = np.ascontiguousarray(x)
         dx, grads = None, []
         for (p, half, rev), kept in zip(sides, saved):
             dz = _bptt(ghs[..., half], p, kept, rev)
-            gx, *gp = _grads(dz, xs, p, hist[..., half], rev)
+            gx, *gp = _grads(dz, xc, _needs(xs), p, hist[..., half], rev)
             dx = gx if dx is None else np.add(dx, gx, out=dx)
             grads += gp
+        if dx is not None:
+            dx = np.ascontiguousarray(dx.swapaxes(0, axis))
         return (dx, *grads, gw, gb)
 
     return apply_op("bilstm", inputs, forward_fn, backward_fn)

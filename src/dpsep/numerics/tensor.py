@@ -82,12 +82,12 @@ def _wrap(arr):
 
 
 class _TapeNode:
-    __slots__ = ("name", "inputs", "outputs", "backward_fn")
+    __slots__ = ("name", "inputs", "output", "backward_fn")
 
-    def __init__(self, name, inputs, outputs, backward_fn):
+    def __init__(self, name, inputs, output, backward_fn):
         self.name = name
         self.inputs = inputs
-        self.outputs = outputs
+        self.output = output
         self.backward_fn = backward_fn
 
 
@@ -145,14 +145,10 @@ class GradTape:
         nodes, self._nodes = self._nodes, []
         while nodes:
             node = nodes.pop()
-            entries = [pending.pop(id(o), None) for o in node.outputs]
-            if all(e is None for e in entries):
+            entry = pending.pop(id(node.output), None)
+            if entry is None:
                 continue
-            out_grads = [
-                e[1] if e is not None else np.zeros_like(o.data)
-                for e, o in zip(entries, node.outputs)
-            ]
-            in_grads = node.backward_fn(*out_grads)
+            in_grads = node.backward_fn(entry[1])
             for t, g in zip(node.inputs, in_grads):
                 if g is None:
                     continue
@@ -173,34 +169,28 @@ class GradTape:
 def apply_op(name, inputs, forward_fn, backward_fn):
     """Run a differentiable operation and record it on the active tape.
 
-    `forward_fn()` returns one ndarray or a tuple of ndarrays. `backward_fn`
-    receives one gradient array per output (zeros for unused outputs) and
-    returns one gradient array (or None) per input, each a fresh array.
-    Recording happens only when a tape is active and some input needs grads.
+    `forward_fn()` returns the output ndarray. `backward_fn` receives its
+    gradient and returns one gradient array (or None) per input, each a fresh
+    array. Recording happens only when a tape is active and some input needs
+    grads.
     """
     if _nan_checks:
         # surveillance replaces numpy's overflow warnings with a named abort
         with np.errstate(over="ignore", invalid="ignore"):
             out_data = forward_fn()
+        if not np.all(np.isfinite(out_data)):
+            raise NumericsError(f"non-finite values produced by op '{name}'")
     else:
         out_data = forward_fn()
-    single = not isinstance(out_data, tuple)
-    if single:
-        out_data = (out_data,)
-    if _nan_checks:
-        for arr in out_data:
-            if not np.all(np.isfinite(arr)):
-                raise NumericsError(f"non-finite values produced by op '{name}'")
-    outputs = tuple(_wrap(arr) for arr in out_data)
+    out = _wrap(out_data)
 
     tape = recording_tape(inputs)
     if tape is not None:
-        for o in outputs:
-            o.requires_grad = True
-            o._is_leaf = False
-            o._tape = tape
-        tape._record(_TapeNode(name, tuple(inputs), outputs, backward_fn))
-    return outputs[0] if single else outputs
+        out.requires_grad = True
+        out._is_leaf = False
+        out._tape = tape
+        tape._record(_TapeNode(name, tuple(inputs), out, backward_fn))
+    return out
 
 
 def _as_tensor(x, like):
@@ -398,18 +388,6 @@ def reshape(x, shape):
         return (g.reshape(x.shape),)
 
     return apply_op("reshape", (x,), lambda: x.data.reshape(shape).copy(), backward_fn)
-
-
-def transpose(x, axes):
-    axes = tuple(axes)
-    inv = tuple(int(i) for i in np.argsort(axes))
-
-    def backward_fn(g):
-        return (np.ascontiguousarray(g.transpose(inv)),)
-
-    return apply_op(
-        "transpose", (x,), lambda: np.ascontiguousarray(x.data.transpose(axes)), backward_fn
-    )
 
 
 def slice_axis(x, axis, start, stop):

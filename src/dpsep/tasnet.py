@@ -192,7 +192,7 @@ def separate(mixture, model):
     return est if rms is None else nt.mul(est, rms)
 
 
-def save_model(model, path, extra_meta=None):
+def save_model(model, path):
     meta = {
         "format": "dpsep-separator",
         "num_filters": model.num_filters,
@@ -205,7 +205,6 @@ def save_model(model, path, extra_meta=None):
         "sample_rate": model.sample_rate,
         "dtype": model.encoder_kernels.data.dtype.name,
     }
-    meta.update(extra_meta or {})
     nt.save_arrays(path, ((name, t.data) for name, t in model.parameters()), meta=meta)
 
 

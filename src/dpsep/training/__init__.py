@@ -1,4 +1,5 @@
-"""SI-SNR/uPIT objectives, Adam with clipping, LR schedule, and the epoch loop."""
+"""SI-SNR/uPIT objectives, Adam with clipping, LR schedule, and the epoch loop.
+`TrainConfig` lives in the numpy-free `dpsep.config` and is re-exported here."""
 
 from .loop import (
     BEST_FILENAME,
@@ -18,7 +19,8 @@ from .loss import (
     upit_loss,
     upit_si_snri,
 )
-from .optim import Adam, TrainConfig, clip_grad_norm, lr_at
+from ..config import TrainConfig
+from .optim import Adam, clip_grad_norm, lr_at
 
 __all__ = [
     "Adam",

@@ -574,7 +574,8 @@ def test_gradcheck_command_passes(capsys):
 
     assert cli.main(["gradcheck"]) == 0
     out = capsys.readouterr().out
-    for name in ("tiny_separator", "padded_separator", "bilstm_batched_t1", "bilstm_batched_t5"):
+    for name in ("tiny_separator", "padded_separator", "bilstm_batched_t1", "bilstm_batched_t5",
+                 "bilstm_batched_t5_axis1"):
         assert f"{name}: pass" in out
     names = [line.split(":")[0] for line in out.splitlines()]
     assert "lstm_step" not in names and "bilstm" not in names
@@ -625,3 +626,20 @@ def test_second_step_reuses_the_first_steps_memory():
     assert proc.returncode == 0, proc.stderr
     first, second = map(int, proc.stdout.split())
     assert second < 0.1 * first, (first, second)
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # the thread count reaches the BLAS environment only if numpy loads after
+    # the config is read, so the CLI and the training settings it checks
+    # must import without it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+    code = "import sys, dpsep.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,10 +1,11 @@
 """LSTM directions against a scalar gate-equation oracle; bidirectional unrolling.
 
 `bilstm_batched` is the only LSTM op, and it ends in an FC 2H -> N. Most tests
-run it through the identity FC (`_bilstm`), which returns both directions'
-hidden states exactly. A `test_lstm_sequence_*` test checks one direction run
-over a sequence: the forward half of that output or, with `reverse`, its
-backward half.
+run it along axis 0 through the identity FC (`_bilstm`), which returns both
+directions' hidden states exactly. A `test_lstm_sequence_*` test checks one
+direction run over a sequence: the forward half of that output or, with
+`reverse`, its backward half. Axis 1 is checked against axis 0 on the
+transposed input.
 """
 
 import tracemalloc
@@ -70,7 +71,7 @@ def _identity_fc(hid, dtype=np.float32):
 
 def _bilstm(xs, fwd, bwd):
     """`bilstm_batched` through the identity FC -> (T, B, 2H) hidden states."""
-    return nt.bilstm_batched(xs, fwd, bwd, *_identity_fc(fwd.hidden_size, xs.data.dtype))
+    return nt.bilstm_batched(xs, fwd, bwd, *_identity_fc(fwd.hidden_size, xs.data.dtype), 0)
 
 
 def _half(out, reverse):
@@ -322,7 +323,7 @@ def test_bilstm_is_one_tape_node():
     fwd, bwd = init_lstm_params(rng, 3, 4), init_lstm_params(rng, 3, 4)
     xs = Tensor(rng.standard_normal((6, 2, 3)), requires_grad=True)
     with nt.GradTape() as tape:
-        out = nt.bilstm_batched(xs, fwd, bwd, *_fc(rng, 3, 4))
+        out = nt.bilstm_batched(xs, fwd, bwd, *_fc(rng, 3, 4), 0)
     assert out.shape == (6, 2, 3)
     assert [node.name for node in tape._nodes] == ["bilstm"]
 
@@ -347,7 +348,7 @@ def test_bilstm_rejects_mismatched_fc():
         (weight, Tensor(np.ones((5, 1)))),
     ):
         with pytest.raises(ShapeError):
-            nt.bilstm_batched(xs, p, p, w, b)
+            nt.bilstm_batched(xs, p, p, w, b, 0)
 
 
 def test_bilstm_without_tape_holds_little_beyond_its_output():
@@ -362,7 +363,7 @@ def test_bilstm_without_tape_holds_little_beyond_its_output():
     fc = _identity_fc(hid)
     tracemalloc.start()
     try:
-        out = nt.bilstm_batched(xs, fwd, bwd, *fc)
+        out = nt.bilstm_batched(xs, fwd, bwd, *fc, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -382,7 +383,7 @@ def test_bilstm_without_tape_forms_no_hidden_state_array():
     fc = _fc(rng, n, hid)
     tracemalloc.start()
     try:
-        out = nt.bilstm_batched(xs, fwd, bwd, *fc)
+        out = nt.bilstm_batched(xs, fwd, bwd, *fc, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -398,9 +399,9 @@ def test_bilstm_fc_without_tape_matches_recorded_output(dtype):
     fwd, bwd = (init_lstm_params(rng, 5, 32, dtype=dtype) for _ in range(2))
     fc = _fc(rng, 7, 32, dtype=dtype)
     xs = Tensor(rng.standard_normal((37, 2, 5)), dtype=dtype)
-    plain = nt.bilstm_batched(xs, fwd, bwd, *fc).data
+    plain = nt.bilstm_batched(xs, fwd, bwd, *fc, 0).data
     with nt.GradTape() as tape:
-        recorded = nt.bilstm_batched(xs, fwd, bwd, *fc).data
+        recorded = nt.bilstm_batched(xs, fwd, bwd, *fc, 0).data
     assert len(tape) == 1
     assert plain.dtype == recorded.dtype == dtype
     np.testing.assert_array_equal(plain, recorded)
@@ -418,7 +419,7 @@ def test_bilstm_fc_matches_affine_over_hidden_states():
     for fused in (True, False):
         with nt.GradTape() as tape:
             if fused:
-                out = nt.bilstm_batched(xs, fwd, bwd, weight, bias)
+                out = nt.bilstm_batched(xs, fwd, bwd, weight, bias, 0)
             else:
                 out = nt.affine(_bilstm(xs, fwd, bwd), weight, bias)
             loss = nt.tsum(nt.tanh(out))
@@ -428,3 +429,41 @@ def test_bilstm_fc_matches_affine_over_hidden_states():
             t.zero_grad()
     for fused, separate in zip(*results):
         np.testing.assert_allclose(fused, separate, rtol=0, atol=1e-13 * np.abs(separate).max())
+
+
+def test_bilstm_axis1_is_axis0_on_the_transposed_input():
+    # along axis 1 the op runs the K sequences of S steps in place; axis 0 on
+    # the contiguous transpose runs the same arithmetic, so the output agrees
+    # bit for bit and the gradients up to the order of backward's reductions
+    rng = np.random.default_rng(21)
+    fwd, bwd = (init_lstm_params(rng, 4, 5, dtype=np.float64) for _ in range(2))
+    weight, bias = _fc(rng, 4, 5, dtype=np.float64)
+    x = rng.standard_normal((6, 3, 4))
+    params = [t for p in (fwd, bwd) for _, t in p.tensors()] + [weight, bias]
+    results = []
+    for axis, data in ((1, x), (0, x.transpose(1, 0, 2).copy())):
+        xs = Tensor(data, dtype=np.float64, requires_grad=True)
+        plain = nt.bilstm_batched(xs, fwd, bwd, weight, bias, axis).data
+        with nt.GradTape() as tape:
+            out = nt.bilstm_batched(xs, fwd, bwd, weight, bias, axis)
+            loss = nt.tsum(nt.tanh(out))
+        tape.backward(loss)
+        np.testing.assert_array_equal(plain, out.data)
+        swap = (lambda a: a) if axis == 1 else (lambda a: a.transpose(1, 0, 2))
+        results.append([swap(out.data), swap(xs.grad)] + [t.grad for t in params])
+        for t in params:
+            t.zero_grad()
+    along, swapped = results
+    assert along[0].shape == (6, 3, 4)
+    np.testing.assert_array_equal(along[0], swapped[0])
+    assert len(along) == 1 + 9
+    for got, want in zip(along[1:], swapped[1:]):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+def test_bilstm_rejects_an_axis_other_than_0_or_1():
+    p = _zero_params(3, 4)
+    for axis in (2, -1):
+        with pytest.raises(ShapeError):
+            nt.bilstm_batched(Tensor(np.zeros((5, 2, 3))), p, p,
+                              *_identity_fc(4), axis)

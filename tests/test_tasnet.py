@@ -66,16 +66,16 @@ def test_estimate_masks_matches_straight_line_oracle():
 
 
 def test_estimate_masks_records_no_transpose():
-    # chunks stay (K, S, N) through the head: the only transposes are the
-    # inter pass's two per block
+    # chunks stay (K, S, N) through the head and through both passes of
+    # every block
     model = tiny_model(num_blocks=2)
     rep = Tensor(np.abs(np.random.default_rng(2).standard_normal((4, 20))).astype(np.float32),
                  requires_grad=True)
     with GradTape() as tape:
         tasnet.estimate_masks(rep, model)
     names = [node.name for node in tape._nodes]
-    assert names.count("transpose") == 2 * 2
-    assert names[-4:] == ["affine", "overlap_add", "relu", "reshape"]
+    sub_pass = ["bilstm", "global_layer_norm", "add"]
+    assert names == ["segment"] + sub_pass * 2 * 2 + ["affine", "overlap_add", "relu", "reshape"]
 
 
 def test_apply_masks_identity_and_zero():
