@@ -185,13 +185,11 @@ def cmd_train(config_path):
             data.split_records(records, "train"),
             config.segment_seconds,
             config.sample_rate,
-            config.seed,
         )
         valid_set = data.make_dataset(
             data.split_records(records, "valid"),
             config.segment_seconds,
             config.sample_rate,
-            config.seed,
         )
     except (data.ManifestError, data.MixingError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -278,9 +276,7 @@ def cmd_evaluate(ckpt_path, manifest_path):
     try:
         model, _ = tasnet.load_model(ckpt_path)
         records = data.split_records(data.parse_manifest(manifest_path), "test")
-        examples = data.make_dataset(
-            records, EVAL_SEGMENT_SECONDS, model.sample_rate, seed=0
-        )
+        examples = data.make_dataset(records, EVAL_SEGMENT_SECONDS, model.sample_rate)
     except (OSError, CheckpointError, data.ManifestError, data.MixingError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG

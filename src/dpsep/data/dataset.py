@@ -30,11 +30,7 @@ def _resolve_source(spec, segment_seconds, sample_rate, context):
     return samples
 
 
-def _sub_seed(seed, index):
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=(index,)).entropy % (2**31))
-
-
-def make_dataset(records, segment_seconds, sample_rate, seed):
+def make_dataset(records, segment_seconds, sample_rate):
     """Turn manifest records into fixed-length MixtureExamples, deterministically.
 
     Drops each segment in which a source is constant over its `valid_len`
@@ -44,18 +40,12 @@ def make_dataset(records, segment_seconds, sample_rate, seed):
     if seg_len < 1:
         raise ValueError(f"segment of {segment_seconds}s at {sample_rate}Hz is empty")
     examples = []
-    for index, rec in enumerate(records):
+    for rec in records:
         context = f"manifest line {rec.line_no}"
         s1 = _resolve_source(rec.spec1, segment_seconds, sample_rate, context)
         s2 = _resolve_source(rec.spec2, segment_seconds, sample_rate, context)
         length = min(s1.shape[1], s2.shape[1])
-        full = mix_at_snr(
-            s1[:, :length],
-            s2[:, :length],
-            rec.snr_db,
-            sample_rate=sample_rate,
-            seed=_sub_seed(seed, index),
-        )
+        full = mix_at_snr(s1[:, :length], s2[:, :length], rec.snr_db, sample_rate=sample_rate)
         for start in range(0, length, seg_len):
             stop = min(start + seg_len, length)
             if np.any(np.ptp(full.sources[:, start:stop], axis=1) == 0):
@@ -70,7 +60,6 @@ def make_dataset(records, segment_seconds, sample_rate, seed):
                     sources=sources,
                     sample_rate=sample_rate,
                     snr_db=rec.snr_db,
-                    seed=full.seed,
                     valid_len=stop - start,
                 )
             )

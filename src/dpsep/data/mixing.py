@@ -23,7 +23,6 @@ class MixtureExample:
     sources: np.ndarray
     sample_rate: int
     snr_db: float
-    seed: int
     valid_len: int
 
     def __post_init__(self):
@@ -47,7 +46,7 @@ class MixtureExample:
         return self.mixture.shape[1]
 
 
-def mix_at_snr(s1, s2, snr_db, sample_rate=8000, seed=0):
+def mix_at_snr(s1, s2, snr_db, sample_rate=8000):
     """Mix two (1, T) sources at the requested relative SNR in dB.
 
     s2 is rescaled so 10*log10(E1/E2') equals snr_db exactly, then the
@@ -71,6 +70,5 @@ def mix_at_snr(s1, s2, snr_db, sample_rate=8000, seed=0):
         sources=sources,
         sample_rate=sample_rate,
         snr_db=float(snr_db),
-        seed=seed,
         valid_len=s1.shape[1],
     )

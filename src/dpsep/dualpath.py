@@ -14,8 +14,8 @@ copies it into another layout.
 
 A sub-pass is three tape ops, `bilstm`, `global_layer_norm` and the residual
 `add`: the FC 2H -> N runs inside the BLSTM op, which projects each step's
-hidden state as it goes, so without a tape the BLSTM's 2H-wide activations
-are never formed.
+hidden state as it goes, so no forward forms the BLSTM's 2H-wide
+activations, with or without a tape.
 """
 
 from __future__ import annotations
@@ -112,6 +112,8 @@ def global_layer_norm(x, scale, bias, eps=LN_EPS):
 
     One tape op. With xhat = (x - mu)/sqrt(var + eps) and gy = g * scale,
     the input gradient is (gy - mean(gy) - xhat * mean(gy * xhat)) / sqrt(var + eps).
+    The tape keeps only the scalars mu and sqrt(var + eps): backward rebuilds
+    xhat from the input with the forward's own two ops, bit for bit.
     """
     if eps <= 0:
         raise ShapeError(f"global_layer_norm: eps must be positive, got {eps}")
@@ -122,14 +124,15 @@ def global_layer_norm(x, scale, bias, eps=LN_EPS):
         )
     xd, sd, bd = x.data, scale.data, bias.data
     inv_size = xd.dtype.type(1.0 / x.size)
-    xhat = std = None
+    mu = std = None
 
     def forward_fn():
-        nonlocal xhat, std
+        nonlocal mu, std
         # xhat and the output are the only full-size arrays: the square goes
         # through the output buffer and xhat is normalised in place
         out = np.empty_like(xd)
-        xhat = xd - xd.sum() * inv_size
+        mu = xd.sum() * inv_size
+        xhat = xd - mu
         np.multiply(xhat, xhat, out=out)
         std = np.sqrt(out.sum() * inv_size + xd.dtype.type(eps))
         xhat /= std
@@ -138,6 +141,8 @@ def global_layer_norm(x, scale, bias, eps=LN_EPS):
         return out
 
     def backward_fn(g):
+        xhat = xd - mu
+        xhat /= std
         g_scale = (g * xhat).reshape(-1, n).sum(axis=0)
         g_bias = g.reshape(-1, n).sum(axis=0)
         gx = None

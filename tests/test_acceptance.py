@@ -143,7 +143,7 @@ def test_criterion_6_toy_overfit(tmp_path):
     manifest = tmp_path / "toy.tsv"
     manifest.write_text("\n".join(_toy_manifest_lines()) + "\n")
     records = data.parse_manifest(manifest)
-    train_set = data.make_dataset(data.split_records(records, "train"), 0.5, 8000, seed=0)
+    train_set = data.make_dataset(data.split_records(records, "train"), 0.5, 8000)
     assert len(train_set) == 8
     model = tasnet.build_model(
         num_filters=16, window=16, num_sources=2, num_blocks=2, hidden=32,

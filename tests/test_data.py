@@ -190,7 +190,7 @@ class TestManifest:
         path.write_text("train\twav:/nonexistent/x.wav\tsynth:chirp:2\t0.0\n")
         records = parse_manifest(path)
         with pytest.raises(ManifestError) as exc:
-            make_dataset(records, 0.5, 8000, seed=0)
+            make_dataset(records, 0.5, 8000)
         assert "line 1" in str(exc.value)
         assert "/nonexistent/x.wav" in str(exc.value)
 
@@ -204,7 +204,7 @@ class TestMakeDataset:
             write_wav(tmp_path / name, sig, 8000)
         manifest = tmp_path / "m.tsv"
         manifest.write_text(f"train\twav:{tmp_path}/a.wav\twav:{tmp_path}/b.wav\t0.0\n")
-        examples = make_dataset(parse_manifest(manifest), 4.0, 8000, seed=0)
+        examples = make_dataset(parse_manifest(manifest), 4.0, 8000)
         assert len(examples) == 3
         assert all(ex.num_samples == 32000 for ex in examples)
         assert examples[0].valid_len == 32000
@@ -221,21 +221,21 @@ class TestMakeDataset:
         write_wav(tmp_path / "b.wav", b, 8000)
         manifest = tmp_path / "m.tsv"
         manifest.write_text(f"train\twav:{tmp_path}/a.wav\twav:{tmp_path}/b.wav\t0.0\n")
-        examples = make_dataset(parse_manifest(manifest), 0.05, 8000, seed=0)
+        examples = make_dataset(parse_manifest(manifest), 0.05, 8000)
         assert [ex.valid_len for ex in examples] == [400, 400]
         full = mix_at_snr(read_wav(tmp_path / "a.wav")[0], read_wav(tmp_path / "b.wav")[0], 0.0)
         np.testing.assert_array_equal(examples[0].sources, full.sources[:, :400])
         np.testing.assert_array_equal(examples[1].sources, full.sources[:, 800:1200])
 
     def test_empty_manifest_gives_empty_dataset(self):
-        assert make_dataset([], 1.0, 8000, seed=0) == []
+        assert make_dataset([], 1.0, 8000) == []
 
     def test_regeneration_is_deterministic(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_text(MANIFEST_TEXT)
         records = parse_manifest(path)
-        a = make_dataset(records, 0.5, 8000, seed=3)
-        b = make_dataset(records, 0.5, 8000, seed=3)
+        a = make_dataset(records, 0.5, 8000)
+        b = make_dataset(records, 0.5, 8000)
         assert len(a) == len(b) == 3
         for ex_a, ex_b in zip(a, b):
             np.testing.assert_array_equal(ex_a.mixture, ex_b.mixture)
@@ -244,7 +244,7 @@ class TestMakeDataset:
     def test_mixture_snr_contract_end_to_end(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_text(MANIFEST_TEXT)
-        examples = make_dataset(parse_manifest(path), 0.5, 8000, seed=0)
+        examples = make_dataset(parse_manifest(path), 0.5, 8000)
         for ex in examples:
             e1 = float((ex.sources[0].astype(np.float64) ** 2).sum())
             e2 = float((ex.sources[1].astype(np.float64) ** 2).sum())

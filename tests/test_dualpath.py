@@ -149,7 +149,7 @@ class TestGlobalLayerNorm:
         assert [node.name for node in tape._nodes] == ["global_layer_norm"]
 
     def test_forward_without_tape_holds_two_input_sizes(self):
-        # xhat, kept for backward, and the output; no other full-size array
+        # xhat and the output; no other full-size array
         x = Tensor(np.random.default_rng(12).standard_normal((64, 64, 64)))
         scale, bias = Tensor(np.ones(64)), Tensor(np.zeros(64))
         tracemalloc.start()
@@ -160,6 +160,20 @@ class TestGlobalLayerNorm:
             tracemalloc.stop()
         assert out.shape == x.shape
         assert peak < 2.5 * x.data.nbytes
+
+    def test_recorded_op_holds_nothing_input_sized_beyond_its_output(self):
+        # the tape keeps the scalars mu and std; backward rebuilds xhat
+        x = Tensor(np.random.default_rng(13).standard_normal((64, 64, 64)), requires_grad=True)
+        scale, bias = Tensor(np.ones(64)), Tensor(np.zeros(64))
+        tracemalloc.start()
+        try:
+            with GradTape() as tape:
+                out = dp.global_layer_norm(x, scale, bias)
+                held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1 and out.shape == x.shape
+        assert held < 1.1 * x.data.nbytes
 
     def test_normalizes_mean_and_variance(self):
         rng = np.random.default_rng(10)

@@ -391,10 +391,33 @@ def test_bilstm_without_tape_forms_no_hidden_state_array():
     assert peak < hs_bytes / 2
 
 
+def test_recorded_bilstm_keeps_only_gates_and_cells():
+    # under a tape each direction keeps its (T, 4H, B) gates and (T+1, H, B)
+    # cell states; backward rebuilds h from them, so no (T, B, 2H) history
+    # of h (2 MiB here) outlives the forward
+    steps, batch, in_dim, hid, n = 128, 32, 8, 64, 8
+    out_bytes = steps * batch * n * 4
+    kept_bytes = 2 * (steps * 4 * hid * batch + (steps + 1) * hid * batch) * 4
+    hist_bytes = steps * batch * 2 * hid * 4
+    rng = np.random.default_rng(21)
+    fwd, bwd = init_lstm_params(rng, in_dim, hid), init_lstm_params(rng, in_dim, hid)
+    xs = Tensor(rng.standard_normal((steps, batch, in_dim)))
+    fc = _fc(rng, n, hid)
+    tracemalloc.start()
+    try:
+        with nt.GradTape() as tape:
+            out = nt.bilstm_batched(xs, fwd, bwd, *fc, 0)
+            held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 1 and out.shape == (steps, batch, n)
+    assert held < out_bytes + kept_bytes + hist_bytes / 4
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_bilstm_fc_without_tape_matches_recorded_output(dtype):
     # a general FC: the untaped op runs the same per-step arithmetic as the
-    # taped one, which also writes the hidden-state history
+    # taped one, which also keeps its gates and cell states
     rng = np.random.default_rng(19)
     fwd, bwd = (init_lstm_params(rng, 5, 32, dtype=dtype) for _ in range(2))
     fc = _fc(rng, 7, 32, dtype=dtype)

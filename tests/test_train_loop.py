@@ -28,8 +28,8 @@ def toy_sets(tmp_path):
     path = tmp_path / "m.tsv"
     path.write_text(MANIFEST)
     records = data.parse_manifest(path)
-    train = data.make_dataset(data.split_records(records, "train"), 0.1, 8000, seed=0)
-    valid = data.make_dataset(data.split_records(records, "valid"), 0.1, 8000, seed=0)
+    train = data.make_dataset(data.split_records(records, "train"), 0.1, 8000)
+    valid = data.make_dataset(data.split_records(records, "valid"), 0.1, 8000)
     return train, valid
 
 
@@ -135,7 +135,7 @@ def test_undefined_validation_si_snr_aborts(toy_sets, tmp_path):
     sources[1] = 0.0
     silent = data.MixtureExample(
         mixture=sources[:1] + sources[1:], sources=sources, sample_rate=8000,
-        snr_db=good.snr_db, seed=good.seed, valid_len=good.valid_len,
+        snr_db=good.snr_db, valid_len=good.valid_len,
     )
     config = TrainConfig(epochs=1, batch_size=2)
     with pytest.raises(TrainingAbort) as exc:
