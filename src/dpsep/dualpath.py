@@ -27,7 +27,7 @@ import numpy as np
 
 from . import numerics as nt
 from .numerics import LstmCellParams, ShapeError, Tensor
-from .numerics.tensor import _needs, apply_op
+from .numerics.tensor import apply_op
 
 LN_EPS = 1e-8
 
@@ -86,7 +86,7 @@ def segment(w, chunk_len):
     hop, s = chunk_len // 2, chunk_count(length, chunk_len)
 
     def backward_fn(g):
-        return (_fold(g, length) if _needs(w) else None,)
+        return (_fold(g, length),)
 
     return apply_op("segment", (w,), lambda: _chunk(w.data, hop, s), backward_fn)
 
@@ -101,7 +101,7 @@ def overlap_add(x, length):
     hop = chunk_len // 2
 
     def backward_fn(g):
-        return (_chunk(g, hop, s) / 2 if _needs(x) else None,)
+        return (_chunk(g, hop, s) / 2,)
 
     return apply_op("overlap_add", (x,), lambda: _fold(x.data, length) / 2, backward_fn)
 
@@ -123,6 +123,7 @@ def global_layer_norm(x, scale, bias, eps=LN_EPS):
             f"global_layer_norm: scale {scale.shape} / bias {bias.shape} must be ({n},)"
         )
     xd, sd, bd = x.data, scale.data, bias.data
+    need_x = x.requires_grad
     inv_size = xd.dtype.type(1.0 / x.size)
     mu = std = None
 
@@ -146,17 +147,13 @@ def global_layer_norm(x, scale, bias, eps=LN_EPS):
         g_scale = (g * xhat).reshape(-1, n).sum(axis=0)
         g_bias = g.reshape(-1, n).sum(axis=0)
         gx = None
-        if _needs(x):
+        if need_x:
             # mean(gy) = scale . g_bias / size, mean(gy * xhat) = scale . g_scale / size
             gx = g * sd
             gx -= (sd @ g_bias) * inv_size
             gx -= xhat * ((sd @ g_scale) * inv_size)
             gx /= std
-        return (
-            gx,
-            g_scale if _needs(scale) else None,
-            g_bias if _needs(bias) else None,
-        )
+        return gx, g_scale, g_bias
 
     return apply_op("global_layer_norm", (x, scale, bias), forward_fn, backward_fn)
 

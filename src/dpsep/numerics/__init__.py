@@ -22,7 +22,6 @@ from .tensor import (
     slice_axis,
     sqrt,
     sub,
-    tanh,
     tmean,
     tsum,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "slice_axis",
     "sqrt",
     "sub",
-    "tanh",
     "tmean",
     "transposed_conv1d",
     "tsum",

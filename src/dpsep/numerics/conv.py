@@ -7,7 +7,7 @@ to each of C frame sets, scattering weighted kernels back by overlap-add.
 
 import numpy as np
 
-from .tensor import ShapeError, _needs, apply_op
+from .tensor import ShapeError, apply_op
 
 
 def _windows(sig, width, stride, count):
@@ -29,18 +29,19 @@ def conv1d(signal, kernels, stride):
     if t_len < width:
         raise ShapeError(f"conv1d: input too short, T={t_len} < window W={width}")
     frames = (t_len - width) // stride + 1
-    win = _windows(signal.data[0], width, stride, frames)
-    kd = kernels.data
+    sd, kd = signal.data, kernels.data
+    win = _windows(sd[0], width, stride, frames)
+    need_s, need_k = signal.requires_grad, kernels.requires_grad
 
     def backward_fn(g):
-        if _needs(signal):
-            gs = np.zeros_like(signal.data)
+        if need_s:
+            gs = np.zeros_like(sd)
             row = gs[0]
             for w in range(width):
                 row[w : w + frames * stride : stride] += kd[:, w] @ g
         else:
             gs = None
-        gk = g @ win if _needs(kernels) else None
+        gk = g @ win if need_k else None
         return gs, gk
 
     return apply_op("conv1d", (signal, kernels), lambda: kd @ win.T, backward_fn)
@@ -64,6 +65,7 @@ def transposed_conv1d(frames, kernels, stride):
     width = kernels.shape[1]
     t_len = (n_frames - 1) * stride + width
     fd, kd = frames.data, kernels.data
+    need_f, need_k = frames.requires_grad, kernels.requires_grad
 
     def forward_fn():
         out = np.zeros((num_sets, t_len), dtype=fd.dtype)
@@ -73,8 +75,8 @@ def transposed_conv1d(frames, kernels, stride):
 
     def backward_fn(g):
         win = _windows(g, width, stride, n_frames)  # (C, L, W)
-        gf = kd @ win.transpose(0, 2, 1) if _needs(frames) else None
-        gk = (fd @ win).sum(axis=0) if _needs(kernels) else None
+        gf = kd @ win.transpose(0, 2, 1) if need_f else None
+        gk = (fd @ win).sum(axis=0) if need_k else None
         return gf, gk
 
     return apply_op("transposed_conv1d", (frames, kernels), forward_fn, backward_fn)

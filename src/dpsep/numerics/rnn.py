@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _needs, apply_op, recording_tape
+from .tensor import ShapeError, Tensor, apply_op, recording_tape
 
 @dataclass
 class LstmCellParams:
@@ -250,14 +250,14 @@ def _grads(dz, hs, x, need_x, params, reverse):
     The input gradient is time-major too, and None unless `need_x`."""
     batch, in_dim = x.shape[1:]
     dx = (dz.T @ params.wx.data).reshape(x.shape) if need_x else None
-    dwx = dz @ x.reshape(-1, in_dim) if _needs(params.wx) else None
+    dwx = dz @ x.reshape(-1, in_dim) if params.wx.requires_grad else None
     dwh = None
-    if _needs(params.wh):
+    if params.wh.requires_grad:
         # step t reads h_prev = h[t -+ 1]; the first step's zero state adds nothing
         early, late = slice(None, -batch), slice(batch, None)
         cols, prev = (early, late) if reverse else (late, early)
         dwh = dz[:, cols] @ hs[:, prev].T
-    db = dz.sum(axis=1) if _needs(params.b) else None
+    db = dz.sum(axis=1) if params.b.requires_grad else None
     return dx, dwx, dwh, db
 
 
@@ -293,6 +293,8 @@ def bilstm_batched(xs, fwd, bwd, weight, bias, axis):
     x = xs.data.swapaxes(0, axis)  # time-major (T, B, In)
     steps, batch, _ = x.shape
     dtype = x.dtype
+    wd, bd = weight.data, bias.data
+    need_x, need_w, need_b = xs.requires_grad, weight.requires_grad, bias.requires_grad
     keep = recording_tape(inputs) is not None
     sides = ((fwd, slice(0, hid), False), (bwd, slice(hid, 2 * hid), True))
     saved = []
@@ -300,24 +302,24 @@ def bilstm_batched(xs, fwd, bwd, weight, bias, axis):
     def forward_fn():
         y = np.empty(xs.shape[:2] + weight.shape[:1], dtype=dtype)
         for p, half, rev in sides:
-            proj = np.ascontiguousarray(weight.data[:, half].T, dtype=dtype)
+            proj = np.ascontiguousarray(wd[:, half].T, dtype=dtype)
             saved.append(_run(x, p, proj, y.swapaxes(0, axis), keep, rev))
-        y += bias.data
+        y += bd
         return y
 
     def backward_fn(g):
         g2 = np.ascontiguousarray(g.swapaxes(0, axis)).reshape(-1, g.shape[-1])
-        gb = g2.sum(axis=0) if _needs(bias) else None
-        ghs = (g2 @ weight.data).reshape(steps, batch, 2 * hid)
+        gb = g2.sum(axis=0) if need_b else None
+        ghs = (g2 @ wd).reshape(steps, batch, 2 * hid)
         hs = np.empty((2 * hid, steps, batch), dtype=dtype)
         xc = np.ascontiguousarray(x)
         dx, grads = None, []
         for (p, half, rev), kept in zip(sides, saved):
             dz = _bptt(ghs[..., half], p, kept, hs[half], rev)
-            gx, *gp = _grads(dz, hs[half].reshape(hid, -1), xc, _needs(xs), p, rev)
+            gx, *gp = _grads(dz, hs[half].reshape(hid, -1), xc, need_x, p, rev)
             dx = gx if dx is None else np.add(dx, gx, out=dx)
             grads += gp
-        gw = g2.T @ hs.reshape(2 * hid, -1).T if _needs(weight) else None
+        gw = g2.T @ hs.reshape(2 * hid, -1).T if need_w else None
         if dx is not None:
             dx = np.ascontiguousarray(dx.swapaxes(0, axis))
         return (dx, *grads, gw, gb)

@@ -5,6 +5,11 @@ operations defined here plus the custom ops registered through `apply_op`.
 Forward values live in numpy arrays (float32 for training, float64 for
 gradient checking); gradients accumulate into per-leaf buffers when a
 `GradTape` replays its recorded operations in reverse order.
+
+A tape node is (name, refs, backward_fn). Per input, `refs` holds its slot
+(the index of the node that made it) if it was recorded on the same tape, the
+Tensor itself if it is a leaf that needs grads, and None otherwise. So the
+tape holds no recorded tensor: a node keeps only what backward_fn reads.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ class Tensor:
     Tensors are immutable after creation except for the grad buffer.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_is_leaf", "_tape")
+    __slots__ = ("data", "requires_grad", "grad", "_tape", "_slot")
 
     def __init__(self, data, dtype=np.float32, requires_grad=False):
         arr = np.asarray(data, dtype=dtype)
@@ -48,8 +53,8 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._is_leaf = True
-        self._tape = None
+        self._tape = None  # the tape that recorded this tensor; None for a leaf
+        self._slot = None  # the index of its node on that tape
 
     @property
     def shape(self):
@@ -76,19 +81,9 @@ def _wrap(arr):
     t.data = arr
     t.requires_grad = False
     t.grad = None
-    t._is_leaf = True
     t._tape = None
+    t._slot = None
     return t
-
-
-class _TapeNode:
-    __slots__ = ("name", "inputs", "output", "backward_fn")
-
-    def __init__(self, name, inputs, output, backward_fn):
-        self.name = name
-        self.inputs = inputs
-        self.output = output
-        self.backward_fn = backward_fn
 
 
 _TAPE_STACK = []
@@ -136,43 +131,48 @@ class GradTape:
             raise NumericsError("loss was not produced under this tape (detached loss)")
         self._consumed = True
 
-        # id -> [tensor, accumulated output gradient]; populated back-to-front.
-        pending = {id(loss): [loss, np.ones((), dtype=loss.data.dtype)]}
-        leaf_grads = {}
-        # Drop each node once its backward has run: its saved arrays go at
-        # once, and the consumed tape no longer forms a reference cycle with
-        # its output tensors that only the cyclic GC would free.
+        # One gradient per slot, popped with its node: each node's saved
+        # arrays go as soon as its backward has run. A gradient is copied the
+        # first time it is stored, so backward_fns may return views.
         nodes, self._nodes = self._nodes, []
+        grads = [None] * len(nodes)
+        grads[loss._slot] = np.ones((), dtype=loss.data.dtype)
         while nodes:
-            node = nodes.pop()
-            entry = pending.pop(id(node.output), None)
-            if entry is None:
+            _, refs, backward_fn = nodes.pop()
+            grad = grads.pop()
+            if grad is None:
                 continue
-            in_grads = node.backward_fn(entry[1])
-            for t, g in zip(node.inputs, in_grads):
-                if g is None:
+            for ref, g in zip(refs, backward_fn(grad)):
+                if ref is None or g is None:
                     continue
-                store = leaf_grads if t._is_leaf else pending
-                if t._is_leaf and not t.requires_grad:
-                    continue
-                entry = store.get(id(t))
-                if entry is None:
-                    store[id(t)] = [t, np.array(g, copy=True)]
+                if isinstance(ref, Tensor):
+                    if ref.grad is None:
+                        ref.grad = np.array(g, dtype=ref.data.dtype, copy=True)
+                    else:
+                        ref.grad += g
+                elif grads[ref] is None:
+                    grads[ref] = np.array(g, copy=True)
                 else:
-                    entry[1] += g
-        for t, g in leaf_grads.values():
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            t.grad += g
+                    grads[ref] += g
+
+
+def _ref(t, tape):
+    """How a node on `tape` names its input `t`."""
+    if t._tape is tape:
+        return t._slot
+    return t if t._tape is None and t.requires_grad else None
 
 
 def apply_op(name, inputs, forward_fn, backward_fn):
     """Run a differentiable operation and record it on the active tape.
 
     `forward_fn()` returns the output ndarray. `backward_fn` receives its
-    gradient and returns one gradient array (or None) per input, each a fresh
-    array. Recording happens only when a tape is active and some input needs
-    grads.
+    gradient and returns one gradient array (or None) per input. It may
+    return views, of its argument or of saved arrays: the tape copies a
+    gradient the first time it stores it. Recording happens only when a tape
+    is active and some input needs grads. `backward_fn` is kept until
+    backward reaches it, so it should close over arrays, flags and shapes,
+    never over input Tensors.
     """
     if _nan_checks:
         # surveillance replaces numpy's overflow warnings with a named abort
@@ -186,10 +186,11 @@ def apply_op(name, inputs, forward_fn, backward_fn):
 
     tape = recording_tape(inputs)
     if tape is not None:
+        refs = tuple(_ref(t, tape) for t in inputs)
         out.requires_grad = True
-        out._is_leaf = False
         out._tape = tape
-        tape._record(_TapeNode(name, tuple(inputs), out, backward_fn))
+        out._slot = len(tape)
+        tape._record((name, refs, backward_fn))
     return out
 
 
@@ -233,13 +234,15 @@ def _broadcast_spec(name, a_shape, b_shape):
 
 def _unbroadcast(g, axes):
     if not axes:
-        return np.array(g, copy=True)
+        return g
     if axes == ("scalar",):
         return np.asarray(g.sum())
     return g.sum(axis=axes, keepdims=True)
 
 
-def _binary(name, a, b, fwd, da_fn, db_fn):
+def _binary(name, a, b, fwd, grad_fns):
+    """`grad_fns(ad, bd)` gives, per operand, g -> its gradient before
+    unbroadcasting. Backward keeps only the ones for operands needing grads."""
     if isinstance(a, Tensor):
         b = _as_tensor(b, a)
     else:
@@ -247,30 +250,29 @@ def _binary(name, a, b, fwd, da_fn, db_fn):
     _check_same_dtype(name, a, b)
     a_axes, b_axes = _broadcast_spec(name, a.shape, b.shape)
     ad, bd = a.data, b.data
+    da_fn, db_fn = grad_fns(ad, bd)
+    da_fn = da_fn if a.requires_grad else None
+    db_fn = db_fn if b.requires_grad else None
 
     def backward_fn(g):
-        ga = _unbroadcast(da_fn(g, ad, bd), a_axes) if _needs(a) else None
-        gb = _unbroadcast(db_fn(g, ad, bd), b_axes) if _needs(b) else None
+        ga = None if da_fn is None else _unbroadcast(da_fn(g), a_axes)
+        gb = None if db_fn is None else _unbroadcast(db_fn(g), b_axes)
         return ga, gb
 
     return apply_op(name, (a, b), lambda: fwd(ad, bd), backward_fn)
 
 
-def _needs(t):
-    return t.requires_grad or not t._is_leaf
-
-
 def add(a, b):
-    return _binary("add", a, b, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g)
+    return _binary("add", a, b, lambda x, y: x + y, lambda x, y: (lambda g: g, lambda g: g))
 
 
 def sub(a, b):
-    return _binary("sub", a, b, lambda x, y: x - y, lambda g, x, y: g, lambda g, x, y: -g)
+    return _binary("sub", a, b, lambda x, y: x - y, lambda x, y: (lambda g: g, lambda g: -g))
 
 
 def mul(a, b):
     return _binary(
-        "mul", a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x
+        "mul", a, b, lambda x, y: x * y, lambda x, y: (lambda g: g * y, lambda g: g * x)
     )
 
 
@@ -280,33 +282,24 @@ def div(a, b):
         a,
         b,
         lambda x, y: x / y,
-        lambda g, x, y: g / y,
-        lambda g, x, y: -g * x / (y * y),
+        lambda x, y: (lambda g: g / y, lambda g: -g * x / (y * y)),
     )
 
 
 def relu(x):
-    return apply_op("relu", (x,), lambda: np.maximum(x.data, 0), lambda g: (g * (x.data > 0),))
-
-
-def tanh(x):
-    out = None
-
-    def forward_fn():
-        nonlocal out
-        out = np.tanh(x.data)
-        return out
-
-    return apply_op("tanh", (x,), forward_fn, lambda g: (g * (1.0 - out * out),))
+    xd = x.data
+    return apply_op("relu", (x,), lambda: np.maximum(xd, 0), lambda g: (g * (xd > 0),))
 
 
 def log(x):
-    def forward_fn():
-        if np.any(x.data <= 0):
-            raise NumericsError("log requires strictly positive input")
-        return np.log(x.data)
+    xd = x.data
 
-    return apply_op("log", (x,), forward_fn, lambda g: (g / x.data,))
+    def forward_fn():
+        if np.any(xd <= 0):
+            raise NumericsError("log requires strictly positive input")
+        return np.log(xd)
+
+    return apply_op("log", (x,), forward_fn, lambda g: (g / xd,))
 
 
 def sqrt(x):
@@ -325,16 +318,14 @@ def sqrt(x):
 def tsum(x, axis=None):
     """Sum over all entries (axis=None, scalar output) or over the given axes,
     which are kept with extent 1."""
+    shape = x.shape
+
+    def backward_fn(g):
+        return (np.broadcast_to(g, shape),)
+
     if axis is None:
-        def backward_fn(g):
-            return (np.full(x.shape, g, dtype=x.data.dtype),)
-
         return apply_op("sum", (x,), lambda: np.array(x.data.sum()), backward_fn)
-
-    def backward_axis_fn(g):
-        return (np.broadcast_to(g, x.shape).copy(),)
-
-    return apply_op("sum", (x,), lambda: x.data.sum(axis=axis, keepdims=True), backward_axis_fn)
+    return apply_op("sum", (x,), lambda: x.data.sum(axis=axis, keepdims=True), backward_fn)
 
 
 def tmean(x, axis=None):
@@ -360,32 +351,32 @@ def affine(x, weight, bias=None):
     lead = x.shape[:-1]
     x2 = x.data.reshape(-1, in_dim)
     wd = weight.data
+    bd = None if bias is None else bias.data
+    need_x, need_w = x.requires_grad, weight.requires_grad
+    need_b = bias is not None and bias.requires_grad
 
     def forward_fn():
         y = x2 @ wd.T
-        if bias is not None:
-            y += bias.data
+        if bd is not None:
+            y += bd
         return y.reshape(lead + (wd.shape[0],))
 
     def backward_fn(g):
         g2 = g.reshape(-1, wd.shape[0])
-        gx = (g2 @ wd).reshape(x.shape) if _needs(x) else None
-        gw = g2.T @ x2 if _needs(weight) else None
-        if bias is not None and _needs(bias):
-            gb = g2.sum(axis=0)
-        else:
-            gb = None
-        return (gx, gw, gb) if bias is not None else (gx, gw)
+        gx = (g2 @ wd).reshape(lead + (in_dim,)) if need_x else None
+        gw = g2.T @ x2 if need_w else None
+        gb = g2.sum(axis=0) if need_b else None
+        return (gx, gw, gb) if bd is not None else (gx, gw)
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return apply_op("affine", inputs, forward_fn, backward_fn)
 
 
 def reshape(x, shape):
-    shape = tuple(shape)
+    shape, in_shape = tuple(shape), x.shape
 
     def backward_fn(g):
-        return (g.reshape(x.shape),)
+        return (g.reshape(in_shape),)
 
     return apply_op("reshape", (x,), lambda: x.data.reshape(shape).copy(), backward_fn)
 
@@ -393,9 +384,10 @@ def reshape(x, shape):
 def slice_axis(x, axis, start, stop):
     """Contiguous slice [start:stop) along one axis."""
     idx = tuple(slice(None) if a != axis else slice(start, stop) for a in range(x.data.ndim))
+    shape, dtype = x.shape, x.dtype
 
     def backward_fn(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype=dtype)
         gx[idx] = g
         return (gx,)
 
@@ -413,6 +405,6 @@ def pad_last_axis(x, total):
     idx = tuple([slice(None)] * (x.data.ndim - 1) + [slice(0, cur)])
 
     def backward_fn(g):
-        return (np.ascontiguousarray(g[idx]),)
+        return (g[idx],)
 
     return apply_op("pad", (x,), lambda: np.pad(x.data, widths), backward_fn)

@@ -12,7 +12,7 @@ import numpy as np
 from .. import numerics as nt
 from .. import tasnet
 from ..numerics import GradTape, NumericsError, Tensor
-from .loss import mixture_si_snr, upit_loss
+from .loss import upit_loss, upit_si_snri
 from .optim import Adam, clip_grad_norm, lr_at
 
 METRICS_FILENAME = "metrics.tsv"
@@ -64,17 +64,16 @@ def _example_loss(model, example):
 
 
 def validate_si_snri(model, examples):
-    """Mean uPIT SI-SNRi over a dataset, computed without gradient tracking.
-    A NumericsError names the example that raised it."""
+    """Mean uPIT SI-SNRi over a dataset, scored by `upit_si_snri` in float64
+    without gradient tracking. A NumericsError names the example that raised
+    it."""
     scores = []
     for i, ex in enumerate(examples):
         try:
             est = tasnet.separate(Tensor(ex.mixture), model)
-            est_np = est.data[:, : ex.valid_len]
-            refs_np = ex.sources[:, : ex.valid_len]
-            mix_np = ex.mixture[:, : ex.valid_len]
-            _, result = upit_loss(Tensor(est_np), Tensor(refs_np))
-            scores.append(result.mean_db - mixture_si_snr(mix_np, refs_np))
+            n = ex.valid_len
+            si_snri, _ = upit_si_snri(est.data[:, :n], ex.sources[:, :n], ex.mixture[:, :n])
+            scores.append(si_snri)
         except NumericsError as err:
             raise NumericsError(f"validation example {i}: {err}") from None
     return float(np.mean(scores))

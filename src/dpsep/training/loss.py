@@ -114,8 +114,6 @@ def mixture_si_snr(mixture, refs):
 
 
 def upit_si_snri(est, refs, mixture):
-    """uPIT-aligned SI-SNR improvement over the mixture, in dB (floats)."""
-    est_t = Tensor(np.asarray(est, dtype=np.float64))
-    ref_t = Tensor(np.asarray(refs, dtype=np.float64))
-    _, result = upit_loss(est_t, ref_t)
+    """uPIT-aligned SI-SNR improvement over the mixture, in dB, scored in float64."""
+    _, result = upit_loss(Tensor(est, dtype=np.float64), Tensor(refs, dtype=np.float64))
     return result.mean_db - mixture_si_snr(mixture, refs), result

@@ -1,6 +1,8 @@
 """Segmentation geometry, overlap-add inversion, layer norm, block passes."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -146,7 +148,7 @@ class TestGlobalLayerNorm:
         x = Tensor(rng.standard_normal((4, 5, 3)), requires_grad=True)
         with GradTape() as tape:
             dp.global_layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)))
-        assert [node.name for node in tape._nodes] == ["global_layer_norm"]
+        assert [name for name, _, _ in tape._nodes] == ["global_layer_norm"]
 
     def test_forward_without_tape_holds_two_input_sizes(self):
         # xhat and the output; no other full-size array
@@ -190,7 +192,7 @@ def _random_sub_params(rng, feat, hidden, dtype=np.float64):
 def _recorded_ops(pass_fn, x, params):
     with GradTape() as tape:
         pass_fn(Tensor(x, dtype=np.float64, requires_grad=True), params)
-    return [node.name for node in tape._nodes]
+    return [name for name, _, _ in tape._nodes]
 
 
 class TestBlockPasses:
@@ -265,6 +267,30 @@ class TestBlockPasses:
         ln = (proj - mu) / np.sqrt(var + dp.LN_EPS)
         ln = ln * params.ln_scale.data + params.ln_bias.data
         np.testing.assert_allclose(out, x + ln, rtol=1e-8, atol=1e-10)
+
+    def test_gln_output_is_freed_once_the_residual_add_consumed_it(self):
+        # no backward reads the normalised output, so under a live tape its
+        # array lives only as long as its tensor
+        rng = np.random.default_rng(23)
+        params = _random_sub_params(rng, 3, 2)
+        x = Tensor(rng.standard_normal((4, 5, 3)), dtype=np.float64, requires_grad=True)
+        gc.disable()
+        try:
+            with GradTape() as tape:
+                proj = nt.bilstm_batched(
+                    x, params.lstm_fwd, params.lstm_bwd, params.fc_weight, params.fc_bias, 0
+                )
+                normed = dp.global_layer_norm(proj, params.ln_scale, params.ln_bias)
+                out = nt.add(x, normed)
+                freed = weakref.ref(normed.data)
+                del normed
+                assert freed() is None
+                loss = nt.tsum(out)
+            tape.backward(loss)
+        finally:
+            gc.enable()
+        assert x.grad is not None
+        assert all(t.grad is not None for _, t in params.tensors())
 
     def test_intra_records_no_transpose(self):
         rng = np.random.default_rng(21)

@@ -56,9 +56,9 @@ def test_every_composite_op_passes_on_random_shapes(shape):
     x = Tensor(rng.standard_normal(shape), dtype=np.float64, requires_grad=True)
 
     def f(v):
-        y = nt.tanh(nt.mul(v, v))
+        y = nt.sqrt(nt.add(nt.mul(v, v), 1.0))
         y = nt.sub(y, nt.relu(v))
-        y = nt.div(y, nt.add(nt.mul(nt.tanh(v), nt.tanh(v)), 2.0))
+        y = nt.div(y, nt.add(nt.log(nt.add(nt.mul(v, v), 1.0)), 2.0))
         return nt.tsum(nt.mul(y, y))
 
     report = finite_diff_check(f, x)
@@ -68,7 +68,7 @@ def test_every_composite_op_passes_on_random_shapes(shape):
 def test_subsampled_elements_reported():
     x = Tensor(np.random.default_rng(2).standard_normal(50), dtype=np.float64,
                requires_grad=True)
-    report = finite_diff_check(lambda v: nt.tsum(nt.tanh(v)), x, max_elements=10)
+    report = finite_diff_check(lambda v: nt.tsum(nt.mul(v, v)), x, max_elements=10)
     assert report.entries[0].checked == 10
     assert report.entries[0].total == 50
 
@@ -85,7 +85,7 @@ def test_suite_covers_every_op_of_a_training_step(tmp_path, monkeypatch):
     original = nt.GradTape._record
 
     def record(tape, node):
-        seen.add(node.name)
+        seen.add(node[0])  # a node is (name, refs, backward_fn)
         return original(tape, node)
 
     monkeypatch.setattr(nt.GradTape, "_record", record)

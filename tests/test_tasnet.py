@@ -73,7 +73,7 @@ def test_estimate_masks_records_no_transpose():
                  requires_grad=True)
     with GradTape() as tape:
         tasnet.estimate_masks(rep, model)
-    names = [node.name for node in tape._nodes]
+    names = [name for name, _, _ in tape._nodes]
     sub_pass = ["bilstm", "global_layer_norm", "add"]
     assert names == ["segment"] + sub_pass * 2 * 2 + ["affine", "overlap_add", "relu", "reshape"]
 

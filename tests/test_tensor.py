@@ -141,11 +141,12 @@ def test_backward_rejects_repeat():
 
 
 def test_backward_releases_the_graph_without_the_cyclic_gc():
-    x = Tensor([0.5, -1.0], requires_grad=True)
+    # sqrt's backward reads its own output, so its node keeps that array
+    x = Tensor([0.5, 1.0], requires_grad=True)
     gc.disable()
     try:
         with GradTape() as tape:
-            hidden = nt.tanh(x)
+            hidden = nt.sqrt(x)
             loss = nt.tsum(hidden)
         saved = weakref.ref(hidden.data)
         del hidden
@@ -154,6 +155,37 @@ def test_backward_releases_the_graph_without_the_cyclic_gc():
         assert saved() is None
     finally:
         gc.enable()
+
+
+def test_add_node_keeps_no_operand_array():
+    # add's backward reads neither operand: under a live tape a recorded
+    # operand's array and a constant's go with their tensors
+    x = Tensor(np.ones(3), requires_grad=True)
+    gc.disable()
+    try:
+        with GradTape() as tape:
+            a = nt.mul(x, 2.0)
+            b = Tensor(np.full(3, 0.5))
+            out = nt.add(a, b)
+            arrays = [weakref.ref(a.data), weakref.ref(b.data)]
+            del a, b
+            assert all(ref() is None for ref in arrays)
+            loss = nt.tsum(out)
+        tape.backward(loss)
+    finally:
+        gc.enable()
+    np.testing.assert_array_equal(x.grad, np.full(3, 2.0, dtype=np.float32))
+
+
+def test_gradients_of_tensors_read_by_two_nodes_are_summed():
+    # the leaf x feeds h = 3x and h * x; the recorded h feeds h * x and 2h.
+    # loss = sum(3x^2 + 6x), so the gradient is 6x + 6, exact in float64
+    x = Tensor([1.0, -2.0, 0.5], dtype=np.float64, requires_grad=True)
+    with GradTape() as tape:
+        h = nt.mul(x, 3.0)
+        loss = nt.tsum(nt.add(nt.mul(h, x), nt.mul(h, 2.0)))
+    tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, [12.0, -6.0, 9.0])
 
 
 def test_broadcast_trailing_singleton():
@@ -249,7 +281,7 @@ def test_tape_determinism_bit_identical():
     for _ in range(2):
         x = Tensor(data, requires_grad=True)
         with GradTape() as tape:
-            y = nt.tsum(nt.tanh(nt.mul(x, x)))
+            y = nt.tsum(nt.log(nt.add(nt.mul(x, x), 1.0)))
         tape.backward(y)
         results.append((float(y.data), x.grad.copy()))
     assert results[0][0] == results[1][0]
