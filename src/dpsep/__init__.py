@@ -14,3 +14,13 @@ def encoder_hop(window):
     """The encoder's hop in samples for a window of `window`: half the
     window, at least 1."""
     return max(window // 2, 1)
+
+
+# The exit-code policy, by exception type: `dpsep.cli.main` exits 2 for an
+# InputError (or an OSError) and 3 for a NumericFault.
+class InputError(ValueError):
+    """An input that cannot run: a config, manifest, WAV or checkpoint."""
+
+
+class NumericFault(RuntimeError):
+    """A numeric failure of a run on inputs that were accepted."""

@@ -1,8 +1,9 @@
 """Command-line surface: train, separate, evaluate, gradcheck.
 
 Config files are flat `key=value` text with `#` comments; unknown keys are a
-hard error. Exit codes: 0 success, 2 usage/config/format problems, 3 numeric
-aborts. The `DPSEP_RUN_DIR` environment variable overrides the run directory.
+hard error. Exit codes: 0 success, 2 for an `InputError` or an `OSError`, 3
+for a `NumericFault`; `main` alone maps them. The `DPSEP_RUN_DIR` environment
+variable overrides the run directory.
 numpy-dependent modules are imported only after the thread count is exported
 to the BLAS environment, so `threads=1` gives bit-reproducible runs.
 """
@@ -16,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-from . import MAX_CHUNK_LEN, encoder_hop
+from . import MAX_CHUNK_LEN, InputError, NumericFault, encoder_hop
 from .config import TrainConfig
 
 EXIT_OK = 0
@@ -26,7 +27,7 @@ EXIT_NUMERIC = 3
 RUN_DIR_ENV = "DPSEP_RUN_DIR"
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """Raised for unreadable, unparseable, or out-of-contract configs."""
 
 
@@ -49,20 +50,6 @@ class RunConfig(TrainConfig):
     manifest: str = ""
     run_dir: str = "runs/default"
     threads: int = 1
-
-
-def _parse_value(name, kind, text, context):
-    if kind is bool:
-        lowered = text.lower()
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{context}: boolean key {name} got {text!r}")
-    try:
-        return kind(text)
-    except ValueError:
-        raise ConfigError(f"{context}: key {name} expects {kind.__name__}, got {text!r}") from None
 
 
 def parse_config(path):
@@ -90,7 +77,11 @@ def parse_config(path):
             raise ConfigError(f"{context}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"{context}: duplicate config key {key!r}")
-        values[key] = _parse_value(key, types[key], text, context)
+        try:
+            values[key] = types[key](text)
+        except ValueError:
+            kind = types[key].__name__
+            raise ConfigError(f"{context}: key {key} expects {kind}, got {text!r}") from None
     try:
         config = RunConfig(**values)
     except ValueError as err:  # a training setting's rule
@@ -160,43 +151,24 @@ def _keep_freed_memory():
         mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
-def _resolve_run_dir(config_value):
-    return os.environ.get(RUN_DIR_ENV) or config_value
-
-
 def cmd_train(config_path):
-    try:
-        config = parse_config(config_path)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = parse_config(config_path)
     _export_threads(config.threads)
     _keep_freed_memory()
 
     from . import data, tasnet
-    from .training import TrainingAbort, train_loop
+    from .training import train_loop
 
     if not config.manifest:
-        print("error: config key 'manifest' is required for training", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        records = data.parse_manifest(config.manifest)
-        train_set = data.make_dataset(
-            data.split_records(records, "train"),
-            config.segment_seconds,
-            config.sample_rate,
-        )
-        valid_set = data.make_dataset(
-            data.split_records(records, "valid"),
-            config.segment_seconds,
-            config.sample_rate,
-        )
-    except (data.ManifestError, data.MixingError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("config key 'manifest' is required for training")
+    records = data.parse_manifest(config.manifest)
+    train_set, valid_set = (
+        data.make_dataset(data.split_records(records, split), config.segment_seconds,
+                          config.sample_rate)
+        for split in ("train", "valid")
+    )
     if not train_set or not valid_set:
-        print("error: manifest must provide non-empty train and valid splits", file=sys.stderr)
-        return EXIT_CONFIG
+        raise InputError("manifest must provide non-empty train and valid splits")
 
     model = tasnet.build_model(
         num_filters=config.num_filters,
@@ -209,12 +181,8 @@ def cmd_train(config_path):
         sample_rate=config.sample_rate,
         seed=config.seed,
     )
-    run_dir = _resolve_run_dir(config.run_dir)
-    try:
-        result = train_loop(model, train_set, valid_set, config, run_dir)
-    except TrainingAbort as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
+    run_dir = os.environ.get(RUN_DIR_ENV) or config.run_dir
+    result = train_loop(model, train_set, valid_set, config, run_dir)
     print(
         f"finished {result.epochs_run} epochs ({result.steps_run} steps); "
         f"best validation SI-SNRi {result.best_val_si_snri:.3f} dB at epoch "
@@ -227,26 +195,19 @@ def cmd_separate(ckpt_path, wav_path, out_dir):
     import numpy as np
 
     from . import data, tasnet
-    from .numerics import CheckpointError, Tensor
+    from .numerics import NumericsError, Tensor
 
-    try:
-        model, _ = tasnet.load_model(ckpt_path)
-    except (OSError, CheckpointError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        samples, rate = data.read_wav(wav_path)
-    except (OSError, data.WavFormatError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    model, _ = tasnet.load_model(ckpt_path)
+    samples, rate = data.read_wav(wav_path)
     if rate != model.sample_rate:
-        print(
-            f"error: {wav_path} sample rate {rate} does not match checkpoint "
-            f"sample rate {model.sample_rate}",
-            file=sys.stderr,
+        raise InputError(
+            f"{wav_path} sample rate {rate} does not match checkpoint "
+            f"sample rate {model.sample_rate}"
         )
-        return EXIT_CONFIG
-    est = tasnet.separate(Tensor(samples), model).data.astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        est = tasnet.separate(Tensor(samples), model).data.astype(np.float64)
+    if not np.all(np.isfinite(est)):
+        raise NumericsError(f"{ckpt_path} gives non-finite estimates for {wav_path}")
     # SI-SNR training fixes no output gain, so each estimate is rescaled to the
     # mixture's peak: SI-SNR is unchanged and the PCM16 write cannot clip.
     mix_peak = float(np.abs(samples).max())
@@ -259,8 +220,7 @@ def cmd_separate(ckpt_path, wav_path, out_dir):
             data.write_wav(out_path, source, rate)
             print(out_path)
     except OSError as err:
-        print(f"error: cannot write to {out_dir}: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise InputError(f"cannot write to {out_dir}: {err}") from None
     return EXIT_OK
 
 
@@ -270,39 +230,22 @@ EVAL_SEGMENT_SECONDS = 4.0
 def cmd_evaluate(ckpt_path, manifest_path):
     _keep_freed_memory()
     from . import data, tasnet
-    from .numerics import CheckpointError, Tensor
-    from .training import upit_si_snri
+    from .training import si_snri_scores
 
-    try:
-        model, _ = tasnet.load_model(ckpt_path)
-        records = data.split_records(data.parse_manifest(manifest_path), "test")
-        examples = data.make_dataset(records, EVAL_SEGMENT_SECONDS, model.sample_rate)
-    except (OSError, CheckpointError, data.ManifestError, data.MixingError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    model, _ = tasnet.load_model(ckpt_path)
+    records = data.split_records(data.parse_manifest(manifest_path), "test")
+    examples = data.make_dataset(records, EVAL_SEGMENT_SECONDS, model.sample_rate)
     if model.num_sources != 2:
-        print(
-            f"error: {ckpt_path} separates {model.num_sources} sources; test records hold 2",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
+        raise InputError(f"{ckpt_path} separates {model.num_sources} sources; test records hold 2")
     if not examples:
-        print(
-            f"error: manifest {manifest_path} has no test segments that SI-SNR can score",
-            file=sys.stderr,
+        raise InputError(
+            f"manifest {manifest_path} has no test segments that SI-SNR can score"
         )
-        return EXIT_CONFIG
-
-    si_snri_values = []
-    for i, ex in enumerate(examples):
-        est = tasnet.separate(Tensor(ex.mixture), model).data[:, : ex.valid_len]
-        refs = ex.sources[:, : ex.valid_len]
-        mix = ex.mixture[:, : ex.valid_len]
-        si_snri, _ = upit_si_snri(est, refs, mix)
-        si_snri_values.append(si_snri)
+    scores = []
+    for i, si_snri in enumerate(si_snri_scores(model, examples)):
         print(f"example {i}: si_snri={si_snri:.4f} dB")
-    mean_si = sum(si_snri_values) / len(si_snri_values)
-    print(f"mean si_snri={mean_si:.4f} dB over {len(examples)} examples")
+        scores.append(si_snri)
+    print(f"mean si_snri={sum(scores) / len(scores):.4f} dB over {len(scores)} examples")
     return EXIT_OK
 
 
@@ -338,13 +281,20 @@ def main(argv=None):
     sub.add_parser("gradcheck", help="run finite-difference checks over all modules")
 
     args = parser.parse_args(argv)
-    if args.command == "train":
-        return cmd_train(args.config)
-    if args.command == "separate":
-        return cmd_separate(args.ckpt, args.wav, args.outdir)
-    if args.command == "evaluate":
-        return cmd_evaluate(args.ckpt, args.manifest)
-    return cmd_gradcheck()
+    try:
+        if args.command == "train":
+            return cmd_train(args.config)
+        if args.command == "separate":
+            return cmd_separate(args.ckpt, args.wav, args.outdir)
+        if args.command == "evaluate":
+            return cmd_evaluate(args.ckpt, args.manifest)
+        return cmd_gradcheck()
+    except (InputError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except NumericFault as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ class TrainConfig:
     adam_eps: float = 1e-8
     batch_size: int = 2
     seed: int = 0
-    nan_checks: bool = True
 
     def __post_init__(self):
         rules = (

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import InputError
 from .synth import SOURCE_KINDS
 
 SPLITS = ("train", "valid", "test")
 
 
-class ManifestError(ValueError):
+class ManifestError(InputError):
     """Raised for unparseable or unresolvable manifest records."""
 
 

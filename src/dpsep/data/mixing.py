@@ -6,8 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import InputError
 
-class MixingError(ValueError):
+
+class MixingError(InputError):
     """Raised for silent or mismatched mixing inputs."""
 
 

@@ -10,8 +10,10 @@ import wave
 
 import numpy as np
 
+from .. import InputError
 
-class WavFormatError(ValueError):
+
+class WavFormatError(InputError):
     """Raised for non-RIFF files, unsupported codec parameters or a data chunk
     shorter than the header declares."""
 

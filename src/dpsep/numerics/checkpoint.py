@@ -13,13 +13,15 @@ import struct
 
 import numpy as np
 
+from .. import InputError
+
 MAGIC = b"DPSP"
 VERSION = 1
 
 _DTYPES = {"float32": "<f4", "float64": "<f8"}
 
 
-class CheckpointError(ValueError):
+class CheckpointError(InputError):
     """Raised on malformed or inconsistent checkpoint files."""
 
 

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import NumericFault
+
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
-class NumericsError(RuntimeError):
+class NumericsError(NumericFault):
     """Raised on numeric failures: non-finite values, tape misuse."""
 
 

@@ -19,6 +19,12 @@ from . import numerics as nt
 from .numerics import ShapeError, Tensor
 
 
+# the model's sizes, each at least 1 (chunk_len also even), as a checkpoint's
+# metadata holds them
+_GEOMETRY = ("num_filters", "window", "num_sources", "num_blocks", "hidden", "chunk_len",
+            "sample_rate")
+
+
 @dataclass
 class SeparatorModel:
     num_filters: int
@@ -35,7 +41,16 @@ class SeparatorModel:
     blocks: list = field(default_factory=list)
 
     def __post_init__(self):
-        n, w, c = self.num_filters, self.window, self.num_sources
+        """Check the whole tree against the geometry, so that a model built
+        from any arrays, a checkpoint's included, can run."""
+        for name in _GEOMETRY:
+            if getattr(self, name) < 1:
+                raise ShapeError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.chunk_len % 2 or self.chunk_len > MAX_CHUNK_LEN:
+            raise ShapeError(
+                f"chunk_len must be even and at most {MAX_CHUNK_LEN}, got {self.chunk_len}"
+            )
+        n, w, c, h = self.num_filters, self.window, self.num_sources, self.hidden
         if self.encoder_kernels.shape != (n, w) or self.decoder_kernels.shape != (n, w):
             raise ShapeError(
                 f"encoder/decoder kernels must be ({n},{w}), got "
@@ -46,10 +61,17 @@ class SeparatorModel:
                 f"mask head must map {n} -> {c * n}, got weight {self.mask_weight.shape} "
                 f"bias {self.mask_bias.shape}"
             )
-        if self.num_blocks < 1:
-            raise ShapeError(f"num_blocks must be at least 1, got {self.num_blocks}")
         if len(self.blocks) != self.num_blocks:
             raise ShapeError(f"expected {self.num_blocks} blocks, got {len(self.blocks)}")
+        # each sub-pass checks its FC and norm against its forward cell
+        for b, block in enumerate(self.blocks):
+            for side, sub in (("intra", block.intra), ("inter", block.inter)):
+                for cell in (sub.lstm_fwd, sub.lstm_bwd):
+                    if (cell.input_size, cell.hidden_size) != (n, h):
+                        raise ShapeError(
+                            f"block{b}.{side}: LSTM maps {cell.input_size} features with "
+                            f"{cell.hidden_size} hidden units, the model {n} with {h}"
+                        )
 
     @property
     def stride(self):
@@ -101,8 +123,6 @@ def build_model(
     if chunk_len is None:
         frames = frame_count(nominal_samples, window, encoder_hop(window))
         chunk_len = dp.choose_chunk_size(frames)
-    if chunk_len % 2 != 0:
-        raise ShapeError(f"chunk_len must be even, got {chunk_len}")
     rng = np.random.default_rng(seed)
     kb = 1.0 / np.sqrt(window)
     mb = 1.0 / np.sqrt(num_filters)
@@ -197,7 +217,6 @@ def save_model(model, path):
         "format": "dpsep-separator",
         "num_filters": model.num_filters,
         "window": model.window,
-        "stride": model.stride,
         "num_sources": model.num_sources,
         "num_blocks": model.num_blocks,
         "hidden": model.hidden,
@@ -208,94 +227,63 @@ def save_model(model, path):
     nt.save_arrays(path, ((name, t.data) for name, t in model.parameters()), meta=meta)
 
 
-# geometry keys read back from a checkpoint, with the least value each may take
-_GEOMETRY_MINIMA = {
-    "num_filters": 1, "window": 1, "num_sources": 1, "num_blocks": 1,
-    "hidden": 1, "chunk_len": 2, "sample_rate": 1,
-}
-
-
-def _parameter_shapes(num_filters, window, num_sources, num_blocks, hidden, **_):
-    """(name, shape) of each parameter `build_model` makes, in checkpoint
-    order, without allocating any."""
-    n, h = num_filters, hidden
-    yield "encoder.kernels", (n, window)
-    yield "decoder.kernels", (n, window)
-    yield "mask_head.weight", (num_sources * n, n)
-    yield "mask_head.bias", (num_sources * n,)
-    cell = (("wx", (4 * h, n)), ("wh", (4 * h, h)), ("b", (4 * h,)))
-    head = (("fc.weight", (n, 2 * h)), ("fc.bias", (n,)), ("ln.scale", (n,)), ("ln.bias", (n,)))
-    for b in range(num_blocks):
-        for side in ("intra", "inter"):
-            for lstm in ("lstm_fwd", "lstm_bwd"):
-                for name, shape in cell:
-                    yield f"block{b}.{side}.{lstm}.{name}", shape
-            for name, shape in head:
-                yield f"block{b}.{side}.{name}", shape
-
-
 def load_model(path):
     """Read a separator checkpoint -> (model, metadata). Raises CheckpointError
-    for a file that cannot run. Every tensor is checked before the model is
-    built from the checked arrays, so that no metadata makes it allocate more
-    than the file holds."""
+    for a file that cannot run. The model is built from the file's arrays
+    alone, and `SeparatorModel` checks them against the geometry, so no
+    metadata makes it allocate more than the file holds."""
     meta, arrays = nt.load_arrays(path)
     if meta.get("format") != "dpsep-separator":
         raise nt.CheckpointError(f"{path} is not a separator checkpoint")
     try:
-        geometry = {key: int(meta[key]) for key in _GEOMETRY_MINIMA}
+        geometry = {key: int(meta[key]) for key in _GEOMETRY}
     except (KeyError, ValueError) as err:
         raise nt.CheckpointError(f"{path}: missing or non-integer metadata {err}") from None
     dtype_name = meta.get("dtype", "float32")
-    if (
-        any(geometry[key] < least for key, least in _GEOMETRY_MINIMA.items())
-        or dtype_name not in ("float32", "float64")
-    ):
-        raise nt.CheckpointError(
-            f"{path}: invalid model geometry {geometry} or dtype {dtype_name!r}"
-        )
-    chunk_len = geometry["chunk_len"]
-    if chunk_len % 2 or chunk_len > MAX_CHUNK_LEN:
-        raise nt.CheckpointError(
-            f"{path}: chunk_len must be even and at most {MAX_CHUNK_LEN}, got {chunk_len}"
-        )
-    params = {}
-    for name, shape in _parameter_shapes(**geometry):
-        found = arrays[name].shape if name in arrays else "missing"
-        if found != shape:
-            raise nt.CheckpointError(f"checkpoint tensor {name!r}: {found}, expected {shape}")
+    if dtype_name not in ("float32", "float64"):
+        raise nt.CheckpointError(f"{path}: unsupported dtype {dtype_name!r}")
+
+    def tensor(name):
+        if name not in arrays:
+            raise nt.CheckpointError(f"{path}: checkpoint missing tensor {name!r}")
         try:
             with np.errstate(over="ignore"):  # Tensor rejects what overflows
-                params[name] = Tensor(arrays[name], dtype=dtype_name, requires_grad=True)
+                return Tensor(arrays[name], dtype=dtype_name, requires_grad=True)
         except nt.NumericsError:
             raise nt.CheckpointError(
-                f"checkpoint tensor {name!r} holds values that are not finite in {dtype_name}"
+                f"{path}: checkpoint tensor {name!r} holds values that are not finite "
+                f"in {dtype_name}"
             ) from None
-    return _model_from_params(geometry, params), meta
+
+    try:
+        return _model_from_params(geometry, tensor), meta
+    except ShapeError as err:
+        raise nt.CheckpointError(f"{path}: {err}") from None
 
 
-def _model_from_params(geometry, params):
-    """The model whose tensors are `params`, named as in `parameters()`."""
+def _model_from_params(geometry, tensor):
+    """The model of `geometry` whose tensors are `tensor(name)`, named as in
+    `parameters()`."""
 
     def cell(prefix):
-        return nt.LstmCellParams(*(params[f"{prefix}.{key}"] for key in ("wx", "wh", "b")))
+        return nt.LstmCellParams(*(tensor(f"{prefix}.{key}") for key in ("wx", "wh", "b")))
 
     def sub(prefix):
         return dp.DprnnSubParams(
             lstm_fwd=cell(f"{prefix}.lstm_fwd"),
             lstm_bwd=cell(f"{prefix}.lstm_bwd"),
-            fc_weight=params[f"{prefix}.fc.weight"],
-            fc_bias=params[f"{prefix}.fc.bias"],
-            ln_scale=params[f"{prefix}.ln.scale"],
-            ln_bias=params[f"{prefix}.ln.bias"],
+            fc_weight=tensor(f"{prefix}.fc.weight"),
+            fc_bias=tensor(f"{prefix}.fc.bias"),
+            ln_scale=tensor(f"{prefix}.ln.scale"),
+            ln_bias=tensor(f"{prefix}.ln.bias"),
         )
 
     return SeparatorModel(
         **geometry,
-        encoder_kernels=params["encoder.kernels"],
-        decoder_kernels=params["decoder.kernels"],
-        mask_weight=params["mask_head.weight"],
-        mask_bias=params["mask_head.bias"],
+        encoder_kernels=tensor("encoder.kernels"),
+        decoder_kernels=tensor("decoder.kernels"),
+        mask_weight=tensor("mask_head.weight"),
+        mask_bias=tensor("mask_head.bias"),
         blocks=[
             dp.DprnnBlockParams(intra=sub(f"block{b}.intra"), inter=sub(f"block{b}.inter"))
             for b in range(geometry["num_blocks"])

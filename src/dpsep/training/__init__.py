@@ -8,6 +8,7 @@ from .loop import (
     EpochStats,
     TrainingAbort,
     TrainResult,
+    si_snri_scores,
     train_loop,
     validate_si_snri,
 )
@@ -37,6 +38,7 @@ __all__ = [
     "mixture_si_snr",
     "si_snr",
     "si_snr_value",
+    "si_snri_scores",
     "train_loop",
     "upit_loss",
     "upit_si_snri",

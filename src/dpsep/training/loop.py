@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import NumericFault
 from .. import numerics as nt
 from .. import tasnet
 from ..numerics import GradTape, NumericsError, Tensor
@@ -20,7 +21,7 @@ BEST_FILENAME = "best.ckpt"
 LAST_FILENAME = "last.ckpt"
 
 
-class TrainingAbort(RuntimeError):
+class TrainingAbort(NumericFault):
     """A numeric fault during training; carries (epoch, batch, op context).
     `batch` is None when validation faulted, and the detail names the
     validation example."""
@@ -63,20 +64,25 @@ def _example_loss(model, example):
     return loss, result
 
 
-def validate_si_snri(model, examples):
-    """Mean uPIT SI-SNRi over a dataset, scored by `upit_si_snri` in float64
-    without gradient tracking. A NumericsError names the example that raised
-    it."""
-    scores = []
+def si_snri_scores(model, examples):
+    """The uPIT SI-SNRi of each example in turn, scored by `upit_si_snri` in
+    float64 over its `valid_len` samples, without gradient tracking. A
+    NumericsError names the example that raised it; `upit_si_snri` raises one
+    for non-finite estimates, so numpy's overflow warnings are not shown."""
     for i, ex in enumerate(examples):
+        n = ex.valid_len
         try:
-            est = tasnet.separate(Tensor(ex.mixture), model)
-            n = ex.valid_len
+            with np.errstate(over="ignore", invalid="ignore"):
+                est = tasnet.separate(Tensor(ex.mixture), model)
             si_snri, _ = upit_si_snri(est.data[:, :n], ex.sources[:, :n], ex.mixture[:, :n])
-            scores.append(si_snri)
         except NumericsError as err:
-            raise NumericsError(f"validation example {i}: {err}") from None
-    return float(np.mean(scores))
+            raise NumericsError(f"example {i}: {err}") from None
+        yield si_snri
+
+
+def validate_si_snri(model, examples):
+    """Mean uPIT SI-SNRi over a dataset, by `si_snri_scores`."""
+    return float(np.mean(list(si_snri_scores(model, examples))))
 
 
 def train_loop(model, train_set, valid_set, config, run_dir):
@@ -88,7 +94,9 @@ def train_loop(model, train_set, valid_set, config, run_dir):
     bring no improvement. Appends one metrics line per epoch to
     `metrics.tsv`: epoch, LR, train loss and validation SI-SNRi, so the file
     is the same on every run with the same seed. Wall time per epoch goes to
-    `EpochStats.seconds` only.
+    `EpochStats.seconds` only. Every op's output is scanned for non-finite
+    values while it runs (`set_nan_checks`), so a fault aborts with the op's
+    name.
     """
     if not train_set or not valid_set:
         raise ValueError("train_loop: train and validation sets must be non-empty")
@@ -96,7 +104,7 @@ def train_loop(model, train_set, valid_set, config, run_dir):
     metrics_path = os.path.join(run_dir, METRICS_FILENAME)
     params = model.parameter_tensors()
     optimizer = Adam(params, beta1=config.beta1, beta2=config.beta2, eps=config.adam_eps)
-    nt.set_nan_checks(config.nan_checks)
+    nt.set_nan_checks(True)
 
     best_epoch = 0
     best_val = -np.inf
@@ -121,21 +129,18 @@ def train_loop(model, train_set, valid_set, config, run_dir):
                             for term in losses[1:]:
                                 total = nt.add(total, term)
                             batch_loss = nt.mul(total, 1.0 / len(losses))
-                        value = float(batch_loss.data)
-                        if not np.isfinite(value):
-                            raise NumericsError("non-finite batch loss")
                         tape.backward(batch_loss)
                         clip_grad_norm(params, config.clip_norm)
                     except NumericsError as err:
                         raise TrainingAbort(epoch, batch_idx // config.batch_size, str(err))
                     optimizer.step(lr)
                     steps += 1
-                    batch_losses.append(value)
+                    batch_losses.append(float(batch_loss.data))
 
                 try:
                     val_si_snri = validate_si_snri(model, valid_set)
                 except NumericsError as err:
-                    raise TrainingAbort(epoch, None, str(err))
+                    raise TrainingAbort(epoch, None, f"validation {err}")
                 tasnet.save_model(model, os.path.join(run_dir, LAST_FILENAME))
                 if val_si_snri > best_val:
                     best_val = val_si_snri

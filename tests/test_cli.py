@@ -80,10 +80,9 @@ class TestConfig:
 
     def test_parse_with_comments_and_types(self, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text("window=4  # samples\n\nnan_checks=false\nlr_init=2e-3\n")
+        path.write_text("window=4  # samples\n\nlr_init=2e-3\n")
         config = parse_config(path)
         assert config.window == 4
-        assert config.nan_checks is False
         assert config.lr_init == pytest.approx(2e-3)
 
     def test_unknown_key_is_hard_error(self, tmp_path):
@@ -141,6 +140,12 @@ class TestTrainCommand:
         assert cli.main(["train", str(config)]) == 0, capsys.readouterr().err
         assert (run_dir / "best.ckpt").exists()
 
+    def test_run_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
+        config, _, run_dir = _write_toy(tmp_path)
+        run_dir.write_text("not a directory")
+        assert cli.main(["train", str(config)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_run_dir_env_override(self, tmp_path, monkeypatch):
         config, _, _ = _write_toy(tmp_path)
         override = tmp_path / "elsewhere"
@@ -177,6 +182,32 @@ CONFIG_FAULTS = {
     "beta1=1": dict(beta1=1.0),
     "segment_seconds * sample_rate overflows": dict(segment_seconds=1e308),
 }
+
+
+def test_exit_code_policy_by_exception_type():
+    # main exits 2 for an InputError and 3 for a NumericFault
+    from dpsep import InputError, NumericFault, data
+    from dpsep.numerics import CheckpointError, NumericsError
+    from dpsep.training import TrainingAbort
+
+    for error in (ConfigError, CheckpointError, data.ManifestError, data.MixingError,
+                  data.WavFormatError):
+        assert issubclass(error, InputError), error
+    for error in (NumericsError, TrainingAbort):
+        assert issubclass(error, NumericFault), error
+
+
+def _overflowing_checkpoint(tmp_path):
+    """A toy checkpoint whose weights are finite but whose forward overflows."""
+    from dpsep import tasnet
+
+    model = tasnet.build_model(
+        num_filters=4, window=8, num_sources=2, num_blocks=1, hidden=4, chunk_len=10
+    )
+    model.mask_weight.data[...] = 3e38
+    path = tmp_path / "overflow.ckpt"
+    tasnet.save_model(model, path)
+    return path
 
 
 class TestConfigFaults:
@@ -299,6 +330,17 @@ class TestSeparateCommand:
         taken.write_text("not a directory")
         assert cli.main(["separate", str(ckpt), str(wav_in), str(taken)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_finite_estimates_exit_3_writing_nothing(self, tmp_path, capsys):
+        from dpsep.data import write_wav
+
+        wav_in = tmp_path / "mix.wav"
+        write_wav(wav_in, 0.5 * np.sin(np.arange(400) * 0.1), 8000)
+        out_dir = tmp_path / "sep"
+        ckpt = _overflowing_checkpoint(tmp_path)
+        assert cli.main(["separate", str(ckpt), str(wav_in), str(out_dir)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out_dir.exists()
 
     def test_short_inputs_give_sources_of_input_length(self, trained, tmp_path):
         # the toy model needs 24 samples (W=8, K=10); shorter input is padded
@@ -540,6 +582,14 @@ class TestEvaluateCommand:
         manifest.write_text(f"test\twav:{silent}\twav:{silent}\t0.0\n")
         assert cli.main(["evaluate", str(ckpt), str(manifest)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+    def test_non_finite_estimates_exit_3_naming_the_example(self, tmp_path, capsys):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(MANIFEST)
+        code = cli.main(["evaluate", str(_overflowing_checkpoint(tmp_path)), str(manifest)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: example 0: ")
 
 
 def _assert_manifest_fault_exits_2(tmp_path, capsys, blob):

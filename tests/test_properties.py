@@ -209,7 +209,7 @@ def _valid_files():
         b"train\tsynth:harmonic:1\tsynth:chirp:2\t0.0\n"
         b"valid\twav:a.wav\tsynth:modulated-noise:3\t-2.5\n"
     )
-    config = b"num_filters=16\nwindow=16  # samples\nsegment_seconds=0.5\nnan_checks=yes\n"
+    config = b"num_filters=16\nwindow=16  # samples\nsegment_seconds=0.5\n"
     return {
         "checkpoint": (ckpt_bytes, tasnet.load_model, nt.CheckpointError),
         "manifest": (manifest, data.parse_manifest, data.ManifestError),

@@ -1,5 +1,7 @@
 """Encoder/masker/decoder assembly: shapes, masks, adjointness, checkpoints."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -278,14 +280,21 @@ def test_checkpoint_block_naming():
     assert "block0.intra.ln.scale" in names
 
 
-@pytest.mark.parametrize("overrides", [{}, dict(num_blocks=3, num_sources=3, window=2)])
-def test_checked_shapes_are_the_built_shapes(overrides):
-    # load_model checks a file against these before it builds the model
-    model = tiny_model(**overrides)
-    geometry = {key: getattr(model, key) for key in tasnet._GEOMETRY_MINIMA}
-    assert list(tasnet._parameter_shapes(**geometry)) == [
-        (name, t.shape) for name, t in model.parameters()
-    ]
+@pytest.mark.parametrize("geometry", [dict(hidden=5), dict(num_filters=5)])
+def test_model_rejects_a_block_of_another_geometry(geometry):
+    # the block is consistent in itself; only the model knows N and H
+    model, block = tiny_model(), tiny_model(**geometry).blocks[0]
+    with pytest.raises(ShapeError, match="block0"):
+        dataclasses.replace(model, blocks=[block])
+
+
+def test_model_rejects_a_backward_cell_of_another_size():
+    # a sub-pass checks its FC and norm against its forward cell only
+    model = tiny_model()
+    block, cell = model.blocks[0], tiny_model(hidden=5).blocks[0].inter.lstm_bwd
+    block = dataclasses.replace(block, inter=dataclasses.replace(block.inter, lstm_bwd=cell))
+    with pytest.raises(ShapeError, match="block0.inter"):
+        dataclasses.replace(model, blocks=[block])
 
 
 def test_separate_gradcheck_end_to_end():
