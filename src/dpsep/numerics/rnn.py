@@ -54,6 +54,8 @@ class LstmCellParams:
     b: Tensor
 
     def __post_init__(self):
+        if len(self.wx.shape) != 2 or len(self.wh.shape) != 2:
+            raise ShapeError(f"lstm weights must be 2-D: wx={self.wx.shape} wh={self.wh.shape}")
         h = self.hidden_size
         n = self.input_size
         if self.wx.shape != (4 * h, n) or self.wh.shape != (4 * h, h) or self.b.shape != (4 * h,):

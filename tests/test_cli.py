@@ -419,6 +419,12 @@ class TestMalformedCheckpoint:
                 b"\n".join(l for l in meta.split(b"\n") if not l.startswith(b"hidden=")),
                 header,
             ),
+            # same element count, so the file's data still matches its header
+            "rank-1 LSTM weight": (
+                meta,
+                header.replace(b"block0.intra.lstm_fwd.wh\tfloat32\t16,4",
+                               b"block0.intra.lstm_fwd.wh\tfloat32\t64"),
+            ),
         }
         for label, (m, h) in crafted.items():
             assert (m, h) != (meta, header), label
