@@ -9,6 +9,11 @@ __version__ = "0.1.0"
 # to at least K/2 frames, so a larger K would only allocate and run padding.
 MAX_CHUNK_LEN = 1 << 16
 
+# The highest sample rate a config or checkpoint may set: the highest PCM
+# rate in common use. `dpsep evaluate` synthesises its test set at the
+# checkpoint's rate, so an unbounded one would allocate without limit.
+MAX_SAMPLE_RATE = 192_000
+
 
 def encoder_hop(window):
     """The encoder's hop in samples for a window of `window`: half the

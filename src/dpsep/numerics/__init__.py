@@ -18,7 +18,6 @@ from .tensor import (
     pad_last_axis,
     relu,
     reshape,
-    set_nan_checks,
     slice_axis,
     sqrt,
     sub,
@@ -49,7 +48,6 @@ __all__ = [
     "relu",
     "reshape",
     "save_arrays",
-    "set_nan_checks",
     "slice_axis",
     "sqrt",
     "sub",

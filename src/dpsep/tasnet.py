@@ -13,14 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import MAX_CHUNK_LEN, encoder_hop
+from . import MAX_CHUNK_LEN, MAX_SAMPLE_RATE, encoder_hop
 from . import dualpath as dp
 from . import numerics as nt
 from .numerics import ShapeError, Tensor
 
 
 # the model's sizes, each at least 1 (chunk_len also even), as a checkpoint's
-# metadata holds them
+# metadata holds them, in its order
 _GEOMETRY = ("num_filters", "window", "num_sources", "num_blocks", "hidden", "chunk_len",
             "sample_rate")
 
@@ -49,6 +49,10 @@ class SeparatorModel:
         if self.chunk_len % 2 or self.chunk_len > MAX_CHUNK_LEN:
             raise ShapeError(
                 f"chunk_len must be even and at most {MAX_CHUNK_LEN}, got {self.chunk_len}"
+            )
+        if self.sample_rate > MAX_SAMPLE_RATE:
+            raise ShapeError(
+                f"sample_rate must be at most {MAX_SAMPLE_RATE}, got {self.sample_rate}"
             )
         n, w, c, h = self.num_filters, self.window, self.num_sources, self.hidden
         if self.encoder_kernels.shape != (n, w) or self.decoder_kernels.shape != (n, w):
@@ -215,13 +219,7 @@ def separate(mixture, model):
 def save_model(model, path):
     meta = {
         "format": "dpsep-separator",
-        "num_filters": model.num_filters,
-        "window": model.window,
-        "num_sources": model.num_sources,
-        "num_blocks": model.num_blocks,
-        "hidden": model.hidden,
-        "chunk_len": model.chunk_len,
-        "sample_rate": model.sample_rate,
+        **{key: getattr(model, key) for key in _GEOMETRY},
         "dtype": model.encoder_kernels.data.dtype.name,
     }
     nt.save_arrays(path, ((name, t.data) for name, t in model.parameters()), meta=meta)
@@ -229,9 +227,10 @@ def save_model(model, path):
 
 def load_model(path):
     """Read a separator checkpoint -> (model, metadata). Raises CheckpointError
-    for a file that cannot run. The model is built from the file's arrays
-    alone, and `SeparatorModel` checks them against the geometry, so no
-    metadata makes it allocate more than the file holds."""
+    for a file that cannot run or whose tensors are not exactly the model's.
+    The model is built from the file's arrays alone, and `SeparatorModel`
+    checks them against the geometry, so no metadata makes it allocate more
+    than the file holds."""
     meta, arrays = nt.load_arrays(path)
     if meta.get("format") != "dpsep-separator":
         raise nt.CheckpointError(f"{path} is not a separator checkpoint")
@@ -256,9 +255,15 @@ def load_model(path):
             ) from None
 
     try:
-        return _model_from_params(geometry, tensor), meta
+        model = _model_from_params(geometry, tensor)
     except ShapeError as err:
         raise nt.CheckpointError(f"{path}: {err}") from None
+    extra = sorted(arrays.keys() - {name for name, _ in model.parameters()})
+    if extra:
+        raise nt.CheckpointError(
+            f"{path}: checkpoint holds tensors the model does not use: {', '.join(extra)}"
+        )
+    return model, meta
 
 
 def _model_from_params(geometry, tensor):

@@ -67,13 +67,11 @@ def _example_loss(model, example):
 def si_snri_scores(model, examples):
     """The uPIT SI-SNRi of each example in turn, scored by `upit_si_snri` in
     float64 over its `valid_len` samples, without gradient tracking. A
-    NumericsError names the example that raised it; `upit_si_snri` raises one
-    for non-finite estimates, so numpy's overflow warnings are not shown."""
+    NumericsError names the example that raised it."""
     for i, ex in enumerate(examples):
         n = ex.valid_len
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                est = tasnet.separate(Tensor(ex.mixture), model)
+            est = tasnet.separate(Tensor(ex.mixture), model)
             si_snri, _ = upit_si_snri(est.data[:, :n], ex.sources[:, :n], ex.mixture[:, :n])
         except NumericsError as err:
             raise NumericsError(f"example {i}: {err}") from None
@@ -94,9 +92,8 @@ def train_loop(model, train_set, valid_set, config, run_dir):
     bring no improvement. Appends one metrics line per epoch to
     `metrics.tsv`: epoch, LR, train loss and validation SI-SNRi, so the file
     is the same on every run with the same seed. Wall time per epoch goes to
-    `EpochStats.seconds` only. Every op's output is scanned for non-finite
-    values while it runs (`set_nan_checks`), so a fault aborts with the op's
-    name.
+    `EpochStats.seconds` only. A non-finite op output or gradient norm
+    aborts the run with a TrainingAbort that names the op, or the norm.
     """
     if not train_set or not valid_set:
         raise ValueError("train_loop: train and validation sets must be non-empty")
@@ -104,66 +101,62 @@ def train_loop(model, train_set, valid_set, config, run_dir):
     metrics_path = os.path.join(run_dir, METRICS_FILENAME)
     params = model.parameter_tensors()
     optimizer = Adam(params, beta1=config.beta1, beta2=config.beta2, eps=config.adam_eps)
-    nt.set_nan_checks(True)
 
     best_epoch = 0
     best_val = -np.inf
     since_best = 0
     steps = 0
     history = []
-    try:
-        with open(metrics_path, "w") as log:
-            for epoch in range(1, config.epochs + 1):
-                started = time.perf_counter()
-                lr = lr_at(epoch - 1, config)
-                rng = np.random.default_rng((config.seed, epoch))
-                order = rng.permutation(len(train_set))
-                batch_losses = []
-                for batch_idx in range(0, len(order), config.batch_size):
-                    batch = [train_set[i] for i in order[batch_idx : batch_idx + config.batch_size]]
-                    optimizer.zero_grads()
-                    try:
-                        with GradTape() as tape:
-                            losses = [_example_loss(model, ex)[0] for ex in batch]
-                            total = losses[0]
-                            for term in losses[1:]:
-                                total = nt.add(total, term)
-                            batch_loss = nt.mul(total, 1.0 / len(losses))
-                        tape.backward(batch_loss)
-                        clip_grad_norm(params, config.clip_norm)
-                    except NumericsError as err:
-                        raise TrainingAbort(epoch, batch_idx // config.batch_size, str(err))
-                    optimizer.step(lr)
-                    steps += 1
-                    batch_losses.append(float(batch_loss.data))
-
+    with open(metrics_path, "w") as log:
+        for epoch in range(1, config.epochs + 1):
+            started = time.perf_counter()
+            lr = lr_at(epoch - 1, config)
+            rng = np.random.default_rng((config.seed, epoch))
+            order = rng.permutation(len(train_set))
+            batch_losses = []
+            for batch_idx in range(0, len(order), config.batch_size):
+                batch = [train_set[i] for i in order[batch_idx : batch_idx + config.batch_size]]
+                optimizer.zero_grads()
                 try:
-                    val_si_snri = validate_si_snri(model, valid_set)
+                    with GradTape() as tape:
+                        losses = [_example_loss(model, ex)[0] for ex in batch]
+                        total = losses[0]
+                        for term in losses[1:]:
+                            total = nt.add(total, term)
+                        batch_loss = nt.mul(total, 1.0 / len(losses))
+                    tape.backward(batch_loss)
+                    clip_grad_norm(params, config.clip_norm)
                 except NumericsError as err:
-                    raise TrainingAbort(epoch, None, f"validation {err}")
-                tasnet.save_model(model, os.path.join(run_dir, LAST_FILENAME))
-                if val_si_snri > best_val:
-                    best_val = val_si_snri
-                    best_epoch = epoch
-                    since_best = 0
-                    tasnet.save_model(model, os.path.join(run_dir, BEST_FILENAME))
-                else:
-                    since_best += 1
+                    raise TrainingAbort(epoch, batch_idx // config.batch_size, str(err))
+                optimizer.step(lr)
+                steps += 1
+                batch_losses.append(float(batch_loss.data))
 
-                stats = EpochStats(
-                    epoch, lr, float(np.mean(batch_losses)), val_si_snri,
-                    time.perf_counter() - started,
-                )
-                history.append(stats)
-                log.write(
-                    f"{stats.epoch}\t{stats.lr:.6e}\t{stats.train_loss:.6f}"
-                    f"\t{stats.val_si_snri:.6f}\n"
-                )
-                log.flush()
-                if since_best >= config.patience:
-                    break
-    finally:
-        nt.set_nan_checks(False)
+            try:
+                val_si_snri = validate_si_snri(model, valid_set)
+            except NumericsError as err:
+                raise TrainingAbort(epoch, None, f"validation {err}")
+            tasnet.save_model(model, os.path.join(run_dir, LAST_FILENAME))
+            if val_si_snri > best_val:
+                best_val = val_si_snri
+                best_epoch = epoch
+                since_best = 0
+                tasnet.save_model(model, os.path.join(run_dir, BEST_FILENAME))
+            else:
+                since_best += 1
+
+            stats = EpochStats(
+                epoch, lr, float(np.mean(batch_losses)), val_si_snri,
+                time.perf_counter() - started,
+            )
+            history.append(stats)
+            log.write(
+                f"{stats.epoch}\t{stats.lr:.6e}\t{stats.train_loss:.6f}"
+                f"\t{stats.val_si_snri:.6f}\n"
+            )
+            log.flush()
+            if since_best >= config.patience:
+                break
 
     return TrainResult(
         best_epoch=best_epoch,

@@ -181,6 +181,7 @@ CONFIG_FAULTS = {
     "clip_norm=inf": dict(clip_norm="inf"),
     "beta1=1": dict(beta1=1.0),
     "segment_seconds * sample_rate overflows": dict(segment_seconds=1e308),
+    "sample_rate above the cap": dict(sample_rate=192001),
 }
 
 
@@ -342,6 +343,15 @@ class TestSeparateCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out_dir.exists()
 
+    def test_non_finite_estimates_error_names_the_op(self, tmp_path, capsys):
+        from dpsep.data import write_wav
+
+        wav_in = tmp_path / "mix.wav"
+        write_wav(wav_in, 0.5 * np.sin(np.arange(400) * 0.1), 8000)
+        ckpt = _overflowing_checkpoint(tmp_path)
+        assert cli.main(["separate", str(ckpt), str(wav_in), str(tmp_path / "sep")]) == 3
+        assert capsys.readouterr().err.startswith("error: non-finite values produced by op '")
+
     def test_short_inputs_give_sources_of_input_length(self, trained, tmp_path):
         # the toy model needs 24 samples (W=8, K=10); shorter input is padded
         ckpt, _ = trained
@@ -487,6 +497,40 @@ class TestMalformedCheckpoint:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"at most {MAX_CHUNK_LEN}" in err
 
+    def test_extra_tensors_exit_2_naming_them(self, tmp_path, capsys):
+        # a two-block file whose metadata says one block
+        from dpsep.data import write_wav
+
+        def second_block(meta, arrays):
+            for name in [n for n in arrays if n.startswith("block0.")]:
+                arrays["block1" + name[len("block0"):]] = arrays[name]
+
+        path = self._resaved(tmp_path, second_block)
+        wav = tmp_path / "mix.wav"
+        write_wav(wav, 0.5 * np.sin(np.arange(400) * 0.1), 8000)
+        assert cli.main(["separate", str(path), str(wav), str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "block1.intra.lstm_fwd.wx" in err
+
+    def test_sample_rate_above_the_cap_exits_2_before_synthesis(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from dpsep import MAX_SAMPLE_RATE, data
+
+        def raise_rate(meta, arrays):
+            meta["sample_rate"] = "2000000000"
+
+        def no_synthesis(*args):
+            raise AssertionError("evaluate synthesised a test set")
+
+        monkeypatch.setattr(data, "make_dataset", no_synthesis)
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(MANIFEST)
+        path = self._resaved(tmp_path, raise_rate)
+        assert cli.main(["evaluate", str(path), str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"at most {MAX_SAMPLE_RATE}" in err
+
     @pytest.mark.parametrize("value, stored", [(np.nan, np.float32), (1e300, np.float64)],
                              ids=["nan", "float64 beyond float32"])
     def test_non_finite_weight_exits_2(self, value, stored, tmp_path, capsys):
@@ -596,6 +640,14 @@ class TestEvaluateCommand:
         code = cli.main(["evaluate", str(_overflowing_checkpoint(tmp_path)), str(manifest)])
         assert code == 3
         assert capsys.readouterr().err.startswith("error: example 0: ")
+
+    def test_non_finite_estimates_error_names_the_op(self, tmp_path, capsys):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(MANIFEST)
+        code = cli.main(["evaluate", str(_overflowing_checkpoint(tmp_path)), str(manifest)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: example 0: non-finite values produced by op '")
 
 
 def _assert_manifest_fault_exits_2(tmp_path, capsys, blob):

@@ -1,6 +1,7 @@
 """Encoder/masker/decoder assembly: shapes, masks, adjointness, checkpoints."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from dpsep import dualpath as dp
 from dpsep import numerics as nt
 from dpsep import encoder_hop, tasnet
-from dpsep.numerics import GradTape, ShapeError, Tensor
+from dpsep.numerics import GradTape, NumericsError, ShapeError, Tensor
 
 
 def tiny_model(dtype=np.float32, seed=3, **overrides):
@@ -189,13 +190,22 @@ def test_separate_is_gain_equivariant():
 
 def test_separate_silent_input_gives_silent_output():
     model = tiny_model()
-    nt.set_nan_checks(True)
-    try:
-        for t_len in (40, 5):
-            out = tasnet.separate(Tensor(np.zeros((1, t_len), dtype=np.float32)), model)
-            np.testing.assert_array_equal(out.data, np.zeros((2, t_len), dtype=np.float32))
-    finally:
-        nt.set_nan_checks(False)
+    for t_len in (40, 5):
+        out = tasnet.separate(Tensor(np.zeros((1, t_len), dtype=np.float32)), model)
+        np.testing.assert_array_equal(out.data, np.zeros((2, t_len), dtype=np.float32))
+
+
+def test_separate_names_the_op_that_overflows():
+    # the library path scans every op's output, as the CLI and training do
+    model = tasnet.build_model(
+        num_filters=4, window=8, num_sources=2, num_blocks=1, hidden=4, chunk_len=10
+    )
+    model.mask_weight.data[...] = 3e38
+    mixture = Tensor(0.5 * np.sin(np.arange(400) * 0.1)[None, :])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and shows no numpy warning
+        with pytest.raises(NumericsError, match="non-finite values produced by op '"):
+            tasnet.separate(mixture, model)
 
 
 def test_parameter_count_default_config():

@@ -242,21 +242,17 @@ def test_mixed_dtypes_rejected():
 
 def test_nan_surveillance_names_op():
     x = Tensor([1e30], requires_grad=True)
-    nt.set_nan_checks(True)
-    try:
-        with GradTape():
-            with pytest.raises(NumericsError) as exc:
-                nt.mul(x, x)  # overflows float32
-        assert "'mul'" in str(exc.value)
-    finally:
-        nt.set_nan_checks(False)
+    with GradTape():
+        with pytest.raises(NumericsError) as exc:
+            nt.mul(x, x)  # overflows float32
+    assert "'mul'" in str(exc.value)
 
 
 @pytest.mark.parametrize(
     "op, bad, message",
     [
-        (nt.log, [1.0, 0.0], "log requires strictly positive input"),
-        (nt.sqrt, [1.0, -1.0], "sqrt requires nonnegative input"),
+        (nt.log, [1.0, 0.0], "'log'"),
+        (nt.sqrt, [1.0, -1.0], "'sqrt'"),
     ],
     ids=["log", "sqrt"],
 )
