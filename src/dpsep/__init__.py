@@ -29,3 +29,7 @@ class InputError(ValueError):
 
 class NumericFault(RuntimeError):
     """A numeric failure of a run on inputs that were accepted."""
+
+
+class ShapeError(ValueError):
+    """Raised when operand shapes or model sizes are incompatible."""

@@ -17,8 +17,8 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-from . import MAX_CHUNK_LEN, MAX_SAMPLE_RATE, InputError, NumericFault, encoder_hop
-from .config import TrainConfig
+from . import InputError, NumericFault
+from .config import Geometry, TrainConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -32,24 +32,40 @@ class ConfigError(InputError):
 
 
 @dataclass
-class RunConfig(TrainConfig):
-    """All run settings: the training ones, with their defaults and rules,
-    and the model's, the data's and the run's. Defaults follow the published
-    recipe where stated."""
+class RunConfig(TrainConfig, Geometry):
+    """All run settings: the training ones and the model's sizes, with their
+    defaults and rules, and the data's and the run's. Defaults follow the
+    published recipe where stated. It checks itself, so every RunConfig can
+    run."""
 
-    # model
-    num_filters: int = 64
-    window: int = 2
-    num_sources: int = 2
-    num_blocks: int = 6
-    hidden: int = 128
-    chunk_len: int = 0  # 0 = derive from the sqrt(2L) rule
-    # data / run
     segment_seconds: float = 4.0
-    sample_rate: int = 8000
     manifest: str = ""
     run_dir: str = "runs/default"
     threads: int = 1
+
+    def __post_init__(self):
+        TrainConfig.__post_init__(self)
+        Geometry.__post_init__(self)
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
+        if self.num_sources != 2:
+            raise ValueError(
+                f"num_sources must be 2, as a manifest record holds two, got {self.num_sources}"
+            )
+        samples = self.segment_seconds * self.sample_rate
+        if not (math.isfinite(samples) and self.segment_seconds > 0):
+            raise ValueError(
+                f"segment_seconds must be positive and finite in samples at "
+                f"{self.sample_rate} Hz, got {self.segment_seconds}"
+            )
+        samples = int(round(samples))
+        # deriving chunk_len takes at least 4 encoder frames of a segment
+        least = self.samples(4) if self.chunk_len == 0 else 1
+        if samples < least:
+            raise ValueError(
+                f"segment_seconds={self.segment_seconds} gives {samples} samples, "
+                f"fewer than the {least} the model needs"
+            )
 
 
 def parse_config(path):
@@ -83,47 +99,9 @@ def parse_config(path):
             kind = types[key].__name__
             raise ConfigError(f"{context}: key {key} expects {kind}, got {text!r}") from None
     try:
-        config = RunConfig(**values)
-    except ValueError as err:  # a training setting's rule
+        return RunConfig(**values)
+    except ValueError as err:
         raise ConfigError(f"{path}: {err}") from None
-    problem = _config_problem(config)
-    if problem:
-        raise ConfigError(f"{path}: {problem}")
-    return config
-
-
-_AT_LEAST_ONE = ("num_filters", "window", "num_blocks", "hidden", "sample_rate", "threads")
-
-
-def _config_problem(config):
-    """Why `config` cannot run, or None. `TrainConfig` checks the training
-    settings."""
-    for name in _AT_LEAST_ONE:
-        if getattr(config, name) < 1:
-            return f"{name} must be >= 1, got {getattr(config, name)}"
-    if config.sample_rate > MAX_SAMPLE_RATE:
-        return f"sample_rate must be at most {MAX_SAMPLE_RATE}, got {config.sample_rate}"
-    if not (math.isfinite(config.segment_seconds) and config.segment_seconds > 0):
-        return f"segment_seconds must be finite and positive, got {config.segment_seconds}"
-    if config.num_sources != 2:
-        return f"num_sources must be 2, as a manifest record holds two, got {config.num_sources}"
-    if config.chunk_len < 0 or config.chunk_len % 2 or config.chunk_len > MAX_CHUNK_LEN:
-        return (
-            f"chunk_len must be 0 (derived) or positive, even and at most "
-            f"{MAX_CHUNK_LEN}, got {config.chunk_len}"
-        )
-    samples = config.segment_seconds * config.sample_rate
-    if not math.isfinite(samples):
-        return f"segment_seconds={config.segment_seconds} overflows at {config.sample_rate} Hz"
-    samples = int(round(samples))
-    # deriving chunk_len takes at least 4 encoder frames of a segment
-    least = config.window + 3 * encoder_hop(config.window) if config.chunk_len == 0 else 1
-    if samples < least:
-        return (
-            f"segment_seconds={config.segment_seconds} gives {samples} samples, "
-            f"fewer than the {least} the model needs"
-        )
-    return None
 
 
 def _export_threads(threads):
@@ -173,14 +151,8 @@ def cmd_train(config_path):
         raise InputError("manifest must provide non-empty train and valid splits")
 
     model = tasnet.build_model(
-        num_filters=config.num_filters,
-        window=config.window,
-        num_sources=config.num_sources,
-        num_blocks=config.num_blocks,
-        hidden=config.hidden,
-        chunk_len=config.chunk_len or None,
+        **config.sizes(),
         nominal_samples=int(round(config.segment_seconds * config.sample_rate)),
-        sample_rate=config.sample_rate,
         seed=config.seed,
     )
     run_dir = os.environ.get(RUN_DIR_ENV) or config.run_dir

@@ -16,11 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import NumericFault
-
-
-class ShapeError(ValueError):
-    """Raised when operand shapes are incompatible."""
+from .. import NumericFault, ShapeError
 
 
 class NumericsError(NumericFault):
@@ -41,7 +37,7 @@ class Tensor:
         arr = np.asarray(data, dtype=dtype)
         if any(extent <= 0 for extent in arr.shape):
             raise ShapeError(f"tensor extents must be positive, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not _finite(arr):
             raise NumericsError("tensor initialized with non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -66,6 +62,13 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
+
+
+def _finite(arr):
+    """Whether every entry of `arr` is finite. Its min and max are finite
+    exactly when all its entries are, and unlike `np.isfinite` they allocate
+    no temporary of its size."""
+    return bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
 
 
 def _wrap(arr):
@@ -126,27 +129,34 @@ class GradTape:
 
         # One gradient per slot, popped with its node: each node's saved
         # arrays go as soon as its backward has run. A gradient is copied the
-        # first time it is stored, so backward_fns may return views.
+        # first time it is stored, so backward_fns may return views. Each one
+        # is scanned as it is stored or accumulated, so a non-finite gradient
+        # names the op whose backward made it, without numpy's warnings.
         nodes, self._nodes = self._nodes, []
         grads = [None] * len(nodes)
         grads[loss._slot] = np.ones((), dtype=loss.data.dtype)
-        while nodes:
-            _, refs, backward_fn = nodes.pop()
-            grad = grads.pop()
-            if grad is None:
-                continue
-            for ref, g in zip(refs, backward_fn(grad)):
-                if ref is None or g is None:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            while nodes:
+                name, refs, backward_fn = nodes.pop()
+                grad = grads.pop()
+                if grad is None:
                     continue
-                if isinstance(ref, Tensor):
-                    if ref.grad is None:
-                        ref.grad = np.array(g, dtype=ref.data.dtype, copy=True)
+                for ref, g in zip(refs, backward_fn(grad)):
+                    if ref is None or g is None:
+                        continue
+                    if isinstance(ref, Tensor):
+                        if ref.grad is None:
+                            ref.grad = np.array(g, dtype=ref.data.dtype, copy=True)
+                        else:
+                            ref.grad += g
+                        stored = ref.grad
+                    elif grads[ref] is None:
+                        stored = grads[ref] = np.array(g, copy=True)
                     else:
-                        ref.grad += g
-                elif grads[ref] is None:
-                    grads[ref] = np.array(g, copy=True)
-                else:
-                    grads[ref] += g
+                        stored = grads[ref]
+                        stored += g
+                    if not _finite(stored):
+                        raise NumericsError(f"non-finite gradient produced by op '{name}'")
 
 
 def _ref(t, tape):
@@ -168,13 +178,11 @@ def apply_op(name, inputs, forward_fn, backward_fn):
     never over input Tensors.
 
     An output holding a NaN or an infinity raises a NumericsError naming the
-    op, before anything is recorded and without numpy's warnings. Its min
-    and max are finite exactly when all its entries are, and unlike
-    `np.isfinite` they allocate no output-sized temporary.
+    op, before anything is recorded and without numpy's warnings.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out_data = forward_fn()
-    if not (np.isfinite(out_data.min()) and np.isfinite(out_data.max())):
+    if not _finite(out_data):
         raise NumericsError(f"non-finite values produced by op '{name}'")
     out = _wrap(out_data)
 

@@ -9,31 +9,19 @@ a waveform.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import MAX_CHUNK_LEN, MAX_SAMPLE_RATE, encoder_hop
 from . import dualpath as dp
 from . import numerics as nt
+from .config import Geometry
 from .numerics import ShapeError, Tensor
 
 
-# the model's sizes, each at least 1 (chunk_len also even), as a checkpoint's
-# metadata holds them, in its order
-_GEOMETRY = ("num_filters", "window", "num_sources", "num_blocks", "hidden", "chunk_len",
-            "sample_rate")
-
-
-@dataclass
-class SeparatorModel:
-    num_filters: int
-    window: int
-    num_sources: int
-    num_blocks: int
-    hidden: int
-    chunk_len: int
-    sample_rate: int
+@dataclass(kw_only=True)
+class SeparatorModel(Geometry):
     encoder_kernels: Tensor  # (N, W)
     decoder_kernels: Tensor  # (N, W)
     mask_weight: Tensor  # (C*N, N)
@@ -43,17 +31,9 @@ class SeparatorModel:
     def __post_init__(self):
         """Check the whole tree against the geometry, so that a model built
         from any arrays, a checkpoint's included, can run."""
-        for name in _GEOMETRY:
-            if getattr(self, name) < 1:
-                raise ShapeError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.chunk_len % 2 or self.chunk_len > MAX_CHUNK_LEN:
-            raise ShapeError(
-                f"chunk_len must be even and at most {MAX_CHUNK_LEN}, got {self.chunk_len}"
-            )
-        if self.sample_rate > MAX_SAMPLE_RATE:
-            raise ShapeError(
-                f"sample_rate must be at most {MAX_SAMPLE_RATE}, got {self.sample_rate}"
-            )
+        super().__post_init__()
+        if self.chunk_len < 2:
+            raise ShapeError(f"chunk_len must be at least 2, got {self.chunk_len}")
         n, w, c, h = self.num_filters, self.window, self.num_sources, self.hidden
         if self.encoder_kernels.shape != (n, w) or self.decoder_kernels.shape != (n, w):
             raise ShapeError(
@@ -77,11 +57,6 @@ class SeparatorModel:
                             f"{cell.hidden_size} hidden units, the model {n} with {h}"
                         )
 
-    @property
-    def stride(self):
-        """Encoder hop, `encoder_hop(window)`."""
-        return encoder_hop(self.window)
-
     def parameters(self):
         """(name, tensor) pairs in the fixed checkpoint order."""
         yield "encoder.kernels", self.encoder_kernels
@@ -101,56 +76,33 @@ def parameter_count(model):
     return sum(t.size for _, t in model.parameters())
 
 
-def frame_count(num_samples, window, stride):
-    if num_samples < window:
-        raise ShapeError(f"input too short: {num_samples} samples < window {window}")
-    return (num_samples - window) // stride + 1
+def build_model(nominal_samples=32000, seed=0, dtype=np.float32, **sizes):
+    """Construct a randomly initialized model of `Geometry(**sizes)`.
 
-
-def build_model(
-    num_filters=64,
-    window=2,
-    num_sources=2,
-    num_blocks=6,
-    hidden=128,
-    chunk_len=None,
-    nominal_samples=32000,
-    sample_rate=8000,
-    seed=0,
-    dtype=np.float32,
-):
-    """Construct a randomly initialized model.
-
-    When `chunk_len` is None it is derived from the encoder frame count of a
-    nominal input (training segments of `nominal_samples` samples).
+    A `chunk_len` of 0, the default, is derived from the encoder frame count
+    of a nominal input (training segments of `nominal_samples` samples).
     """
-    if chunk_len is None:
-        frames = frame_count(nominal_samples, window, encoder_hop(window))
-        chunk_len = dp.choose_chunk_size(frames)
+    geometry = Geometry(**sizes)
+    if geometry.chunk_len == 0:
+        chunk_len = dp.choose_chunk_size(geometry.frames(nominal_samples))
+        geometry = dataclasses.replace(geometry, chunk_len=chunk_len)
+    n, w, c = geometry.num_filters, geometry.window, geometry.num_sources
     rng = np.random.default_rng(seed)
-    kb = 1.0 / np.sqrt(window)
-    mb = 1.0 / np.sqrt(num_filters)
+    kb = 1.0 / np.sqrt(w)
+    mb = 1.0 / np.sqrt(n)
 
     def uni(shape, bound):
         return Tensor(rng.uniform(-bound, bound, size=shape), dtype=dtype, requires_grad=True)
 
     return SeparatorModel(
-        num_filters=num_filters,
-        window=window,
-        num_sources=num_sources,
-        num_blocks=num_blocks,
-        hidden=hidden,
-        chunk_len=chunk_len,
-        sample_rate=sample_rate,
-        encoder_kernels=uni((num_filters, window), kb),
-        decoder_kernels=uni((num_filters, window), kb),
-        mask_weight=uni((num_sources * num_filters, num_filters), mb),
-        mask_bias=Tensor(
-            np.zeros(num_sources * num_filters), dtype=dtype, requires_grad=True
-        ),
+        **geometry.sizes(),
+        encoder_kernels=uni((n, w), kb),
+        decoder_kernels=uni((n, w), kb),
+        mask_weight=uni((c * n, n), mb),
+        mask_bias=Tensor(np.zeros(c * n), dtype=dtype, requires_grad=True),
         blocks=[
-            dp.init_block_params(rng, num_filters, hidden, dtype=dtype)
-            for _ in range(num_blocks)
+            dp.init_block_params(rng, n, geometry.hidden, dtype=dtype)
+            for _ in range(geometry.num_blocks)
         ],
     )
 
@@ -198,14 +150,20 @@ def separate(mixture, model):
     rescales each one to the mixture's peak before writing it as a WAV.
     A mixture shorter than the model's minimum input (T >= W and K <= 2L) is
     zero-padded to that minimum, and the estimates are cut back to T.
+    It runs in the model's dtype: a mixture that needs no gradient is cast to
+    it, and one that does must already match.
     """
+    dtype = model.encoder_kernels.dtype
+    if mixture.dtype != dtype:
+        if mixture.requires_grad:
+            raise ShapeError(f"separate: {mixture.dtype.name} mixture, {dtype.name} model")
+        mixture = Tensor(mixture.data, dtype=dtype)
     t_len = mixture.shape[1]
     rms = None
     if np.any(mixture.data):
         rms = nt.sqrt(nt.tmean(nt.mul(mixture, mixture)))
         mixture = nt.div(mixture, rms)
-    min_len = model.window + (max(model.chunk_len // 2, 1) - 1) * model.stride
-    mixture = nt.pad_last_axis(mixture, max(t_len, min_len))
+    mixture = nt.pad_last_axis(mixture, max(t_len, model.samples(model.chunk_len // 2)))
     rep = encode(mixture, model)
     masks = estimate_masks(rep, model)
     est = decode(apply_masks(rep, masks), model)
@@ -219,7 +177,7 @@ def separate(mixture, model):
 def save_model(model, path):
     meta = {
         "format": "dpsep-separator",
-        **{key: getattr(model, key) for key in _GEOMETRY},
+        **model.sizes(),
         "dtype": model.encoder_kernels.data.dtype.name,
     }
     nt.save_arrays(path, ((name, t.data) for name, t in model.parameters()), meta=meta)
@@ -235,7 +193,7 @@ def load_model(path):
     if meta.get("format") != "dpsep-separator":
         raise nt.CheckpointError(f"{path} is not a separator checkpoint")
     try:
-        geometry = {key: int(meta[key]) for key in _GEOMETRY}
+        sizes = {f.name: int(meta[f.name]) for f in dataclasses.fields(Geometry)}
     except (KeyError, ValueError) as err:
         raise nt.CheckpointError(f"{path}: missing or non-integer metadata {err}") from None
     dtype_name = meta.get("dtype", "float32")
@@ -255,7 +213,7 @@ def load_model(path):
             ) from None
 
     try:
-        model = _model_from_params(geometry, tensor)
+        model = _model_from_params(Geometry(**sizes), tensor)
     except ShapeError as err:
         raise nt.CheckpointError(f"{path}: {err}") from None
     extra = sorted(arrays.keys() - {name for name, _ in model.parameters()})
@@ -284,13 +242,13 @@ def _model_from_params(geometry, tensor):
         )
 
     return SeparatorModel(
-        **geometry,
+        **geometry.sizes(),
         encoder_kernels=tensor("encoder.kernels"),
         decoder_kernels=tensor("decoder.kernels"),
         mask_weight=tensor("mask_head.weight"),
         mask_bias=tensor("mask_head.bias"),
         blocks=[
             dp.DprnnBlockParams(intra=sub(f"block{b}.intra"), inter=sub(f"block{b}.inter"))
-            for b in range(geometry["num_blocks"])
+            for b in range(geometry.num_blocks)
         ],
     )

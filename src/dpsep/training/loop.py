@@ -56,7 +56,7 @@ class TrainResult:
 def _example_loss(model, example):
     mixture = Tensor(example.mixture)
     est = tasnet.separate(mixture, model)
-    refs = Tensor(example.sources)
+    refs = Tensor(example.sources, dtype=est.dtype)
     if example.valid_len < est.shape[1]:
         est = nt.slice_axis(est, 1, 0, example.valid_len)
         refs = nt.slice_axis(refs, 1, 0, example.valid_len)
@@ -92,8 +92,8 @@ def train_loop(model, train_set, valid_set, config, run_dir):
     bring no improvement. Appends one metrics line per epoch to
     `metrics.tsv`: epoch, LR, train loss and validation SI-SNRi, so the file
     is the same on every run with the same seed. Wall time per epoch goes to
-    `EpochStats.seconds` only. A non-finite op output or gradient norm
-    aborts the run with a TrainingAbort that names the op, or the norm.
+    `EpochStats.seconds` only. A non-finite op output, gradient or gradient
+    norm aborts the run with a TrainingAbort that names the op, or the norm.
     """
     if not train_set or not valid_set:
         raise ValueError("train_loop: train and validation sets must be non-empty")

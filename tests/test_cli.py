@@ -1,5 +1,6 @@
 """CLI surface: config parsing, exit codes, train/separate/evaluate round trip."""
 
+import dataclasses
 import os
 import platform
 import struct
@@ -220,6 +221,21 @@ class TestConfigFaults:
         assert cli.main(["train", str(config)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("overrides", CONFIG_FAULTS.values(), ids=CONFIG_FAULTS.keys())
+    def test_library_run_config_rejects_bad_value_naming_its_key(self, overrides, tmp_path):
+        # RunConfig checks itself: a library caller cannot build a config that
+        # parse_config rejects, and both give the same message
+        types = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
+        with pytest.raises(ValueError) as exc:
+            RunConfig(**{key: types[key](value) for key, value in overrides.items()})
+        message = str(exc.value)
+        assert any(key in message for key in overrides), message
+        path = tmp_path / "c.cfg"
+        path.write_text("".join(f"{key}={value}\n" for key, value in overrides.items()))
+        with pytest.raises(ConfigError) as exc:
+            parse_config(path)
+        assert str(exc.value) == f"{path}: {message}"
+
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "c.cfg"
         path.write_bytes(b"window=4 # \xff\xfe\n")
@@ -229,6 +245,59 @@ class TestConfigFaults:
     def test_directory_config_exits_2(self, tmp_path, capsys):
         assert cli.main(["train", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+OUT_OF_RANGE_SIZES = {
+    "hidden=0": ("hidden", 0),
+    "window=0": ("window", 0),
+    "num_filters=-1": ("num_filters", -1),
+    "num_sources=0": ("num_sources", 0),
+    "num_blocks=0": ("num_blocks", 0),
+    "odd chunk_len": ("chunk_len", 3),
+    "negative chunk_len": ("chunk_len", -2),
+    "chunk_len above the cap": ("chunk_len", 2 * 65536),
+    "sample_rate=0": ("sample_rate", 0),
+    "sample_rate above the cap": ("sample_rate", 192001),
+}
+
+
+@pytest.mark.parametrize("key, value", OUT_OF_RANGE_SIZES.values(),
+                         ids=OUT_OF_RANGE_SIZES.keys())
+def test_build_load_and_config_reject_a_size_alike(key, value, tmp_path):
+    # one Geometry holds the rules of the model's sizes, for the library, a
+    # checkpoint and a config alike
+    from dpsep import tasnet
+    from dpsep.numerics import CheckpointError, ShapeError, load_arrays, save_arrays
+
+    with pytest.raises(ShapeError) as exc:
+        tasnet.build_model(**{key: value})
+    message = str(exc.value)
+    assert message.startswith(f"{key} must be "), message
+    with pytest.raises(ValueError) as exc:
+        RunConfig(**{key: value})
+    assert str(exc.value) == message
+    path = tmp_path / "toy.ckpt"
+    tasnet.save_model(tasnet.build_model(
+        num_filters=4, window=8, num_sources=2, num_blocks=1, hidden=4, chunk_len=10
+    ), path)
+    meta, arrays = load_arrays(path)
+    meta[key] = str(value)
+    save_arrays(path, arrays.items(), meta=meta)
+    with pytest.raises(CheckpointError) as exc:
+        tasnet.load_model(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def _float64_checkpoint(tmp_path):
+    from dpsep import tasnet
+
+    model = tasnet.build_model(
+        num_filters=4, window=8, num_sources=2, num_blocks=1, hidden=4, chunk_len=10,
+        dtype=np.float64,
+    )
+    path = tmp_path / "toy64.ckpt"
+    tasnet.save_model(model, path)
+    return path
 
 
 class TestSeparateCommand:
@@ -351,6 +420,20 @@ class TestSeparateCommand:
         ckpt = _overflowing_checkpoint(tmp_path)
         assert cli.main(["separate", str(ckpt), str(wav_in), str(tmp_path / "sep")]) == 3
         assert capsys.readouterr().err.startswith("error: non-finite values produced by op '")
+
+    def test_float64_checkpoint_separates(self, tmp_path, capsys):
+        # the float32 mixture runs in the checkpoint's dtype
+        from dpsep.data import read_wav, write_wav
+
+        wav_in = tmp_path / "mix.wav"
+        write_wav(wav_in, 0.5 * np.sin(np.arange(400) * 0.1), 8000)
+        out_dir = tmp_path / "sep"
+        code = cli.main(["separate", str(_float64_checkpoint(tmp_path)), str(wav_in),
+                         str(out_dir)])
+        assert code == 0, capsys.readouterr().err
+        for c in range(2):
+            audio, _ = read_wav(out_dir / f"source{c + 1}.wav")
+            assert audio.shape == (1, 400)
 
     def test_short_inputs_give_sources_of_input_length(self, trained, tmp_path):
         # the toy model needs 24 samples (W=8, K=10); shorter input is padded
@@ -574,6 +657,14 @@ class TestEvaluateCommand:
         assert "example 0:" in out
         assert "mean si_snri=" in out
         assert "snri=" not in out.replace("si_snri=", "")
+
+    def test_float64_checkpoint_evaluates(self, tmp_path, capsys):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(MANIFEST)
+        code = cli.main(["evaluate", str(_float64_checkpoint(tmp_path)), str(manifest)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "mean si_snri=" in captured.out
 
     def test_one_sample_tail_is_dropped(self, tmp_path, capsys):
         # 4 s evaluation segments plus one sample: the 1-sample tail is a

@@ -9,6 +9,7 @@ import pytest
 from dpsep import dualpath as dp
 from dpsep import numerics as nt
 from dpsep import encoder_hop, tasnet
+from dpsep.config import Geometry
 from dpsep.numerics import GradTape, NumericsError, ShapeError, Tensor
 
 
@@ -29,7 +30,14 @@ def test_encode_single_frame():
 
 def test_encode_frame_count_at_sample_level():
     # 4 s at 8 kHz, 2-sample window: the representation exceeds 30000 frames
-    assert tasnet.frame_count(32000, 2, 1) == 31999
+    assert Geometry(window=2).frames(32000) == 31999
+    # `samples` is the least input of a frame count, for every window
+    for window in (1, 2, 3, 8, 16):
+        geometry = Geometry(window=window)
+        for frames in (1, 2, 5, 64):
+            least = geometry.samples(frames)
+            assert geometry.frames(least) == frames
+            assert least == window or geometry.frames(least - 1) == frames - 1
 
 
 def test_encoder_hop_is_half_the_window_and_the_model_stride():
@@ -193,6 +201,19 @@ def test_separate_silent_input_gives_silent_output():
     for t_len in (40, 5):
         out = tasnet.separate(Tensor(np.zeros((1, t_len), dtype=np.float32)), model)
         np.testing.assert_array_equal(out.data, np.zeros((2, t_len), dtype=np.float32))
+
+
+def test_separate_runs_in_the_model_dtype():
+    # a mixture without grads is cast; one with grads must match the model
+    model = tiny_model(dtype=np.float64)
+    x = np.random.default_rng(0).standard_normal((1, 40)).astype(np.float32)
+    out = tasnet.separate(Tensor(x), model)
+    assert out.dtype == np.float64
+    np.testing.assert_array_equal(
+        out.data, tasnet.separate(Tensor(x, dtype=np.float64), model).data
+    )
+    with pytest.raises(ShapeError, match="float32 mixture, float64 model"):
+        tasnet.separate(Tensor(x, requires_grad=True), model)
 
 
 def test_separate_names_the_op_that_overflows():

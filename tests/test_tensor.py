@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -246,6 +247,18 @@ def test_nan_surveillance_names_op():
         with pytest.raises(NumericsError) as exc:
             nt.mul(x, x)  # overflows float32
     assert "'mul'" in str(exc.value)
+
+
+def test_backward_names_the_op_whose_gradient_overflows():
+    # the forward is finite (1e20), but div's gradient for its divisor,
+    # -1 / x^2, overflows float32 at x = 1e-20
+    x = Tensor(np.array([1e-20, 1.0], dtype=np.float32), requires_grad=True)
+    with GradTape() as tape:
+        loss = nt.tsum(nt.div(1.0, x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and shows no numpy warning
+        with pytest.raises(NumericsError, match="non-finite gradient produced by op 'div'"):
+            tape.backward(loss)
 
 
 @pytest.mark.parametrize(

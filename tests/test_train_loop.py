@@ -127,6 +127,19 @@ def test_non_finite_gradient_aborts_before_the_update(toy_sets, tmp_path, monkey
         assert p.data.tobytes() == saved.tobytes()
 
 
+def test_float64_model_trains_an_epoch(toy_sets, tmp_path):
+    # the float32 examples run in the model's dtype, mixture and references
+    train, valid = toy_sets
+    model = tasnet.build_model(
+        num_filters=4, window=8, num_sources=2, num_blocks=1, hidden=4,
+        chunk_len=10, sample_rate=8000, seed=0, dtype=np.float64,
+    )
+    config = TrainConfig(epochs=1, batch_size=2)
+    result = train_loop(model, train, valid, config, str(tmp_path / "run"))
+    assert result.epochs_run == 1 and np.isfinite(result.best_val_si_snri)
+    assert all(t.data.dtype == np.float64 for t in model.parameter_tensors())
+
+
 def test_undefined_validation_si_snr_aborts(toy_sets, tmp_path):
     # a valid example whose second source is zero has no SI-SNR to score
     train, valid = toy_sets
