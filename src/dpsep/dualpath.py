@@ -27,7 +27,7 @@ import numpy as np
 
 from . import numerics as nt
 from .numerics import LstmCellParams, ShapeError, Tensor
-from .numerics.tensor import apply_op
+from .numerics.tensor import _check_same_dtype, apply_op
 
 LN_EPS = 1e-8
 
@@ -122,6 +122,8 @@ def global_layer_norm(x, scale, bias, eps=LN_EPS):
         raise ShapeError(
             f"global_layer_norm: scale {scale.shape} / bias {bias.shape} must be ({n},)"
         )
+    _check_same_dtype("global_layer_norm", x, scale)
+    _check_same_dtype("global_layer_norm", x, bias)
     xd, sd, bd = x.data, scale.data, bias.data
     need_x = x.requires_grad
     inv_size = xd.dtype.type(1.0 / x.size)

@@ -24,11 +24,14 @@ gradients are mapped back to it.
 Each step projects its h through the direction's half of the FC weight,
 h^T @ W_half^T, into a contiguous (B, N) scratch, and writes or adds that
 into y[t]. Nothing else of h is kept, so no (T, B, 2H) array exists in the
-forward. Under a tape each direction keeps its gates (T, 4H, B) and cell
-states (T+1, H, B), and nothing more: h = o * tanh(c), and BPTT computes
-tanh(c) at every step anyway, so backward rebuilds each step's h from them
-with one multiply, into a contiguous (H, T, B) array per direction that the
-FC's weight gradient and the recurrent weight gradient then read.
+forward. The cell state is one (H, B) array updated in place, taped or not.
+Under a tape each direction keeps its gates (T, 4H, B) and nothing more:
+c_t = f_t * c_{t-1} + i_t * g_t needs only the gates, so backward first
+rebuilds every cell state with the forward's own two ops per step, then
+tanh(c) and h = o * tanh(c) in whole-array ops, into a contiguous (H, T, B)
+array per direction that the FC's weight gradient and the recurrent weight
+gradient then read. Elementwise ops give the same bits however they are
+blocked, so the gradients are those of a tape that kept c and h.
 
 The sigmoid gates use the tanh form sigma(x) = 1/2 + tanh(x/2)/2. The x/2 is
 folded into the working matrix, whose i, f and o rows are halved (exact in
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, apply_op, recording_tape
+from .tensor import ShapeError, Tensor, _check_same_dtype, apply_op, recording_tape
 
 @dataclass
 class LstmCellParams:
@@ -137,11 +140,10 @@ def _run(x, params, proj, y, keep, reverse):
     through proj (H, N), the direction's half of the FC transposed, into a
     (B, N) scratch, since np.dot's `out` must be C-contiguous and y[t] need
     not be; the scratch is written into y[t], or added to it for the reverse
-    direction, which runs second. With `keep`, z is gates[t] of a
-    (T, 4H, B) array and the cell states are (T+1, H, B), the zero state at
-    the end where the recurrence starts; gates and cell states are returned
-    for `_bptt`. Otherwise z and c are single arrays reused at every step,
-    and None is returned.
+    direction, which runs second. The cell state c is one (H, B) array
+    updated in place at every step. With `keep`, z is gates[t] of a
+    (T, 4H, B) array, which is returned for `_bptt`; otherwise z is one
+    array reused at every step, and None is returned.
     """
     steps, batch, in_dim = x.shape
     hid = params.hidden_size
@@ -151,16 +153,11 @@ def _run(x, params, proj, y, keep, reverse):
     h, xt = u[:hid], u[hid:-1]
     ht = h.T
     u[-1] = 1.0
-    tmp = np.empty((hid, batch), dtype=dtype)
+    c = np.zeros((hid, batch), dtype=dtype)
+    tmp = np.empty_like(c)
     yt = np.empty(y.shape[1:], dtype=dtype)
-    if keep:
-        gates = np.empty((steps, 4 * hid, batch), dtype=dtype)
-        cs = np.zeros((steps + 1, hid, batch), dtype=dtype)
-        cells = cs[:-1] if reverse else cs[1:]
-        c = cs[-1] if reverse else cs[0]
-    else:
-        z = np.empty((4 * hid, batch), dtype=dtype)
-        c = np.zeros_like(tmp)
+    gates = np.empty((steps, 4 * hid, batch), dtype=dtype) if keep else None
+    z = None if keep else np.empty((4 * hid, batch), dtype=dtype)
     for t in range(steps - 1, -1, -1) if reverse else range(steps):
         if keep:
             z = gates[t]
@@ -173,11 +170,9 @@ def _run(x, params, proj, y, keep, reverse):
         sig *= 0.5
         sig += 0.5
         gi, gf, go, gg = z.reshape(4, hid, batch)
-        c_new = cells[t] if keep else c
-        np.multiply(gf, c, out=c_new)
+        c *= gf
         np.multiply(gi, gg, out=tmp)
-        c_new += tmp
-        c = c_new
+        c += tmp
         np.tanh(c, out=tmp)
         np.multiply(go, tmp, out=h)
         np.dot(ht, proj, out=yt)
@@ -185,26 +180,39 @@ def _run(x, params, proj, y, keep, reverse):
             y[t] += yt
         else:
             y[t] = yt
-    return (gates, cs) if keep else None
+    return gates
 
 
-def _bptt(g, params, saved, hs, reverse):
+def _bptt(g, params, gates, hs, reverse):
     """Backward of a kept `_run` given g (T, B, H), the gradient of its h at
     every step: the preactivation gradients as (4H, T*B), stored row order,
-    column t*B + j for step t of sequence j. They are written over the saved
-    activations, whose pages are already mapped, so `saved` is spent.
+    column t*B + j for step t of sequence j. They are written over the kept
+    gate activations `gates`, whose pages are already mapped, so `gates` is
+    spent.
 
-    The forward kept no h: each step rebuilds it as o * tanh(c), the same two
-    ops on the same operands, into hs[:, t] of the (H, T, B) array `hs`."""
-    gates, cs = saved
+    The forward kept neither c nor h. A scan in the forward's step order
+    first rebuilds every cell state from the gates with the forward's own
+    ops, f * c_prev and then + i * g, and whole-array ops then take tanh(c)
+    and h = o * tanh(c), writing h into the (H, T, B) array `hs`. Each
+    elementwise op gives the same bits however it is blocked, so c, tanh(c)
+    and h are the forward's."""
     steps, batch, hid = g.shape
     dtype = gates.dtype
-    cells, c_prev = (cs[:-1], cs[1:]) if reverse else (cs[1:], cs[:-1])
-    wh = _gate_major(params.wh.data)  # unhalved
     order = range(steps - 1, -1, -1) if reverse else range(steps)
+    gi_all, gf_all, go_all, gg_all = gates.reshape(steps, 4, hid, batch).transpose(1, 0, 2, 3)
+    # cell states, with the zero state where the recurrence starts
+    cs = np.zeros((steps + 1, hid, batch), dtype=dtype)
+    cells, c_prev = (cs[:-1], cs[1:]) if reverse else (cs[1:], cs[:-1])
+    tcs = np.multiply(gi_all, gg_all)  # i * g, then tanh(c)
+    for t in order:
+        np.multiply(gf_all[t], c_prev[t], out=cells[t])
+        cells[t] += tcs[t]
+    np.tanh(cells, out=tcs)
+    np.multiply(go_all, tcs, out=hs.transpose(1, 0, 2))
+    wh = _gate_major(params.wh.data)  # unhalved
     dz = np.empty_like(gates)
     dc = np.zeros((hid, batch), dtype=dtype)
-    dh, tc, tmp = (np.empty_like(dc) for _ in range(3))
+    dh, tmp = (np.empty_like(dc) for _ in range(2))
     # dh_prev = (dz^T @ wh)^T, formed as (B, H): BLAS is faster that way round
     dh_next = np.empty((batch, hid), dtype=dtype)
     one_minus_sig = np.empty((3 * hid, batch), dtype=dtype)
@@ -213,8 +221,7 @@ def _bptt(g, params, saved, hs, reverse):
         gi, gf, go, gg = gates[t].reshape(4, hid, batch)
         dz_ifo = dz[t][: 3 * hid]
         di, df, do, dg = dz[t].reshape(4, hid, batch)
-        np.tanh(cells[t], out=tc)
-        np.multiply(go, tc, out=hs[:, t])
+        tc = tcs[t]
         if t == order[-1]:
             np.copyto(dh, g[t].T)
         else:
@@ -272,12 +279,12 @@ def bilstm_batched(xs, fwd, bwd, weight, bias, axis):
     One tape op, `bilstm`. Both directions run `_run` on time-major views:
     the forward one writes its projection into the output, the backward one
     adds its own, and the bias is added once. Under a recording tape each
-    direction keeps its gates and cell states and nothing else. Backward
-    makes time-major copies of the output gradient and the input (none for
-    axis 0), runs the FC's input backward, then each direction's BPTT, which
-    also rebuilds that direction's h into its half of a (2H, T, B) array,
-    then the FC's weight gradient over that array, and sums the directions'
-    input gradients.
+    direction keeps its gates and nothing else. Backward makes time-major
+    copies of the output gradient and the input (none for axis 0), runs the
+    FC's input backward, then each direction's BPTT, which first rebuilds
+    that direction's c from its gates and its h into its half of a
+    (2H, T, B) array, then the FC's weight gradient over that array, and
+    sums the directions' input gradients. Every input must have xs's dtype.
     """
     if axis not in (0, 1):
         raise ShapeError(f"bilstm_batched: axis must be 0 or 1, got {axis!r}")
@@ -292,6 +299,8 @@ def bilstm_batched(xs, fwd, bwd, weight, bias, axis):
             f"(N, {2 * hid}) / (N,)"
         )
     inputs = (xs, fwd.wx, fwd.wh, fwd.b, bwd.wx, bwd.wh, bwd.b, weight, bias)
+    for t in inputs[1:]:
+        _check_same_dtype("bilstm_batched", xs, t)
     x = xs.data.swapaxes(0, axis)  # time-major (T, B, In)
     steps, batch, _ = x.shape
     dtype = x.dtype

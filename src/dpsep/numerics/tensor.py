@@ -342,6 +342,9 @@ def affine(x, weight, bias=None):
         raise ShapeError(
             f"affine: bias shape {bias.shape} does not match weight shape {weight.shape}"
         )
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    for t in inputs[1:]:
+        _check_same_dtype("affine", x, t)
     lead = x.shape[:-1]
     x2 = x.data.reshape(-1, in_dim)
     wd = weight.data
@@ -362,17 +365,19 @@ def affine(x, weight, bias=None):
         gb = g2.sum(axis=0) if need_b else None
         return (gx, gw, gb) if bd is not None else (gx, gw)
 
-    inputs = (x, weight) if bias is None else (x, weight, bias)
     return apply_op("affine", inputs, forward_fn, backward_fn)
 
 
 def reshape(x, shape):
+    """x with a new shape. As with numpy's reshape, the output shares x's
+    memory whenever its strides allow, so writing into one writes into the
+    other."""
     shape, in_shape = tuple(shape), x.shape
 
     def backward_fn(g):
         return (g.reshape(in_shape),)
 
-    return apply_op("reshape", (x,), lambda: x.data.reshape(shape).copy(), backward_fn)
+    return apply_op("reshape", (x,), lambda: x.data.reshape(shape), backward_fn)
 
 
 def slice_axis(x, axis, start, stop):

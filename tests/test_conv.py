@@ -94,3 +94,17 @@ def test_transposed_length_formula():
     assert out.shape == (3, (7 - 1) * 3 + 4)
     with pytest.raises(ShapeError):
         nt.transposed_conv1d(Tensor(np.ones((2, 7))), Tensor(np.ones((2, 4))), stride=3)
+
+
+def test_conv1d_rejects_mixed_dtypes():
+    sig = Tensor(np.ones((1, 8)), dtype=np.float32)
+    kernels = Tensor(np.ones((2, 4)), dtype=np.float64)
+    with pytest.raises(ShapeError, match="conv1d: mixed dtypes float32 vs float64"):
+        nt.conv1d(sig, kernels, stride=2)
+
+
+def test_transposed_conv1d_rejects_mixed_dtypes():
+    frames = Tensor(np.ones((1, 2, 3)), dtype=np.float32)
+    kernels = Tensor(np.ones((2, 4)), dtype=np.float64)
+    with pytest.raises(ShapeError, match="transposed_conv1d: mixed dtypes float32 vs float64"):
+        nt.transposed_conv1d(frames, kernels, stride=2)

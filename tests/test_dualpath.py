@@ -114,6 +114,14 @@ class TestSegmentOverlapAdd:
 
 
 class TestGlobalLayerNorm:
+    def test_rejects_mixed_dtypes(self):
+        x = Tensor(np.ones((3, 4, 2)), dtype=np.float32)
+        one, wide = Tensor(np.ones(2)), Tensor(np.ones(2), dtype=np.float64)
+        with pytest.raises(ShapeError, match="global_layer_norm: mixed dtypes float32 vs float64"):
+            dp.global_layer_norm(x, wide, one)
+        with pytest.raises(ShapeError, match="global_layer_norm: mixed dtypes float32 vs float64"):
+            dp.global_layer_norm(x, one, wide)
+
     def test_constant_input_returns_bias(self):
         x = Tensor(np.full((3, 4, 2), 5.0))
         z = Tensor(np.ones(2))

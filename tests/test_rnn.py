@@ -391,14 +391,15 @@ def test_bilstm_without_tape_forms_no_hidden_state_array():
     assert peak < hs_bytes / 2
 
 
-def test_recorded_bilstm_keeps_only_gates_and_cells():
-    # under a tape each direction keeps its (T, 4H, B) gates and (T+1, H, B)
-    # cell states; backward rebuilds h from them, so no (T, B, 2H) history
-    # of h (2 MiB here) outlives the forward
+def test_recorded_bilstm_keeps_only_gates():
+    # under a tape each direction keeps its (T, 4H, B) gates and nothing
+    # else; backward rebuilds c and h from them, so neither the (T+1, H, B)
+    # cell states (2 MiB here for both directions) nor a (T, B, 2H) history
+    # of h outlives the forward
     steps, batch, in_dim, hid, n = 128, 32, 8, 64, 8
     out_bytes = steps * batch * n * 4
-    kept_bytes = 2 * (steps * 4 * hid * batch + (steps + 1) * hid * batch) * 4
-    hist_bytes = steps * batch * 2 * hid * 4
+    gates_bytes = 2 * steps * 4 * hid * batch * 4
+    cells_bytes = 2 * (steps + 1) * hid * batch * 4
     rng = np.random.default_rng(21)
     fwd, bwd = init_lstm_params(rng, in_dim, hid), init_lstm_params(rng, in_dim, hid)
     xs = Tensor(rng.standard_normal((steps, batch, in_dim)))
@@ -411,13 +412,13 @@ def test_recorded_bilstm_keeps_only_gates_and_cells():
     finally:
         tracemalloc.stop()
     assert len(tape) == 1 and out.shape == (steps, batch, n)
-    assert held < out_bytes + kept_bytes + hist_bytes / 4
+    assert held < out_bytes + gates_bytes + cells_bytes / 2
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_bilstm_fc_without_tape_matches_recorded_output(dtype):
     # a general FC: the untaped op runs the same per-step arithmetic as the
-    # taped one, which also keeps its gates and cell states
+    # taped one, which also keeps its gates
     rng = np.random.default_rng(19)
     fwd, bwd = (init_lstm_params(rng, 5, 32, dtype=dtype) for _ in range(2))
     fc = _fc(rng, 7, 32, dtype=dtype)
@@ -490,3 +491,11 @@ def test_bilstm_rejects_an_axis_other_than_0_or_1():
         with pytest.raises(ShapeError):
             nt.bilstm_batched(Tensor(np.zeros((5, 2, 3))), p, p,
                               *_identity_fc(4), axis)
+
+
+def test_bilstm_rejects_mixed_dtypes():
+    rng = np.random.default_rng(22)
+    fwd, bwd = init_lstm_params(rng, 3, 4), init_lstm_params(rng, 3, 4)
+    xs = Tensor(rng.standard_normal((5, 2, 3)), dtype=np.float64)
+    with pytest.raises(ShapeError, match="bilstm_batched: mixed dtypes float64 vs float32"):
+        nt.bilstm_batched(xs, fwd, bwd, *_fc(rng, 3, 4), 0)

@@ -132,7 +132,7 @@ def test_encode_decode_adjoint_linear_parts():
     model = tiny_model()
     rng = np.random.default_rng(5)
     x = Tensor(rng.standard_normal((1, 34)), dtype=np.float64)
-    kernels = Tensor(model.encoder_kernels.data.astype(np.float64))
+    kernels = Tensor(model.encoder_kernels.data, dtype=np.float64)
     frames = (34 - model.window) // model.stride + 1
     y = Tensor(rng.standard_normal((2, 4, frames)), dtype=np.float64)
     encoded = nt.conv1d(x, kernels, model.stride).data

@@ -241,6 +241,25 @@ def test_mixed_dtypes_rejected():
         nt.add(Tensor(np.ones(2)), Tensor(np.ones(2), dtype=np.float64))
 
 
+def test_affine_rejects_mixed_dtypes():
+    x = Tensor(np.ones((2, 3)), dtype=np.float32)
+    weight = Tensor(np.ones((4, 3)), dtype=np.float32)
+    with pytest.raises(ShapeError, match="affine: mixed dtypes float32 vs float64"):
+        nt.affine(x, Tensor(np.ones((4, 3)), dtype=np.float64))
+    with pytest.raises(ShapeError, match="affine: mixed dtypes float32 vs float64"):
+        nt.affine(x, weight, Tensor(np.ones(4), dtype=np.float64))
+
+
+def test_reshape_shares_memory_and_keeps_its_gradient():
+    x = Tensor(np.arange(6.0), dtype=np.float64, requires_grad=True)
+    with GradTape() as tape:
+        y = nt.reshape(x, (2, 3))
+        loss = nt.tsum(nt.mul(y, Tensor(np.arange(6.0).reshape(2, 3), dtype=np.float64)))
+    assert np.shares_memory(y.data, x.data)
+    tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, np.arange(6.0))
+
+
 def test_nan_surveillance_names_op():
     x = Tensor([1e30], requires_grad=True)
     with GradTape():
