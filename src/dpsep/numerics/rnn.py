@@ -211,6 +211,14 @@ def _bptt(g, params, gates, hs, reverse):
     np.multiply(go_all, tcs, out=hs.transpose(1, 0, 2))
     wh = _gate_major(params.wh.data)  # unhalved
     dz = np.empty_like(gates)
+    # the loop's factors that need no recurrence, 1 - tc^2 and 1 - gg^2, are
+    # taken for all steps at once into the do and dg rows of dz; each step
+    # multiplies them by its other factor before it overwrites do, and a
+    # product commutes exactly, so the bits do not change
+    _, _, do_all, dg_all = dz.reshape(steps, 4, hid, batch).transpose(1, 0, 2, 3)
+    for a, out in ((tcs, do_all), (gg_all, dg_all)):
+        np.multiply(a, a, out=out)
+        np.subtract(1.0, out, out=out)
     dc = np.zeros((hid, batch), dtype=dtype)
     dh, tmp = (np.empty_like(dc) for _ in range(2))
     # dh_prev = (dz^T @ wh)^T, formed as (B, H): BLAS is faster that way round
@@ -226,10 +234,8 @@ def _bptt(g, params, gates, hs, reverse):
             np.copyto(dh, g[t].T)
         else:
             np.add(g[t].T, dh_next.T, out=dh)
-        # dc += dh * go * (1 - tc^2), with do as scratch
-        np.multiply(tc, tc, out=tmp)
-        np.subtract(1.0, tmp, out=tmp)
-        np.multiply(dh, go, out=do)
+        # dc += dh * go * (1 - tc^2)
+        np.multiply(dh, go, out=tmp)
         do *= tmp
         dc += do
         # i, f, o: (dc * gg, dc * c_prev, dh * tc) * s * (1 - s)
@@ -240,9 +246,7 @@ def _bptt(g, params, gates, hs, reverse):
         np.subtract(1.0, sig, out=one_minus_sig)
         dz_ifo *= one_minus_sig
         # g: dc * gi * (1 - gg^2)
-        np.multiply(gg, gg, out=tmp)
-        np.subtract(1.0, tmp, out=tmp)
-        np.multiply(dc, gi, out=dg)
+        np.multiply(dc, gi, out=tmp)
         dg *= tmp
         dc *= gf
         if t != order[0]:  # the first step's h_prev is the zero state
