@@ -77,6 +77,30 @@ def _case_global_layer_norm(rng):
     return finite_diff_check(f, [x, z, r])
 
 
+def _case_global_layer_norm_residual(rng):
+    x = _t(rng, (4, 2, 3))
+    z = _t(rng, (3,))
+    r = _t(rng, (3,))
+    res = _t(rng, (4, 2, 3))
+
+    def f(xv, zv, rv, resv):
+        return _readout(dp.global_layer_norm(xv, zv, rv, residual=resv))
+
+    return finite_diff_check(f, [x, z, r, res])
+
+
+def _case_mask_head(rng):
+    # K=4, S=4 chunks of N=3 features tile L=6 frames; C=2 sources
+    x = _t(rng, (4, 4, 3))
+    weight = _t(rng, (6, 3))
+    bias = _t(rng, (6,))
+
+    def f(xv, wv, bv):
+        return _readout(tasnet.mask_head(xv, wv, bv, 6))
+
+    return finite_diff_check(f, [x, weight, bias])
+
+
 def _intra_inter_case(rng, pass_fn):
     params = _sub_params(rng, 4, 3)
     x = _t(rng, (6, 5, 4))
@@ -168,7 +192,9 @@ GRADCHECK_CASES = (
     ("bilstm_batched_t5", lambda rng: _case_bilstm_batched(rng, steps=5, axis=0)),
     ("bilstm_batched_t5_axis1", lambda rng: _case_bilstm_batched(rng, steps=5, axis=1)),
     ("global_layer_norm", _case_global_layer_norm),
+    ("global_layer_norm_residual", _case_global_layer_norm_residual),
     ("segment_overlap_add", _case_segment_overlap),
+    ("mask_head", _case_mask_head),
     ("intra_chunk_pass", lambda rng: _intra_inter_case(rng, dp.intra_chunk_pass)),
     ("inter_chunk_pass", lambda rng: _intra_inter_case(rng, dp.inter_chunk_pass)),
     ("dprnn_stack", _case_dprnn_stack),

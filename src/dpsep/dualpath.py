@@ -12,10 +12,12 @@ Chunks are one plain (K, S, N) tensor, features last, from `segment` to
 BLSTM op reads and writes the chunk tensor along either axis, so no pass
 copies it into another layout.
 
-A sub-pass is three tape ops, `bilstm`, `global_layer_norm` and the residual
-`add`: the FC 2H -> N runs inside the BLSTM op, which projects each step's
-hidden state as it goes, so no forward forms the BLSTM's 2H-wide
-activations, with or without a tape.
+A sub-pass is two tape ops, `bilstm` and `global_layer_norm`: the FC
+2H -> N runs inside the BLSTM op, which projects each step's hidden state as
+it goes, so no forward forms the BLSTM's 2H-wide activations, with or
+without a tape, and the residual add runs inside the norm, which writes its
+output and nothing else of that size. So a sub-pass holds at most three
+chunk-sized arrays: its input, the BLSTM output and the norm's output.
 """
 
 from __future__ import annotations
@@ -51,21 +53,35 @@ def chunk_count(frame_count, chunk_len):
 
 def _chunk(w, hop, s):
     """(F, L) -> the (2P, S, F) chunks of w padded with P zero frames in front
-    and zeros to (S+1)*P frames in all: chunk s holds frames s*P .. s*P + 2P."""
-    padded = np.zeros(((s + 1) * hop, w.shape[0]), dtype=w.dtype)
-    padded[hop : hop + w.shape[1]] = w.T
-    blocks = padded.reshape(s + 1, hop, -1).transpose(1, 0, 2)  # (P, S+1, F)
-    return np.concatenate((blocks[:, :-1], blocks[:, 1:]))
+    and zeros to (S+1)*P frames in all: chunk s holds frames s*P .. s*P + 2P.
+
+    The frames are copied straight from w.T into both halves of the chunks,
+    so no padded copy of w exists: the second half of chunk j holds frames
+    j*P .. j*P + P of w, the first half the P frames before them."""
+    f, length = w.shape
+    out = np.zeros((2, hop, s, f), dtype=w.dtype)
+    frames = w.T
+    full, rem = divmod(length, hop)
+    blocks = frames[: full * hop].reshape(full, hop, f).transpose(1, 0, 2)  # (P, full, F)
+    out[0, :, 1 : full + 1] = blocks
+    out[1, :, :full] = blocks
+    if rem:
+        out[0, :rem, full + 1] = frames[full * hop :]
+        out[1, :rem, full] = frames[full * hop :]
+    return out.reshape(2 * hop, s, f)
 
 
-def _fold(x, length):
-    """Adjoint of `_chunk`: sum the (K, S, F) chunks at their offsets and drop
-    the padding -> (F, L)."""
-    hop = x.shape[0] // 2
-    folded = np.zeros((x.shape[1] + 1, hop, x.shape[2]), dtype=x.dtype)  # (S+1, P, F)
-    folded[:-1] += x[:hop].transpose(1, 0, 2)
-    folded[1:] += x[hop:].transpose(1, 0, 2)
-    return np.ascontiguousarray(folded.reshape(-1, x.shape[2])[hop : hop + length].T)
+def _fold(x, length, folded=None):
+    """Adjoint of `_chunk`: add the (K, S, F) chunks x at their offsets into
+    `folded` (F, S+1, P), zeros if not given, and return its (F, L) view
+    without the padding."""
+    k, s, f = x.shape
+    hop = k // 2
+    if folded is None:
+        folded = np.zeros((f, s + 1, hop), dtype=x.dtype)
+    folded[:, :-1] += x[:hop].transpose(2, 1, 0)
+    folded[:, 1:] += x[hop:].transpose(2, 1, 0)
+    return folded.reshape(f, -1)[:, hop : hop + length]
 
 
 def segment(w, chunk_len):
@@ -94,7 +110,9 @@ def segment(w, chunk_len):
 def overlap_add(x, length):
     """Invert `segment`: x (K, S, F) -> (F, L). Sums the chunks at their
     offsets, trims the padding and divides by the two chunks every frame is
-    in, so that overlap_add(segment(w, K), L) == w."""
+    in, so that overlap_add(segment(w, K), L) == w. The separator's mask head
+    does not call it: `tasnet.mask_head` fuses it with the affine before it,
+    with the same bits."""
     chunk_len, s, _ = x.shape
     if chunk_len % 2 or s != chunk_count(length, chunk_len):
         raise ShapeError(f"overlap_add: chunks {x.shape} do not tile length {length}")
@@ -106,14 +124,16 @@ def overlap_add(x, length):
     return apply_op("overlap_add", (x,), lambda: _fold(x.data, length) / 2, backward_fn)
 
 
-def global_layer_norm(x, scale, bias, eps=LN_EPS):
+def global_layer_norm(x, scale, bias, residual=None, eps=LN_EPS):
     """Normalize x (..., N) by the mean/variance of all its entries, then
-    rescale per feature: out = (x - mu)/sqrt(var + eps) * scale + bias.
+    rescale per feature and add the residual, if any:
+    out = (x - mu)/sqrt(var + eps) * scale + bias + residual.
 
     One tape op. With xhat = (x - mu)/sqrt(var + eps) and gy = g * scale,
-    the input gradient is (gy - mean(gy) - xhat * mean(gy * xhat)) / sqrt(var + eps).
-    The tape keeps only the scalars mu and sqrt(var + eps): backward rebuilds
-    xhat from the input with the forward's own two ops, bit for bit.
+    the input gradient is (gy - mean(gy) - xhat * mean(gy * xhat)) / sqrt(var + eps),
+    and the residual's is g. The tape keeps only the scalars mu and
+    sqrt(var + eps): backward rebuilds xhat from the input with the
+    forward's own two ops, bit for bit.
     """
     if eps <= 0:
         raise ShapeError(f"global_layer_norm: eps must be positive, got {eps}")
@@ -122,25 +142,37 @@ def global_layer_norm(x, scale, bias, eps=LN_EPS):
         raise ShapeError(
             f"global_layer_norm: scale {scale.shape} / bias {bias.shape} must be ({n},)"
         )
-    _check_same_dtype("global_layer_norm", x, scale)
-    _check_same_dtype("global_layer_norm", x, bias)
+    inputs = (x, scale, bias)
+    if residual is not None:
+        if residual.shape != x.shape:
+            raise ShapeError(
+                f"global_layer_norm: residual {residual.shape} must have the input's "
+                f"shape {x.shape}"
+            )
+        inputs += (residual,)
+    for t in inputs[1:]:
+        _check_same_dtype("global_layer_norm", x, t)
     xd, sd, bd = x.data, scale.data, bias.data
+    rd = None if residual is None else residual.data
     need_x = x.requires_grad
     inv_size = xd.dtype.type(1.0 / x.size)
     mu = std = None
 
     def forward_fn():
         nonlocal mu, std
-        # xhat and the output are the only full-size arrays: the square goes
-        # through the output buffer and xhat is normalised in place
+        # the output is the only full-size array: x - mu is written into it
+        # twice, once to be squared in place and once to be normalised
         out = np.empty_like(xd)
         mu = xd.sum() * inv_size
-        xhat = xd - mu
-        np.multiply(xhat, xhat, out=out)
+        np.subtract(xd, mu, out=out)
+        np.multiply(out, out, out=out)
         std = np.sqrt(out.sum() * inv_size + xd.dtype.type(eps))
-        xhat /= std
-        np.multiply(xhat, sd, out=out)
+        np.subtract(xd, mu, out=out)
+        out /= std
+        out *= sd
         out += bd
+        if rd is not None:
+            out += rd  # addition commutes, so this is residual + gLN(x)
         return out
 
     def backward_fn(g):
@@ -155,9 +187,9 @@ def global_layer_norm(x, scale, bias, eps=LN_EPS):
             gx -= (sd @ g_bias) * inv_size
             gx -= xhat * ((sd @ g_scale) * inv_size)
             gx /= std
-        return gx, g_scale, g_bias
+        return (gx, g_scale, g_bias) if rd is None else (gx, g_scale, g_bias, g)
 
-    return apply_op("global_layer_norm", (x, scale, bias), forward_fn, backward_fn)
+    return apply_op("global_layer_norm", inputs, forward_fn, backward_fn)
 
 
 @dataclass
@@ -233,7 +265,7 @@ def _sub_pass(x, params, axis):
     proj = nt.bilstm_batched(
         x, params.lstm_fwd, params.lstm_bwd, params.fc_weight, params.fc_bias, axis
     )  # (K, S, N)
-    return nt.add(x, global_layer_norm(proj, params.ln_scale, params.ln_bias))
+    return global_layer_norm(proj, params.ln_scale, params.ln_bias, residual=x)
 
 
 def intra_chunk_pass(x, params):

@@ -2,7 +2,7 @@
 
 from .checkpoint import CheckpointError, load_arrays, save_arrays
 from .conv import conv1d, transposed_conv1d
-from .gradcheck import FiniteDiffReport, finite_diff_check
+from .gradcheck import finite_diff_check
 from .rnn import LstmCellParams, bilstm_batched, init_lstm_params
 from .tensor import (
     GradTape,
@@ -27,7 +27,6 @@ from .tensor import (
 
 __all__ = [
     "CheckpointError",
-    "FiniteDiffReport",
     "GradTape",
     "LstmCellParams",
     "NumericsError",

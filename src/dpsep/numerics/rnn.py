@@ -284,11 +284,13 @@ def bilstm_batched(xs, fwd, bwd, weight, bias, axis):
     the forward one writes its projection into the output, the backward one
     adds its own, and the bias is added once. Under a recording tape each
     direction keeps its gates and nothing else. Backward makes time-major
-    copies of the output gradient and the input (none for axis 0), runs the
-    FC's input backward, then each direction's BPTT, which first rebuilds
-    that direction's c from its gates and its h into its half of a
-    (2H, T, B) array, then the FC's weight gradient over that array, and
-    sums the directions' input gradients. Every input must have xs's dtype.
+    copies of the output gradient and the input (none for axis 0). Per
+    direction it runs the FC's input backward through that direction's
+    half of the weight, into a contiguous (T, B, H) array that lives only
+    through that direction's BPTT, which first rebuilds the direction's c
+    from its gates and its h into its half of a (2H, T, B) array. Then the
+    FC's weight gradient runs over that array, and the directions' input
+    gradients are summed. Every input must have xs's dtype.
     """
     if axis not in (0, 1):
         raise ShapeError(f"bilstm_batched: axis must be 0 or 1, got {axis!r}")
@@ -325,12 +327,11 @@ def bilstm_batched(xs, fwd, bwd, weight, bias, axis):
     def backward_fn(g):
         g2 = np.ascontiguousarray(g.swapaxes(0, axis)).reshape(-1, g.shape[-1])
         gb = g2.sum(axis=0) if need_b else None
-        ghs = (g2 @ wd).reshape(steps, batch, 2 * hid)
         hs = np.empty((2 * hid, steps, batch), dtype=dtype)
         xc = np.ascontiguousarray(x)
         dx, grads = None, []
         for (p, half, rev), kept in zip(sides, saved):
-            dz = _bptt(ghs[..., half], p, kept, hs[half], rev)
+            dz = _bptt((g2 @ wd[:, half]).reshape(steps, batch, hid), p, kept, hs[half], rev)
             gx, *gp = _grads(dz, hs[half].reshape(hid, -1), xc, need_x, p, rev)
             dx = gx if dx is None else np.add(dx, gx, out=dx)
             grads += gp

@@ -17,7 +17,9 @@ import numpy as np
 from . import dualpath as dp
 from . import numerics as nt
 from .config import Geometry
+from .dualpath import _chunk, _fold
 from .numerics import ShapeError, Tensor
+from .numerics.tensor import _check_same_dtype
 
 
 @dataclass(kw_only=True)
@@ -112,16 +114,71 @@ def encode(mixture, model):
     return nt.relu(nt.conv1d(mixture, model.encoder_kernels, model.stride))
 
 
+def mask_head(x, weight, bias, length):
+    """The mask head's affine then overlap-add: x (K, S, N) -> (C*N, L),
+    overlap_add(affine(x, weight, bias), L) bit for bit, for weight (C*N, N)
+    and bias (C*N,).
+
+    One tape op. The forward runs the affine one source at a time, N rows of
+    the weight into a (K, S, N) scratch, and folds each scratch into that
+    source's rows of one (C*N, S+1, P) array, so the (K, S, C*N) affine
+    output never exists. Each output entry is the same dot product over the
+    same N inputs as in the whole GEMM. The output is the halved (C*N, L)
+    view of that array. Backward is overlap-add's backward, then the
+    affine's.
+    """
+    chunk_len, s, n = x.shape
+    rows = weight.shape[0]
+    if weight.shape != (rows, n) or bias.shape != (rows,) or rows % n:
+        raise ShapeError(
+            f"mask_head: weight {weight.shape} / bias {bias.shape} must map {n} features "
+            f"to a multiple of {n}"
+        )
+    if chunk_len % 2 or s != dp.chunk_count(length, chunk_len):
+        raise ShapeError(f"mask_head: chunks {x.shape} do not tile length {length}")
+    inputs = (x, weight, bias)
+    for t in inputs[1:]:
+        _check_same_dtype("mask_head", x, t)
+    shape, hop = x.shape, chunk_len // 2
+    x2 = x.data.reshape(-1, n)
+    wd, bd = weight.data, bias.data
+    need_x, need_w, need_b = x.requires_grad, weight.requires_grad, bias.requires_grad
+
+    def forward_fn():
+        folded = np.zeros((rows, s + 1, hop), dtype=x2.dtype)
+        y = np.empty_like(x2)
+        for lo in range(0, rows, n):
+            np.matmul(x2, wd[lo : lo + n].T, out=y)
+            y += bd[lo : lo + n]
+            _fold(y.reshape(shape), length, folded[lo : lo + n])
+        out = folded.reshape(rows, -1)[:, hop : hop + length]
+        out /= 2
+        return out
+
+    def backward_fn(g):
+        g2 = _chunk(g, hop, s).reshape(-1, rows)
+        g2 /= 2
+        gx = (g2 @ wd).reshape(shape) if need_x else None
+        gw = g2.T @ x2 if need_w else None
+        gb = g2.sum(axis=0) if need_b else None
+        return gx, gw, gb
+
+    return nt.apply_op("mask_head", inputs, forward_fn, backward_fn)
+
+
 def estimate_masks(rep, model):
     """rep (N, L) -> C nonnegative masks (C, N, L).
 
-    Pipeline: segment to (K, S, N) -> dual-path stack -> per-position affine
-    N -> C*N -> overlap-add to (C*N, L) -> relu -> reshape to (C, N, L).
+    Pipeline: segment to (K, S, N) -> dual-path stack -> mask head (a
+    per-position affine N -> C*N, overlap-added to (C*N, L)) -> relu ->
+    reshape to (C, N, L).
     """
     n, length = rep.shape
-    x = dp.dprnn_stack(dp.segment(rep, model.chunk_len), model.blocks)  # (K, S, N)
-    x = nt.affine(x, model.mask_weight, model.mask_bias)  # (K, S, C*N)
-    maps = dp.overlap_add(x, length)  # (C*N, L)
+    # no local holds the stack's output, so it is freed once the head has run
+    maps = mask_head(
+        dp.dprnn_stack(dp.segment(rep, model.chunk_len), model.blocks),  # (K, S, N)
+        model.mask_weight, model.mask_bias, length,
+    )  # (C*N, L)
     return nt.reshape(nt.relu(maps), (model.num_sources, n, length))
 
 

@@ -113,6 +113,48 @@ class TestSegmentOverlapAdd:
         np.testing.assert_allclose(out.data, w, atol=1e-6)
 
 
+def _padded_chunks(w, chunk_len):
+    """The definition of `segment`'s chunks: w (F, L) padded with P zero
+    frames in front and zeros to (S+1)*P frames; chunk j holds padded
+    frames j*P .. j*P + 2P."""
+    hop, s = chunk_len // 2, dp.chunk_count(w.shape[1], chunk_len)
+    padded = np.zeros(((s + 1) * hop, w.shape[0]), dtype=w.dtype)
+    padded[hop : hop + w.shape[1]] = w.T
+    return np.stack([padded[j * hop : j * hop + chunk_len] for j in range(s)], axis=1)
+
+
+class TestChunkAndFold:
+    def test_chunk_matches_padded_definition_for_every_geometry(self):
+        rng = np.random.default_rng(30)
+        for length in range(1, 60):
+            w = rng.standard_normal((3, length))
+            for chunk_len in range(2, 2 * length + 1, 2):
+                s = dp.chunk_count(length, chunk_len)
+                got = dp._chunk(w, chunk_len // 2, s)
+                np.testing.assert_array_equal(got, _padded_chunks(w, chunk_len))
+
+    def test_fold_is_the_adjoint_of_chunk(self):
+        # <chunk(w), x> == <w, fold(x)> for every geometry of a few lengths
+        rng = np.random.default_rng(31)
+        for length in (1, 2, 7, 16, 33):
+            w = rng.standard_normal((2, length))
+            for chunk_len in range(2, 2 * length + 1, 2):
+                s = dp.chunk_count(length, chunk_len)
+                x = rng.standard_normal((chunk_len, s, 2))
+                lhs = np.sum(dp._chunk(w, chunk_len // 2, s) * x)
+                np.testing.assert_allclose(lhs, np.sum(w * dp._fold(x, length)), rtol=1e-12)
+
+    def test_fold_adds_into_a_given_buffer(self):
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal((6, 5, 2))
+        folded = np.ones((4, 6, 3))
+        folded[1:3] = 0.0
+        view = dp._fold(x, 11, folded[1:3])
+        np.testing.assert_array_equal(view, dp._fold(x, 11))
+        assert np.shares_memory(view, folded)
+        np.testing.assert_array_equal(folded[[0, 3]], np.ones((2, 6, 3)))
+
+
 class TestGlobalLayerNorm:
     def test_rejects_mixed_dtypes(self):
         x = Tensor(np.ones((3, 4, 2)), dtype=np.float32)
@@ -158,18 +200,19 @@ class TestGlobalLayerNorm:
             dp.global_layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)))
         assert [name for name, _, _ in tape._nodes] == ["global_layer_norm"]
 
-    def test_forward_without_tape_holds_two_input_sizes(self):
-        # xhat and the output; no other full-size array
+    def test_forward_without_tape_holds_one_input_size(self):
+        # the output is the only full-size array, with or without a residual
         x = Tensor(np.random.default_rng(12).standard_normal((64, 64, 64)))
         scale, bias = Tensor(np.ones(64)), Tensor(np.zeros(64))
-        tracemalloc.start()
-        try:
-            out = dp.global_layer_norm(x, scale, bias)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert out.shape == x.shape
-        assert peak < 2.5 * x.data.nbytes
+        for residual in (None, x):
+            tracemalloc.start()
+            try:
+                out = dp.global_layer_norm(x, scale, bias, residual=residual)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert out.shape == x.shape
+            assert peak < 1.5 * x.data.nbytes
 
     def test_recorded_op_holds_nothing_input_sized_beyond_its_output(self):
         # the tape keeps the scalars mu and std; backward rebuilds xhat
@@ -184,6 +227,45 @@ class TestGlobalLayerNorm:
             tracemalloc.stop()
         assert len(tape) == 1 and out.shape == x.shape
         assert held < 1.1 * x.data.nbytes
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_residual_is_the_residual_add_bit_for_bit(self, dtype):
+        # outputs and the gradients of all four inputs, against add(res, gLN(x))
+        rng = np.random.default_rng(14)
+
+        def leaves():
+            r = np.random.default_rng(15)
+            return [Tensor(r.standard_normal(shape), dtype=dtype, requires_grad=True)
+                    for shape in ((5, 6, 4), (4,), (4,), (5, 6, 4))]
+
+        weights = Tensor(rng.standard_normal((5, 6, 4)), dtype=dtype)
+        results = []
+        for fused in (True, False):
+            x, scale, bias, res = leaves()
+            with GradTape() as tape:
+                if fused:
+                    out = dp.global_layer_norm(x, scale, bias, residual=res)
+                else:
+                    out = nt.add(res, dp.global_layer_norm(x, scale, bias))
+                loss = nt.tsum(nt.mul(nt.mul(out, out), weights))
+            tape.backward(loss)
+            results.append([out.data] + [t.grad for t in (x, scale, bias, res)])
+        for got, expected in zip(*results):
+            np.testing.assert_array_equal(got, expected)
+
+    def test_rejects_a_residual_of_another_shape(self):
+        x = Tensor(np.ones((3, 4, 2)))
+        one, zero = Tensor(np.ones(2)), Tensor(np.zeros(2))
+        for shape in ((3, 4, 1), (4, 3, 2), (12, 2), (3, 4, 2, 1)):
+            with pytest.raises(ShapeError, match="global_layer_norm: residual"):
+                dp.global_layer_norm(x, one, zero, residual=Tensor(np.ones(shape)))
+
+    def test_rejects_a_residual_of_another_dtype(self):
+        x = Tensor(np.ones((3, 4, 2)), dtype=np.float32)
+        one, zero = Tensor(np.ones(2)), Tensor(np.zeros(2))
+        wide = Tensor(np.ones((3, 4, 2)), dtype=np.float64)
+        with pytest.raises(ShapeError, match="global_layer_norm: mixed dtypes float32 vs float64"):
+            dp.global_layer_norm(x, one, zero, residual=wide)
 
     def test_normalizes_mean_and_variance(self):
         rng = np.random.default_rng(10)
@@ -304,14 +386,14 @@ class TestBlockPasses:
         rng = np.random.default_rng(21)
         params = _random_sub_params(rng, 3, 2)
         ops = _recorded_ops(dp.intra_chunk_pass, rng.standard_normal((4, 5, 3)), params)
-        assert ops == ["bilstm", "global_layer_norm", "add"]
+        assert ops == ["bilstm", "global_layer_norm"]
 
     def test_inter_records_no_transpose(self):
         # the BLSTM op reads the chunk tensor along its axis 1 as it is
         rng = np.random.default_rng(22)
         params = _random_sub_params(rng, 3, 2)
         ops = _recorded_ops(dp.inter_chunk_pass, rng.standard_normal((4, 5, 3)), params)
-        assert ops == ["bilstm", "global_layer_norm", "add"]
+        assert ops == ["bilstm", "global_layer_norm"]
 
 
 class TestDprnnStack:

@@ -1,6 +1,7 @@
 """Encoder/masker/decoder assembly: shapes, masks, adjointness, checkpoints."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -85,8 +86,67 @@ def test_estimate_masks_records_no_transpose():
     with GradTape() as tape:
         tasnet.estimate_masks(rep, model)
     names = [name for name, _, _ in tape._nodes]
-    sub_pass = ["bilstm", "global_layer_norm", "add"]
-    assert names == ["segment"] + sub_pass * 2 * 2 + ["affine", "overlap_add", "relu", "reshape"]
+    sub_pass = ["bilstm", "global_layer_norm"]
+    assert names == ["segment"] + sub_pass * 2 * 2 + ["mask_head", "relu", "reshape"]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("sources", [2, 3])
+def test_mask_head_is_affine_then_overlap_add_bit_for_bit(dtype, sources):
+    # outputs and the gradients of x, weight and bias, for several K and S
+    rng = np.random.default_rng(40)
+    n = 8
+    for length, chunk_len in ((5, 2), (20, 6), (37, 10), (64, 16), (300, 46)):
+        s = dp.chunk_count(length, chunk_len)
+        arrays = [rng.standard_normal(shape) for shape in
+                  ((chunk_len, s, n), (sources * n, n), (sources * n,))]
+        g = Tensor(rng.standard_normal((sources * n, length)), dtype=dtype)
+        results = []
+        for fused in (True, False):
+            x, weight, bias = (Tensor(a, dtype=dtype, requires_grad=True) for a in arrays)
+            with GradTape() as tape:
+                if fused:
+                    out = tasnet.mask_head(x, weight, bias, length)
+                else:
+                    out = dp.overlap_add(nt.affine(x, weight, bias), length)
+                loss = nt.tsum(nt.mul(out, g))
+            tape.backward(loss)
+            results.append([out.data, x.grad, weight.grad, bias.grad])
+        for got, expected in zip(*results):
+            np.testing.assert_array_equal(got, expected)
+
+
+def test_mask_head_records_one_node_and_checks_shapes():
+    rng = np.random.default_rng(41)
+    x = Tensor(rng.standard_normal((6, 5, 4)), requires_grad=True)
+    weight, bias = Tensor(rng.standard_normal((8, 4))), Tensor(np.zeros(8))
+    with GradTape() as tape:
+        assert tasnet.mask_head(x, weight, bias, 12).shape == (8, 12)
+    assert [name for name, _, _ in tape._nodes] == ["mask_head"]
+    with pytest.raises(ShapeError, match="do not tile length"):
+        tasnet.mask_head(x, weight, bias, 20)
+    with pytest.raises(ShapeError, match="mask_head: weight"):
+        tasnet.mask_head(x, Tensor(np.ones((7, 4))), Tensor(np.zeros(7)), 12)
+    with pytest.raises(ShapeError, match="mask_head: mixed dtypes"):
+        tasnet.mask_head(x, Tensor(np.ones((8, 4)), dtype=np.float64), bias, 12)
+
+
+def test_untaped_separate_peaks_below_four_chunk_tensors():
+    # the largest arrays of a forward are the (K, S, N) chunk tensor and its
+    # like; each stage holds at most three of them and the encoder output,
+    # half of one
+    model = tiny_model(num_filters=64, hidden=16, chunk_len=90)
+    mixture = Tensor(np.random.default_rng(42).standard_normal((1, 16000)))
+    frames = model.frames(mixture.shape[1])
+    chunk_bytes = model.chunk_len * dp.chunk_count(frames, model.chunk_len) * 64 * 4
+    tracemalloc.start()
+    try:
+        est = tasnet.separate(mixture, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.shape == (2, 16000)
+    assert peak < 3.7 * chunk_bytes
 
 
 def test_apply_masks_identity_and_zero():
