@@ -55,19 +55,15 @@ def _chunk(w, hop, s):
     """(F, L) -> the (2P, S, F) chunks of w padded with P zero frames in front
     and zeros to (S+1)*P frames in all: chunk s holds frames s*P .. s*P + 2P.
 
-    The frames are copied straight from w.T into both halves of the chunks,
-    so no padded copy of w exists: the second half of chunk j holds frames
-    j*P .. j*P + P of w, the first half the P frames before them."""
+    The frames are copied straight from w.T into the chunks, so no padded
+    copy of w exists: the second half of chunk j holds frames j*P .. j*P + P
+    of w, and the first half is the second half of chunk j - 1."""
     f, length = w.shape
     out = np.zeros((2, hop, s, f), dtype=w.dtype)
-    frames = w.T
-    full, rem = divmod(length, hop)
-    blocks = frames[: full * hop].reshape(full, hop, f).transpose(1, 0, 2)  # (P, full, F)
-    out[0, :, 1 : full + 1] = blocks
-    out[1, :, :full] = blocks
-    if rem:
-        out[0, :rem, full + 1] = frames[full * hop :]
-        out[1, :rem, full] = frames[full * hop :]
+    frames, full = w.T, length // hop
+    out[1, :, :full] = frames[: full * hop].reshape(full, hop, f).transpose(1, 0, 2)
+    out[1, : length - full * hop, full] = frames[full * hop :]
+    out[0, :, 1:] = out[1, :, :-1]
     return out.reshape(2 * hop, s, f)
 
 

@@ -115,17 +115,15 @@ def encode(mixture, model):
 
 
 def mask_head(x, weight, bias, length):
-    """The mask head's affine then overlap-add: x (K, S, N) -> (C*N, L),
-    overlap_add(affine(x, weight, bias), L) bit for bit, for weight (C*N, N)
-    and bias (C*N,).
+    """overlap_add(affine(x, weight, bias), L) bit for bit: x (K, S, N) ->
+    (C*N, L), for weight (C*N, N) and bias (C*N,).
 
     One tape op. The forward runs the affine one source at a time, N rows of
     the weight into a (K, S, N) scratch, and folds each scratch into that
     source's rows of one (C*N, S+1, P) array, so the (K, S, C*N) affine
-    output never exists. Each output entry is the same dot product over the
-    same N inputs as in the whole GEMM. The output is the halved (C*N, L)
-    view of that array. Backward is overlap-add's backward, then the
-    affine's.
+    output never exists; each entry is the same N-term dot product as in
+    the whole GEMM. The output is the halved (C*N, L) view of that array.
+    Backward is overlap-add's backward, then the affine's.
     """
     chunk_len, s, n = x.shape
     rows = weight.shape[0]
