@@ -131,7 +131,7 @@ def test_mask_head_records_one_node_and_checks_shapes():
         tasnet.mask_head(x, Tensor(np.ones((8, 4)), dtype=np.float64), bias, 12)
 
 
-def test_untaped_separate_peaks_below_four_chunk_tensors():
+def test_untaped_separate_peaks_below_3_7_chunk_tensors():
     # the largest arrays of a forward are the (K, S, N) chunk tensor and its
     # like; each stage holds at most three of them and the encoder output,
     # half of one
