@@ -15,9 +15,11 @@ copies it into another layout.
 A sub-pass is two tape ops, `bilstm` and `global_layer_norm`: the FC
 2H -> N runs inside the BLSTM op, which projects each step's hidden state as
 it goes, so no forward forms the BLSTM's 2H-wide activations, with or
-without a tape, and the residual add runs inside the norm, which writes its
-output and nothing else of that size. So a sub-pass holds at most three
-chunk-sized arrays: its input, the BLSTM output and the norm's output.
+without a tape, and the residual add runs inside the norm, which takes its
+variance through a small scratch. Without a tape the norm writes its output
+over the BLSTM output, which nothing else reads, so an untaped sub-pass
+holds two chunk-sized arrays: its input and the BLSTM output. Under a tape
+the norm writes a third, since its backward reads the BLSTM output.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ import numpy as np
 
 from . import numerics as nt
 from .numerics import LstmCellParams, ShapeError, Tensor
-from .numerics.tensor import _check_same_dtype, apply_op
+from .numerics.tensor import _check_same_dtype, apply_op, recording_tape
 
 LN_EPS = 1e-8
+_SUM_BLOCK = 1 << 16  # entries of the variance scratch
 
 
 def choose_chunk_size(frame_count):
@@ -120,7 +123,41 @@ def overlap_add(x, length):
     return apply_op("overlap_add", (x,), lambda: _fold(x.data, length) / 2, backward_fn)
 
 
-def global_layer_norm(x, scale, bias, residual=None, eps=LN_EPS):
+def _centred_square_sum(a, mu):
+    """((a - mu) ** 2).sum() for an array `a` and a scalar `mu` of its dtype,
+    bit for bit, without a temporary of a's size when `a` is C-contiguous.
+
+    numpy sums a C-contiguous array over one pairwise tree of its flat
+    entries: it splits n entries at n // 2 rounded down to a multiple of 8,
+    down to blocks of at most 128. This follows the same splits down to
+    blocks of at most `_SUM_BLOCK` entries, squares each block into one
+    scratch and sums it with numpy, so every add is numpy's own. Any other
+    layout is squared into one temporary of a's size and summed as numpy
+    sums that layout.
+    """
+    if not a.flags.c_contiguous:
+        d = a - mu
+        d *= d
+        return d.sum()
+    flat = a.reshape(-1)
+    return _pairwise_square_sum(flat, mu, np.empty(min(flat.size, _SUM_BLOCK), a.dtype))
+
+
+def _pairwise_square_sum(flat, mu, scratch):
+    n = flat.size
+    if n <= scratch.size:
+        d = scratch[:n]
+        np.subtract(flat, mu, out=d)
+        d *= d
+        return d.sum()
+    half = n // 2
+    half -= half % 8
+    return _pairwise_square_sum(flat[:half], mu, scratch) + _pairwise_square_sum(
+        flat[half:], mu, scratch
+    )
+
+
+def global_layer_norm(x, scale, bias, residual=None, eps=LN_EPS, *, _overwrite=False):
     """Normalize x (..., N) by the mean/variance of all its entries, then
     rescale per feature and add the residual, if any:
     out = (x - mu)/sqrt(var + eps) * scale + bias + residual.
@@ -130,6 +167,10 @@ def global_layer_norm(x, scale, bias, residual=None, eps=LN_EPS):
     and the residual's is g. The tape keeps only the scalars mu and
     sqrt(var + eps): backward rebuilds xhat from the input with the
     forward's own two ops, bit for bit.
+
+    The output is the only full-size array the forward writes. `_overwrite`,
+    passed only by `_sub_pass`, lets an op that no tape records write it
+    over x's array, which the caller must not read again.
     """
     if eps <= 0:
         raise ShapeError(f"global_layer_norm: eps must be positive, got {eps}")
@@ -151,18 +192,15 @@ def global_layer_norm(x, scale, bias, residual=None, eps=LN_EPS):
     xd, sd, bd = x.data, scale.data, bias.data
     rd = None if residual is None else residual.data
     need_x = x.requires_grad
+    in_place = _overwrite and recording_tape(inputs) is None
     inv_size = xd.dtype.type(1.0 / x.size)
     mu = std = None
 
     def forward_fn():
         nonlocal mu, std
-        # the output is the only full-size array: x - mu is written into it
-        # twice, once to be squared in place and once to be normalised
-        out = np.empty_like(xd)
         mu = xd.sum() * inv_size
-        np.subtract(xd, mu, out=out)
-        np.multiply(out, out, out=out)
-        std = np.sqrt(out.sum() * inv_size + xd.dtype.type(eps))
+        std = np.sqrt(_centred_square_sum(xd, mu) * inv_size + xd.dtype.type(eps))
+        out = xd if in_place else np.empty_like(xd)
         np.subtract(xd, mu, out=out)
         out /= std
         out *= sd
@@ -261,7 +299,10 @@ def _sub_pass(x, params, axis):
     proj = nt.bilstm_batched(
         x, params.lstm_fwd, params.lstm_bwd, params.fc_weight, params.fc_bias, axis
     )  # (K, S, N)
-    return global_layer_norm(proj, params.ln_scale, params.ln_bias, residual=x)
+    # nothing else reads proj, so an untaped norm writes its output over it
+    return global_layer_norm(
+        proj, params.ln_scale, params.ln_bias, residual=x, _overwrite=True
+    )
 
 
 def intra_chunk_pass(x, params):

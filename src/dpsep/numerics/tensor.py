@@ -28,7 +28,10 @@ class Tensor:
 
     `data` is a row-major numpy array of float32 or float64. `grad` is lazily
     allocated by the tape and always matches `data` in shape and dtype.
-    Tensors are immutable after creation except for the grad buffer.
+    Tensors are immutable after creation except for the grad buffer, with
+    one private exception: with no tape recording it, the global layer norm
+    of `dualpath._sub_pass` writes its output over the array of the BLSTM
+    output, a tensor that only the norm reads.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_tape", "_slot")

@@ -17,7 +17,7 @@ import numpy as np
 from . import dualpath as dp
 from . import numerics as nt
 from .config import Geometry
-from .dualpath import _chunk, _fold
+from .dualpath import _chunk
 from .numerics import ShapeError, Tensor
 from .numerics.tensor import _check_same_dtype
 
@@ -114,16 +114,22 @@ def encode(mixture, model):
     return nt.relu(nt.conv1d(mixture, model.encoder_kernels, model.stride))
 
 
+_HEAD_ROWS = 8  # chunk rows per affine block of the mask head's forward
+
+
 def mask_head(x, weight, bias, length):
     """overlap_add(affine(x, weight, bias), L) bit for bit: x (K, S, N) ->
     (C*N, L), for weight (C*N, N) and bias (C*N,).
 
-    One tape op. The forward runs the affine one source at a time, N rows of
-    the weight into a (K, S, N) scratch, and folds each scratch into that
-    source's rows of one (C*N, S+1, P) array, so the (K, S, C*N) affine
-    output never exists; each entry is the same N-term dot product as in
-    the whole GEMM. The output is the halved (C*N, L) view of that array.
-    Backward is overlap-add's backward, then the affine's.
+    One tape op. The forward runs the affine on blocks of `_HEAD_ROWS` chunk
+    rows, each inside one chunk half, and adds each block's (rows, S, C*N)
+    result straight into one (C*N, S+1, P) array, so neither the (K, S, C*N)
+    affine output nor a (K, S, N) scratch exists. Each entry is the same
+    N-term dot product as in the whole GEMM, and the blocks run in
+    ascending chunk row, so every folded entry gets its first-half term
+    before its second-half term, as in `overlap_add`. The output is the
+    halved (C*N, L) view of that array. Backward is overlap-add's backward,
+    then the affine's.
     """
     chunk_len, s, n = x.shape
     rows = weight.shape[0]
@@ -138,17 +144,21 @@ def mask_head(x, weight, bias, length):
     for t in inputs[1:]:
         _check_same_dtype("mask_head", x, t)
     shape, hop = x.shape, chunk_len // 2
-    x2 = x.data.reshape(-1, n)
-    wd, bd = weight.data, bias.data
+    xd, wd, bd = x.data, weight.data, bias.data
+    x2 = xd.reshape(-1, n)
     need_x, need_w, need_b = x.requires_grad, weight.requires_grad, bias.requires_grad
 
     def forward_fn():
-        folded = np.zeros((rows, s + 1, hop), dtype=x2.dtype)
-        y = np.empty_like(x2)
-        for lo in range(0, rows, n):
-            np.matmul(x2, wd[lo : lo + n].T, out=y)
-            y += bd[lo : lo + n]
-            _fold(y.reshape(shape), length, folded[lo : lo + n])
+        folded = np.zeros((rows, s + 1, hop), dtype=xd.dtype)
+        y = np.empty((min(_HEAD_ROWS, hop) * s, rows), dtype=xd.dtype)
+        # chunk row k of the first half lands in columns :-1, of the second in 1:
+        for start, dst in ((0, folded[:, :-1]), (hop, folded[:, 1:])):
+            for lo in range(0, hop, _HEAD_ROWS):
+                hi = min(lo + _HEAD_ROWS, hop)
+                block = y[: (hi - lo) * s]
+                np.matmul(xd[start + lo : start + hi].reshape(-1, n), wd.T, out=block)
+                block += bd
+                dst[:, :, lo:hi] += block.reshape(hi - lo, s, rows).transpose(2, 1, 0)
         out = folded.reshape(rows, -1)[:, hop : hop + length]
         out /= 2
         return out

@@ -16,7 +16,6 @@ from .loss import (
     PermutationResult,
     mixture_si_snr,
     si_snr,
-    si_snr_value,
     upit_loss,
     upit_si_snri,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "lr_at",
     "mixture_si_snr",
     "si_snr",
-    "si_snr_value",
     "si_snri_scores",
     "train_loop",
     "upit_loss",

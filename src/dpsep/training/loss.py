@@ -58,10 +58,9 @@ def si_snr(est, ref, eps=SI_SNR_EPS):
 
 @dataclass
 class PermutationResult:
-    """Best source-to-reference assignment and its per-source SI-SNR values."""
+    """Best source-to-reference assignment and its mean SI-SNR."""
 
     best_perm: tuple  # ref index assigned to each estimate index
-    per_source_db: list
     mean_db: float
 
 
@@ -94,17 +93,7 @@ def upit_loss(est, ref):
     weights = np.zeros(pair.shape, dtype=pair.dtype)
     weights[range(num_sources), best_perm] = -1.0 / num_sources
     loss = nt.tsum(nt.mul(pair, weights))
-    result = PermutationResult(
-        best_perm=best_perm,
-        per_source_db=[values[a][b] for a, b in enumerate(best_perm)],
-        mean_db=best_value,
-    )
-    return loss, result
-
-
-def si_snr_value(est, ref):
-    """Non-tape convenience: SI-SNR in dB of two 1-D numpy arrays."""
-    return float(si_snr(Tensor(est, dtype=np.float64), Tensor(ref, dtype=np.float64)).data)
+    return loss, PermutationResult(best_perm=best_perm, mean_db=best_value)
 
 
 def mixture_si_snr(mixture, refs):

@@ -267,6 +267,27 @@ class TestGlobalLayerNorm:
         with pytest.raises(ShapeError, match="global_layer_norm: mixed dtypes float32 vs float64"):
             dp.global_layer_norm(x, one, zero, residual=wide)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_centred_square_sum_is_numpys_sum_bit_for_bit(self, dtype):
+        # the helper copies the order of numpy's pairwise sum, so a numpy
+        # that sums in another order fails here, not in the norm's outputs
+        rng = np.random.default_rng(18)
+        block = dp._SUM_BLOCK
+        sizes = [*range(1, 201), *(block + d for d in (-8, -1, 0, 1, 8)),
+                 2 * block + 1, 3 * block + 7, 5 * block - 3]
+        for size in sizes:
+            a = (rng.standard_normal(size) * 3.0 + 1.0).astype(dtype)
+            mu = a.sum() * dtype(1.0 / size)
+            got, expected = dp._centred_square_sum(a, mu), ((a - mu) ** 2).sum()
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), size
+        # chunk tensors, and a transposed view, which takes the full-size path
+        for shape in ((46, 45, 64), (90, 91, 64)):
+            a = rng.standard_normal(shape).astype(dtype)
+            for view in (a, a.transpose(1, 0, 2)):
+                mu = view.sum() * dtype(1.0 / view.size)
+                expected = ((view - mu) ** 2).sum()
+                assert dp._centred_square_sum(view, mu).tobytes() == expected.tobytes()
+
     def test_normalizes_mean_and_variance(self):
         rng = np.random.default_rng(10)
         x = Tensor(rng.standard_normal((8, 9, 3)) * 7.0 + 3.0)
@@ -381,6 +402,29 @@ class TestBlockPasses:
             gc.enable()
         assert x.grad is not None
         assert all(t.grad is not None for _, t in params.tensors())
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_untaped_sub_pass_holds_one_input_size_beyond_its_input(self, axis):
+        # the norm writes its output over the BLSTM output, so the sub-pass
+        # adds that one array, the BLSTM's per-step buffers and the variance
+        # scratch; and nothing keeps the output alive once its tensor is gone
+        rng = np.random.default_rng(24)
+        params = _random_sub_params(rng, 64, 16, dtype=np.float32)
+        x = Tensor(rng.standard_normal((128, 64, 64)))
+        gc.disable()
+        try:
+            tracemalloc.start()
+            try:
+                out = dp._sub_pass(x, params, axis)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            freed = weakref.ref(out.data)
+            del out
+            assert freed() is None
+        finally:
+            gc.enable()
+        assert peak < 1.25 * x.data.nbytes
 
     def test_intra_records_no_transpose(self):
         rng = np.random.default_rng(21)
