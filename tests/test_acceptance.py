@@ -198,8 +198,9 @@ def test_criterion_7_scale_invariance():
     for _ in range(100):
         est = rng.standard_normal(128)
         ref = rng.standard_normal(128)
+        ref64 = Tensor(ref, dtype=np.float64)
         values = [
-            float(si_snr(Tensor(alpha * est, dtype=np.float64), Tensor(ref, dtype=np.float64)).data)
+            float(si_snr(Tensor(alpha * est, dtype=np.float64), ref64).data)
             for alpha in (1e-3, 1.0, 1e3)
         ]
         worst = max(worst, max(values) - min(values))

@@ -90,7 +90,8 @@ def test_upit_pair_matrix_equals_per_pair_si_snr(num_sources, t_len, seed, silen
     ])
     np.testing.assert_array_equal(pair, oracle)
     _, result = upit_loss(Tensor(est, dtype=np.float64), Tensor(ref, dtype=np.float64))
-    assert result.mean_db == sum(oracle[a, b] for a, b in enumerate(result.best_perm)) / num_sources
+    best = sum(oracle[a, b] for a, b in enumerate(result.best_perm))
+    assert result.mean_db == best / num_sources
 
 
 @SETTINGS
