@@ -29,9 +29,11 @@ class Tensor:
     `data` is a row-major numpy array of float32 or float64. `grad` is lazily
     allocated by the tape and always matches `data` in shape and dtype.
     Tensors are immutable after creation except for the grad buffer, with
-    one private exception: with no tape recording it, the global layer norm
-    of `dualpath._sub_pass` writes its output over the array of the BLSTM
-    output, a tensor that only the norm reads.
+    three private exceptions, each over an array that only the writing op
+    reads: the relu of `tasnet.encode` writes over the conv output; with no
+    tape recording them, the global layer norm of `dualpath._sub_pass`
+    writes over the BLSTM output and the `apply_masks` of `tasnet.separate`
+    over the masks.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_tape", "_slot")
@@ -291,9 +293,19 @@ def div(a, b):
     )
 
 
-def relu(x):
+def relu(x, *, _overwrite=False):
+    """max(x, 0). Backward keeps the output, not x: out > 0 exactly where
+    x > 0. `_overwrite`, passed only by `tasnet.encode`, writes the output
+    over x's array, which the caller must not read again."""
     xd = x.data
-    return apply_op("relu", (x,), lambda: np.maximum(xd, 0), lambda g: (g * (xd > 0),))
+    out = None
+
+    def forward_fn():
+        nonlocal out
+        out = np.maximum(xd, 0, out=xd if _overwrite else None)
+        return out
+
+    return apply_op("relu", (x,), forward_fn, lambda g: (g * (out > 0),))
 
 
 def log(x):

@@ -19,7 +19,7 @@ from . import numerics as nt
 from .config import Geometry
 from .dualpath import _chunk
 from .numerics import ShapeError, Tensor
-from .numerics.tensor import _check_same_dtype
+from .numerics.tensor import _check_same_dtype, recording_tape
 
 
 @dataclass(kw_only=True)
@@ -110,8 +110,9 @@ def build_model(nominal_samples=32000, seed=0, dtype=np.float32, **sizes):
 
 
 def encode(mixture, model):
-    """mixture (1, T) -> nonnegative representation (N, L)."""
-    return nt.relu(nt.conv1d(mixture, model.encoder_kernels, model.stride))
+    """mixture (1, T) -> nonnegative representation (N, L). The relu writes
+    over the conv output, which nothing else reads."""
+    return nt.relu(nt.conv1d(mixture, model.encoder_kernels, model.stride), _overwrite=True)
 
 
 _HEAD_ROWS = 8  # chunk rows per affine block of the mask head's forward
@@ -180,20 +181,34 @@ def estimate_masks(rep, model):
     Pipeline: segment to (K, S, N) -> dual-path stack -> mask head (a
     per-position affine N -> C*N, overlap-added to (C*N, L)) -> relu ->
     reshape to (C, N, L).
+
+    It drops its reference to `rep` once `segment` has chunked it, so a
+    caller that keeps none frees the encoder output before the stack runs.
     """
     n, length = rep.shape
-    # no local holds the stack's output, so it is freed once the head has run
+    chunks = [dp.segment(rep, model.chunk_len)]  # (K, S, N)
+    del rep
+    # no local holds the chunk tensor or the stack's output, so the stack
+    # frees the first after its first sub-pass and the head the second
     maps = mask_head(
-        dp.dprnn_stack(dp.segment(rep, model.chunk_len), model.blocks),  # (K, S, N)
-        model.mask_weight, model.mask_bias, length,
+        dp.dprnn_stack(chunks.pop(), model.blocks), model.mask_weight, model.mask_bias, length
     )  # (C*N, L)
     return nt.reshape(nt.relu(maps), (model.num_sources, n, length))
 
 
-def apply_masks(rep, masks):
-    """out[c] = rep (*) masks[c]; shapes (N, L) x (C, N, L) -> (C, N, L)."""
+def apply_masks(rep, masks, *, _overwrite=False):
+    """out[c] = rep (*) masks[c]; shapes (N, L) x (C, N, L) -> (C, N, L).
+
+    `_overwrite`, passed only by `separate`, lets a product that no tape
+    records be written over masks' array, which the caller must not read
+    again; the bits are the same.
+    """
     if masks.shape[1:] != rep.shape:
         raise ShapeError(f"masks {masks.shape} do not match representation {rep.shape}")
+    if _overwrite and recording_tape((rep, masks)) is None:
+        _check_same_dtype("mul", rep, masks)
+        rd, md = rep.data, masks.data
+        return nt.apply_op("mul", (rep, masks), lambda: np.multiply(rd, md, out=md), None)
     return nt.mul(nt.reshape(rep, (1,) + rep.shape), masks)
 
 
@@ -217,6 +232,10 @@ def separate(mixture, model):
     zero-padded to that minimum, and the estimates are cut back to T.
     It runs in the model's dtype: a mixture that needs no gradient is cast to
     it, and one that does must already match.
+    With no tape recording it, it frees the encoder output once `segment`
+    has chunked it, encodes the mixture again for `apply_masks` (the same
+    bits, for one conv) and writes the masked representation over the
+    masks, so the dual-path stack runs next to no other (N, L)-sized array.
     """
     dtype = model.encoder_kernels.dtype
     if mixture.dtype != dtype:
@@ -229,9 +248,15 @@ def separate(mixture, model):
         rms = nt.sqrt(nt.tmean(nt.mul(mixture, mixture)))
         mixture = nt.div(mixture, rms)
     mixture = nt.pad_last_axis(mixture, max(t_len, model.samples(model.chunk_len // 2)))
-    rep = encode(mixture, model)
-    masks = estimate_masks(rep, model)
-    est = decode(apply_masks(rep, masks), model)
+    if recording_tape((mixture, *model.parameter_tensors())) is not None:
+        rep = encode(mixture, model)
+        masked = apply_masks(rep, estimate_masks(rep, model))
+    else:
+        # no local may hold the encoder output: estimate_masks drops it once
+        # it is chunked
+        masks = estimate_masks(encode(mixture, model), model)
+        masked = apply_masks(encode(mixture, model), masks, _overwrite=True)
+    est = decode(masked, model)
     if est.shape[1] < t_len:
         est = nt.pad_last_axis(est, t_len)
     elif est.shape[1] > t_len:

@@ -34,6 +34,26 @@ def test_relu_trivial():
     np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_keeps_its_output_not_its_input(dtype):
+    # backward masks with out > 0, which is x > 0 at zeros of either sign
+    # and at negatives, so the tape need not keep the input array
+    values = np.array([-3.0, -1e-30, -0.0, 0.0, 1e-30, 2.5], dtype=dtype)
+    leaf = Tensor(values, dtype=dtype, requires_grad=True)
+    g = np.random.default_rng(7).standard_normal(values.shape).astype(dtype)
+    with GradTape() as tape:
+        x = nt.mul(leaf, 1.0)  # a recorded input whose array only relu reads
+        input_array = weakref.ref(x.data)
+        out = nt.relu(x)
+        del x
+        gc.collect()
+        assert input_array() is None
+        loss = nt.tsum(nt.mul(out, Tensor(g, dtype=dtype)))
+    tape.backward(loss)
+    # bit for bit, signed zeros included, against the input mask
+    assert leaf.grad.tobytes() == (g * (values > 0)).tobytes()
+
+
 def test_mul_identity():
     x = Tensor([1.5, -2.0, 3.0])
     out = nt.mul(x, Tensor(np.ones(3)))
