@@ -59,7 +59,6 @@ def make_dataset(records, segment_seconds, sample_rate):
                     mixture=mixture,
                     sources=sources,
                     sample_rate=sample_rate,
-                    snr_db=rec.snr_db,
                     valid_len=stop - start,
                 )
             )

@@ -19,12 +19,13 @@ class MixtureExample:
 
     `valid_len` marks how many samples are real; the tail beyond it is
     zero padding from fixed-length segmenting and is masked out of losses.
+    Its source and sample counts are `sources.shape[0]` and
+    `mixture.shape[1]`; the SNR it was mixed at is its manifest record's.
     """
 
     mixture: np.ndarray
     sources: np.ndarray
     sample_rate: int
-    snr_db: float
     valid_len: int
 
     def __post_init__(self):
@@ -38,14 +39,6 @@ class MixtureExample:
             self.mixture[0], self.sources[0] + self.sources[1]
         ):
             raise MixingError("mixture must equal the exact sum of the stored sources")
-
-    @property
-    def num_sources(self):
-        return self.sources.shape[0]
-
-    @property
-    def num_samples(self):
-        return self.mixture.shape[1]
 
 
 def mix_at_snr(s1, s2, snr_db, sample_rate=8000):
@@ -71,6 +64,5 @@ def mix_at_snr(s1, s2, snr_db, sample_rate=8000):
         mixture=mixture,
         sources=sources,
         sample_rate=sample_rate,
-        snr_db=float(snr_db),
         valid_len=s1.shape[1],
     )

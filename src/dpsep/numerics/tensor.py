@@ -23,11 +23,17 @@ class NumericsError(NumericFault):
     """Raised on numeric failures: non-finite values, tape misuse."""
 
 
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
 class Tensor:
     """N-dimensional numeric array with optional gradient tracking.
 
-    `data` is a row-major numpy array of float32 or float64. `grad` is lazily
-    allocated by the tape and always matches `data` in shape and dtype.
+    `data` is a row-major numpy array of float32 or float64. A float32 or
+    float64 ndarray keeps its dtype; any other input (Python scalars and
+    lists, integer and boolean arrays) becomes float32; an explicit `dtype`
+    converts. Any other dtype is a ShapeError. `grad` is lazily allocated by
+    the tape and always matches `data` in shape and dtype.
     Tensors are immutable after creation except for the grad buffer, with
     three private exceptions, each over an array that only the writing op
     reads: the relu of `tasnet.encode` writes over the conv output; with no
@@ -38,7 +44,13 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_tape", "_slot")
 
-    def __init__(self, data, dtype=np.float32, requires_grad=False):
+    def __init__(self, data, dtype=None, requires_grad=False):
+        if dtype is None:
+            keep = isinstance(data, np.ndarray) and data.dtype.kind not in "biu"
+            dtype = data.dtype if keep else np.float32
+        dtype = np.dtype(dtype)
+        if dtype not in _FLOAT_DTYPES:
+            raise ShapeError(f"tensor dtype must be float32 or float64, got {dtype.name}")
         arr = np.asarray(data, dtype=dtype)
         if any(extent <= 0 for extent in arr.shape):
             raise ShapeError(f"tensor extents must be positive, got shape {arr.shape}")

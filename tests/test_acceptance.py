@@ -183,7 +183,7 @@ def _separate_command_on_training_mixture(tmp_path, example):
     est = np.stack(
         [data.read_wav(out_dir / f"source{c + 1}.wav")[0][0] for c in range(2)]
     )
-    assert est.shape == (2, example.num_samples)
+    assert est.shape == (2, example.mixture.shape[1])
     si_snri, _ = upit_si_snri(est, example.sources * scale, example.mixture * scale)
     _report(
         "criterion 6b (separate command on overfit model)",

@@ -55,7 +55,7 @@ def test_transposed_single_frame_is_weighted_kernel_sum():
 
 def test_transposed_hand_overlap_add_oracle():
     # frozen from the hand computation: ones frames, kernel [1,1], stride 1, L=3
-    frames = Tensor(np.ones((1, 1, 3)))
+    frames = Tensor(np.ones((1, 1, 3)), dtype=np.float32)
     kernels = Tensor([[1.0, 1.0]])
     out = nt.transposed_conv1d(frames, kernels, stride=1)
     np.testing.assert_array_equal(out.data, [[1.0, 2.0, 2.0, 1.0]])

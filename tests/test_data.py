@@ -206,7 +206,7 @@ class TestMakeDataset:
         manifest.write_text(f"train\twav:{tmp_path}/a.wav\twav:{tmp_path}/b.wav\t0.0\n")
         examples = make_dataset(parse_manifest(manifest), 4.0, 8000)
         assert len(examples) == 3
-        assert all(ex.num_samples == 32000 for ex in examples)
+        assert all(ex.mixture.shape[1] == 32000 for ex in examples)
         assert examples[0].valid_len == 32000
         assert examples[2].valid_len == 16000
         np.testing.assert_array_equal(examples[2].mixture[0, 16000:], np.zeros(16000))
@@ -244,8 +244,10 @@ class TestMakeDataset:
     def test_mixture_snr_contract_end_to_end(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_text(MANIFEST_TEXT)
-        examples = make_dataset(parse_manifest(path), 0.5, 8000)
-        for ex in examples:
+        records = parse_manifest(path)
+        examples = make_dataset(records, 0.5, 8000)
+        assert len(examples) == len(records)  # one segment per synthetic record
+        for rec, ex in zip(records, examples):
             e1 = float((ex.sources[0].astype(np.float64) ** 2).sum())
             e2 = float((ex.sources[1].astype(np.float64) ** 2).sum())
-            assert 10 * np.log10(e1 / e2) == pytest.approx(ex.snr_db, abs=1e-4)
+            assert 10 * np.log10(e1 / e2) == pytest.approx(rec.snr_db, abs=1e-4)

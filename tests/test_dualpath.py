@@ -410,7 +410,7 @@ class TestBlockPasses:
         # scratch; and nothing keeps the output alive once its tensor is gone
         rng = np.random.default_rng(24)
         params = _random_sub_params(rng, 64, 16, dtype=np.float32)
-        x = Tensor(rng.standard_normal((128, 64, 64)))
+        x = Tensor(rng.standard_normal((128, 64, 64)), dtype=np.float32)
         gc.disable()
         try:
             tracemalloc.start()

@@ -83,7 +83,7 @@ def _half(out, reverse):
 
 def test_all_zero_everything_gives_zero_states():
     p = _zero_params(3, 4)
-    hs = _bilstm(Tensor(np.zeros((5, 2, 3))), p, p)
+    hs = _bilstm(Tensor(np.zeros((5, 2, 3)), dtype=np.float32), p, p)
     np.testing.assert_array_equal(hs.data, np.zeros((5, 2, 8)))
 
 
@@ -153,7 +153,7 @@ def test_lstm_sequence_is_one_tape_node(reverse):
     rng = np.random.default_rng(3)
     p, q = init_lstm_params(rng, 3, 4), init_lstm_params(rng, 3, 4)
     frozen = nt.LstmCellParams(*(Tensor(t.data) for _, t in q.tensors()))
-    xs = Tensor(rng.standard_normal((6, 2, 3)))
+    xs = Tensor(rng.standard_normal((6, 2, 3)), dtype=np.float32)
     grads = []
     for other in (q, frozen):
         with nt.GradTape() as tape:
@@ -321,7 +321,7 @@ def test_bilstm_is_one_tape_node():
     # both directions and the FC after them
     rng = np.random.default_rng(15)
     fwd, bwd = init_lstm_params(rng, 3, 4), init_lstm_params(rng, 3, 4)
-    xs = Tensor(rng.standard_normal((6, 2, 3)), requires_grad=True)
+    xs = Tensor(rng.standard_normal((6, 2, 3)), dtype=np.float32, requires_grad=True)
     with nt.GradTape() as tape:
         out = nt.bilstm_batched(xs, fwd, bwd, *_fc(rng, 3, 4), 0)
     assert out.shape == (6, 2, 3)
@@ -359,7 +359,7 @@ def test_bilstm_without_tape_holds_little_beyond_its_output():
     out_bytes = steps * batch * 2 * hid * 4  # (T, B, 2H) float32: 8 MiB
     rng = np.random.default_rng(17)
     fwd, bwd = init_lstm_params(rng, in_dim, hid), init_lstm_params(rng, in_dim, hid)
-    xs = Tensor(rng.standard_normal((steps, batch, in_dim)))
+    xs = Tensor(rng.standard_normal((steps, batch, in_dim)), dtype=np.float32)
     fc = _identity_fc(hid)
     tracemalloc.start()
     try:
@@ -379,7 +379,7 @@ def test_bilstm_without_tape_forms_no_hidden_state_array():
     hs_bytes = steps * batch * 2 * hid * 4
     rng = np.random.default_rng(18)
     fwd, bwd = init_lstm_params(rng, n, hid), init_lstm_params(rng, n, hid)
-    xs = Tensor(rng.standard_normal((steps, batch, n)))
+    xs = Tensor(rng.standard_normal((steps, batch, n)), dtype=np.float32)
     fc = _fc(rng, n, hid)
     tracemalloc.start()
     try:
@@ -402,7 +402,7 @@ def test_recorded_bilstm_keeps_only_gates():
     cells_bytes = 2 * (steps + 1) * hid * batch * 4
     rng = np.random.default_rng(21)
     fwd, bwd = init_lstm_params(rng, in_dim, hid), init_lstm_params(rng, in_dim, hid)
-    xs = Tensor(rng.standard_normal((steps, batch, in_dim)))
+    xs = Tensor(rng.standard_normal((steps, batch, in_dim)), dtype=np.float32)
     fc = _fc(rng, n, hid)
     tracemalloc.start()
     try:

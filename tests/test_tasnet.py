@@ -25,7 +25,7 @@ def tiny_model(dtype=np.float32, seed=3, **overrides):
 
 def test_encode_single_frame():
     model = tiny_model()
-    out = tasnet.encode(Tensor(np.ones((1, 4))), model)
+    out = tasnet.encode(Tensor(np.ones((1, 4)), dtype=np.float32), model)
     assert out.shape == (4, 1)
 
 
@@ -50,7 +50,8 @@ def test_encoder_hop_is_half_the_window_and_the_model_stride():
 def test_encode_relu_kills_negative_kernels():
     model = tiny_model()
     model.encoder_kernels.data = -np.abs(model.encoder_kernels.data) - 0.1
-    out = tasnet.encode(Tensor(np.abs(np.random.default_rng(0).standard_normal((1, 24))) + 0.1), model)
+    mixture = np.abs(np.random.default_rng(0).standard_normal((1, 24))) + 0.1
+    out = tasnet.encode(Tensor(mixture, dtype=np.float32), model)
     np.testing.assert_array_equal(out.data, np.zeros_like(out.data))
 
 
@@ -118,15 +119,17 @@ def test_mask_head_is_affine_then_overlap_add_bit_for_bit(dtype, sources):
 
 def test_mask_head_records_one_node_and_checks_shapes():
     rng = np.random.default_rng(41)
-    x = Tensor(rng.standard_normal((6, 5, 4)), requires_grad=True)
-    weight, bias = Tensor(rng.standard_normal((8, 4))), Tensor(np.zeros(8))
+    x = Tensor(rng.standard_normal((6, 5, 4)), dtype=np.float32, requires_grad=True)
+    weight = Tensor(rng.standard_normal((8, 4)), dtype=np.float32)
+    bias = Tensor(np.zeros(8), dtype=np.float32)
     with GradTape() as tape:
         assert tasnet.mask_head(x, weight, bias, 12).shape == (8, 12)
     assert [name for name, _, _ in tape._nodes] == ["mask_head"]
     with pytest.raises(ShapeError, match="do not tile length"):
         tasnet.mask_head(x, weight, bias, 20)
     with pytest.raises(ShapeError, match="mask_head: weight"):
-        tasnet.mask_head(x, Tensor(np.ones((7, 4))), Tensor(np.zeros(7)), 12)
+        tasnet.mask_head(x, Tensor(np.ones((7, 4)), dtype=np.float32),
+                         Tensor(np.zeros(7), dtype=np.float32), 12)
     with pytest.raises(ShapeError, match="mask_head: mixed dtypes"):
         tasnet.mask_head(x, Tensor(np.ones((8, 4)), dtype=np.float64), bias, 12)
 
@@ -191,11 +194,12 @@ def test_separate_has_the_same_bits_with_and_without_a_tape(dtype):
 def test_apply_masks_identity_and_zero():
     model = tiny_model()
     rep = Tensor(np.random.default_rng(3).standard_normal((4, 10)).astype(np.float32))
-    out = tasnet.apply_masks(rep, Tensor(np.ones((2, 4, 10))))
+    out = tasnet.apply_masks(rep, Tensor(np.ones((2, 4, 10)), dtype=np.float32))
     np.testing.assert_array_equal(out.data[0], rep.data)
     np.testing.assert_array_equal(out.data[1], rep.data)
     np.testing.assert_array_equal(
-        tasnet.apply_masks(rep, Tensor(np.zeros((2, 4, 10)))).data, np.zeros((2, 4, 10))
+        tasnet.apply_masks(rep, Tensor(np.zeros((2, 4, 10)), dtype=np.float32)).data,
+        np.zeros((2, 4, 10)),
     )
 
 
@@ -226,7 +230,7 @@ def test_apply_masks_shape_error():
 
 def test_decode_single_frame_single_source():
     model = tiny_model(num_sources=1)
-    masked = Tensor(np.ones((1, 4, 1)))
+    masked = Tensor(np.ones((1, 4, 1)), dtype=np.float32)
     out = tasnet.decode(masked, model)
     assert out.shape == (1, 4)
     np.testing.assert_allclose(out.data[0], model.decoder_kernels.data.sum(axis=0), rtol=1e-6)
@@ -234,7 +238,7 @@ def test_decode_single_frame_single_source():
 
 def test_decode_zero_input_zero_waveform():
     model = tiny_model()
-    out = tasnet.decode(Tensor(np.zeros((2, 4, 9))), model)
+    out = tasnet.decode(Tensor(np.zeros((2, 4, 9)), dtype=np.float32), model)
     np.testing.assert_array_equal(out.data, np.zeros_like(out.data))
 
 
@@ -275,7 +279,7 @@ def test_separate_linear_in_input_with_unit_masks(monkeypatch):
     model = tiny_model()
 
     def unit_masks(rep, _model):
-        return Tensor(np.ones((2,) + rep.shape))
+        return Tensor(np.ones((2,) + rep.shape), dtype=rep.dtype)
 
     monkeypatch.setattr(tasnet, "estimate_masks", unit_masks)
     monkeypatch.setattr(

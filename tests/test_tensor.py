@@ -19,6 +19,37 @@ def test_tensor_shape_data_invariant():
     assert t.data.dtype == np.float32
 
 
+def test_tensor_dtype_rule():
+    # a float32 or float64 array keeps its dtype, and its gradient has it too;
+    # anything else becomes float32; an explicit dtype converts
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    assert x.dtype == np.float64
+    with GradTape() as tape:
+        loss = nt.tsum(nt.mul(x, x))
+    tape.backward(loss)
+    assert x.grad.dtype == np.float64
+    assert Tensor(np.ones(2, dtype=np.float32)).dtype == np.float32
+    for data in ([1.0, 2.0], 1.5, np.arange(3), np.array([True])):
+        assert Tensor(data).dtype == np.float32
+    assert Tensor(np.ones(2, dtype=np.float32), dtype=np.float64).dtype == np.float64
+    assert Tensor(np.ones(2), dtype=np.float32).dtype == np.float32
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("int32", lambda: Tensor([1, 2], dtype=np.int32, requires_grad=True)),
+        ("float16", lambda: Tensor([1.0, 2.0], dtype=np.float16)),
+        ("float16", lambda: Tensor(np.ones(2, dtype=np.float16))),
+        ("complex64", lambda: Tensor(np.ones(2, dtype=np.complex64))),
+    ],
+    ids=["int32-dtype", "float16-dtype", "float16-array", "complex64-array"],
+)
+def test_tensor_rejects_other_dtypes(name, make):
+    with pytest.raises(ShapeError, match=f"float32 or float64, got {name}"):
+        make()
+
+
 def test_tensor_rejects_zero_extent():
     with pytest.raises(ShapeError):
         Tensor(np.zeros((2, 0)))
@@ -56,13 +87,13 @@ def test_relu_keeps_its_output_not_its_input(dtype):
 
 def test_mul_identity():
     x = Tensor([1.5, -2.0, 3.0])
-    out = nt.mul(x, Tensor(np.ones(3)))
+    out = nt.mul(x, Tensor(np.ones(3), dtype=np.float32))
     np.testing.assert_array_equal(out.data, x.data)
 
 
 def test_affine_identity():
     x = Tensor([1.0, 2.0])
-    w = Tensor(np.eye(2))
+    w = Tensor(np.eye(2), dtype=np.float32)
     b = Tensor([0.0, 0.0])
     np.testing.assert_array_equal(nt.affine(x, w, b).data, [1.0, 2.0])
 
@@ -258,7 +289,7 @@ def test_broadcast_rejects_rank_mismatch():
 
 def test_mixed_dtypes_rejected():
     with pytest.raises(ShapeError):
-        nt.add(Tensor(np.ones(2)), Tensor(np.ones(2), dtype=np.float64))
+        nt.add(Tensor(np.ones(2), dtype=np.float32), Tensor(np.ones(2)))
 
 
 def test_affine_rejects_mixed_dtypes():

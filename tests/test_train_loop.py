@@ -148,7 +148,7 @@ def test_undefined_validation_si_snr_aborts(toy_sets, tmp_path):
     sources[1] = 0.0
     silent = data.MixtureExample(
         mixture=sources[:1] + sources[1:], sources=sources, sample_rate=8000,
-        snr_db=good.snr_db, valid_len=good.valid_len,
+        valid_len=good.valid_len,
     )
     config = TrainConfig(epochs=1, batch_size=2)
     with pytest.raises(TrainingAbort) as exc:
