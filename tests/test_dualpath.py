@@ -158,7 +158,8 @@ class TestChunkAndFold:
 class TestGlobalLayerNorm:
     def test_rejects_mixed_dtypes(self):
         x = Tensor(np.ones((3, 4, 2)), dtype=np.float32)
-        one, wide = Tensor(np.ones(2)), Tensor(np.ones(2), dtype=np.float64)
+        one = Tensor(np.ones(2), dtype=np.float32)
+        wide = Tensor(np.ones(2), dtype=np.float64)
         with pytest.raises(ShapeError, match="global_layer_norm: mixed dtypes float32 vs float64"):
             dp.global_layer_norm(x, wide, one)
         with pytest.raises(ShapeError, match="global_layer_norm: mixed dtypes float32 vs float64"):
@@ -262,7 +263,7 @@ class TestGlobalLayerNorm:
 
     def test_rejects_a_residual_of_another_dtype(self):
         x = Tensor(np.ones((3, 4, 2)), dtype=np.float32)
-        one, zero = Tensor(np.ones(2)), Tensor(np.zeros(2))
+        one, zero = Tensor(np.ones(2), dtype=np.float32), Tensor(np.zeros(2), dtype=np.float32)
         wide = Tensor(np.ones((3, 4, 2)), dtype=np.float64)
         with pytest.raises(ShapeError, match="global_layer_norm: mixed dtypes float32 vs float64"):
             dp.global_layer_norm(x, one, zero, residual=wide)

@@ -156,7 +156,7 @@ def test_untaped_separate_peaks_below_2_3_chunk_tensors():
     # like; each stage holds at most two of them, since the encoder output,
     # half of one, is freed once chunked and encoded again for apply_masks
     model = tiny_model(num_filters=64, hidden=16, chunk_len=90)
-    mixture = Tensor(np.random.default_rng(42).standard_normal((1, 16000)))
+    mixture = Tensor(np.random.default_rng(42).standard_normal((1, 16000)), dtype=np.float32)
     frames = model.frames(mixture.shape[1])
     chunk_bytes = model.chunk_len * dp.chunk_count(frames, model.chunk_len) * 64 * 4
     tracemalloc.start()
