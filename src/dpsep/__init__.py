@@ -15,12 +15,6 @@ MAX_CHUNK_LEN = 1 << 16
 MAX_SAMPLE_RATE = 192_000
 
 
-def encoder_hop(window):
-    """The encoder's hop in samples for a window of `window`: half the
-    window, at least 1."""
-    return max(window // 2, 1)
-
-
 # The exit-code policy, by exception type: `dpsep.cli.main` exits 2 for an
 # InputError (or an OSError) and 3 for a NumericFault.
 class InputError(ValueError):

@@ -224,14 +224,11 @@ def cmd_gradcheck():
     from .checks import run_gradcheck_suite
 
     results = run_gradcheck_suite()
-    failed = 0
     for name, report in results:
-        status = "pass" if report.passed else "FAIL"
-        print(f"{name}: {status} (max rel error {report.max_rel_error:.3e})")
-        if not report.passed:
-            failed += 1
-    print(f"{len(results) - failed}/{len(results)} gradient checks passed")
-    return EXIT_OK if failed == 0 else 1
+        print(f"{name}: {report}")
+    passed = sum(report.passed for _, report in results)
+    print(f"{passed}/{len(results)} gradient checks passed")
+    return EXIT_OK if passed == len(results) else 1
 
 
 def main(argv=None):

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from . import MAX_CHUNK_LEN, MAX_SAMPLE_RATE, ShapeError, encoder_hop
+from . import MAX_CHUNK_LEN, MAX_SAMPLE_RATE, ShapeError
 
 
 @dataclass(kw_only=True)
@@ -46,8 +46,8 @@ class Geometry:
 
     @property
     def stride(self):
-        """Encoder hop, `encoder_hop(window)`."""
-        return encoder_hop(self.window)
+        """The encoder's hop in samples: half the window, at least 1."""
+        return max(self.window // 2, 1)
 
     def frames(self, num_samples):
         """The encoder's frame count for `num_samples` samples."""
@@ -62,24 +62,20 @@ class Geometry:
 
 @dataclass
 class TrainConfig:
+    """The training settings a run may vary. The optimizer's moments, the LR
+    decay and the clip norm are the published recipe's constants, in
+    `dpsep.training.optim`."""
+
     epochs: int = 100
     lr_init: float = 1e-3
-    lr_decay: float = 0.98
-    lr_decay_every: int = 2
-    clip_norm: float = 5.0
     patience: int = 10
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 2
     seed: int = 0
 
     def __post_init__(self):
         rules = (
-            (("epochs", "lr_decay_every", "patience", "batch_size"), lambda v: v >= 1, ">= 1"),
-            (("lr_init", "lr_decay", "clip_norm", "adam_eps"),
-             lambda v: math.isfinite(v) and v > 0, "finite and positive"),
-            (("beta1", "beta2"), lambda v: 0 < v < 1, "in (0, 1)"),
+            (("epochs", "patience", "batch_size"), lambda v: v >= 1, ">= 1"),
+            (("lr_init",), lambda v: math.isfinite(v) and v > 0, "finite and positive"),
             (("seed",), lambda v: v >= 0, ">= 0"),
         )
         for names, holds, rule in rules:

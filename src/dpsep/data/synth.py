@@ -23,7 +23,7 @@ def _band_noise(rng, n, sample_rate, lo_hz, hi_hz):
     return np.fft.irfft(spectrum, n)
 
 
-def synth_source(kind, duration_s, sample_rate, seed, f0=None):
+def synth_source(kind, duration_s, sample_rate, seed):
     """Deterministic unit-RMS (1, T) float32 waveform of the given kind."""
     if duration_s <= 0:
         raise ValueError(f"duration must be positive, got {duration_s}")
@@ -34,7 +34,7 @@ def synth_source(kind, duration_s, sample_rate, seed, f0=None):
     t = np.arange(n, dtype=np.float64) / sample_rate
 
     if kind == "harmonic":
-        base = f0 if f0 is not None else rng.uniform(150.0, 300.0)
+        base = rng.uniform(150.0, 300.0)
         x = np.zeros(n)
         for k in range(1, 7):
             phase = rng.uniform(0.0, 2.0 * np.pi)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import numerics as nt
 from .numerics import LstmCellParams, ShapeError, Tensor
-from .numerics.tensor import _check_same_dtype, apply_op, recording_tape
+from .numerics.tensor import apply_op, recording_tape
 
 LN_EPS = 1e-8
 _SUM_BLOCK = 1 << 16  # entries of the variance scratch
@@ -157,23 +157,22 @@ def _pairwise_square_sum(flat, mu, scratch):
     )
 
 
-def global_layer_norm(x, scale, bias, residual=None, eps=LN_EPS, *, _overwrite=False):
+def global_layer_norm(x, scale, bias, residual=None, *, _overwrite=False):
     """Normalize x (..., N) by the mean/variance of all its entries, then
     rescale per feature and add the residual, if any:
-    out = (x - mu)/sqrt(var + eps) * scale + bias + residual.
+    out = (x - mu)/sqrt(var + LN_EPS) * scale + bias + residual.
 
-    One tape op. With xhat = (x - mu)/sqrt(var + eps) and gy = g * scale,
-    the input gradient is (gy - mean(gy) - xhat * mean(gy * xhat)) / sqrt(var + eps),
+    One tape op. With xhat = (x - mu)/sqrt(var + LN_EPS) and gy = g * scale,
+    the input gradient is
+    (gy - mean(gy) - xhat * mean(gy * xhat)) / sqrt(var + LN_EPS),
     and the residual's is g. The tape keeps only the scalars mu and
-    sqrt(var + eps): backward rebuilds xhat from the input with the
+    sqrt(var + LN_EPS): backward rebuilds xhat from the input with the
     forward's own two ops, bit for bit.
 
     The output is the only full-size array the forward writes. `_overwrite`,
     passed only by `_sub_pass`, lets an op that no tape records write it
     over x's array, which the caller must not read again.
     """
-    if eps <= 0:
-        raise ShapeError(f"global_layer_norm: eps must be positive, got {eps}")
     n = x.shape[-1]
     if scale.shape != (n,) or bias.shape != (n,):
         raise ShapeError(
@@ -187,8 +186,6 @@ def global_layer_norm(x, scale, bias, residual=None, eps=LN_EPS, *, _overwrite=F
                 f"shape {x.shape}"
             )
         inputs += (residual,)
-    for t in inputs[1:]:
-        _check_same_dtype("global_layer_norm", x, t)
     xd, sd, bd = x.data, scale.data, bias.data
     rd = None if residual is None else residual.data
     need_x = x.requires_grad
@@ -199,7 +196,7 @@ def global_layer_norm(x, scale, bias, residual=None, eps=LN_EPS, *, _overwrite=F
     def forward_fn():
         nonlocal mu, std
         mu = xd.sum() * inv_size
-        std = np.sqrt(_centred_square_sum(xd, mu) * inv_size + xd.dtype.type(eps))
+        std = np.sqrt(_centred_square_sum(xd, mu) * inv_size + xd.dtype.type(LN_EPS))
         out = xd if in_place else np.empty_like(xd)
         np.subtract(xd, mu, out=out)
         out /= std

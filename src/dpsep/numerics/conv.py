@@ -7,7 +7,7 @@ to each of C frame sets, scattering weighted kernels back by overlap-add.
 
 import numpy as np
 
-from .tensor import ShapeError, _check_same_dtype, apply_op
+from .tensor import ShapeError, apply_op
 
 
 def _windows(sig, width, stride, count):
@@ -24,7 +24,6 @@ def conv1d(signal, kernels, stride):
         raise ShapeError(f"conv1d: kernels must be (N, W), got {kernels.shape}")
     if stride < 1:
         raise ShapeError(f"conv1d: stride must be >= 1, got {stride}")
-    _check_same_dtype("conv1d", signal, kernels)
     t_len = signal.shape[1]
     width = kernels.shape[1]
     if t_len < width:
@@ -62,7 +61,6 @@ def transposed_conv1d(frames, kernels, stride):
         )
     if stride < 1:
         raise ShapeError(f"transposed_conv1d: stride must be >= 1, got {stride}")
-    _check_same_dtype("transposed_conv1d", frames, kernels)
     num_sets, _, n_frames = frames.shape
     width = kernels.shape[1]
     t_len = (n_frames - 1) * stride + width

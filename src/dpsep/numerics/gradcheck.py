@@ -1,6 +1,6 @@
 """Central-difference checking of analytic gradients.
 
-Runs in float64 only: the harness perturbs each checked element by +-step,
+Runs in float64 only: the harness perturbs each checked element by +-STEP,
 re-evaluates the scalar function, and compares against the tape gradient.
 """
 
@@ -12,29 +12,31 @@ import numpy as np
 
 from .tensor import GradTape, NumericsError, Tensor
 
+TOL = 1e-4  # the largest relative error that passes
+STEP = 1e-5  # the central difference's half-width
+
 
 @dataclass
 class FiniteDiffReport:
-    tol: float
     max_rel_error: float = 0.0
 
     @property
     def passed(self):
-        return self.max_rel_error < self.tol
+        return self.max_rel_error < TOL
 
     def __str__(self):
         status = "pass" if self.passed else "FAIL"
-        return f"{status}: max rel error {self.max_rel_error:.3e} (tol {self.tol:.1e})"
+        return f"{status}: max rel error {self.max_rel_error:.3e} (tol {TOL:.1e})"
 
 
-def finite_diff_check(f, x, tol=1e-4, step=1e-5, max_elements=None, seed=0):
+def finite_diff_check(f, x, max_elements=None):
     """Compare tape gradients of scalar-valued `f` against central differences.
 
     f takes the tensor(s) in `x` (a Tensor or list of Tensors, float64,
     requires_grad) and returns a scalar Tensor; it must be pure, since it is
-    re-evaluated per perturbed element. With `max_elements`, a seeded random
-    subset of each tensor's elements is checked. Pass iff the per-element max
-    relative error stays below `tol`.
+    re-evaluated per perturbed element. With `max_elements`, a random subset
+    of each tensor's elements is checked, drawn from a generator seeded 0.
+    Pass iff the per-element max relative error stays below `TOL`.
     """
     xs = [x] if isinstance(x, Tensor) else list(x)
     for t in xs:
@@ -51,8 +53,8 @@ def finite_diff_check(f, x, tol=1e-4, step=1e-5, max_elements=None, seed=0):
         t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in xs
     ]
 
-    rng = np.random.default_rng(seed)
-    report = FiniteDiffReport(tol=tol)
+    rng = np.random.default_rng(0)
+    report = FiniteDiffReport()
     for t, grad in zip(xs, analytic):
         if not t.data.flags["C_CONTIGUOUS"]:
             t.data = np.ascontiguousarray(t.data)
@@ -64,12 +66,12 @@ def finite_diff_check(f, x, tol=1e-4, step=1e-5, max_elements=None, seed=0):
             idx = np.arange(n)
         for i in idx:
             keep = flat[i]
-            flat[i] = keep + step
+            flat[i] = keep + STEP
             y_plus = float(f(*xs).data)
-            flat[i] = keep - step
+            flat[i] = keep - STEP
             y_minus = float(f(*xs).data)
             flat[i] = keep
-            numeric = (y_plus - y_minus) / (2.0 * step)
+            numeric = (y_plus - y_minus) / (2.0 * STEP)
             a = float(grad.reshape(-1)[i])
             if abs(a) < 1e-7 and abs(numeric) < 1e-7:
                 continue

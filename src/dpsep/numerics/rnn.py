@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _check_same_dtype, apply_op, recording_tape
+from .tensor import ShapeError, Tensor, apply_op, recording_tape
 
 @dataclass
 class LstmCellParams:
@@ -81,9 +81,9 @@ class LstmCellParams:
         yield "b", self.b
 
 
-def init_lstm_params(rng, input_size, hidden_size, dtype=np.float32, forget_bias=1.0):
+def init_lstm_params(rng, input_size, hidden_size, dtype=np.float32):
     """Input weights uniform +-1/sqrt(fan-in), each gate's recurrent block
-    orthogonal, forget bias `forget_bias`, other biases zero."""
+    orthogonal, forget bias 1, other biases zero."""
     bound = 1.0 / np.sqrt(input_size)
 
     def uni():
@@ -99,7 +99,7 @@ def init_lstm_params(rng, input_size, hidden_size, dtype=np.float32, forget_bias
 
     wx = gate_rows([uni() for _ in range(4)])
     wh = gate_rows([ortho() for _ in range(4)])
-    b = gate_rows([np.full(hidden_size, v) for v in (0.0, forget_bias, 0.0, 0.0)])
+    b = gate_rows([np.full(hidden_size, v) for v in (0.0, 1.0, 0.0, 0.0)])
     return LstmCellParams(wx=wx, wh=wh, b=b)
 
 
@@ -305,8 +305,6 @@ def bilstm_batched(xs, fwd, bwd, weight, bias, axis):
             f"(N, {2 * hid}) / (N,)"
         )
     inputs = (xs, fwd.wx, fwd.wh, fwd.b, bwd.wx, bwd.wh, bwd.b, weight, bias)
-    for t in inputs[1:]:
-        _check_same_dtype("bilstm_batched", xs, t)
     x = xs.data.swapaxes(0, axis)  # time-major (T, B, In)
     steps, batch, _ = x.shape
     dtype = x.dtype

@@ -194,9 +194,17 @@ def apply_op(name, inputs, forward_fn, backward_fn):
     backward reaches it, so it should close over arrays, flags and shapes,
     never over input Tensors.
 
-    An output holding a NaN or an infinity raises a NumericsError naming the
-    op, before anything is recorded and without numpy's warnings.
+    Inputs of different dtypes raise a ShapeError naming the op before
+    `forward_fn` runs. An output holding a NaN or an infinity raises a
+    NumericsError naming the op, before anything is recorded and without
+    numpy's warnings.
     """
+    dtype = inputs[0].data.dtype
+    for t in inputs[1:]:
+        if t.data.dtype != dtype:
+            raise ShapeError(
+                f"{name}: mixed dtypes {dtype.name} vs {t.data.dtype.name}; cast explicitly"
+            )
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out_data = forward_fn()
     if not _finite(out_data):
@@ -217,13 +225,6 @@ def _as_tensor(x, like):
     if isinstance(x, Tensor):
         return x
     return _wrap(np.asarray(x, dtype=like.dtype))
-
-
-def _check_same_dtype(name, a, b):
-    if a.data.dtype != b.data.dtype:
-        raise ShapeError(
-            f"{name}: mixed dtypes {a.data.dtype.name} vs {b.data.dtype.name}; cast explicitly"
-        )
 
 
 def _broadcast_spec(name, a_shape, b_shape):
@@ -266,7 +267,6 @@ def _binary(name, a, b, fwd, grad_fns):
         b = _as_tensor(b, a)
     else:
         a = _as_tensor(a, b)
-    _check_same_dtype(name, a, b)
     a_axes, b_axes = _broadcast_spec(name, a.shape, b.shape)
     ad, bd = a.data, b.data
     da_fn, db_fn = grad_fns(ad, bd)
@@ -370,8 +370,6 @@ def affine(x, weight, bias=None):
             f"affine: bias shape {bias.shape} does not match weight shape {weight.shape}"
         )
     inputs = (x, weight) if bias is None else (x, weight, bias)
-    for t in inputs[1:]:
-        _check_same_dtype("affine", x, t)
     lead = x.shape[:-1]
     x2 = x.data.reshape(-1, in_dim)
     wd = weight.data

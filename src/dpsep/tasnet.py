@@ -19,7 +19,7 @@ from . import numerics as nt
 from .config import Geometry
 from .dualpath import _chunk
 from .numerics import ShapeError, Tensor
-from .numerics.tensor import _check_same_dtype, recording_tape
+from .numerics.tensor import recording_tape
 
 
 @dataclass(kw_only=True)
@@ -142,8 +142,6 @@ def mask_head(x, weight, bias, length):
     if chunk_len % 2 or s != dp.chunk_count(length, chunk_len):
         raise ShapeError(f"mask_head: chunks {x.shape} do not tile length {length}")
     inputs = (x, weight, bias)
-    for t in inputs[1:]:
-        _check_same_dtype("mask_head", x, t)
     shape, hop = x.shape, chunk_len // 2
     xd, wd, bd = x.data, weight.data, bias.data
     x2 = xd.reshape(-1, n)
@@ -206,7 +204,6 @@ def apply_masks(rep, masks, *, _overwrite=False):
     if masks.shape[1:] != rep.shape:
         raise ShapeError(f"masks {masks.shape} do not match representation {rep.shape}")
     if _overwrite and recording_tape((rep, masks)) is None:
-        _check_same_dtype("mul", rep, masks)
         rd, md = rep.data, masks.data
         return nt.apply_op("mul", (rep, masks), lambda: np.multiply(rd, md, out=md), None)
     return nt.mul(nt.reshape(rep, (1,) + rep.shape), masks)

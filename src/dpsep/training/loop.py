@@ -14,7 +14,7 @@ from .. import numerics as nt
 from .. import tasnet
 from ..numerics import GradTape, NumericsError, Tensor
 from .loss import upit_loss, upit_si_snri
-from .optim import Adam, clip_grad_norm, lr_at
+from .optim import CLIP_NORM, Adam, clip_grad_norm, lr_at
 
 METRICS_FILENAME = "metrics.tsv"
 BEST_FILENAME = "best.ckpt"
@@ -60,8 +60,7 @@ def _example_loss(model, example):
     if example.valid_len < est.shape[1]:
         est = nt.slice_axis(est, 1, 0, example.valid_len)
         refs = nt.slice_axis(refs, 1, 0, example.valid_len)
-    loss, result = upit_loss(est, refs)
-    return loss, result
+    return upit_loss(est, refs)[0]
 
 
 def si_snri_scores(model, examples):
@@ -100,7 +99,7 @@ def train_loop(model, train_set, valid_set, config, run_dir):
     os.makedirs(run_dir, exist_ok=True)
     metrics_path = os.path.join(run_dir, METRICS_FILENAME)
     params = model.parameter_tensors()
-    optimizer = Adam(params, beta1=config.beta1, beta2=config.beta2, eps=config.adam_eps)
+    optimizer = Adam(params)
 
     best_epoch = 0
     best_val = -np.inf
@@ -119,13 +118,13 @@ def train_loop(model, train_set, valid_set, config, run_dir):
                 optimizer.zero_grads()
                 try:
                     with GradTape() as tape:
-                        losses = [_example_loss(model, ex)[0] for ex in batch]
+                        losses = [_example_loss(model, ex) for ex in batch]
                         total = losses[0]
                         for term in losses[1:]:
                             total = nt.add(total, term)
                         batch_loss = nt.mul(total, 1.0 / len(losses))
                     tape.backward(batch_loss)
-                    clip_grad_norm(params, config.clip_norm)
+                    clip_grad_norm(params, CLIP_NORM)
                 except NumericsError as err:
                     raise TrainingAbort(epoch, batch_idx // config.batch_size, str(err))
                 optimizer.step(lr)

@@ -22,7 +22,7 @@ SI_SNR_EPS = 1e-8
 _LOG10 = float(np.log(10.0))
 
 
-def si_snr(est, ref, eps=SI_SNR_EPS):
+def si_snr(est, ref):
     """SI-SNR in dB of est against ref along their last axis, differentiable.
 
     est and ref are equal-rank signals of T samples whose leading axes
@@ -49,8 +49,8 @@ def si_snr(est, ref, eps=SI_SNR_EPS):
     proj = nt.div(nt.tsum(nt.mul(est_zm, ref_zm), -1), ref_energy)
     target = nt.mul(ref_zm, proj)
     residual = nt.sub(est_zm, target)
-    target_energy = nt.add(nt.tsum(nt.mul(target, target), -1), eps)
-    residual_energy = nt.add(nt.tsum(nt.mul(residual, residual), -1), eps)
+    target_energy = nt.add(nt.tsum(nt.mul(target, target), -1), SI_SNR_EPS)
+    residual_energy = nt.add(nt.tsum(nt.mul(residual, residual), -1), SI_SNR_EPS)
     ratio_log = nt.sub(nt.log(target_energy), nt.log(residual_energy))
     db = nt.mul(ratio_log, 10.0 / _LOG10)
     return nt.reshape(db, db.shape[:-1])

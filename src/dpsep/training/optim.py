@@ -6,12 +6,16 @@ import numpy as np
 
 from ..numerics import NumericsError
 
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and eps
+LR_DECAY, LR_DECAY_EVERY = 0.98, 2  # lr_at's stepped decay: factor, epochs per step
+CLIP_NORM = 5.0  # the global gradient norm a training step clips to
+
 
 def lr_at(epoch, config):
-    """Learning rate for a 0-based epoch: lr_init * decay^(epoch // every)."""
+    """Learning rate for a 0-based epoch: lr_init * LR_DECAY^(epoch // LR_DECAY_EVERY)."""
     if epoch < 0:
         raise ValueError(f"epoch must be >= 0, got {epoch}")
-    return config.lr_init * config.lr_decay ** (epoch // config.lr_decay_every)
+    return config.lr_init * LR_DECAY ** (epoch // LR_DECAY_EVERY)
 
 
 def clip_grad_norm(params, max_norm):
@@ -37,13 +41,11 @@ def clip_grad_norm(params, max_norm):
 
 
 class Adam:
-    """Standard bias-corrected first/second-moment optimizer."""
+    """Standard bias-corrected first/second-moment optimizer, with moment
+    decays `BETA1` and `BETA2` and `ADAM_EPS` added to the RMS."""
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params):
         self.params = list(params)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -55,14 +57,14 @@ class Adam:
     def step(self, lr):
         """One update with the given learning rate; missing grads count as zero."""
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
             if g is None:
                 g = 0.0
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            p.data -= (lr / bc1) * m / (np.sqrt(v / bc2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * np.square(g)
+            p.data -= (lr / bc1) * m / (np.sqrt(v / bc2) + ADAM_EPS)

@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import platform
+import re
 import struct
 import subprocess
 import sys
@@ -66,15 +67,18 @@ def _wav_pair(tmp_path, length, silent=slice(0, 0)):
 
 class TestConfig:
     def test_defaults_match_published_recipe(self):
+        from dpsep.training import optim
+
         config = RunConfig()
         assert config.num_filters == 64
         assert config.window == 2
         assert config.num_blocks == 6
         assert config.hidden == 128
         assert config.lr_init == pytest.approx(1e-3)
-        assert config.lr_decay == pytest.approx(0.98)
-        assert config.lr_decay_every == 2
-        assert config.clip_norm == pytest.approx(5.0)
+        assert optim.LR_DECAY == pytest.approx(0.98)
+        assert optim.LR_DECAY_EVERY == 2
+        assert optim.CLIP_NORM == pytest.approx(5.0)
+        assert (optim.BETA1, optim.BETA2, optim.ADAM_EPS) == (0.9, 0.999, 1e-8)
         assert config.patience == 10
         assert config.segment_seconds == pytest.approx(4.0)
         assert config.epochs == 100
@@ -93,11 +97,27 @@ class TestConfig:
             parse_config(path)
         assert "wndow" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "key", ["beta1", "beta2", "adam_eps", "lr_decay", "lr_decay_every", "clip_norm"]
+    )
+    def test_fixed_recipe_key_exits_2_as_unknown(self, key, tmp_path, capsys):
+        # the optimizer's values are the recipe's constants, not config keys
+        config = _toy_with(tmp_path, **{key: 1})
+        assert cli.main(["train", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"unknown config key {key!r}" in err, err
+
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("window=4\nwindow=8\n")
         with pytest.raises(ConfigError):
             parse_config(path)
+
+    def test_readme_lists_every_config_key(self):
+        readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+        listing = readme.split("The keys are ", 1)[1].split(". ", 1)[0]
+        keys = re.findall(r"`(\w+)`", listing)
+        assert keys == [f.name for f in dataclasses.fields(RunConfig)]
 
     def test_missing_file_reported(self, tmp_path):
         with pytest.raises(ConfigError) as exc:
@@ -179,8 +199,6 @@ CONFIG_FAULTS = {
     "segment too short to derive chunk_len": dict(segment_seconds=0.001, window=16, chunk_len=0),
     "num_sources=3": dict(num_sources=3),
     "lr_init=nan": dict(lr_init="nan"),
-    "clip_norm=inf": dict(clip_norm="inf"),
-    "beta1=1": dict(beta1=1.0),
     "segment_seconds * sample_rate overflows": dict(segment_seconds=1e308),
     "sample_rate above the cap": dict(sample_rate=192001),
 }

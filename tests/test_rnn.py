@@ -497,5 +497,5 @@ def test_bilstm_rejects_mixed_dtypes():
     rng = np.random.default_rng(22)
     fwd, bwd = init_lstm_params(rng, 3, 4), init_lstm_params(rng, 3, 4)
     xs = Tensor(rng.standard_normal((5, 2, 3)), dtype=np.float64)
-    with pytest.raises(ShapeError, match="bilstm_batched: mixed dtypes float64 vs float32"):
+    with pytest.raises(ShapeError, match="bilstm: mixed dtypes float64 vs float32"):
         nt.bilstm_batched(xs, fwd, bwd, *_fc(rng, 3, 4), 0)

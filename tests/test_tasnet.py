@@ -9,7 +9,7 @@ import pytest
 
 from dpsep import dualpath as dp
 from dpsep import numerics as nt
-from dpsep import encoder_hop, tasnet
+from dpsep import tasnet
 from dpsep.config import Geometry
 from dpsep.numerics import GradTape, NumericsError, ShapeError, Tensor
 
@@ -42,9 +42,9 @@ def test_encode_frame_count_at_sample_level():
 
 
 def test_encoder_hop_is_half_the_window_and_the_model_stride():
-    assert [encoder_hop(w) for w in (1, 2, 3, 8, 16)] == [1, 1, 1, 4, 8]
+    assert [Geometry(window=w).stride for w in (1, 2, 3, 8, 16)] == [1, 1, 1, 4, 8]
     for window in (1, 2, 4, 8):
-        assert tiny_model(window=window).stride == encoder_hop(window)
+        assert tiny_model(window=window).stride == Geometry(window=window).stride
 
 
 def test_encode_relu_kills_negative_kernels():

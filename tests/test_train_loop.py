@@ -182,7 +182,7 @@ def test_loss_non_increasing_over_first_50_steps(toy_sets):
     for _ in range(51):
         opt.zero_grads()
         with GradTape() as tape:
-            terms = [_example_loss(model, ex)[0] for ex in train]
+            terms = [_example_loss(model, ex) for ex in train]
             total = terms[0]
             for term in terms[1:]:
                 total = nt.add(total, term)
