@@ -13,7 +13,7 @@ from . import dualpath as dp
 from . import numerics as nt
 from . import tasnet
 from .numerics import Tensor, finite_diff_check
-from .training.loss import si_snr, upit_loss
+from .training.loss import upit_loss
 
 F64 = np.float64
 
@@ -163,23 +163,13 @@ def _separator_case(rng, t_len, valid_len):
     return finite_diff_check(f, tensors, max_elements=6)
 
 
-def _case_upit_si_snr(rng):
-    est = _t(rng, (2, 16))
-    ref = Tensor(rng.standard_normal((2, 16)), dtype=F64)
+def _upit_case(rng, num_sources, t_len):
+    est = _t(rng, (num_sources, t_len))
+    ref = Tensor(rng.standard_normal((num_sources, t_len)), dtype=F64)
 
     def f(ev):
         loss, _ = upit_loss(ev, ref)
         return loss
-
-    return finite_diff_check(f, est)
-
-
-def _case_si_snr(rng):
-    est = _t(rng, (64,))
-    ref = Tensor(rng.standard_normal(64), dtype=F64)
-
-    def f(ev):
-        return si_snr(ev, ref)
 
     return finite_diff_check(f, est)
 
@@ -198,8 +188,9 @@ GRADCHECK_CASES = (
     ("intra_chunk_pass", lambda rng: _intra_inter_case(rng, dp.intra_chunk_pass)),
     ("inter_chunk_pass", lambda rng: _intra_inter_case(rng, dp.inter_chunk_pass)),
     ("dprnn_stack", _case_dprnn_stack),
-    ("si_snr", _case_si_snr),
-    ("upit_si_snr", _case_upit_si_snr),
+    # one source: the loss is -si_snr(est, ref)
+    ("si_snr", lambda rng: _upit_case(rng, 1, 64)),
+    ("upit_si_snr", lambda rng: _upit_case(rng, 2, 16)),
     ("tiny_separator", lambda rng: _separator_case(rng, 30, 30)),
     # W=4, stride 2: the decoder gives 30 samples for T=31, so separate pads
     ("padded_separator", lambda rng: _separator_case(rng, 31, 25)),

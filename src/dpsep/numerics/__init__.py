@@ -10,17 +10,14 @@ from .tensor import (
     ShapeError,
     Tensor,
     add,
-    affine,
     apply_op,
     div,
-    log,
     mul,
     pad_last_axis,
     relu,
     reshape,
     slice_axis,
     sqrt,
-    sub,
     tmean,
     tsum,
 )
@@ -33,7 +30,6 @@ __all__ = [
     "ShapeError",
     "Tensor",
     "add",
-    "affine",
     "apply_op",
     "bilstm_batched",
     "conv1d",
@@ -41,7 +37,6 @@ __all__ = [
     "finite_diff_check",
     "init_lstm_params",
     "load_arrays",
-    "log",
     "mul",
     "pad_last_axis",
     "relu",
@@ -49,7 +44,6 @@ __all__ = [
     "save_arrays",
     "slice_axis",
     "sqrt",
-    "sub",
     "tmean",
     "transposed_conv1d",
     "tsum",

@@ -285,10 +285,6 @@ def add(a, b):
     return _binary("add", a, b, lambda x, y: x + y, lambda x, y: (lambda g: g, lambda g: g))
 
 
-def sub(a, b):
-    return _binary("sub", a, b, lambda x, y: x - y, lambda x, y: (lambda g: g, lambda g: -g))
-
-
 def mul(a, b):
     return _binary(
         "mul", a, b, lambda x, y: x * y, lambda x, y: (lambda g: g * y, lambda g: g * x)
@@ -320,11 +316,6 @@ def relu(x, *, _overwrite=False):
     return apply_op("relu", (x,), forward_fn, lambda g: (g * (out > 0),))
 
 
-def log(x):
-    xd = x.data
-    return apply_op("log", (x,), lambda: np.log(xd), lambda g: (g / xd,))
-
-
 def sqrt(x):
     out = None
 
@@ -353,44 +344,6 @@ def tmean(x, axis=None):
     total = tsum(x, axis)
     # an int ratio divides exactly once, so this is 1/n correctly rounded
     return mul(total, total.size / x.size)
-
-
-def affine(x, weight, bias=None):
-    """out = weight . x (+ bias) over the last axis of x.
-
-    x: (..., In), weight: (Out, In), bias: (Out,) or None -> (..., Out).
-    """
-    in_dim = x.shape[-1]
-    if weight.data.ndim != 2 or weight.shape[1] != in_dim:
-        raise ShapeError(
-            f"affine: weight shape {weight.shape} does not match input shape {x.shape}"
-        )
-    if bias is not None and bias.shape != (weight.shape[0],):
-        raise ShapeError(
-            f"affine: bias shape {bias.shape} does not match weight shape {weight.shape}"
-        )
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    lead = x.shape[:-1]
-    x2 = x.data.reshape(-1, in_dim)
-    wd = weight.data
-    bd = None if bias is None else bias.data
-    need_x, need_w = x.requires_grad, weight.requires_grad
-    need_b = bias is not None and bias.requires_grad
-
-    def forward_fn():
-        y = x2 @ wd.T
-        if bd is not None:
-            y += bd
-        return y.reshape(lead + (wd.shape[0],))
-
-    def backward_fn(g):
-        g2 = g.reshape(-1, wd.shape[0])
-        gx = (g2 @ wd).reshape(lead + (in_dim,)) if need_x else None
-        gw = g2.T @ x2 if need_w else None
-        gb = g2.sum(axis=0) if need_b else None
-        return (gx, gw, gb) if bd is not None else (gx, gw)
-
-    return apply_op("affine", inputs, forward_fn, backward_fn)
 
 
 def reshape(x, shape):

@@ -12,13 +12,7 @@ from .loop import (
     train_loop,
     validate_si_snri,
 )
-from .loss import (
-    PermutationResult,
-    mixture_si_snr,
-    si_snr,
-    upit_loss,
-    upit_si_snri,
-)
+from .loss import mixture_si_snr, si_snr, upit_loss, upit_si_snri
 from ..config import TrainConfig
 from .optim import Adam, clip_grad_norm, lr_at
 
@@ -28,7 +22,6 @@ __all__ = [
     "EpochStats",
     "LAST_FILENAME",
     "METRICS_FILENAME",
-    "PermutationResult",
     "TrainConfig",
     "TrainingAbort",
     "TrainResult",

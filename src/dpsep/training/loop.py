@@ -71,7 +71,7 @@ def si_snri_scores(model, examples):
         n = ex.valid_len
         try:
             est = tasnet.separate(Tensor(ex.mixture), model)
-            si_snri, _ = upit_si_snri(est.data[:, :n], ex.sources[:, :n], ex.mixture[:, :n])
+            si_snri = upit_si_snri(est.data[:, :n], ex.sources[:, :n], ex.mixture[:, :n])
         except NumericsError as err:
             raise NumericsError(f"example {i}: {err}") from None
         yield si_snri

@@ -3,6 +3,7 @@ invariance, the conv adjoint, chunking, gain-equivariant separation, and the
 input parsers on damaged files."""
 
 import tempfile
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -77,21 +78,20 @@ def test_upit_pair_matrix_equals_per_pair_si_snr(num_sources, t_len, seed, silen
     ref = rng.standard_normal((num_sources, t_len))
     if silent_row:
         est[0] = 0.5  # zero energy after mean removal
-    pair = si_snr(
-        Tensor(est.reshape(num_sources, 1, t_len), dtype=np.float64),
-        Tensor(ref.reshape(1, num_sources, t_len), dtype=np.float64),
-    ).data
-    oracle = np.array([
-        [
-            float(si_snr(Tensor(est[a], dtype=np.float64), Tensor(ref[b], dtype=np.float64)).data)
-            for b in range(num_sources)
-        ]
-        for a in range(num_sources)
-    ])
+    pair = si_snr(est.reshape(num_sources, 1, t_len), ref.reshape(1, num_sources, t_len))
+    oracle = np.array(
+        [[si_snr(est[a], ref[b]) for b in range(num_sources)] for a in range(num_sources)]
+    )
     np.testing.assert_array_equal(pair, oracle)
-    _, result = upit_loss(Tensor(est, dtype=np.float64), Tensor(ref, dtype=np.float64))
-    best = sum(oracle[a, b] for a, b in enumerate(result.best_perm))
-    assert result.mean_db == best / num_sources
+    # the loss names its permutation: the first, in lexicographic order, of the best
+    loss, mean_db = upit_loss(Tensor(est, dtype=np.float64), Tensor(ref, dtype=np.float64))
+    means = {perm: sum(oracle[a, b] for a, b in enumerate(perm)) / num_sources
+             for perm in permutations(range(num_sources))}
+    best = max(sorted(means), key=lambda p: means[p])
+    weights = np.zeros_like(oracle)
+    weights[range(num_sources), best] = -1.0 / num_sources
+    assert mean_db == means[best]
+    assert float(loss.data) == (oracle * weights).sum()
 
 
 @SETTINGS
@@ -103,17 +103,19 @@ def test_upit_pair_matrix_equals_per_pair_si_snr(num_sources, t_len, seed, silen
     dtype=st.sampled_from((np.float32, np.float64)),
 )
 def test_si_snr_is_bit_invariant_to_power_of_two_gains(t_len, exponent, scale_est, seed, dtype):
+    # for the numpy SI-SNR and for the uPIT loss op alike
     rng = np.random.default_rng(seed)
     est = rng.standard_normal((2, t_len)).astype(dtype)
     ref = rng.standard_normal((2, t_len)).astype(dtype)
     gain = dtype(2.0**exponent)
-    base = si_snr(Tensor(est, dtype=dtype), Tensor(ref, dtype=dtype)).data
+    base = si_snr(est, ref)
+    base_loss = upit_loss(Tensor(est), Tensor(ref))[0].data
     if scale_est:
         est = gain * est
     else:
         ref = gain * ref
-    scaled = si_snr(Tensor(est, dtype=dtype), Tensor(ref, dtype=dtype)).data
-    np.testing.assert_array_equal(scaled, base)
+    np.testing.assert_array_equal(si_snr(est, ref), base)
+    np.testing.assert_array_equal(upit_loss(Tensor(est), Tensor(ref))[0].data, base_loss)
 
 
 @SETTINGS
@@ -126,13 +128,12 @@ def test_si_snr_is_bit_invariant_to_power_of_two_gains(t_len, exponent, scale_es
 def test_si_snr_is_invariant_to_any_gain(t_len, gain, scale_est, seed):
     rng = np.random.default_rng(seed)
     est, ref = rng.standard_normal((2, 2, t_len))
-    base = si_snr(Tensor(est, dtype=np.float64), Tensor(ref, dtype=np.float64)).data
+    base = si_snr(est, ref)
     if scale_est:
         est = gain * est
     else:
         ref = gain * ref
-    scaled = si_snr(Tensor(est, dtype=np.float64), Tensor(ref, dtype=np.float64)).data
-    np.testing.assert_allclose(scaled, base, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(si_snr(est, ref), base, rtol=0, atol=1e-9)
 
 
 @SETTINGS
