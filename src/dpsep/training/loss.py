@@ -67,7 +67,8 @@ def si_snr(est, ref):
             f"si_snr: need equal-rank signals of one length, got {est.shape} vs {ref.shape}"
         )
     *_, target_energy, residual_energy = _si_snr_terms(est, ref)
-    db = (np.log(target_energy) - np.log(residual_energy)) * target_energy.dtype.type(_DB_PER_LOG)
+    db_per_log = target_energy.dtype.type(_DB_PER_LOG)
+    db = (np.log(target_energy) - np.log(residual_energy)) * db_per_log
     return db.reshape(db.shape[:-1])
 
 
@@ -113,6 +114,8 @@ def _si_snr_grad(est, ref, g_db):
     g_unit = g_residual + ref_zm * ((g_target * ref_zm).sum(-1, keepdims=True) / ref_energy)
     g_energy = (-g_unit * est_zm / (norm * norm)).sum(-1, keepdims=True) * 0.5 / norm
     g_zm = g_unit / norm
+    # the energy squares est_zm, so est_zm's gradient gets two adds; one at a
+    # time, as a generic `mul` of est_zm by itself gives them, keeps the bits
     g_zm += g_energy * est_zm
     g_zm += g_energy * est_zm
     return g_zm - g_zm.sum(-1, keepdims=True) * est_zm.dtype.type(1 / est.shape[-1])

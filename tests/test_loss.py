@@ -111,6 +111,12 @@ def _weighted(pair, perm):
     return (pair * weights).sum()
 
 
+def _chosen(pair, loss):
+    """The permutation whose loss has the bits of `loss`."""
+    perms = permutations(range(len(pair)))
+    return next(p for p in perms if _weighted(pair, p) == float(loss.data))
+
+
 class TestUpit:
     def test_single_source_identity(self):
         rng = np.random.default_rng(4)
@@ -149,7 +155,7 @@ class TestUpit:
         est, ref = rng.standard_normal((3, 40)), rng.standard_normal((3, 40))
         loss, mean_db = upit_loss(_t64(est), _t64(ref))
         pair = _pair_matrix(est, ref)
-        perm = next(p for p in permutations(range(3)) if _weighted(pair, p) == loss.data)
+        perm = _chosen(pair, loss)
         assert mean_db == pytest.approx(np.mean([pair[a, b] for a, b in enumerate(perm)]))
 
     def test_reference_permutation_invariance(self):
@@ -158,9 +164,14 @@ class TestUpit:
         ref = rng.standard_normal((3, 32))
         loss_a, mean_a = upit_loss(_t64(est), _t64(ref))
         shuffle = (2, 0, 1)
-        loss_b, mean_b = upit_loss(_t64(est), _t64(ref[list(shuffle)]))
+        ref_shuffled = ref[list(shuffle)]
+        loss_b, mean_b = upit_loss(_t64(est), _t64(ref_shuffled))
         assert float(loss_a.data) == pytest.approx(float(loss_b.data), abs=1e-12)
         assert mean_a == pytest.approx(mean_b, abs=1e-12)
+        # the new assignment composes the shuffle with the old one
+        perm_a = _chosen(_pair_matrix(est, ref), loss_a)
+        perm_b = _chosen(_pair_matrix(est, ref_shuffled), loss_b)
+        assert tuple(shuffle[b] for b in perm_b) == perm_a
 
     def test_too_many_sources_rejected(self):
         big = _t64(np.random.default_rng(11).standard_normal((7, 8)))
