@@ -11,14 +11,11 @@ from .tensor import (
     Tensor,
     add,
     apply_op,
-    div,
     mul,
     pad_last_axis,
     relu,
     reshape,
     slice_axis,
-    sqrt,
-    tmean,
     tsum,
 )
 
@@ -33,7 +30,6 @@ __all__ = [
     "apply_op",
     "bilstm_batched",
     "conv1d",
-    "div",
     "finite_diff_check",
     "init_lstm_params",
     "load_arrays",
@@ -43,8 +39,6 @@ __all__ = [
     "reshape",
     "save_arrays",
     "slice_axis",
-    "sqrt",
-    "tmean",
     "transposed_conv1d",
     "tsum",
 ]

@@ -1,8 +1,9 @@
 """Strided 1-D convolution and its transpose, as single tape ops.
 
 conv1d frames a (1, T) signal into L = floor((T-W)/stride)+1 windows and
-dots each against N kernels; transposed_conv1d is its exact adjoint, applied
-to each of C frame sets, scattering weighted kernels back by overlap-add.
+dots each against N kernels; its signal is data, so only the kernels get a
+gradient. transposed_conv1d is its exact adjoint, applied to each of C frame
+sets, scattering weighted kernels back by overlap-add.
 """
 
 import numpy as np
@@ -17,9 +18,13 @@ def _windows(sig, width, stride, count):
 
 
 def conv1d(signal, kernels, stride):
-    """signal (1, T), kernels (N, W), stride >= 1 -> (N, L)."""
+    """signal (1, T), kernels (N, W), stride >= 1 -> (N, L). A signal with
+    `requires_grad` is a ShapeError: backward gives the kernels' gradient
+    alone."""
     if signal.data.ndim != 2 or signal.shape[0] != 1:
         raise ShapeError(f"conv1d: signal must be (1, T), got {signal.shape}")
+    if signal.requires_grad:
+        raise ShapeError("conv1d: the signal is data and takes no gradient")
     if kernels.data.ndim != 2:
         raise ShapeError(f"conv1d: kernels must be (N, W), got {kernels.shape}")
     if stride < 1:
@@ -29,22 +34,9 @@ def conv1d(signal, kernels, stride):
     if t_len < width:
         raise ShapeError(f"conv1d: input too short, T={t_len} < window W={width}")
     frames = (t_len - width) // stride + 1
-    sd, kd = signal.data, kernels.data
-    win = _windows(sd[0], width, stride, frames)
-    need_s, need_k = signal.requires_grad, kernels.requires_grad
-
-    def backward_fn(g):
-        if need_s:
-            gs = np.zeros_like(sd)
-            row = gs[0]
-            for w in range(width):
-                row[w : w + frames * stride : stride] += kd[:, w] @ g
-        else:
-            gs = None
-        gk = g @ win if need_k else None
-        return gs, gk
-
-    return apply_op("conv1d", (signal, kernels), lambda: kd @ win.T, backward_fn)
+    kd = kernels.data
+    win = _windows(signal.data[0], width, stride, frames)
+    return apply_op("conv1d", (signal, kernels), lambda: kd @ win.T, lambda g: (None, g @ win))
 
 
 def transposed_conv1d(frames, kernels, stride):

@@ -51,7 +51,8 @@ class Tensor:
         dtype = np.dtype(dtype)
         if dtype not in _FLOAT_DTYPES:
             raise ShapeError(f"tensor dtype must be float32 or float64, got {dtype.name}")
-        arr = np.asarray(data, dtype=dtype)
+        with np.errstate(over="ignore"):  # a cast that overflows fails the check below
+            arr = np.asarray(data, dtype=dtype)
         if any(extent <= 0 for extent in arr.shape):
             raise ShapeError(f"tensor extents must be positive, got shape {arr.shape}")
         if not _finite(arr):
@@ -291,16 +292,6 @@ def mul(a, b):
     )
 
 
-def div(a, b):
-    return _binary(
-        "div",
-        a,
-        b,
-        lambda x, y: x / y,
-        lambda x, y: (lambda g: g / y, lambda g: -g * x / (y * y)),
-    )
-
-
 def relu(x, *, _overwrite=False):
     """max(x, 0). Backward keeps the output, not x: out > 0 exactly where
     x > 0. `_overwrite`, passed only by `tasnet.encode`, writes the output
@@ -316,17 +307,6 @@ def relu(x, *, _overwrite=False):
     return apply_op("relu", (x,), forward_fn, lambda g: (g * (out > 0),))
 
 
-def sqrt(x):
-    out = None
-
-    def forward_fn():
-        nonlocal out
-        out = np.sqrt(x.data)
-        return out
-
-    return apply_op("sqrt", (x,), forward_fn, lambda g: (g * 0.5 / out,))
-
-
 def tsum(x, axis=None):
     """Sum over all entries (axis=None, scalar output) or over the given axes,
     which are kept with extent 1."""
@@ -338,12 +318,6 @@ def tsum(x, axis=None):
     if axis is None:
         return apply_op("sum", (x,), lambda: np.array(x.data.sum()), backward_fn)
     return apply_op("sum", (x,), lambda: x.data.sum(axis=axis, keepdims=True), backward_fn)
-
-
-def tmean(x, axis=None):
-    total = tsum(x, axis)
-    # an int ratio divides exactly once, so this is 1/n correctly rounded
-    return mul(total, total.size / x.size)
 
 
 def reshape(x, shape):

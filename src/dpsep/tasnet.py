@@ -18,7 +18,7 @@ from . import dualpath as dp
 from . import numerics as nt
 from .config import Geometry
 from .dualpath import _chunk
-from .numerics import ShapeError, Tensor
+from .numerics import NumericsError, ShapeError, Tensor
 from .numerics.tensor import recording_tape
 
 
@@ -71,11 +71,6 @@ class SeparatorModel(Geometry):
 
     def parameter_tensors(self):
         return [t for _, t in self.parameters()]
-
-
-def parameter_count(model):
-    """Exact number of scalars across all parameter tensors."""
-    return sum(t.size for _, t in model.parameters())
 
 
 def build_model(nominal_samples=32000, seed=0, dtype=np.float32, **sizes):
@@ -197,16 +192,20 @@ def estimate_masks(rep, model):
 def apply_masks(rep, masks, *, _overwrite=False):
     """out[c] = rep (*) masks[c]; shapes (N, L) x (C, N, L) -> (C, N, L).
 
-    `_overwrite`, passed only by `separate`, lets a product that no tape
-    records be written over masks' array, which the caller must not read
-    again; the bits are the same.
+    One tape op. `_overwrite`, passed only by `separate`, lets a product
+    that no tape records be written over masks' array, which the caller
+    must not read again; the bits are the same.
     """
     if masks.shape[1:] != rep.shape:
         raise ShapeError(f"masks {masks.shape} do not match representation {rep.shape}")
-    if _overwrite and recording_tape((rep, masks)) is None:
-        rd, md = rep.data, masks.data
-        return nt.apply_op("mul", (rep, masks), lambda: np.multiply(rd, md, out=md), None)
-    return nt.mul(nt.reshape(rep, (1,) + rep.shape), masks)
+    rd, md = rep.data, masks.data
+    out = md if _overwrite and recording_tape((rep, masks)) is None else None
+    return nt.apply_op(
+        "apply_masks",
+        (rep, masks),
+        lambda: np.multiply(rd, md, out=out),
+        lambda g: ((g * md).sum(0), g * rd),
+    )
 
 
 def decode(masked, model):
@@ -217,35 +216,40 @@ def decode(masked, model):
 def separate(mixture, model):
     """Full pipeline: mixture (1, T) -> C estimated sources (C, T).
 
-    The mixture is scaled to unit RMS before encoding and the estimates are
-    scaled back by that RMS, on the tape, so gradients with respect to the
-    mixture stay exact. Separation is therefore gain-equivariant:
-    separate(g*x) == g*separate(x), bit for bit when g is a power of two.
-    SI-SNR training is scale-invariant and would not teach the model this.
-    A silent (all-zero) mixture skips the scaling and gives silent estimates.
-    Nor does SI-SNR training fix the estimates' own gain, so `dpsep separate`
-    rescales each one to the mixture's peak before writing it as a WAV.
+    The mixture is data, as the references are to `upit_loss`: one with
+    `requires_grad` is a ShapeError, so every leaf a tape reaches is a model
+    parameter. It is cast to the model's dtype and scaled to unit RMS in
+    numpy, and the estimates are scaled back by that RMS. Separation is
+    therefore gain-equivariant: separate(g*x) == g*separate(x), bit for bit
+    when g is a power of two. SI-SNR training is scale-invariant and would
+    not teach the model this. A silent (all-zero) mixture skips the scaling
+    and gives silent estimates; one whose energy overflows or underflows to
+    zero in the model's dtype is a NumericsError. Nor does SI-SNR training
+    fix the estimates' own gain, so `dpsep separate` rescales each one to
+    the mixture's peak before writing it as a WAV.
     A mixture shorter than the model's minimum input (T >= W and K <= 2L) is
     zero-padded to that minimum, and the estimates are cut back to T.
-    It runs in the model's dtype: a mixture that needs no gradient is cast to
-    it, and one that does must already match.
     With no tape recording it, it frees the encoder output once `segment`
     has chunked it, encodes the mixture again for `apply_masks` (the same
     bits, for one conv) and writes the masked representation over the
     masks, so the dual-path stack runs next to no other (N, L)-sized array.
     """
+    if mixture.requires_grad:
+        raise ShapeError("separate: the mixture is data and takes no gradient")
     dtype = model.encoder_kernels.dtype
-    if mixture.dtype != dtype:
-        if mixture.requires_grad:
-            raise ShapeError(f"separate: {mixture.dtype.name} mixture, {dtype.name} model")
-        mixture = Tensor(mixture.data, dtype=dtype)
     t_len = mixture.shape[1]
     rms = None
-    if np.any(mixture.data):
-        rms = nt.sqrt(nt.tmean(nt.mul(mixture, mixture)))
-        mixture = nt.div(mixture, rms)
-    mixture = nt.pad_last_axis(mixture, max(t_len, model.samples(model.chunk_len // 2)))
-    if recording_tape((mixture, *model.parameter_tensors())) is not None:
+    with np.errstate(over="ignore"):  # an energy that overflows is refused below
+        x = mixture.data.astype(dtype, copy=False)
+        if np.any(x):
+            rms = np.sqrt((x * x).sum() * dtype.type(1 / t_len))
+            if not 0 < rms < np.inf:
+                way = "underflows to zero" if rms == 0 else "overflows"
+                raise NumericsError(f"separate: the mixture's energy {way} in {dtype.name}")
+            x = x / rms
+    pad = model.samples(model.chunk_len // 2) - t_len
+    mixture = Tensor(np.pad(x, ((0, 0), (0, pad))) if pad > 0 else x)
+    if recording_tape(model.parameter_tensors()) is not None:
         rep = encode(mixture, model)
         masked = apply_masks(rep, estimate_masks(rep, model))
     else:
@@ -291,8 +295,7 @@ def load_model(path):
         if name not in arrays:
             raise nt.CheckpointError(f"{path}: checkpoint missing tensor {name!r}")
         try:
-            with np.errstate(over="ignore"):  # Tensor rejects what overflows
-                return Tensor(arrays[name], dtype=dtype_name, requires_grad=True)
+            return Tensor(arrays[name], dtype=dtype_name, requires_grad=True)
         except nt.NumericsError:
             raise nt.CheckpointError(
                 f"{path}: checkpoint tensor {name!r} holds values that are not finite "

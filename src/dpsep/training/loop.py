@@ -54,13 +54,11 @@ class TrainResult:
 
 
 def _example_loss(model, example):
-    mixture = Tensor(example.mixture)
-    est = tasnet.separate(mixture, model)
-    refs = Tensor(example.sources, dtype=est.dtype)
-    if example.valid_len < est.shape[1]:
-        est = nt.slice_axis(est, 1, 0, example.valid_len)
-        refs = nt.slice_axis(refs, 1, 0, example.valid_len)
-    return upit_loss(est, refs)[0]
+    est = tasnet.separate(Tensor(example.mixture), model)
+    n = example.valid_len
+    if n < est.shape[1]:
+        est = nt.slice_axis(est, 1, 0, n)
+    return upit_loss(est, Tensor(example.sources[:, :n], dtype=est.dtype))[0]
 
 
 def si_snri_scores(model, examples):

@@ -3,8 +3,10 @@
 `affine` is the per-position linear map that `tasnet.mask_head` and the FC
 of `numerics.bilstm_batched` fuse into their own ops. `si_snr` and
 `upit_loss` are the uPIT SI-SNR loss composed op by op from generic tape
-ops, `log` and `sub` among them, which `training.upit_loss` computes as one
-op with the same loss bits.
+ops, `sub`, `div`, `log`, `sqrt` and `tmean` among them, which
+`training.upit_loss` computes as one op with the same loss bits. `div`,
+`sqrt` and `tmean` also compose the unit-RMS scaling that `tasnet.separate`
+runs in numpy.
 """
 
 from itertools import permutations
@@ -21,9 +23,32 @@ def sub(a, b):
     return _binary("sub", a, b, lambda x, y: x - y, lambda x, y: (lambda g: g, lambda g: -g))
 
 
+def div(a, b):
+    return _binary(
+        "div", a, b, lambda x, y: x / y, lambda x, y: (lambda g: g / y, lambda g: -g * x / (y * y))
+    )
+
+
 def log(x):
     xd = x.data
     return nt.apply_op("log", (x,), lambda: np.log(xd), lambda g: (g / xd,))
+
+
+def sqrt(x):
+    out = None
+
+    def forward_fn():
+        nonlocal out
+        out = np.sqrt(x.data)
+        return out
+
+    return nt.apply_op("sqrt", (x,), forward_fn, lambda g: (g * 0.5 / out,))
+
+
+def tmean(x, axis=None):
+    total = nt.tsum(x, axis)
+    # an int ratio divides exactly once, so this is 1/n correctly rounded
+    return nt.mul(total, total.size / x.size)
 
 
 def affine(x, weight, bias=None):
@@ -67,18 +92,18 @@ def affine(x, weight, bias=None):
 def si_snr(est, ref):
     """SI-SNR in dB of Tensors est against ref along their last axis,
     broadcasting as `training.si_snr` does, composed from generic tape ops."""
-    ref_zm = sub(ref, nt.tmean(ref, -1))
+    ref_zm = sub(ref, tmean(ref, -1))
     ref_energy = nt.tsum(nt.mul(ref_zm, ref_zm), -1)
     if np.any(ref_energy.data == 0.0):
         raise NumericsError("si_snr: reference has zero energy after mean removal")
-    est_zm = sub(est, nt.tmean(est, -1))
+    est_zm = sub(est, tmean(est, -1))
     est_energy = nt.tsum(nt.mul(est_zm, est_zm), -1)
     silent = est_energy.data == 0.0
     if np.any(silent):
         # divide the silent rows by sqrt(0 + 1) = 1 instead
         est_energy = nt.add(est_energy, silent.astype(est_energy.dtype))
-    est_zm = nt.div(est_zm, nt.sqrt(est_energy))
-    proj = nt.div(nt.tsum(nt.mul(est_zm, ref_zm), -1), ref_energy)
+    est_zm = div(est_zm, sqrt(est_energy))
+    proj = div(nt.tsum(nt.mul(est_zm, ref_zm), -1), ref_energy)
     target = nt.mul(ref_zm, proj)
     residual = sub(est_zm, target)
     target_energy = nt.add(nt.tsum(nt.mul(target, target), -1), SI_SNR_EPS)

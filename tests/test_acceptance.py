@@ -25,7 +25,7 @@ def _report(name, passed, detail):
 def test_criterion_1_parameter_count():
     model = tasnet.build_model(num_filters=64, window=2, num_sources=2,
                                num_blocks=6, hidden=128, chunk_len=250)
-    count = tasnet.parameter_count(model)
+    count = sum(t.size for _, t in model.parameters())
     rel = abs(count - 2.6e6) / 2.6e6
     _report(
         "criterion 1 (parameter count)",

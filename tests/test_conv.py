@@ -108,3 +108,18 @@ def test_transposed_conv1d_rejects_mixed_dtypes():
     kernels = Tensor(np.ones((2, 4)), dtype=np.float64)
     with pytest.raises(ShapeError, match="transposed_conv1d: mixed dtypes float32 vs float64"):
         nt.transposed_conv1d(frames, kernels, stride=2)
+
+
+def test_conv1d_signal_is_data():
+    # a signal that needs grads is rejected; backward gives the kernels' alone
+    rng = np.random.default_rng(6)
+    sig = rng.standard_normal((1, 12))
+    kernels = Tensor(rng.standard_normal((3, 4)), dtype=np.float64, requires_grad=True)
+    with pytest.raises(ShapeError, match="conv1d: the signal is data"):
+        nt.conv1d(Tensor(sig, dtype=np.float64, requires_grad=True), kernels, stride=2)
+    g = rng.standard_normal((3, 5))
+    with nt.GradTape() as tape:
+        loss = nt.tsum(nt.mul(nt.conv1d(Tensor(sig, dtype=np.float64), kernels, 2), g))
+    tape.backward(loss)
+    windows = np.stack([sig[0, 2 * l : 2 * l + 4] for l in range(5)])
+    np.testing.assert_allclose(kernels.grad, g @ windows, rtol=1e-12)

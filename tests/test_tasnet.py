@@ -224,6 +224,28 @@ def test_apply_masks_pointwise_oracle():
     np.testing.assert_allclose(out.data, masks * rep[None], rtol=1e-6)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_apply_masks_is_one_op_with_the_broadcast_mul_bits(dtype):
+    # values and both gradients equal those of reshape + broadcast mul
+    rng = np.random.default_rng(5)
+    arrays = rng.standard_normal((4, 9)), rng.random((3, 4, 9))
+    g = Tensor(rng.standard_normal((3, 4, 9)), dtype=dtype)
+    results = []
+    for fused in (True, False):
+        rep, masks = (Tensor(a, dtype=dtype, requires_grad=True) for a in arrays)
+        with GradTape() as tape:
+            if fused:
+                out = tasnet.apply_masks(rep, masks, _overwrite=True)  # taped: no overwrite
+                assert [name for name, _, _ in tape._nodes] == ["apply_masks"]
+            else:
+                out = nt.mul(nt.reshape(rep, (1, 4, 9)), masks)
+            loss = nt.tsum(nt.mul(out, g))
+        tape.backward(loss)
+        results.append([out.data, rep.grad, masks.grad])
+    for got, expected in zip(*results):
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_apply_masks_shape_error():
     with pytest.raises(ShapeError):
         tasnet.apply_masks(Tensor(np.ones((4, 7))), Tensor(np.ones((2, 4, 8))))
@@ -322,7 +344,8 @@ def test_separate_silent_input_gives_silent_output():
 
 
 def test_separate_runs_in_the_model_dtype():
-    # a mixture without grads is cast; one with grads must match the model
+    # the mixture is cast to the model's dtype; one with grads is rejected in
+    # either dtype, since the mixture is data
     model = tiny_model(dtype=np.float64)
     x = np.random.default_rng(0).standard_normal((1, 40)).astype(np.float32)
     out = tasnet.separate(Tensor(x), model)
@@ -330,8 +353,82 @@ def test_separate_runs_in_the_model_dtype():
     np.testing.assert_array_equal(
         out.data, tasnet.separate(Tensor(x, dtype=np.float64), model).data
     )
-    with pytest.raises(ShapeError, match="float32 mixture, float64 model"):
-        tasnet.separate(Tensor(x, requires_grad=True), model)
+    for dtype in (np.float32, np.float64):
+        with pytest.raises(ShapeError, match="separate: the mixture is data"):
+            tasnet.separate(Tensor(x, dtype=dtype, requires_grad=True), model)
+
+
+def test_separate_records_only_model_parameters_as_leaves():
+    # every leaf a separate-and-loss tape reaches is a model parameter
+    from dpsep.training import upit_loss
+
+    model = tiny_model(num_blocks=2)
+    rng = np.random.default_rng(31)
+    mix = Tensor(rng.standard_normal((1, 50)), dtype=np.float32)
+    refs = Tensor(rng.standard_normal((2, 50)), dtype=np.float32)
+    params = {id(t) for t in model.parameter_tensors()}
+    with GradTape() as tape:
+        loss, _ = upit_loss(tasnet.separate(mix, model), refs)
+    leaves = [ref for _, refs_, _ in tape._nodes for ref in refs_ if isinstance(ref, Tensor)]
+    assert leaves and {id(t) for t in leaves} == params
+    # no node for the mixture's scaling; the masks are applied by one op
+    names = [name for name, _, _ in tape._nodes]
+    sub_pass = ["bilstm", "global_layer_norm"]
+    assert names == ["conv1d", "relu", "segment"] + sub_pass * 2 * 2 + [
+        "mask_head", "relu", "reshape", "apply_masks", "transposed_conv1d", "mul", "upit_loss"
+    ]
+
+
+@pytest.mark.parametrize(
+    "model_dtype, mixture, message",
+    [
+        (np.float32, np.float32(1e20), "energy overflows in float32"),
+        (np.float32, np.float64(1e39), "energy overflows in float32"),
+        (np.float64, np.float64(1e200), "energy overflows in float64"),
+        (np.float32, np.float32(1e-30), "energy underflows to zero in float32"),
+        (np.float64, np.float64(1e-200), "energy underflows to zero in float64"),
+    ],
+    ids=["f32-1e20", "f64-1e39-to-f32", "f64-1e200", "f32-1e-30", "f64-1e-200"],
+)
+def test_separate_rejects_a_mixture_whose_energy_is_not_finite_and_positive(
+    model_dtype, mixture, message
+):
+    # without numpy warnings; unchecked, a mixture whose energy overflows
+    # would give silent estimates, as x / inf is 0
+    model = tiny_model(dtype=model_dtype)
+    data = np.full((1, 40), mixture)
+    data[0, ::3] *= -1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match=message):
+            tasnet.separate(Tensor(data), model)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_separate_scales_the_mixture_as_the_reference_ops_do(dtype, monkeypatch):
+    # the mixture that reaches the encoder is, bit for bit, the op-by-op
+    # x / sqrt(mean(x * x)), zero-padded to the minimum input
+    from reference import div, sqrt, tmean
+
+    model = tiny_model(dtype=dtype)
+    seen = []
+    encode = tasnet.encode
+    monkeypatch.setattr(
+        tasnet, "encode", lambda mix, m: seen.append(mix.data.copy()) or encode(mix, m)
+    )
+    rng = np.random.default_rng(33)
+    for t_len, gain in ((5, 1.0), (31, 3e-3), (1000, 7.0), (3001, 1e-6)):
+        data = rng.standard_normal((1, t_len)) * gain
+        x = Tensor(data, dtype=dtype)
+        seen.clear()
+        tasnet.separate(Tensor(data), model)
+        expected = div(x, sqrt(tmean(nt.mul(x, x)))).data
+        minimum = model.samples(model.chunk_len // 2)
+        for got in seen:
+            assert got.dtype == dtype and got.shape == (1, max(t_len, minimum))
+            assert got[:, :t_len].tobytes() == expected.tobytes()
+            assert not np.any(got[:, t_len:])
+        assert len(seen) == 2
 
 
 def test_separate_names_the_op_that_overflows():
@@ -347,9 +444,13 @@ def test_separate_names_the_op_that_overflows():
             tasnet.separate(mixture, model)
 
 
+def parameter_count(model):
+    return sum(t.size for _, t in model.parameters())
+
+
 def test_parameter_count_default_config():
     model = tasnet.build_model()
-    count = tasnet.parameter_count(model)
+    count = parameter_count(model)
     assert count == 2579072  # frozen from the closed-form sum
     assert abs(count - 2.6e6) / 2.6e6 <= 0.05
 
@@ -363,7 +464,7 @@ def test_parameter_count_single_lstm_cell():
 def test_parameter_count_zero_blocks_is_head_only():
     # encoder, decoder and mask head: a one-block model less its block
     model = tiny_model(num_blocks=1)
-    head_only = tasnet.parameter_count(model) - sum(t.size for _, t in model.blocks[0].tensors())
+    head_only = parameter_count(model) - sum(t.size for _, t in model.blocks[0].tensors())
     assert head_only == (
         model.encoder_kernels.size
         + model.decoder_kernels.size
@@ -419,6 +520,21 @@ def test_load_model_builds_from_the_saved_arrays_alone(dtype, tmp_path, monkeypa
     assert [getattr(loaded, k) for k in geometry] == [getattr(model, k) for k in geometry]
 
 
+def test_load_model_rejects_a_tensor_that_overflows_its_dtype(tmp_path):
+    # float64 arrays in a float32 checkpoint; the cast of 1e39 overflows,
+    # with no numpy warning
+    model = tiny_model(dtype=np.float64, seed=15)
+    arrays = [(name, t.data) for name, t in model.parameters()]
+    arrays[0][1][0, 0] = 1e39
+    path = tmp_path / "model.ckpt"
+    nt.save_arrays(path, arrays, meta={"format": "dpsep-separator", **model.sizes(),
+                                       "dtype": "float32"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(nt.CheckpointError, match="'encoder.kernels' holds values that"):
+            tasnet.load_model(path)
+
+
 def test_checkpoint_block_naming():
     model = tiny_model()
     names = [name for name, _ in model.parameters()]
@@ -453,11 +569,11 @@ def test_separate_gradcheck_end_to_end():
     model = tiny_model(dtype=np.float64, seed=13, num_blocks=2)
     rng = np.random.default_rng(14)
     refs = Tensor(rng.standard_normal((2, 30)), dtype=np.float64)
-    mix = Tensor(rng.standard_normal((1, 30)) * 0.5, dtype=np.float64, requires_grad=True)
+    mix = Tensor(rng.standard_normal((1, 30)) * 0.5, dtype=np.float64)
 
-    def f(m):
-        loss, _ = upit_loss(tasnet.separate(m, model), refs)
+    def f(*_):
+        loss, _ = upit_loss(tasnet.separate(mix, model), refs)
         return loss
 
-    report = finite_diff_check(f, mix, max_elements=10)
+    report = finite_diff_check(f, model.parameter_tensors(), max_elements=10)
     assert report.passed, str(report)

@@ -11,7 +11,7 @@ import pytest
 
 from dpsep import numerics as nt
 from dpsep.numerics import GradTape, NumericsError, ShapeError, Tensor
-from reference import affine, log
+from reference import affine, div, log, sqrt
 
 
 def test_tensor_shape_data_invariant():
@@ -200,7 +200,7 @@ def test_backward_releases_the_graph_without_the_cyclic_gc():
     gc.disable()
     try:
         with GradTape() as tape:
-            hidden = nt.sqrt(x)
+            hidden = sqrt(x)
             loss = nt.tsum(hidden)
         saved = weakref.ref(hidden.data)
         del hidden
@@ -321,12 +321,20 @@ def test_nan_surveillance_names_op():
     assert "'mul'" in str(exc.value)
 
 
+@pytest.mark.parametrize("data", [[1e39], np.array([1e39, -1.0]), np.array([[1e300]])])
+def test_cast_that_overflows_raises_without_a_numpy_warning(data):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="non-finite"):
+            Tensor(data, dtype=np.float32)
+
+
 def test_backward_names_the_op_whose_gradient_overflows():
     # the forward is finite (1e20), but div's gradient for its divisor,
     # -1 / x^2, overflows float32 at x = 1e-20
     x = Tensor(np.array([1e-20, 1.0], dtype=np.float32), requires_grad=True)
     with GradTape() as tape:
-        loss = nt.tsum(nt.div(1.0, x))
+        loss = nt.tsum(div(1.0, x))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # and shows no numpy warning
         with pytest.raises(NumericsError, match="non-finite gradient produced by op 'div'"):
@@ -337,7 +345,7 @@ def test_backward_names_the_op_whose_gradient_overflows():
     "op, bad, message",
     [
         (log, [1.0, 0.0], "'log'"),
-        (nt.sqrt, [1.0, -1.0], "'sqrt'"),
+        (sqrt, [1.0, -1.0], "'sqrt'"),
     ],
     ids=["log", "sqrt"],
 )
@@ -362,7 +370,7 @@ def test_tape_determinism_bit_identical():
     for _ in range(2):
         x = Tensor(data, requires_grad=True)
         with GradTape() as tape:
-            y = nt.tsum(nt.sqrt(nt.add(nt.mul(x, x), 1.0)))
+            y = nt.tsum(sqrt(nt.add(nt.mul(x, x), 1.0)))
         tape.backward(y)
         results.append((float(y.data), x.grad.copy()))
     assert results[0][0] == results[1][0]
