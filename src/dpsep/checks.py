@@ -30,25 +30,29 @@ def _readout(y):  # a nonlinear scalar of y
     return nt.tsum(nt.mul(y, y))
 
 
-def _case_conv1d(rng):
-    # the signal is data; only the kernels take a gradient
+def _codec_model():
+    # N=3 filters of W=4 taps, stride 2
+    return tasnet.build_model(
+        num_filters=3, window=4, num_sources=2, num_blocks=1, hidden=2, chunk_len=4, dtype=F64
+    )
+
+
+def _case_encode(rng):
+    # the mixture is data; only the encoder kernels take a gradient
+    model = _codec_model()
     x = Tensor(rng.standard_normal((1, 12)), dtype=F64)
-    k = _t(rng, (3, 4))
-
-    def f(kv):
-        return _readout(nt.conv1d(x, kv, stride=2))
-
-    return finite_diff_check(f, k)
+    return finite_diff_check(lambda _: _readout(tasnet.encode(x, model)), model.encoder_kernels)
 
 
-def _case_transposed_conv1d(rng):
+def _decode_case(rng, length, gain):
+    # 5 frames decode to 12 samples, cut or zero-padded to `length`
+    model = _codec_model()
     frames = _t(rng, (2, 3, 5))
-    k = _t(rng, (3, 4))
 
-    def f(fv, kv):
-        return _readout(nt.transposed_conv1d(fv, kv, stride=2))
+    def f(fv, _):
+        return _readout(tasnet.decode(fv, model, length, gain))
 
-    return finite_diff_check(f, [frames, k])
+    return finite_diff_check(f, [frames, model.decoder_kernels])
 
 
 def _case_bilstm_batched(rng, steps, axis):
@@ -176,8 +180,9 @@ def _upit_case(rng, num_sources, t_len):
 
 
 GRADCHECK_CASES = (
-    ("conv1d", _case_conv1d),
-    ("transposed_conv1d", _case_transposed_conv1d),
+    ("encode", _case_encode),
+    ("decode_crop", lambda rng: _decode_case(rng, 9, 0.7)),
+    ("decode_pad", lambda rng: _decode_case(rng, 15, None)),
     # one BLSTM runs both directions; T=1 reads only the zero initial states
     ("bilstm_batched_t1", lambda rng: _case_bilstm_batched(rng, steps=1, axis=0)),
     ("bilstm_batched_t5", lambda rng: _case_bilstm_batched(rng, steps=5, axis=0)),
@@ -193,7 +198,7 @@ GRADCHECK_CASES = (
     ("si_snr", lambda rng: _upit_case(rng, 1, 64)),
     ("upit_si_snr", lambda rng: _upit_case(rng, 2, 16)),
     ("tiny_separator", lambda rng: _separator_case(rng, 30, 30)),
-    # W=4, stride 2: the decoder gives 30 samples for T=31, so separate pads
+    # W=4, stride 2: the decoder's conv gives 30 samples for T=31, so decode pads
     ("padded_separator", lambda rng: _separator_case(rng, 31, 25)),
 )
 

@@ -1,7 +1,10 @@
-"""Tensor arithmetic with reverse-mode differentiation and recurrent primitives."""
+"""Tensors with reverse-mode differentiation: the gradient tape and
+`apply_op`, through which every op runs, the generic ops `add`, `mul`,
+`tsum` and `slice_axis`, the BLSTM op, finite-difference checking and the
+checkpoint format. The separator's own ops are defined in `tasnet` and
+`dualpath`."""
 
 from .checkpoint import CheckpointError, load_arrays, save_arrays
-from .conv import conv1d, transposed_conv1d
 from .gradcheck import finite_diff_check
 from .rnn import LstmCellParams, bilstm_batched, init_lstm_params
 from .tensor import (
@@ -12,9 +15,6 @@ from .tensor import (
     add,
     apply_op,
     mul,
-    pad_last_axis,
-    relu,
-    reshape,
     slice_axis,
     tsum,
 )
@@ -29,16 +29,11 @@ __all__ = [
     "add",
     "apply_op",
     "bilstm_batched",
-    "conv1d",
     "finite_diff_check",
     "init_lstm_params",
     "load_arrays",
     "mul",
-    "pad_last_axis",
-    "relu",
-    "reshape",
     "save_arrays",
     "slice_axis",
-    "transposed_conv1d",
     "tsum",
 ]

@@ -35,11 +35,10 @@ class Tensor:
     converts. Any other dtype is a ShapeError. `grad` is lazily allocated by
     the tape and always matches `data` in shape and dtype.
     Tensors are immutable after creation except for the grad buffer, with
-    three private exceptions, each over an array that only the writing op
-    reads: the relu of `tasnet.encode` writes over the conv output; with no
-    tape recording them, the global layer norm of `dualpath._sub_pass`
-    writes over the BLSTM output and the `apply_masks` of `tasnet.separate`
-    over the masks.
+    two private exceptions, each over an array that only the writing op
+    reads: with no tape recording them, the global layer norm of
+    `dualpath._sub_pass` writes over the BLSTM output and the `apply_masks`
+    of `tasnet.separate` over the masks.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_tape", "_slot")
@@ -292,21 +291,6 @@ def mul(a, b):
     )
 
 
-def relu(x, *, _overwrite=False):
-    """max(x, 0). Backward keeps the output, not x: out > 0 exactly where
-    x > 0. `_overwrite`, passed only by `tasnet.encode`, writes the output
-    over x's array, which the caller must not read again."""
-    xd = x.data
-    out = None
-
-    def forward_fn():
-        nonlocal out
-        out = np.maximum(xd, 0, out=xd if _overwrite else None)
-        return out
-
-    return apply_op("relu", (x,), forward_fn, lambda g: (g * (out > 0),))
-
-
 def tsum(x, axis=None):
     """Sum over all entries (axis=None, scalar output) or over the given axes,
     which are kept with extent 1."""
@@ -320,18 +304,6 @@ def tsum(x, axis=None):
     return apply_op("sum", (x,), lambda: x.data.sum(axis=axis, keepdims=True), backward_fn)
 
 
-def reshape(x, shape):
-    """x with a new shape. As with numpy's reshape, the output shares x's
-    memory whenever its strides allow, so writing into one writes into the
-    other."""
-    shape, in_shape = tuple(shape), x.shape
-
-    def backward_fn(g):
-        return (g.reshape(in_shape),)
-
-    return apply_op("reshape", (x,), lambda: x.data.reshape(shape), backward_fn)
-
-
 def slice_axis(x, axis, start, stop):
     """Contiguous slice [start:stop) along one axis."""
     idx = tuple(slice(None) if a != axis else slice(start, stop) for a in range(x.data.ndim))
@@ -343,19 +315,3 @@ def slice_axis(x, axis, start, stop):
         return (gx,)
 
     return apply_op("slice", (x,), lambda: x.data[idx].copy(), backward_fn)
-
-
-def pad_last_axis(x, total):
-    """Zero-pad the last axis up to length `total` (no-op if already there)."""
-    cur = x.shape[-1]
-    if cur == total:
-        return x
-    if cur > total:
-        raise ShapeError(f"pad_last_axis: input length {cur} exceeds target {total}")
-    widths = [(0, 0)] * (x.data.ndim - 1) + [(0, total - cur)]
-    idx = tuple([slice(None)] * (x.data.ndim - 1) + [slice(0, cur)])
-
-    def backward_fn(g):
-        return (g[idx],)
-
-    return apply_op("pad", (x,), lambda: np.pad(x.data, widths), backward_fn)

@@ -1,10 +1,12 @@
 """Encoder/masker/decoder assembly operating directly on waveform samples.
 
-A learned conv front-end encodes the mixture (N, L), the dual-path stack
-runs over its (K, S, N) chunks and the mask head maps each chunk frame's N
-features to C*N before overlap-add gives one nonnegative mask per source,
-(C, N, L). A transposed-conv decoder maps each masked representation back to
-a waveform.
+Each stage is one tape op over numpy. `encode` is a learned strided conv
+with its relu, giving a nonnegative representation (N, L). The dual-path
+stack runs over its (K, S, N) chunks, and `mask_head` maps each chunk
+frame's N features to C*N and overlap-adds them into one nonnegative mask
+per source, (C, N, L). `apply_masks` weights the representation with each
+mask, and `decode`, a transposed conv, maps each masked representation back
+to a waveform of the mixture's length and gain.
 """
 
 from __future__ import annotations
@@ -104,18 +106,49 @@ def build_model(nominal_samples=32000, seed=0, dtype=np.float32, **sizes):
     )
 
 
+def _windows(sig, width, stride, count):
+    # (..., count, width) strided view over the last axis; read-only.
+    view = np.lib.stride_tricks.sliding_window_view(sig, width, axis=-1)
+    return view[..., ::stride, :][..., :count, :]
+
+
 def encode(mixture, model):
-    """mixture (1, T) -> nonnegative representation (N, L). The relu writes
-    over the conv output, which nothing else reads."""
-    return nt.relu(nt.conv1d(mixture, model.encoder_kernels, model.stride), _overwrite=True)
+    """mixture (1, T) -> nonnegative representation (N, L), L = (T-W)//stride
+    + 1: each stride-hop window dotted with the N encoder kernels, then relu.
+
+    One tape op. The relu runs in place over the conv output, and backward
+    keeps that output: out > 0 exactly where the conv is positive. The mixture is
+    data, so one with `requires_grad` is a ShapeError and backward gives the
+    kernels' gradient alone, (g * (out > 0)) @ windows.
+    """
+    kernels, stride = model.encoder_kernels, model.stride
+    if mixture.data.ndim != 2 or mixture.shape[0] != 1:
+        raise ShapeError(f"encode: mixture must be (1, T), got {mixture.shape}")
+    if mixture.requires_grad:
+        raise ShapeError("encode: the mixture is data and takes no gradient")
+    t_len, width = mixture.shape[1], kernels.shape[1]
+    if t_len < width:
+        raise ShapeError(f"encode: input too short, T={t_len} < window W={width}")
+    win = _windows(mixture.data[0], width, stride, (t_len - width) // stride + 1)
+    kd = kernels.data
+    out = None
+
+    def forward_fn():
+        nonlocal out
+        out = kd @ win.T
+        return np.maximum(out, 0, out=out)
+
+    return nt.apply_op(
+        "encode", (mixture, kernels), forward_fn, lambda g: (None, (g * (out > 0)) @ win)
+    )
 
 
 _HEAD_ROWS = 8  # chunk rows per affine block of the mask head's forward
 
 
 def mask_head(x, weight, bias, length):
-    """overlap_add(affine(x, weight, bias), L) bit for bit: x (K, S, N) ->
-    (C*N, L), for weight (C*N, N) and bias (C*N,).
+    """relu(overlap_add(affine(x, weight, bias), L)) as C masks, bit for bit:
+    x (K, S, N) -> nonnegative (C, N, L), for weight (C*N, N) and bias (C*N,).
 
     One tape op. The forward runs the affine on blocks of `_HEAD_ROWS` chunk
     rows, each inside one chunk half, and adds each block's (rows, S, C*N)
@@ -123,9 +156,10 @@ def mask_head(x, weight, bias, length):
     affine output nor a (K, S, N) scratch exists. Each entry is the same
     N-term dot product as in the whole GEMM, and the blocks run in
     ascending chunk row, so every folded entry gets its first-half term
-    before its second-half term, as in `overlap_add`. The output is the
-    halved (C*N, L) view of that array. Backward is overlap-add's backward,
-    then the affine's.
+    before its second-half term, as in `overlap_add`. The relu runs in place
+    over the halved (C*N, L) view of that array, and the masks are a view of
+    it. Backward keeps them, out > 0 exactly where the fold is positive,
+    masks g with that, then runs overlap-add's backward and the affine's.
     """
     chunk_len, s, n = x.shape
     rows = weight.shape[0]
@@ -141,8 +175,10 @@ def mask_head(x, weight, bias, length):
     xd, wd, bd = x.data, weight.data, bias.data
     x2 = xd.reshape(-1, n)
     need_x, need_w, need_b = x.requires_grad, weight.requires_grad, bias.requires_grad
+    out = None
 
     def forward_fn():
+        nonlocal out
         folded = np.zeros((rows, s + 1, hop), dtype=xd.dtype)
         y = np.empty((min(_HEAD_ROWS, hop) * s, rows), dtype=xd.dtype)
         # chunk row k of the first half lands in columns :-1, of the second in 1:
@@ -155,10 +191,12 @@ def mask_head(x, weight, bias, length):
                 dst[:, :, lo:hi] += block.reshape(hi - lo, s, rows).transpose(2, 1, 0)
         out = folded.reshape(rows, -1)[:, hop : hop + length]
         out /= 2
+        np.maximum(out, 0, out=out)
+        out = out.reshape(rows // n, n, length)
         return out
 
     def backward_fn(g):
-        g2 = _chunk(g, hop, s).reshape(-1, rows)
+        g2 = _chunk((g * (out > 0)).reshape(rows, length), hop, s).reshape(-1, rows)
         g2 /= 2
         gx = (g2 @ wd).reshape(shape) if need_x else None
         gw = g2.T @ x2 if need_w else None
@@ -172,21 +210,20 @@ def estimate_masks(rep, model):
     """rep (N, L) -> C nonnegative masks (C, N, L).
 
     Pipeline: segment to (K, S, N) -> dual-path stack -> mask head (a
-    per-position affine N -> C*N, overlap-added to (C*N, L)) -> relu ->
-    reshape to (C, N, L).
+    per-position affine N -> C*N, overlap-added to (C*N, L), relu, as
+    (C, N, L)).
 
     It drops its reference to `rep` once `segment` has chunked it, so a
     caller that keeps none frees the encoder output before the stack runs.
     """
-    n, length = rep.shape
+    length = rep.shape[1]
     chunks = [dp.segment(rep, model.chunk_len)]  # (K, S, N)
     del rep
     # no local holds the chunk tensor or the stack's output, so the stack
     # frees the first after its first sub-pass and the head the second
-    maps = mask_head(
+    return mask_head(
         dp.dprnn_stack(chunks.pop(), model.blocks), model.mask_weight, model.mask_bias, length
-    )  # (C*N, L)
-    return nt.reshape(nt.relu(maps), (model.num_sources, n, length))
+    )
 
 
 def apply_masks(rep, masks, *, _overwrite=False):
@@ -208,9 +245,44 @@ def apply_masks(rep, masks, *, _overwrite=False):
     )
 
 
-def decode(masked, model):
-    """masked (C, N, L) -> waveforms (C, T'), T' = (L-1)*stride + W."""
-    return nt.transposed_conv1d(masked, model.decoder_kernels, model.stride)
+def decode(masked, model, length, gain):
+    """masked (C, N, L) -> waveforms (C, length): the transposed conv with the
+    decoder kernels, (L-1)*stride + W samples, cut or zero-padded to
+    `length`, then times `gain`, a scalar, or None for no scaling.
+
+    One tape op, the adjoint of `encode`'s conv: each kernel tap w adds its
+    (C, L) frame products at samples w, w + stride, ..., in ascending w, and
+    only those below `length` are kept.
+    """
+    kernels, stride = model.decoder_kernels, model.stride
+    if masked.data.ndim != 3 or masked.shape[1] != kernels.shape[0]:
+        raise ShapeError(f"decode: kernels {kernels.shape} do not match frames {masked.shape}")
+    num_sets, _, frames = masked.shape
+    width = kernels.shape[1]
+    full = (frames - 1) * stride + width
+    fd, kd = masked.data, kernels.data
+    need_f, need_k = masked.requires_grad, kernels.requires_grad
+
+    def forward_fn():
+        out = np.zeros((num_sets, length), dtype=fd.dtype)
+        for w in range(min(width, length)):
+            count = min(frames, (length - 1 - w) // stride + 1)
+            out[:, w : w + count * stride : stride] += (kd[:, w] @ fd)[:, :count]
+        if gain is not None:
+            out *= gain
+        return out
+
+    def backward_fn(g):
+        if gain is not None:
+            g = g * gain
+        if length < full:
+            g = np.pad(g, ((0, 0), (0, full - length)))
+        win = _windows(g, width, stride, frames)  # (C, L, W)
+        gf = kd @ win.transpose(0, 2, 1) if need_f else None
+        gk = (fd @ win).sum(axis=0) if need_k else None
+        return gf, gk
+
+    return nt.apply_op("decode", (masked, kernels), forward_fn, backward_fn)
 
 
 def separate(mixture, model):
@@ -219,16 +291,19 @@ def separate(mixture, model):
     The mixture is data, as the references are to `upit_loss`: one with
     `requires_grad` is a ShapeError, so every leaf a tape reaches is a model
     parameter. It is cast to the model's dtype and scaled to unit RMS in
-    numpy, and the estimates are scaled back by that RMS. Separation is
+    numpy, and `decode` scales the estimates back by that RMS. Separation is
     therefore gain-equivariant: separate(g*x) == g*separate(x), bit for bit
     when g is a power of two. SI-SNR training is scale-invariant and would
-    not teach the model this. A silent (all-zero) mixture skips the scaling
-    and gives silent estimates; one whose energy overflows or underflows to
-    zero in the model's dtype is a NumericsError. Nor does SI-SNR training
-    fix the estimates' own gain, so `dpsep separate` rescales each one to
-    the mixture's peak before writing it as a WAV.
+    not teach the model this. A mixture whose squares would go subnormal, or
+    whose sum of squares could overflow, is first scaled by the power of two
+    that brings its peak into [0.5, 1), which is exact, so every finite
+    mixture separates. A silent (all-zero) mixture skips the scaling and
+    gives silent estimates; one that overflows the model's dtype when cast
+    is a NumericsError. Nor does SI-SNR training fix the estimates' own
+    gain, so `dpsep separate` rescales each one to the mixture's peak before
+    writing it as a WAV.
     A mixture shorter than the model's minimum input (T >= W and K <= 2L) is
-    zero-padded to that minimum, and the estimates are cut back to T.
+    zero-padded to that minimum, and `decode` cuts the estimates back to T.
     With no tape recording it, it frees the encoder output once `segment`
     has chunked it, encodes the mixture again for `apply_masks` (the same
     bits, for one conv) and writes the masked representation over the
@@ -239,14 +314,22 @@ def separate(mixture, model):
     dtype = model.encoder_kernels.dtype
     t_len = mixture.shape[1]
     rms = None
-    with np.errstate(over="ignore"):  # an energy that overflows is refused below
+    with np.errstate(over="ignore"):  # an overflow is refused or scaled away below
         x = mixture.data.astype(dtype, copy=False)
-        if np.any(x):
+        peak = max(x.max(), -x.min())
+        if not peak < np.inf:
+            raise NumericsError(f"separate: the mixture overflows {dtype.name}")
+        if peak > 0:
+            info, shift = np.finfo(dtype), 0
+            # squares that go subnormal, whose rounding could add up to an ulp
+            # of the sum, or a sum that could overflow: first scale by the
+            # power of two that brings the peak into [0.5, 1), which is exact
+            if not t_len * info.tiny <= peak * peak <= info.max / t_len:
+                shift = np.frexp(peak)[1]
+                x = np.ldexp(x, -shift)
             rms = np.sqrt((x * x).sum() * dtype.type(1 / t_len))
-            if not 0 < rms < np.inf:
-                way = "underflows to zero" if rms == 0 else "overflows"
-                raise NumericsError(f"separate: the mixture's energy {way} in {dtype.name}")
             x = x / rms
+            rms = np.ldexp(rms, shift)
     pad = model.samples(model.chunk_len // 2) - t_len
     mixture = Tensor(np.pad(x, ((0, 0), (0, pad))) if pad > 0 else x)
     if recording_tape(model.parameter_tensors()) is not None:
@@ -257,12 +340,7 @@ def separate(mixture, model):
         # it is chunked
         masks = estimate_masks(encode(mixture, model), model)
         masked = apply_masks(encode(mixture, model), masks, _overwrite=True)
-    est = decode(masked, model)
-    if est.shape[1] < t_len:
-        est = nt.pad_last_axis(est, t_len)
-    elif est.shape[1] > t_len:
-        est = nt.slice_axis(est, 1, 0, t_len)
-    return est if rms is None else nt.mul(est, rms)
+    return decode(masked, model, t_len, rms)
 
 
 def save_model(model, path):

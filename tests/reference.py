@@ -1,7 +1,11 @@
 """Reference ops that no command runs, kept as test oracles.
 
 `affine` is the per-position linear map that `tasnet.mask_head` and the FC
-of `numerics.bilstm_batched` fuse into their own ops. `si_snr` and
+of `numerics.bilstm_batched` fuse into their own ops. `conv1d`, `relu`,
+`reshape`, `transposed_conv1d` and `pad_last_axis` (with `slice_axis` and
+`mul`) compose, op by op, what `tasnet.encode`, `mask_head` and `decode`
+compute as one op each. `codec` and `encoder_conv` reach the linear part of
+`encode` through `encode` itself, at any stride. `si_snr` and
 `upit_loss` are the uPIT SI-SNR loss composed op by op from generic tape
 ops, `sub`, `div`, `log`, `sqrt` and `tmean` among them, which
 `training.upit_loss` computes as one op with the same loss bits. `div`,
@@ -10,11 +14,13 @@ runs in numpy.
 """
 
 from itertools import permutations
+from types import SimpleNamespace
 
 import numpy as np
 
 from dpsep import numerics as nt
-from dpsep.numerics import NumericsError, ShapeError
+from dpsep import tasnet
+from dpsep.numerics import NumericsError, ShapeError, Tensor
 from dpsep.numerics.tensor import _binary
 from dpsep.training.loss import SI_SNR_EPS
 
@@ -49,6 +55,85 @@ def tmean(x, axis=None):
     total = nt.tsum(x, axis)
     # an int ratio divides exactly once, so this is 1/n correctly rounded
     return nt.mul(total, total.size / x.size)
+
+
+def relu(x):
+    """max(x, 0). Backward keeps the output, not x: out > 0 exactly where
+    x > 0."""
+    out = None
+
+    def forward_fn():
+        nonlocal out
+        out = np.maximum(x.data, 0)
+        return out
+
+    return nt.apply_op("relu", (x,), forward_fn, lambda g: (g * (out > 0),))
+
+
+def reshape(x, shape):
+    shape, in_shape = tuple(shape), x.shape
+    return nt.apply_op(
+        "reshape", (x,), lambda: x.data.reshape(shape), lambda g: (g.reshape(in_shape),)
+    )
+
+
+def pad_last_axis(x, total):
+    """Zero-pad the last axis up to length `total`."""
+    cur = x.shape[-1]
+    widths = [(0, 0)] * (x.data.ndim - 1) + [(0, total - cur)]
+    return nt.apply_op("pad", (x,), lambda: np.pad(x.data, widths), lambda g: (g[..., :cur],))
+
+
+def _windows(sig, width, stride, count):
+    # (..., count, width) strided view over the last axis; read-only.
+    view = np.lib.stride_tricks.sliding_window_view(sig, width, axis=-1)
+    return view[..., ::stride, :][..., :count, :]
+
+
+def conv1d(signal, kernels, stride):
+    """signal (1, T) as data, kernels (N, W) -> (N, L), L = (T-W)//stride + 1."""
+    frames = (signal.shape[1] - kernels.shape[1]) // stride + 1
+    kd = kernels.data
+    win = _windows(signal.data[0], kernels.shape[1], stride, frames)
+    return nt.apply_op("conv1d", (signal, kernels), lambda: kd @ win.T, lambda g: (None, g @ win))
+
+
+def transposed_conv1d(frames, kernels, stride):
+    """frames (C, N, L), kernels (N, W) -> (C, T), T = (L-1)*stride + W."""
+    num_sets, _, n_frames = frames.shape
+    width = kernels.shape[1]
+    t_len = (n_frames - 1) * stride + width
+    fd, kd = frames.data, kernels.data
+
+    def forward_fn():
+        out = np.zeros((num_sets, t_len), dtype=fd.dtype)
+        for w in range(width):
+            out[:, w : w + n_frames * stride : stride] += kd[:, w] @ fd
+        return out
+
+    def backward_fn(g):
+        win = _windows(g, width, stride, n_frames)  # (C, L, W)
+        return kd @ win.transpose(0, 2, 1), (fd @ win).sum(axis=0)
+
+    return nt.apply_op("transposed_conv1d", (frames, kernels), forward_fn, backward_fn)
+
+
+def codec(kernels, stride):
+    """A stand-in model for `tasnet.encode` and `tasnet.decode`, which read
+    only its kernels and stride, so any stride can be tried, not only the
+    model's W // 2."""
+    return SimpleNamespace(encoder_kernels=kernels, decoder_kernels=kernels, stride=stride)
+
+
+def encoder_conv(x, kernels, stride):
+    """The conv of `tasnet.encode` before its relu, as an array, through
+    `encode` itself: relu(z) - relu(-z) == z, and the conv with -k is minus
+    the conv with k, both exactly."""
+    negated = Tensor(-kernels.data)
+    return (
+        tasnet.encode(x, codec(kernels, stride)).data
+        - tasnet.encode(x, codec(negated, stride)).data
+    )
 
 
 def affine(x, weight, bias=None):
@@ -110,7 +195,7 @@ def si_snr(est, ref):
     residual_energy = nt.add(nt.tsum(nt.mul(residual, residual), -1), SI_SNR_EPS)
     ratio_log = sub(log(target_energy), log(residual_energy))
     db = nt.mul(ratio_log, 10.0 / float(np.log(10.0)))
-    return nt.reshape(db, db.shape[:-1])
+    return reshape(db, db.shape[:-1])
 
 
 def upit_loss(est, ref):
@@ -119,7 +204,7 @@ def upit_loss(est, ref):
     `training.upit_loss`."""
     num_sources, t_len = est.shape
     pair = si_snr(
-        nt.reshape(est, (num_sources, 1, t_len)), nt.reshape(ref, (1, num_sources, t_len))
+        reshape(est, (num_sources, 1, t_len)), reshape(ref, (1, num_sources, t_len))
     )
     values = pair.data.tolist()
     best_perm, best_value = None, -np.inf

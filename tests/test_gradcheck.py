@@ -7,7 +7,7 @@ import pytest
 from dpsep import numerics as nt
 from dpsep.numerics import NumericsError, Tensor, finite_diff_check
 from dpsep.training.loss import upit_loss
-from reference import div, sqrt, tmean
+from reference import div, relu, sqrt, tmean
 
 
 def test_sum_has_near_zero_error():
@@ -59,7 +59,7 @@ def test_every_composite_op_passes_on_random_shapes(shape):
 
     def f(v):
         y = sqrt(nt.add(nt.mul(v, v), 1.0))
-        y = nt.add(y, nt.mul(nt.relu(v), -1.0))
+        y = nt.add(y, nt.mul(relu(v), -1.0))
         y = div(y, nt.add(tmean(nt.mul(v, v)), 2.0))
         return nt.tsum(nt.mul(y, y))
 
@@ -83,8 +83,8 @@ def test_subsampled_elements_reported():
 
 
 def test_suite_covers_every_op_of_a_training_step(tmp_path, monkeypatch):
-    # a segment whose decoder output is one sample short (padded) and whose
-    # zero-padded tail is masked out of the loss (sliced)
+    # a segment whose decoder conv is one sample short (padded by decode)
+    # and whose zero-padded tail is masked out of the loss (sliced)
     from dpsep import tasnet
     from dpsep.checks import run_gradcheck_suite
     from dpsep.data import mix_at_snr
@@ -109,7 +109,7 @@ def test_suite_covers_every_op_of_a_training_step(tmp_path, monkeypatch):
     train_loop(model, [example], [example], TrainConfig(epochs=1, batch_size=1),
                str(tmp_path / "run"))
     step_ops = set(seen)
-    assert {"pad", "slice", "global_layer_norm", "bilstm"} <= step_ops
+    assert {"decode", "slice", "global_layer_norm", "bilstm"} <= step_ops
     seen.clear()
     run_gradcheck_suite()
     assert step_ops <= seen, sorted(step_ops - seen)

@@ -12,7 +12,7 @@ from dpsep import numerics as nt
 from dpsep import tasnet
 from dpsep.config import Geometry
 from dpsep.numerics import GradTape, NumericsError, ShapeError, Tensor
-from reference import affine
+from reference import affine, codec, conv1d, encoder_conv, relu, reshape, transposed_conv1d
 
 
 def tiny_model(dtype=np.float32, seed=3, **overrides):
@@ -75,7 +75,7 @@ def test_estimate_masks_matches_straight_line_oracle():
     hidden = dp.dprnn_stack(dp.segment(rep, model.chunk_len), model.blocks)  # (K, S, N)
     x = affine(hidden, model.mask_weight, model.mask_bias)  # (K, S, C*N)
     maps = dp.overlap_add(x, 20)
-    expected = nt.reshape(nt.relu(maps), (2, 4, 20)).data
+    expected = reshape(relu(maps), (2, 4, 20)).data
     np.testing.assert_array_equal(got, expected)
 
 
@@ -89,20 +89,21 @@ def test_estimate_masks_records_no_transpose():
         tasnet.estimate_masks(rep, model)
     names = [name for name, _, _ in tape._nodes]
     sub_pass = ["bilstm", "global_layer_norm"]
-    assert names == ["segment"] + sub_pass * 2 * 2 + ["mask_head", "relu", "reshape"]
+    assert names == ["segment"] + sub_pass * 2 * 2 + ["mask_head"]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("sources", [2, 3])
 def test_mask_head_is_affine_then_overlap_add_bit_for_bit(dtype, sources):
-    # outputs and the gradients of x, weight and bias, for several K and S
+    # then relu and reshape to (C, N, L): outputs and the gradients of x,
+    # weight and bias, for several K and S
     rng = np.random.default_rng(40)
     n = 8
     for length, chunk_len in ((5, 2), (20, 6), (37, 10), (64, 16), (300, 46)):
         s = dp.chunk_count(length, chunk_len)
         arrays = [rng.standard_normal(shape) for shape in
                   ((chunk_len, s, n), (sources * n, n), (sources * n,))]
-        g = Tensor(rng.standard_normal((sources * n, length)), dtype=dtype)
+        g = Tensor(rng.standard_normal((sources, n, length)), dtype=dtype)
         results = []
         for fused in (True, False):
             x, weight, bias = (Tensor(a, dtype=dtype, requires_grad=True) for a in arrays)
@@ -110,7 +111,8 @@ def test_mask_head_is_affine_then_overlap_add_bit_for_bit(dtype, sources):
                 if fused:
                     out = tasnet.mask_head(x, weight, bias, length)
                 else:
-                    out = dp.overlap_add(affine(x, weight, bias), length)
+                    maps = dp.overlap_add(affine(x, weight, bias), length)
+                    out = reshape(relu(maps), (sources, n, length))
                 loss = nt.tsum(nt.mul(out, g))
             tape.backward(loss)
             results.append([out.data, x.grad, weight.grad, bias.grad])
@@ -124,7 +126,8 @@ def test_mask_head_records_one_node_and_checks_shapes():
     weight = Tensor(rng.standard_normal((8, 4)), dtype=np.float32)
     bias = Tensor(np.zeros(8), dtype=np.float32)
     with GradTape() as tape:
-        assert tasnet.mask_head(x, weight, bias, 12).shape == (8, 12)
+        masks = tasnet.mask_head(x, weight, bias, 12)
+    assert masks.shape == (2, 4, 12) and np.all(masks.data >= 0)
     assert [name for name, _, _ in tape._nodes] == ["mask_head"]
     with pytest.raises(ShapeError, match="do not tile length"):
         tasnet.mask_head(x, weight, bias, 20)
@@ -148,7 +151,7 @@ def test_untaped_mask_head_holds_little_beyond_its_fold_buffer():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out.shape == (128, 4096)
+    assert out.shape == (2, 64, 4096)
     assert peak < 1.2 * x.data.nbytes
 
 
@@ -238,7 +241,7 @@ def test_apply_masks_is_one_op_with_the_broadcast_mul_bits(dtype):
                 out = tasnet.apply_masks(rep, masks, _overwrite=True)  # taped: no overwrite
                 assert [name for name, _, _ in tape._nodes] == ["apply_masks"]
             else:
-                out = nt.mul(nt.reshape(rep, (1, 4, 9)), masks)
+                out = nt.mul(reshape(rep, (1, 4, 9)), masks)
             loss = nt.tsum(nt.mul(out, g))
         tape.backward(loss)
         results.append([out.data, rep.grad, masks.grad])
@@ -254,27 +257,88 @@ def test_apply_masks_shape_error():
 def test_decode_single_frame_single_source():
     model = tiny_model(num_sources=1)
     masked = Tensor(np.ones((1, 4, 1)), dtype=np.float32)
-    out = tasnet.decode(masked, model)
+    out = tasnet.decode(masked, model, 4, None)
     assert out.shape == (1, 4)
     np.testing.assert_allclose(out.data[0], model.decoder_kernels.data.sum(axis=0), rtol=1e-6)
 
 
 def test_decode_zero_input_zero_waveform():
     model = tiny_model()
-    out = tasnet.decode(Tensor(np.zeros((2, 4, 9)), dtype=np.float32), model)
+    out = tasnet.decode(Tensor(np.zeros((2, 4, 9)), dtype=np.float32), model, 20, None)
     np.testing.assert_array_equal(out.data, np.zeros_like(out.data))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_encode_is_one_op_with_the_conv_and_relu_bits(dtype):
+    # values and the kernels' gradient equal those of conv1d then relu
+    model = tiny_model(dtype=dtype, window=8)
+    rng = np.random.default_rng(6)
+    for t_len in (8, 9, 31, 400):
+        mix = Tensor(rng.standard_normal((1, t_len)), dtype=dtype)
+        frames = model.frames(t_len)
+        g = Tensor(rng.standard_normal((4, frames)), dtype=dtype)
+        results = []
+        for fused in (True, False):
+            model.encoder_kernels.zero_grad()
+            with GradTape() as tape:
+                if fused:
+                    out = tasnet.encode(mix, model)
+                    assert [name for name, _, _ in tape._nodes] == ["encode"]
+                else:
+                    out = relu(conv1d(mix, model.encoder_kernels, model.stride))
+                loss = nt.tsum(nt.mul(out, g))
+            tape.backward(loss)
+            results.append([out.data, model.encoder_kernels.grad])
+        for got, expected in zip(*results):
+            assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_decode_is_one_op_with_the_transposed_conv_cut_pad_and_gain_bits(dtype):
+    # values and both gradients equal those of transposed_conv1d, then slice
+    # or pad to the length, then mul by the gain; W=8 gives 36 samples
+    from reference import pad_last_axis
+
+    model = tiny_model(dtype=dtype, window=8)
+    rng = np.random.default_rng(7)
+    frames = rng.standard_normal((2, 4, 8))
+    for length in (1, 5, 35, 36, 37, 50):
+        for gain in (None, dtype(0.3)):
+            g = Tensor(rng.standard_normal((2, length)), dtype=dtype)
+            results = []
+            for fused in (True, False):
+                masked = Tensor(frames, dtype=dtype, requires_grad=True)
+                model.decoder_kernels.zero_grad()
+                with GradTape() as tape:
+                    if fused:
+                        out = tasnet.decode(masked, model, length, gain)
+                        assert [name for name, _, _ in tape._nodes] == ["decode"]
+                    else:
+                        out = transposed_conv1d(masked, model.decoder_kernels, model.stride)
+                        if length < 36:
+                            out = nt.slice_axis(out, 1, 0, length)
+                        elif length > 36:
+                            out = pad_last_axis(out, length)
+                        if gain is not None:
+                            out = nt.mul(out, gain)
+                    loss = nt.tsum(nt.mul(out, g))
+                tape.backward(loss)
+                results.append([out.data, masked.grad, model.decoder_kernels.grad])
+            for got, expected in zip(*results):
+                assert got.tobytes() == expected.tobytes(), (length, gain)
+
+
 def test_encode_decode_adjoint_linear_parts():
-    # tie decoder to encoder and check <conv(x), y> == <x, decode-ish(y)>
+    # tie decoder to encoder and check <conv(x), y> == <x, decode(y)>, the
+    # decoder cutting its 34 samples to the 34 of x
     model = tiny_model()
     rng = np.random.default_rng(5)
-    x = Tensor(rng.standard_normal((1, 34)), dtype=np.float64)
+    x = Tensor(rng.standard_normal((1, 35)), dtype=np.float64)
     kernels = Tensor(model.encoder_kernels.data, dtype=np.float64)
-    frames = (34 - model.window) // model.stride + 1
+    frames = (35 - model.window) // model.stride + 1
     y = Tensor(rng.standard_normal((2, 4, frames)), dtype=np.float64)
-    encoded = nt.conv1d(x, kernels, model.stride).data
-    rhs_waves = nt.transposed_conv1d(y, kernels, model.stride).data
+    encoded = encoder_conv(x, kernels, model.stride)
+    rhs_waves = tasnet.decode(y, codec(kernels, model.stride), 35, None).data
     for c in range(2):
         lhs = float((encoded * y.data[c]).sum())
         rhs = float((x.data[0, : rhs_waves.shape[1]] * rhs_waves[c]).sum())
@@ -306,7 +370,7 @@ def test_separate_linear_in_input_with_unit_masks(monkeypatch):
 
     monkeypatch.setattr(tasnet, "estimate_masks", unit_masks)
     monkeypatch.setattr(
-        tasnet, "encode", lambda mix, m: nt.conv1d(mix, m.encoder_kernels, m.stride)
+        tasnet, "encode", lambda mix, m: conv1d(mix, m.encoder_kernels, m.stride)
     )
     rng = np.random.default_rng(9)
     a = rng.standard_normal((1, 30)).astype(np.float32)
@@ -371,37 +435,63 @@ def test_separate_records_only_model_parameters_as_leaves():
         loss, _ = upit_loss(tasnet.separate(mix, model), refs)
     leaves = [ref for _, refs_, _ in tape._nodes for ref in refs_ if isinstance(ref, Tensor)]
     assert leaves and {id(t) for t in leaves} == params
-    # no node for the mixture's scaling; the masks are applied by one op
+    # no node for the mixture's scaling; each stage is one op
     names = [name for name, _, _ in tape._nodes]
     sub_pass = ["bilstm", "global_layer_norm"]
-    assert names == ["conv1d", "relu", "segment"] + sub_pass * 2 * 2 + [
-        "mask_head", "relu", "reshape", "apply_masks", "transposed_conv1d", "mul", "upit_loss"
+    assert names == ["encode", "segment"] + sub_pass * 2 * 2 + [
+        "mask_head", "apply_masks", "decode", "upit_loss"
     ]
 
 
 @pytest.mark.parametrize(
-    "model_dtype, mixture, message",
+    "model_dtype, mixture, power",
     [
-        (np.float32, np.float32(1e20), "energy overflows in float32"),
-        (np.float32, np.float64(1e39), "energy overflows in float32"),
-        (np.float64, np.float64(1e200), "energy overflows in float64"),
-        (np.float32, np.float32(1e-30), "energy underflows to zero in float32"),
-        (np.float64, np.float64(1e-200), "energy underflows to zero in float64"),
+        (np.float32, np.float32(1e20), 66),
+        (np.float32, np.float64(1e39), None),
+        (np.float64, np.float64(1e200), 664),
+        (np.float32, np.float32(1e-30), -100),
+        (np.float64, np.float64(1e-200), -664),
     ],
     ids=["f32-1e20", "f64-1e39-to-f32", "f64-1e200", "f32-1e-30", "f64-1e-200"],
 )
 def test_separate_rejects_a_mixture_whose_energy_is_not_finite_and_positive(
-    model_dtype, mixture, message
+    model_dtype, mixture, power
 ):
-    # without numpy warnings; unchecked, a mixture whose energy overflows
-    # would give silent estimates, as x / inf is 0
+    # such an energy was refused; now the mixture is first scaled by a power
+    # of two, so it separates as its scaled copy 2**-power * x does, bit for
+    # bit. Only a mixture that overflows its cast to the model's dtype is
+    # refused. Neither shows a numpy warning.
     model = tiny_model(dtype=model_dtype)
     data = np.full((1, 40), mixture)
     data[0, ::3] *= -1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericsError, match=message):
-            tasnet.separate(Tensor(data), model)
+        if power is None:
+            with pytest.raises(NumericsError, match="the mixture overflows float32"):
+                tasnet.separate(Tensor(data), model)
+            return
+        scale = 2.0**power
+        out = tasnet.separate(Tensor(data), model).data
+        base = tasnet.separate(Tensor(data / scale), model).data
+    assert 0.5 < np.abs(data / scale).max() < 2
+    assert out.dtype == model_dtype and np.all(np.isfinite(out)) and np.any(out)
+    assert out.tobytes() == (base * model_dtype(scale)).tobytes()
+
+
+@pytest.mark.parametrize("gain", [1e-21, 1e-22])
+def test_separate_is_gain_equivariant_for_tiny_float32_mixtures(gain):
+    # the squares of such a mixture go subnormal in float32; they read 73.6
+    # and 48.9 dB before the power-of-two prescaling. Now they reach 80.0 dB,
+    # the SI-SNR eps ceiling, as closely as a gain of 1/3 does: within 1e-3 dB
+    # (80 + 4e-8 dB for equal outputs)
+    from dpsep.training import si_snr
+
+    model = tiny_model(seed=0)
+    x = np.random.default_rng(0).standard_normal((1, 400)).astype(np.float32)
+    base = tasnet.separate(Tensor(x), model).data.astype(np.float64)
+    for g in (gain, 1 / 3):
+        out = tasnet.separate(Tensor(x * np.float32(g)), model).data.astype(np.float64) / g
+        assert np.all(si_snr(out, base) >= 80 - 1e-3), g
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -1,17 +1,19 @@
-"""Core tensor ops: elementwise semantics, tape backward, broadcasting rules, and the
-reference affine of `reference.py`."""
+"""Core tensor ops: elementwise semantics, tape backward, broadcasting rules, the
+reference ops of `reference.py`, and the public surface of `numerics`."""
 
+import ast
 import gc
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dpsep import numerics as nt
 from dpsep.numerics import GradTape, NumericsError, ShapeError, Tensor
-from reference import affine, div, log, sqrt
+from reference import affine, div, log, pad_last_axis, relu, reshape, sqrt
 
 
 def test_tensor_shape_data_invariant():
@@ -63,7 +65,7 @@ def test_tensor_rejects_non_finite():
 
 
 def test_relu_trivial():
-    out = nt.relu(Tensor([-1.0, 0.0, 2.0]))
+    out = relu(Tensor([-1.0, 0.0, 2.0]))
     np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
 
@@ -77,7 +79,7 @@ def test_relu_keeps_its_output_not_its_input(dtype):
     with GradTape() as tape:
         x = nt.mul(leaf, 1.0)  # a recorded input whose array only relu reads
         input_array = weakref.ref(x.data)
-        out = nt.relu(x)
+        out = relu(x)
         del x
         gc.collect()
         assert input_array() is None
@@ -306,7 +308,7 @@ def test_affine_rejects_mixed_dtypes():
 def test_reshape_shares_memory_and_keeps_its_gradient():
     x = Tensor(np.arange(6.0), dtype=np.float64, requires_grad=True)
     with GradTape() as tape:
-        y = nt.reshape(x, (2, 3))
+        y = reshape(x, (2, 3))
         loss = nt.tsum(nt.mul(y, Tensor(np.arange(6.0).reshape(2, 3), dtype=np.float64)))
     assert np.shares_memory(y.data, x.data)
     tape.backward(loss)
@@ -395,9 +397,34 @@ def test_slice_axis_values_and_gradient():
 def test_pad_last_axis():
     x = Tensor(np.ones((2, 3)), requires_grad=True)
     with GradTape() as tape:
-        y = nt.pad_last_axis(x, 5)
+        y = pad_last_axis(x, 5)
         loss = nt.tsum(y)
     assert y.shape == (2, 5)
     np.testing.assert_array_equal(y.data[:, 3:], np.zeros((2, 2)))
     tape.backward(loss)
     np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+
+
+def test_every_public_numerics_name_has_a_caller_in_src():
+    # an op that only tests call belongs in tests/reference.py, not in the
+    # package: every name of `numerics.__all__` is read somewhere in
+    # src/dpsep outside its own definition and the package's re-exports
+    src = Path(nt.__file__).resolve().parent.parent
+    used = set()
+    for path in src.rglob("*.py"):
+        if path == Path(nt.__file__).resolve():
+            continue
+        tree = ast.parse(path.read_text())
+        definitions = {
+            node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in nt.__all__
+        }
+        stack = [node for node in tree.body if node not in definitions]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            stack.extend(ast.iter_child_nodes(node))
+    assert sorted(set(nt.__all__) - used) == []
