@@ -117,9 +117,9 @@ def encode(mixture, model):
     + 1: each stride-hop window dotted with the N encoder kernels, then relu.
 
     One tape op. The relu runs in place over the conv output, and backward
-    keeps that output: out > 0 exactly where the conv is positive. The mixture is
-    data, so one with `requires_grad` is a ShapeError and backward gives the
-    kernels' gradient alone, (g * (out > 0)) @ windows.
+    keeps that output: out > 0 exactly where the conv is positive. The
+    mixture is data, so one with `requires_grad` is a ShapeError and
+    backward gives the kernels' gradient alone, (g * (out > 0)) @ windows.
     """
     kernels, stride = model.encoder_kernels, model.stride
     if mixture.data.ndim != 2 or mixture.shape[0] != 1:
@@ -158,8 +158,10 @@ def mask_head(x, weight, bias, length):
     ascending chunk row, so every folded entry gets its first-half term
     before its second-half term, as in `overlap_add`. The relu runs in place
     over the halved (C*N, L) view of that array, and the masks are a view of
-    it. Backward keeps them, out > 0 exactly where the fold is positive,
-    masks g with that, then runs overlap-add's backward and the affine's.
+    it, so no second mask-sized array joins the fold buffer while the
+    stack's output, x, is still alive. Backward keeps the masks, whose
+    entries are positive exactly where the fold's are, masks g with them,
+    then runs overlap-add's backward and the affine's.
     """
     chunk_len, s, n = x.shape
     rows = weight.shape[0]

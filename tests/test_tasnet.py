@@ -330,7 +330,7 @@ def test_decode_is_one_op_with_the_transposed_conv_cut_pad_and_gain_bits(dtype):
 
 def test_encode_decode_adjoint_linear_parts():
     # tie decoder to encoder and check <conv(x), y> == <x, decode(y)>, the
-    # decoder cutting its 34 samples to the 34 of x
+    # decoder zero-padding its 34 samples to the 35 of x
     model = tiny_model()
     rng = np.random.default_rng(5)
     x = Tensor(rng.standard_normal((1, 35)), dtype=np.float64)
