@@ -1,7 +1,8 @@
 """Dense tensors with reverse-mode differentiation on an explicit gradient tape.
 
-Everything downstream (separator, losses, training) is expressed in the
-operations defined here plus the custom ops registered through `apply_op`.
+Every differentiable stage downstream (the separator's stages, the BLSTM,
+the uPIT loss and the batch mean of training) is one op run through
+`apply_op`.
 Forward values live in numpy arrays (float32 for training, float64 for
 gradient checking); gradients accumulate into per-leaf buffers when a
 `GradTape` replays its recorded operations in reverse order.
@@ -220,98 +221,3 @@ def apply_op(name, inputs, forward_fn, backward_fn):
         tape._record((name, refs, backward_fn))
     return out
 
-
-def _as_tensor(x, like):
-    if isinstance(x, Tensor):
-        return x
-    return _wrap(np.asarray(x, dtype=like.dtype))
-
-
-def _broadcast_spec(name, a_shape, b_shape):
-    """Validate numpy's broadcast rule for equal-rank operands (or a 0-d
-    scalar on either side) and return the axes each operand is expanded along.
-    """
-    if a_shape == b_shape:
-        return (), ()
-    if a_shape == ():
-        return ("scalar",), ()
-    if b_shape == ():
-        return (), ("scalar",)
-    if len(a_shape) != len(b_shape):
-        raise ShapeError(f"{name}: rank mismatch {a_shape} vs {b_shape} (reshape explicitly)")
-    a_axes, b_axes = [], []
-    for i, (da, db) in enumerate(zip(a_shape, b_shape)):
-        if da == db:
-            continue
-        if da == 1:
-            a_axes.append(i)
-        elif db == 1:
-            b_axes.append(i)
-        else:
-            raise ShapeError(f"{name}: incompatible shapes {a_shape} vs {b_shape}")
-    return tuple(a_axes), tuple(b_axes)
-
-
-def _unbroadcast(g, axes):
-    if not axes:
-        return g
-    if axes == ("scalar",):
-        return np.asarray(g.sum())
-    return g.sum(axis=axes, keepdims=True)
-
-
-def _binary(name, a, b, fwd, grad_fns):
-    """`grad_fns(ad, bd)` gives, per operand, g -> its gradient before
-    unbroadcasting. Backward keeps only the ones for operands needing grads."""
-    if isinstance(a, Tensor):
-        b = _as_tensor(b, a)
-    else:
-        a = _as_tensor(a, b)
-    a_axes, b_axes = _broadcast_spec(name, a.shape, b.shape)
-    ad, bd = a.data, b.data
-    da_fn, db_fn = grad_fns(ad, bd)
-    da_fn = da_fn if a.requires_grad else None
-    db_fn = db_fn if b.requires_grad else None
-
-    def backward_fn(g):
-        ga = None if da_fn is None else _unbroadcast(da_fn(g), a_axes)
-        gb = None if db_fn is None else _unbroadcast(db_fn(g), b_axes)
-        return ga, gb
-
-    return apply_op(name, (a, b), lambda: fwd(ad, bd), backward_fn)
-
-
-def add(a, b):
-    return _binary("add", a, b, lambda x, y: x + y, lambda x, y: (lambda g: g, lambda g: g))
-
-
-def mul(a, b):
-    return _binary(
-        "mul", a, b, lambda x, y: x * y, lambda x, y: (lambda g: g * y, lambda g: g * x)
-    )
-
-
-def tsum(x, axis=None):
-    """Sum over all entries (axis=None, scalar output) or over the given axes,
-    which are kept with extent 1."""
-    shape = x.shape
-
-    def backward_fn(g):
-        return (np.broadcast_to(g, shape),)
-
-    if axis is None:
-        return apply_op("sum", (x,), lambda: np.array(x.data.sum()), backward_fn)
-    return apply_op("sum", (x,), lambda: x.data.sum(axis=axis, keepdims=True), backward_fn)
-
-
-def slice_axis(x, axis, start, stop):
-    """Contiguous slice [start:stop) along one axis."""
-    idx = tuple(slice(None) if a != axis else slice(start, stop) for a in range(x.data.ndim))
-    shape, dtype = x.shape, x.dtype
-
-    def backward_fn(g):
-        gx = np.zeros(shape, dtype=dtype)
-        gx[idx] = g
-        return (gx,)
-
-    return apply_op("slice", (x,), lambda: x.data[idx].copy(), backward_fn)

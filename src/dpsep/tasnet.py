@@ -292,8 +292,9 @@ def separate(mixture, model):
 
     The mixture is data, as the references are to `upit_loss`: one with
     `requires_grad` is a ShapeError, so every leaf a tape reaches is a model
-    parameter. It is cast to the model's dtype and scaled to unit RMS in
-    numpy, and `decode` scales the estimates back by that RMS. Separation is
+    parameter. A mixture of any shape other than (1, T) is a ShapeError
+    too. It is cast to the model's dtype and scaled to unit RMS in numpy,
+    and `decode` scales the estimates back by that RMS. Separation is
     therefore gain-equivariant: separate(g*x) == g*separate(x), bit for bit
     when g is a power of two. SI-SNR training is scale-invariant and would
     not teach the model this. A mixture whose squares would go subnormal, or
@@ -313,6 +314,8 @@ def separate(mixture, model):
     """
     if mixture.requires_grad:
         raise ShapeError("separate: the mixture is data and takes no gradient")
+    if mixture.data.ndim != 2 or mixture.shape[0] != 1:
+        raise ShapeError(f"separate: need a (1, T) mixture, got shape {mixture.shape}")
     dtype = model.encoder_kernels.dtype
     t_len = mixture.shape[1]
     rms = None

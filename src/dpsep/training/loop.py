@@ -10,9 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import NumericFault
-from .. import numerics as nt
 from .. import tasnet
-from ..numerics import GradTape, NumericsError, Tensor
+from ..numerics import GradTape, NumericsError, Tensor, apply_op
 from .loss import upit_loss, upit_si_snri
 from .optim import CLIP_NORM, Adam, clip_grad_norm, lr_at
 
@@ -55,10 +54,24 @@ class TrainResult:
 
 def _example_loss(model, example):
     est = tasnet.separate(Tensor(example.mixture), model)
-    n = example.valid_len
-    if n < est.shape[1]:
-        est = nt.slice_axis(est, 1, 0, n)
-    return upit_loss(est, Tensor(example.sources[:, :n], dtype=est.dtype))[0]
+    refs = Tensor(example.sources[:, : example.valid_len], dtype=est.dtype)
+    return upit_loss(est, refs)[0]
+
+
+def _batch_mean(losses):
+    """The mean of a batch's scalar losses as one op: their sum in batch
+    order times 1/len(losses) in their dtype. Its backward gives each loss
+    that scale times its gradient."""
+    count = len(losses)
+    scale = losses[0].dtype.type(1 / count)
+
+    def forward_fn():
+        total = losses[0].data
+        for loss in losses[1:]:
+            total = total + loss.data
+        return np.asarray(total * scale)
+
+    return apply_op("batch_mean", losses, forward_fn, lambda g: (g * scale,) * count)
 
 
 def si_snri_scores(model, examples):
@@ -116,11 +129,7 @@ def train_loop(model, train_set, valid_set, config, run_dir):
                 optimizer.zero_grads()
                 try:
                     with GradTape() as tape:
-                        losses = [_example_loss(model, ex) for ex in batch]
-                        total = losses[0]
-                        for term in losses[1:]:
-                            total = nt.add(total, term)
-                        batch_loss = nt.mul(total, 1.0 / len(losses))
+                        batch_loss = _batch_mean([_example_loss(model, ex) for ex in batch])
                     tape.backward(batch_loss)
                     clip_grad_norm(params, CLIP_NORM)
                 except NumericsError as err:

@@ -124,19 +124,27 @@ def _si_snr_grad(est, ref, g_db):
 def upit_loss(est, ref):
     """Utterance-level PIT: maximize mean SI-SNR over all C! assignments.
 
-    est, ref: (C, T) Tensors of one dtype. Returns (loss, mean_db): the
-    scalar -max_perm mean_c si_snr(est[c], ref[perm[c]]) and that maximum as
-    a float. Ties break toward the lexicographically smallest permutation.
+    est: a (C, T) Tensor; ref: a (C, n) Tensor of its dtype with n <= T, the
+    real samples of a zero-padded segment, against which est[:, :n] is
+    scored. Returns (loss, mean_db): the scalar
+    -max_perm mean_c si_snr(est[c, :n], ref[perm[c]]) and that maximum as a
+    float. Ties break toward the lexicographically smallest permutation.
 
     One tape op, differentiable in est; ref is a constant, and a ref that
     requires grad is a ShapeError. The loss is sum(pair * weights) over the
     (C, C) pair matrix, with -1/C on the chosen pairs. Backward is the
-    SI-SNR gradient of the C chosen pairs, rebuilt from est and ref, so the
-    tape keeps no (C, C, T) array.
+    SI-SNR gradient of the C chosen pairs, rebuilt from est[:, :n] and ref,
+    so the tape keeps no (C, C, T) array; past n it is zero.
     """
     if ref.requires_grad:
         raise ShapeError("upit_loss: ref is a constant of the loss and cannot require grad")
-    ed, rd = est.data, ref.data
+    if not (est.data.ndim == ref.data.ndim == 2 and ref.shape[0] == est.shape[0]
+            and ref.shape[1] <= est.shape[1]):
+        raise ShapeError(
+            f"upit_loss: need est (C, T) and ref (C, n), n <= T, got {est.shape} vs {ref.shape}"
+        )
+    t_len, n = est.shape[1], ref.shape[1]
+    ed, rd = est.data[:, :n], ref.data
     perm = mean_db = None
 
     def forward_fn():
@@ -148,7 +156,10 @@ def upit_loss(est, ref):
 
     def backward_fn(g):
         g_db = g * ed.dtype.type(-1.0 / len(perm))
-        return _si_snr_grad(ed, rd[list(perm)], g_db), None
+        g_est = _si_snr_grad(ed, rd[list(perm)], g_db)
+        if n < t_len:
+            g_est = np.pad(g_est, ((0, 0), (0, t_len - n)))
+        return g_est, None
 
     loss = apply_op("upit_loss", (est, ref), forward_fn, backward_fn)
     return loss, mean_db

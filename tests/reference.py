@@ -1,5 +1,11 @@
 """Reference ops that no command runs, kept as test oracles.
 
+`add`, `mul`, `tsum` and `slice_axis` are generic tape ops, with numpy's
+broadcasting for operands of equal rank or a 0-d scalar. Tests read other
+ops out through them (as sum(out * g)), and they compose what `training`
+computes as one op each: `slice_axis` then `upit_loss` is the loss over a
+zero-padded segment's real samples that `training.upit_loss` scores from a
+shorter reference, and an `add` chain then a `mul` is the batch mean.
 `affine` is the per-position linear map that `tasnet.mask_head` and the FC
 of `numerics.bilstm_batched` fuse into their own ops. `conv1d`, `relu`,
 `reshape`, `transposed_conv1d` and `pad_last_axis` (with `slice_axis` and
@@ -21,8 +27,104 @@ import numpy as np
 from dpsep import numerics as nt
 from dpsep import tasnet
 from dpsep.numerics import NumericsError, ShapeError, Tensor
-from dpsep.numerics.tensor import _binary
+from dpsep.numerics.tensor import _wrap
 from dpsep.training.loss import SI_SNR_EPS
+
+
+def _as_tensor(x, like):
+    if isinstance(x, Tensor):
+        return x
+    return _wrap(np.asarray(x, dtype=like.dtype))
+
+
+def _broadcast_spec(name, a_shape, b_shape):
+    """Validate numpy's broadcast rule for equal-rank operands (or a 0-d
+    scalar on either side) and return the axes each operand is expanded along.
+    """
+    if a_shape == b_shape:
+        return (), ()
+    if a_shape == ():
+        return ("scalar",), ()
+    if b_shape == ():
+        return (), ("scalar",)
+    if len(a_shape) != len(b_shape):
+        raise ShapeError(f"{name}: rank mismatch {a_shape} vs {b_shape} (reshape explicitly)")
+    a_axes, b_axes = [], []
+    for i, (da, db) in enumerate(zip(a_shape, b_shape)):
+        if da == db:
+            continue
+        if da == 1:
+            a_axes.append(i)
+        elif db == 1:
+            b_axes.append(i)
+        else:
+            raise ShapeError(f"{name}: incompatible shapes {a_shape} vs {b_shape}")
+    return tuple(a_axes), tuple(b_axes)
+
+
+def _unbroadcast(g, axes):
+    if not axes:
+        return g
+    if axes == ("scalar",):
+        return np.asarray(g.sum())
+    return g.sum(axis=axes, keepdims=True)
+
+
+def _binary(name, a, b, fwd, grad_fns):
+    """`grad_fns(ad, bd)` gives, per operand, g -> its gradient before
+    unbroadcasting. Backward keeps only the ones for operands needing grads."""
+    if isinstance(a, Tensor):
+        b = _as_tensor(b, a)
+    else:
+        a = _as_tensor(a, b)
+    a_axes, b_axes = _broadcast_spec(name, a.shape, b.shape)
+    ad, bd = a.data, b.data
+    da_fn, db_fn = grad_fns(ad, bd)
+    da_fn = da_fn if a.requires_grad else None
+    db_fn = db_fn if b.requires_grad else None
+
+    def backward_fn(g):
+        ga = None if da_fn is None else _unbroadcast(da_fn(g), a_axes)
+        gb = None if db_fn is None else _unbroadcast(db_fn(g), b_axes)
+        return ga, gb
+
+    return nt.apply_op(name, (a, b), lambda: fwd(ad, bd), backward_fn)
+
+
+def add(a, b):
+    return _binary("add", a, b, lambda x, y: x + y, lambda x, y: (lambda g: g, lambda g: g))
+
+
+def mul(a, b):
+    return _binary(
+        "mul", a, b, lambda x, y: x * y, lambda x, y: (lambda g: g * y, lambda g: g * x)
+    )
+
+
+def tsum(x, axis=None):
+    """Sum over all entries (axis=None, scalar output) or over the given axes,
+    which are kept with extent 1."""
+    shape = x.shape
+
+    def backward_fn(g):
+        return (np.broadcast_to(g, shape),)
+
+    if axis is None:
+        return nt.apply_op("sum", (x,), lambda: np.array(x.data.sum()), backward_fn)
+    return nt.apply_op("sum", (x,), lambda: x.data.sum(axis=axis, keepdims=True), backward_fn)
+
+
+def slice_axis(x, axis, start, stop):
+    """Contiguous slice [start:stop) along one axis."""
+    idx = tuple(slice(None) if a != axis else slice(start, stop) for a in range(x.data.ndim))
+    shape, dtype = x.shape, x.dtype
+
+    def backward_fn(g):
+        gx = np.zeros(shape, dtype=dtype)
+        gx[idx] = g
+        return (gx,)
+
+    return nt.apply_op("slice", (x,), lambda: x.data[idx].copy(), backward_fn)
 
 
 def sub(a, b):
@@ -52,9 +154,9 @@ def sqrt(x):
 
 
 def tmean(x, axis=None):
-    total = nt.tsum(x, axis)
+    total = tsum(x, axis)
     # an int ratio divides exactly once, so this is 1/n correctly rounded
-    return nt.mul(total, total.size / x.size)
+    return mul(total, total.size / x.size)
 
 
 def relu(x):
@@ -178,23 +280,23 @@ def si_snr(est, ref):
     """SI-SNR in dB of Tensors est against ref along their last axis,
     broadcasting as `training.si_snr` does, composed from generic tape ops."""
     ref_zm = sub(ref, tmean(ref, -1))
-    ref_energy = nt.tsum(nt.mul(ref_zm, ref_zm), -1)
+    ref_energy = tsum(mul(ref_zm, ref_zm), -1)
     if np.any(ref_energy.data == 0.0):
         raise NumericsError("si_snr: reference has zero energy after mean removal")
     est_zm = sub(est, tmean(est, -1))
-    est_energy = nt.tsum(nt.mul(est_zm, est_zm), -1)
+    est_energy = tsum(mul(est_zm, est_zm), -1)
     silent = est_energy.data == 0.0
     if np.any(silent):
         # divide the silent rows by sqrt(0 + 1) = 1 instead
-        est_energy = nt.add(est_energy, silent.astype(est_energy.dtype))
+        est_energy = add(est_energy, silent.astype(est_energy.dtype))
     est_zm = div(est_zm, sqrt(est_energy))
-    proj = div(nt.tsum(nt.mul(est_zm, ref_zm), -1), ref_energy)
-    target = nt.mul(ref_zm, proj)
+    proj = div(tsum(mul(est_zm, ref_zm), -1), ref_energy)
+    target = mul(ref_zm, proj)
     residual = sub(est_zm, target)
-    target_energy = nt.add(nt.tsum(nt.mul(target, target), -1), SI_SNR_EPS)
-    residual_energy = nt.add(nt.tsum(nt.mul(residual, residual), -1), SI_SNR_EPS)
+    target_energy = add(tsum(mul(target, target), -1), SI_SNR_EPS)
+    residual_energy = add(tsum(mul(residual, residual), -1), SI_SNR_EPS)
     ratio_log = sub(log(target_energy), log(residual_energy))
-    db = nt.mul(ratio_log, 10.0 / float(np.log(10.0)))
+    db = mul(ratio_log, 10.0 / float(np.log(10.0)))
     return reshape(db, db.shape[:-1])
 
 
@@ -214,4 +316,4 @@ def upit_loss(est, ref):
             best_value, best_perm = value, perm
     weights = np.zeros(pair.shape, dtype=pair.dtype)
     weights[range(num_sources), best_perm] = -1.0 / num_sources
-    return nt.tsum(nt.mul(pair, weights)), best_perm, best_value
+    return tsum(mul(pair, weights)), best_perm, best_value

@@ -7,13 +7,13 @@ import pytest
 from dpsep import numerics as nt
 from dpsep.numerics import NumericsError, Tensor, finite_diff_check
 from dpsep.training.loss import upit_loss
-from reference import div, relu, sqrt, tmean
+from reference import add, div, mul, relu, sqrt, tmean, tsum
 
 
 def test_sum_has_near_zero_error():
     x = Tensor(np.random.default_rng(0).standard_normal(6), dtype=np.float64,
                requires_grad=True)
-    report = finite_diff_check(lambda v: nt.tsum(v), x)
+    report = finite_diff_check(lambda v: tsum(v), x)
     assert report.passed
     assert report.max_rel_error < 1e-8
 
@@ -36,20 +36,20 @@ def test_detects_corrupted_backward_rule():
         return nt.apply_op("bad_square", (x,), lambda: x.data**2, backward_fn)
 
     x = Tensor([1.0, 2.0], dtype=np.float64, requires_grad=True)
-    report = finite_diff_check(lambda v: nt.tsum(bad_square(v)), x)
+    report = finite_diff_check(lambda v: tsum(bad_square(v)), x)
     assert not report.passed
 
 
 def test_requires_float64():
     x = Tensor([1.0], dtype=np.float32, requires_grad=True)
     with pytest.raises(NumericsError):
-        finite_diff_check(lambda v: nt.tsum(v), x)
+        finite_diff_check(lambda v: tsum(v), x)
 
 
 def test_rejects_non_scalar_function():
     x = Tensor([1.0, 2.0], dtype=np.float64, requires_grad=True)
     with pytest.raises(NumericsError):
-        finite_diff_check(lambda v: nt.mul(v, v), x)
+        finite_diff_check(lambda v: mul(v, v), x)
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 4), (2, 3, 2)])
@@ -58,10 +58,10 @@ def test_every_composite_op_passes_on_random_shapes(shape):
     x = Tensor(rng.standard_normal(shape), dtype=np.float64, requires_grad=True)
 
     def f(v):
-        y = sqrt(nt.add(nt.mul(v, v), 1.0))
-        y = nt.add(y, nt.mul(relu(v), -1.0))
-        y = div(y, nt.add(tmean(nt.mul(v, v)), 2.0))
-        return nt.tsum(nt.mul(y, y))
+        y = sqrt(add(mul(v, v), 1.0))
+        y = add(y, mul(relu(v), -1.0))
+        y = div(y, add(tmean(mul(v, v)), 2.0))
+        return tsum(mul(y, y))
 
     report = finite_diff_check(f, x)
     assert report.passed, str(report)
@@ -75,7 +75,7 @@ def test_subsampled_elements_reported():
 
     def f(v):
         calls.append(None)
-        return nt.tsum(nt.mul(v, v))
+        return tsum(mul(v, v))
 
     report = finite_diff_check(f, x, max_elements=10)
     assert report.passed
@@ -84,7 +84,7 @@ def test_subsampled_elements_reported():
 
 def test_suite_covers_every_op_of_a_training_step(tmp_path, monkeypatch):
     # a segment whose decoder conv is one sample short (padded by decode)
-    # and whose zero-padded tail is masked out of the loss (sliced)
+    # and whose zero-padded tail upit_loss leaves out, then the batch mean
     from dpsep import tasnet
     from dpsep.checks import run_gradcheck_suite
     from dpsep.data import mix_at_snr
@@ -109,7 +109,7 @@ def test_suite_covers_every_op_of_a_training_step(tmp_path, monkeypatch):
     train_loop(model, [example], [example], TrainConfig(epochs=1, batch_size=1),
                str(tmp_path / "run"))
     step_ops = set(seen)
-    assert {"decode", "slice", "global_layer_norm", "bilstm"} <= step_ops
+    assert {"decode", "upit_loss", "batch_mean", "global_layer_norm", "bilstm"} <= step_ops
     seen.clear()
     run_gradcheck_suite()
     assert step_ops <= seen, sorted(step_ops - seen)

@@ -228,6 +228,37 @@ def test_upit_loss_op_matches_op_by_op_reference(num_sources, t_len, silent, dty
         upit_loss(Tensor(est, dtype=dtype), Tensor(ref, dtype=dtype, requires_grad=True))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("num_sources, t_len, n", [(1, 40, 2), (2, 301, 257), (3, 64, 63)])
+def test_upit_loss_scores_the_head_of_a_longer_estimate(num_sources, t_len, n, dtype):
+    # against a shorter reference: the loss and gradient bits of slicing the
+    # estimate to the reference's length first, with a zero gradient past it
+    rng = np.random.default_rng(t_len + n)
+    est = rng.standard_normal((num_sources, t_len))
+    ref = Tensor(rng.standard_normal((num_sources, n)), dtype=dtype)
+    results = []
+    for head in (lambda x: x, lambda x: reference.slice_axis(x, 1, 0, n)):
+        x = Tensor(est, dtype=dtype, requires_grad=True)
+        with nt.GradTape() as tape:
+            loss, mean_db = upit_loss(head(x), ref)
+        tape.backward(loss)
+        results.append((loss.data.tobytes(), mean_db, x.grad.tobytes()))
+    assert results[0] == results[1]
+    assert not x.grad[:, n:].any()
+
+
+@pytest.mark.parametrize(
+    "est_shape, ref_shape",
+    [((2, 10), (2, 11)), ((2, 10), (3, 10)), ((2, 10), (1, 10)), ((20,), (20,))],
+    ids=["longer-ref", "more-refs", "fewer-refs", "rank-1"],
+)
+def test_upit_loss_rejects_a_reference_that_does_not_fit(est_shape, ref_shape):
+    rng = np.random.default_rng(13)
+    est, ref = (Tensor(rng.standard_normal(shape)) for shape in (est_shape, ref_shape))
+    with pytest.raises(ShapeError, match="upit_loss: need est"):
+        upit_loss(est, ref)
+
+
 @pytest.mark.parametrize("num_refs", [2, 3])
 def test_mixture_si_snr_is_the_mean_over_references(num_refs):
     # one broadcast si_snr call gives the same bits as one call per reference

@@ -12,7 +12,18 @@ from dpsep import numerics as nt
 from dpsep import tasnet
 from dpsep.config import Geometry
 from dpsep.numerics import GradTape, NumericsError, ShapeError, Tensor
-from reference import affine, codec, conv1d, encoder_conv, relu, reshape, transposed_conv1d
+from reference import (
+    affine,
+    codec,
+    conv1d,
+    encoder_conv,
+    mul,
+    relu,
+    reshape,
+    slice_axis,
+    transposed_conv1d,
+    tsum,
+)
 
 
 def tiny_model(dtype=np.float32, seed=3, **overrides):
@@ -113,7 +124,7 @@ def test_mask_head_is_affine_then_overlap_add_bit_for_bit(dtype, sources):
                 else:
                     maps = dp.overlap_add(affine(x, weight, bias), length)
                     out = reshape(relu(maps), (sources, n, length))
-                loss = nt.tsum(nt.mul(out, g))
+                loss = tsum(mul(out, g))
             tape.backward(loss)
             results.append([out.data, x.grad, weight.grad, bias.grad])
         for got, expected in zip(*results):
@@ -241,8 +252,8 @@ def test_apply_masks_is_one_op_with_the_broadcast_mul_bits(dtype):
                 out = tasnet.apply_masks(rep, masks, _overwrite=True)  # taped: no overwrite
                 assert [name for name, _, _ in tape._nodes] == ["apply_masks"]
             else:
-                out = nt.mul(reshape(rep, (1, 4, 9)), masks)
-            loss = nt.tsum(nt.mul(out, g))
+                out = mul(reshape(rep, (1, 4, 9)), masks)
+            loss = tsum(mul(out, g))
         tape.backward(loss)
         results.append([out.data, rep.grad, masks.grad])
     for got, expected in zip(*results):
@@ -286,7 +297,7 @@ def test_encode_is_one_op_with_the_conv_and_relu_bits(dtype):
                     assert [name for name, _, _ in tape._nodes] == ["encode"]
                 else:
                     out = relu(conv1d(mix, model.encoder_kernels, model.stride))
-                loss = nt.tsum(nt.mul(out, g))
+                loss = tsum(mul(out, g))
             tape.backward(loss)
             results.append([out.data, model.encoder_kernels.grad])
         for got, expected in zip(*results):
@@ -316,12 +327,12 @@ def test_decode_is_one_op_with_the_transposed_conv_cut_pad_and_gain_bits(dtype):
                     else:
                         out = transposed_conv1d(masked, model.decoder_kernels, model.stride)
                         if length < 36:
-                            out = nt.slice_axis(out, 1, 0, length)
+                            out = slice_axis(out, 1, 0, length)
                         elif length > 36:
                             out = pad_last_axis(out, length)
                         if gain is not None:
-                            out = nt.mul(out, gain)
-                    loss = nt.tsum(nt.mul(out, g))
+                            out = mul(out, gain)
+                    loss = tsum(mul(out, g))
                 tape.backward(loss)
                 results.append([out.data, masked.grad, model.decoder_kernels.grad])
             for got, expected in zip(*results):
@@ -422,6 +433,13 @@ def test_separate_runs_in_the_model_dtype():
             tasnet.separate(Tensor(x, dtype=dtype, requires_grad=True), model)
 
 
+@pytest.mark.parametrize("shape", [(), (40,), (2, 40), (1, 1, 40)])
+def test_separate_rejects_a_mixture_that_is_not_one_row(shape):
+    mix = Tensor(np.random.default_rng(1).standard_normal(shape).astype(np.float32))
+    with pytest.raises(ShapeError, match=r"separate: need a \(1, T\) mixture"):
+        tasnet.separate(mix, tiny_model())
+
+
 def test_separate_records_only_model_parameters_as_leaves():
     # every leaf a separate-and-loss tape reaches is a model parameter
     from dpsep.training import upit_loss
@@ -512,7 +530,7 @@ def test_separate_scales_the_mixture_as_the_reference_ops_do(dtype, monkeypatch)
         x = Tensor(data, dtype=dtype)
         seen.clear()
         tasnet.separate(Tensor(data), model)
-        expected = div(x, sqrt(tmean(nt.mul(x, x)))).data
+        expected = div(x, sqrt(tmean(mul(x, x)))).data
         minimum = model.samples(model.chunk_len // 2)
         for got in seen:
             assert got.dtype == dtype and got.shape == (1, max(t_len, minimum))

@@ -169,10 +169,9 @@ def test_empty_sets_rejected(toy_sets, tmp_path):
 
 def test_loss_non_increasing_over_first_50_steps(toy_sets):
     # full-batch objective at lr 1e-3: allow 5 of 50 steps to backslide
-    from dpsep import numerics as nt
     from dpsep.numerics import GradTape
     from dpsep.training import Adam, clip_grad_norm
-    from dpsep.training.loop import _example_loss
+    from dpsep.training.loop import _batch_mean, _example_loss
 
     train, _ = toy_sets
     model = _tiny_model(seed=2)
@@ -182,17 +181,76 @@ def test_loss_non_increasing_over_first_50_steps(toy_sets):
     for _ in range(51):
         opt.zero_grads()
         with GradTape() as tape:
-            terms = [_example_loss(model, ex) for ex in train]
-            total = terms[0]
-            for term in terms[1:]:
-                total = nt.add(total, term)
-            total = nt.mul(total, 1.0 / len(terms))
+            total = _batch_mean([_example_loss(model, ex) for ex in train])
         losses.append(float(total.data))
         tape.backward(total)
         clip_grad_norm(params, 5.0)
         opt.step(1e-3)
     decreases = sum(1 for i in range(1, 51) if losses[i] <= losses[i - 1])
     assert decreases >= 45
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("count", [1, 2, 3, 5])
+def test_batch_mean_has_the_bits_of_an_add_chain_and_a_mul(count, dtype):
+    # the value and the per-loss gradients of summing the losses in order
+    # and scaling the sum by 1/count
+    from dpsep.numerics import GradTape, Tensor
+    from dpsep.training.loop import _batch_mean
+    from reference import add, mul
+
+    def composed(losses):
+        total = losses[0]
+        for loss in losses[1:]:
+            total = add(total, loss)
+        return mul(total, 1.0 / len(losses))
+
+    values = np.random.default_rng(count).standard_normal(count) * 10
+    results = []
+    for mean in (_batch_mean, composed):
+        losses = [Tensor(np.asarray(v), dtype=dtype, requires_grad=True) for v in values]
+        with GradTape() as tape:
+            out = mean(losses)
+        tape.backward(out)
+        results.append((out.data.tobytes(), [loss.grad.tobytes() for loss in losses]))
+    assert results[0] == results[1]
+
+
+def test_step_records_one_op_per_stage(toy_sets, tmp_path, monkeypatch):
+    # a batch of a full and a zero-padded segment: each example's stages and
+    # loss, then the batch mean, and no generic glue op such as a slice
+    from dpsep.numerics import GradTape
+    from dpsep.training.loop import _example_loss
+
+    train, _ = toy_sets
+    full = train[0]
+    n = full.valid_len - 37
+    padded = data.MixtureExample(
+        mixture=full.mixture.copy(), sources=full.sources.copy(), sample_rate=8000, valid_len=n
+    )
+    padded.mixture[:, n:] = 0.0
+    padded.sources[:, n:] = 0.0
+    model = _tiny_model()
+    with GradTape() as tape:
+        _example_loss(model, full)
+    per_example = len(tape)
+    steps = []
+    backward = GradTape.backward
+
+    def record(tape, loss):
+        steps.append([name for name, _, _ in tape._nodes])
+        return backward(tape, loss)
+
+    monkeypatch.setattr(GradTape, "backward", record)
+    train_loop(model, [full, padded], [full], TrainConfig(epochs=1, batch_size=2),
+               str(tmp_path / "run"))
+    (names,) = steps
+    assert len(names) == 2 * per_example + 1
+    assert names[-1] == "batch_mean"
+    assert set(names) == {
+        "encode", "segment", "bilstm", "global_layer_norm", "mask_head", "apply_masks",
+        "decode", "upit_loss", "batch_mean",
+    }
 
 
 def test_validate_si_snri_zero_for_mixture_copies(toy_sets, monkeypatch):
