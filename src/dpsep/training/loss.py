@@ -100,7 +100,8 @@ def _si_snr_grad(est, ref, g_db):
     est and ref and a scalar g_db, with the terms rebuilt from the inputs.
 
     The chain runs backward through si_snr's own terms, with the operations
-    the generic ops' backward rules would use: the two energies, the target
+    the backward rules of the generic ops in `tests/reference.py` would use,
+    composed as its op-by-op `upit_loss`: the two energies, the target
     and residual, the projection onto the zero-mean reference, the scaling to
     unit norm and the mean removal. A zero-energy row has a zero unit
     estimate, target and residual, so its gradient is zero.
@@ -115,7 +116,7 @@ def _si_snr_grad(est, ref, g_db):
     g_energy = (-g_unit * est_zm / (norm * norm)).sum(-1, keepdims=True) * 0.5 / norm
     g_zm = g_unit / norm
     # the energy squares est_zm, so est_zm's gradient gets two adds; one at a
-    # time, as a generic `mul` of est_zm by itself gives them, keeps the bits
+    # time, as the reference's `mul` of est_zm by itself gives them, keeps the bits
     g_zm += g_energy * est_zm
     g_zm += g_energy * est_zm
     return g_zm - g_zm.sum(-1, keepdims=True) * est_zm.dtype.type(1 / est.shape[-1])

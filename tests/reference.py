@@ -27,14 +27,11 @@ import numpy as np
 from dpsep import numerics as nt
 from dpsep import tasnet
 from dpsep.numerics import NumericsError, ShapeError, Tensor
-from dpsep.numerics.tensor import _wrap
 from dpsep.training.loss import SI_SNR_EPS
 
 
 def _as_tensor(x, like):
-    if isinstance(x, Tensor):
-        return x
-    return _wrap(np.asarray(x, dtype=like.dtype))
+    return x if isinstance(x, Tensor) else Tensor(x, dtype=like.dtype)
 
 
 def _broadcast_spec(name, a_shape, b_shape):
