@@ -12,6 +12,7 @@ import numpy as np
 from . import dualpath as dp
 from . import numerics as nt
 from . import tasnet
+from .config import Geometry
 from .numerics import Tensor, finite_diff_check
 from .training.loop import _batch_mean
 from .training.loss import upit_loss
@@ -23,8 +24,16 @@ def _t(rng, shape, scale=1.0):
     return Tensor(rng.standard_normal(shape) * scale, dtype=F64, requires_grad=True)
 
 
-def _sub_params(rng, feat, hidden):
-    return dp.init_sub_params(rng, feat, hidden, dtype=F64)
+def _drawn(rng, prefix, feat, hidden):
+    """The float64 initial tensors of the parameters under `prefix` of a
+    one-block separator of N=feat, H=hidden, drawn as `build_model` draws
+    them."""
+    layout = tasnet._layout(Geometry(num_filters=feat, hidden=hidden, num_blocks=1))
+    return [
+        tasnet._initial(rng, name, shape, F64)
+        for name, shape in layout
+        if name.startswith(prefix)
+    ]
 
 
 def _readout(y):
@@ -63,12 +72,11 @@ def _decode_case(rng, length, gain):
 def _case_bilstm_batched(rng, steps, axis):
     # the FC maps 2H=8 to N=3 features, as in a sub-pass whose N is the input's;
     # two sequences of `steps` steps along `axis`
-    fwd = nt.init_lstm_params(rng, 3, 4, dtype=F64)
-    bwd = nt.init_lstm_params(rng, 3, 4, dtype=F64)
+    cells = _drawn(rng, "block0.intra.lstm_", 3, 4)
+    fwd, bwd = nt.LstmCellParams(*cells[:3]), nt.LstmCellParams(*cells[3:])
     xs = _t(rng, (steps, 2, 3) if axis == 0 else (2, steps, 3))
     weight, bias = _t(rng, (3, 8), scale=0.5), _t(rng, (3,))
-    tensors = [xs] + [t for _, t in fwd.tensors()] + [t for _, t in bwd.tensors()]
-    tensors += [weight, bias]
+    tensors = [xs, *cells, weight, bias]
 
     def f(xv, *_):
         return _readout(nt.bilstm_batched(xv, fwd, bwd, weight, bias, axis))
@@ -112,9 +120,10 @@ def _case_mask_head(rng):
 
 
 def _intra_inter_case(rng, pass_fn):
-    params = _sub_params(rng, 4, 3)
+    leaves = _drawn(rng, "block0.intra.", 4, 3)
+    params = dp.DprnnSubParams.from_tensors(leaves)
     x = _t(rng, (6, 5, 4))
-    tensors = [x] + [t for _, t in params.tensors()]
+    tensors = [x, *leaves]
 
     def f(xv, *_):
         return _readout(pass_fn(xv, params))
@@ -129,9 +138,11 @@ def _case_segment(rng):
 
 def _case_dprnn_stack(rng):
     # one full block on the K=6, S=5, N=4, H=3 chunk geometry (L=12)
-    block = dp.init_block_params(rng, 4, 3, dtype=F64)
+    leaves = _drawn(rng, "block0.", 4, 3)
+    sub = dp.DprnnSubParams.from_tensors
+    block = dp.DprnnBlockParams(intra=sub(leaves[:10]), inter=sub(leaves[10:]))
     w = _t(rng, (4, 12))
-    tensors = [w] + [t for _, t in block.tensors()]
+    tensors = [w, *leaves]
 
     def f(wv, *_):
         out = dp.dprnn_stack(dp.segment(wv, 6), [block])

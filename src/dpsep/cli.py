@@ -204,10 +204,10 @@ def cmd_evaluate(ckpt_path, manifest_path):
     from .training import si_snri_scores
 
     model, _ = tasnet.load_model(ckpt_path)
-    records = data.split_records(data.parse_manifest(manifest_path), "test")
-    examples = data.make_dataset(records, EVAL_SEGMENT_SECONDS, model.sample_rate)
     if model.num_sources != 2:
         raise InputError(f"{ckpt_path} separates {model.num_sources} sources; test records hold 2")
+    records = data.split_records(data.parse_manifest(manifest_path), "test")
+    examples = data.make_dataset(records, EVAL_SEGMENT_SECONDS, model.sample_rate)
     if not examples:
         raise InputError(
             f"manifest {manifest_path} has no test segments that SI-SNR can score"

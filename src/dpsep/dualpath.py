@@ -225,7 +225,8 @@ def global_layer_norm(x, scale, bias, residual=None, *, _overwrite=False):
 
 @dataclass
 class DprnnSubParams:
-    """One direction of a block: BLSTM cells, FC 2H -> N, LN scale/bias."""
+    """One sub-pass of a block, intra or inter: BLSTM cells, FC 2H -> N, LN
+    scale/bias."""
 
     lstm_fwd: LstmCellParams
     lstm_bwd: LstmCellParams
@@ -234,60 +235,18 @@ class DprnnSubParams:
     ln_scale: Tensor  # (N,)
     ln_bias: Tensor  # (N,)
 
-    def __post_init__(self):
-        h = self.lstm_fwd.hidden_size
-        n = self.lstm_fwd.input_size
-        if self.fc_weight.shape != (n, 2 * h):
-            raise ShapeError(
-                f"fc_weight {self.fc_weight.shape} must map 2H={2 * h} -> N={n}"
-            )
-        for name in ("fc_bias", "ln_scale", "ln_bias"):
-            if getattr(self, name).shape != (n,):
-                raise ShapeError(f"{name} must be ({n},), got {getattr(self, name).shape}")
-
-    def tensors(self):
-        for prefix, cell in (("lstm_fwd", self.lstm_fwd), ("lstm_bwd", self.lstm_bwd)):
-            for name, t in cell.tensors():
-                yield f"{prefix}.{name}", t
-        yield "fc.weight", self.fc_weight
-        yield "fc.bias", self.fc_bias
-        yield "ln.scale", self.ln_scale
-        yield "ln.bias", self.ln_bias
+    @classmethod
+    def from_tensors(cls, t):
+        """The sub-pass of its 10 tensors in checkpoint order: each cell's wx,
+        wh and b, forward then backward, then fc_weight, fc_bias, ln_scale
+        and ln_bias."""
+        return cls(LstmCellParams(*t[:3]), LstmCellParams(*t[3:6]), *t[6:])
 
 
 @dataclass
 class DprnnBlockParams:
     intra: DprnnSubParams
     inter: DprnnSubParams
-
-    def tensors(self):
-        for name, t in self.intra.tensors():
-            yield f"intra.{name}", t
-        for name, t in self.inter.tensors():
-            yield f"inter.{name}", t
-
-
-def init_sub_params(rng, feature_dim, hidden, dtype=np.float32):
-    fc_bound = 1.0 / np.sqrt(2 * hidden)
-    return DprnnSubParams(
-        lstm_fwd=nt.init_lstm_params(rng, feature_dim, hidden, dtype=dtype),
-        lstm_bwd=nt.init_lstm_params(rng, feature_dim, hidden, dtype=dtype),
-        fc_weight=Tensor(
-            rng.uniform(-fc_bound, fc_bound, size=(feature_dim, 2 * hidden)),
-            dtype=dtype,
-            requires_grad=True,
-        ),
-        fc_bias=Tensor(np.zeros(feature_dim), dtype=dtype, requires_grad=True),
-        ln_scale=Tensor(np.ones(feature_dim), dtype=dtype, requires_grad=True),
-        ln_bias=Tensor(np.zeros(feature_dim), dtype=dtype, requires_grad=True),
-    )
-
-
-def init_block_params(rng, feature_dim, hidden, dtype=np.float32):
-    return DprnnBlockParams(
-        intra=init_sub_params(rng, feature_dim, hidden, dtype=dtype),
-        inter=init_sub_params(rng, feature_dim, hidden, dtype=dtype),
-    )
 
 
 def _sub_pass(x, params, axis):

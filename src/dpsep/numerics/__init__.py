@@ -5,7 +5,7 @@ checking and the checkpoint format. The separator's own ops are defined in
 
 from .checkpoint import CheckpointError, load_arrays, save_arrays
 from .gradcheck import finite_diff_check
-from .rnn import LstmCellParams, bilstm_batched, init_lstm_params
+from .rnn import LstmCellParams, bilstm_batched
 from .tensor import GradTape, NumericsError, ShapeError, Tensor, apply_op
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "apply_op",
     "bilstm_batched",
     "finite_diff_check",
-    "init_lstm_params",
     "load_arrays",
     "save_arrays",
 ]

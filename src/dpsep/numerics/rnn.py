@@ -75,33 +75,6 @@ class LstmCellParams:
     def hidden_size(self):
         return self.wh.shape[1]
 
-    def tensors(self):
-        yield "wx", self.wx
-        yield "wh", self.wh
-        yield "b", self.b
-
-
-def init_lstm_params(rng, input_size, hidden_size, dtype=np.float32):
-    """Input weights uniform +-1/sqrt(fan-in), each gate's recurrent block
-    orthogonal, forget bias 1, other biases zero."""
-    bound = 1.0 / np.sqrt(input_size)
-
-    def uni():
-        return rng.uniform(-bound, bound, size=(hidden_size, input_size))
-
-    def ortho():
-        a = rng.standard_normal((hidden_size, hidden_size))
-        q, r = np.linalg.qr(a)
-        return q * np.sign(np.diag(r))  # fix sign for determinism
-
-    def gate_rows(blocks):
-        return Tensor(np.concatenate(blocks), dtype=dtype, requires_grad=True)
-
-    wx = gate_rows([uni() for _ in range(4)])
-    wh = gate_rows([ortho() for _ in range(4)])
-    b = gate_rows([np.full(hidden_size, v) for v in (0.0, 1.0, 0.0, 0.0)])
-    return LstmCellParams(wx=wx, wh=wh, b=b)
-
 
 def _gate_major(a, out=None):
     """Copy of a packed array (gate rows first) with the rows reordered from

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -24,59 +25,104 @@ from .numerics import NumericsError, ShapeError, Tensor
 from .numerics.tensor import recording_tape
 
 
+def _layout(geometry):
+    """(name, shape) of each parameter of a `geometry` separator, in checkpoint
+    order, which is also the order `build_model` draws them in: the encoder
+    and decoder kernels (N, W), the mask head (C*N, N) and (C*N,), then per
+    block an intra and an inter sub-pass, each a BLSTM (two packed LSTM
+    cells, gate rows i, f, g, o), its FC 2H -> N and its norm's scale and
+    bias."""
+    n, w, c, h = geometry.num_filters, geometry.window, geometry.num_sources, geometry.hidden
+    yield "encoder.kernels", (n, w)
+    yield "decoder.kernels", (n, w)
+    yield "mask_head.weight", (c * n, n)
+    yield "mask_head.bias", (c * n,)
+    for b in range(geometry.num_blocks):
+        for side in ("intra", "inter"):
+            prefix = f"block{b}.{side}"
+            for cell in ("lstm_fwd", "lstm_bwd"):
+                yield f"{prefix}.{cell}.wx", (4 * h, n)
+                yield f"{prefix}.{cell}.wh", (4 * h, h)
+                yield f"{prefix}.{cell}.b", (4 * h,)
+            yield f"{prefix}.fc.weight", (n, 2 * h)
+            yield f"{prefix}.fc.bias", (n,)
+            yield f"{prefix}.ln.scale", (n,)
+            yield f"{prefix}.ln.bias", (n,)
+
+
+def _initial(rng, name, shape, dtype):
+    """The initial value of the parameter `name` of `shape`, drawn from rng:
+    an LSTM bias is 1 on its forget gate's rows and 0 elsewhere, an LSTM
+    `wh` an orthogonal (H, H) block per gate, a norm scale 1, any other bias
+    0, and any other weight uniform in +-1/sqrt(fan-in), its shape[1]."""
+    kind = name.rpartition(".")[2]
+    if kind == "wh":
+        h = shape[1]
+        value = np.concatenate([_orthogonal(rng.standard_normal((h, h))) for _ in range(4)])
+    elif kind == "b":
+        value = np.zeros(shape)
+        value[shape[0] // 4 : shape[0] // 2] = 1.0
+    elif kind == "scale":
+        value = np.ones(shape)
+    elif kind == "bias":
+        value = np.zeros(shape)
+    else:
+        bound = 1.0 / np.sqrt(shape[1])
+        value = rng.uniform(-bound, bound, size=shape)
+    return Tensor(value, dtype=dtype, requires_grad=True)
+
+
+def _orthogonal(a):
+    q, r = np.linalg.qr(a)
+    return q * np.sign(np.diag(r))  # fix sign for determinism
+
+
 @dataclass(kw_only=True)
 class SeparatorModel(Geometry):
-    encoder_kernels: Tensor  # (N, W)
-    decoder_kernels: Tensor  # (N, W)
-    mask_weight: Tensor  # (C*N, N)
-    mask_bias: Tensor  # (C*N,)
-    blocks: list = field(default_factory=list)
+    """A `Geometry` and its parameters: `params` maps each name of `_layout`
+    to its tensor, in layout order. The ops read the views derived from the
+    same tensors: the kernels, the mask head and the blocks."""
+
+    params: dict
+    encoder_kernels: Tensor = field(init=False, repr=False)  # (N, W)
+    decoder_kernels: Tensor = field(init=False, repr=False)  # (N, W)
+    mask_weight: Tensor = field(init=False, repr=False)  # (C*N, N)
+    mask_bias: Tensor = field(init=False, repr=False)  # (C*N,)
+    blocks: list = field(init=False, repr=False)  # DprnnBlockParams
 
     def __post_init__(self):
-        """Check the whole tree against the geometry, so that a model built
-        from any arrays, a checkpoint's included, can run."""
+        """Check the parameters against the geometry's layout, so that a model
+        built from any arrays, a checkpoint's included, can run."""
         super().__post_init__()
         if self.chunk_len < 2:
             raise ShapeError(f"chunk_len must be at least 2, got {self.chunk_len}")
-        n, w, c, h = self.num_filters, self.window, self.num_sources, self.hidden
-        if self.encoder_kernels.shape != (n, w) or self.decoder_kernels.shape != (n, w):
-            raise ShapeError(
-                f"encoder/decoder kernels must be ({n},{w}), got "
-                f"{self.encoder_kernels.shape}/{self.decoder_kernels.shape}"
-            )
-        if self.mask_weight.shape != (c * n, n) or self.mask_bias.shape != (c * n,):
-            raise ShapeError(
-                f"mask head must map {n} -> {c * n}, got weight {self.mask_weight.shape} "
-                f"bias {self.mask_bias.shape}"
-            )
-        if len(self.blocks) != self.num_blocks:
-            raise ShapeError(f"expected {self.num_blocks} blocks, got {len(self.blocks)}")
-        # each sub-pass checks its FC and norm against its forward cell
-        for b, block in enumerate(self.blocks):
-            for side, sub in (("intra", block.intra), ("inter", block.inter)):
-                for cell in (sub.lstm_fwd, sub.lstm_bwd):
-                    if (cell.input_size, cell.hidden_size) != (n, h):
-                        raise ShapeError(
-                            f"block{b}.{side}: LSTM maps {cell.input_size} features with "
-                            f"{cell.hidden_size} hidden units, the model {n} with {h}"
-                        )
+        pairs = zip_longest(_layout(self), self.params.items(), fillvalue=(None, None))
+        for (name, shape), (key, t) in pairs:
+            if name is None:
+                raise ShapeError(f"parameter {key!r} is not in the model's layout")
+            if key != name:
+                raise ShapeError(f"expected parameter {name!r} {shape}, got {key!r}")
+            if t.shape != shape:
+                raise ShapeError(f"parameter {name!r} must be {shape}, got {t.shape}")
+        t = list(self.params.values())
+        self.encoder_kernels, self.decoder_kernels, self.mask_weight, self.mask_bias = t[:4]
+        sub = dp.DprnnSubParams.from_tensors  # 10 tensors per sub-pass, 20 per block
+        self.blocks = [
+            dp.DprnnBlockParams(intra=sub(t[i : i + 10]), inter=sub(t[i + 10 : i + 20]))
+            for i in range(4, len(t), 20)
+        ]
 
     def parameters(self):
         """(name, tensor) pairs in the fixed checkpoint order."""
-        yield "encoder.kernels", self.encoder_kernels
-        yield "decoder.kernels", self.decoder_kernels
-        yield "mask_head.weight", self.mask_weight
-        yield "mask_head.bias", self.mask_bias
-        for b, block in enumerate(self.blocks):
-            for name, t in block.tensors():
-                yield f"block{b}.{name}", t
+        return iter(self.params.items())
 
     def parameter_tensors(self):
-        return [t for _, t in self.parameters()]
+        return list(self.params.values())
 
 
 def build_model(nominal_samples=32000, seed=0, dtype=np.float32, **sizes):
-    """Construct a randomly initialized model of `Geometry(**sizes)`.
+    """Construct a randomly initialized model of `Geometry(**sizes)`, drawing
+    each parameter with `_initial` in layout order.
 
     A `chunk_len` of 0, the default, is derived from the encoder frame count
     of a nominal input (training segments of `nominal_samples` samples).
@@ -85,25 +131,9 @@ def build_model(nominal_samples=32000, seed=0, dtype=np.float32, **sizes):
     if geometry.chunk_len == 0:
         chunk_len = dp.choose_chunk_size(geometry.frames(nominal_samples))
         geometry = dataclasses.replace(geometry, chunk_len=chunk_len)
-    n, w, c = geometry.num_filters, geometry.window, geometry.num_sources
     rng = np.random.default_rng(seed)
-    kb = 1.0 / np.sqrt(w)
-    mb = 1.0 / np.sqrt(n)
-
-    def uni(shape, bound):
-        return Tensor(rng.uniform(-bound, bound, size=shape), dtype=dtype, requires_grad=True)
-
-    return SeparatorModel(
-        **geometry.sizes(),
-        encoder_kernels=uni((n, w), kb),
-        decoder_kernels=uni((n, w), kb),
-        mask_weight=uni((c * n, n), mb),
-        mask_bias=Tensor(np.zeros(c * n), dtype=dtype, requires_grad=True),
-        blocks=[
-            dp.init_block_params(rng, n, geometry.hidden, dtype=dtype)
-            for _ in range(geometry.num_blocks)
-        ],
-    )
+    params = {name: _initial(rng, name, shape, dtype) for name, shape in _layout(geometry)}
+    return SeparatorModel(**geometry.sizes(), params=params)
 
 
 def _windows(sig, width, stride, count):
@@ -360,9 +390,10 @@ def save_model(model, path):
 def load_model(path):
     """Read a separator checkpoint -> (model, metadata). Raises CheckpointError
     for a file that cannot run or whose tensors are not exactly the model's.
-    The model is built from the file's arrays alone, and `SeparatorModel`
-    checks them against the geometry, so no metadata makes it allocate more
-    than the file holds."""
+    The model's parameters are the file's arrays, read by name down the
+    metadata's layout, which stops at the first missing one, and
+    `SeparatorModel` checks their shapes, so no metadata makes it allocate
+    more than the file holds."""
     meta, arrays = nt.load_arrays(path)
     if meta.get("format") != "dpsep-separator":
         raise nt.CheckpointError(f"{path} is not a separator checkpoint")
@@ -386,42 +417,13 @@ def load_model(path):
             ) from None
 
     try:
-        model = _model_from_params(Geometry(**sizes), tensor)
+        params = {name: tensor(name) for name, _ in _layout(Geometry(**sizes))}
+        model = SeparatorModel(**sizes, params=params)
     except ShapeError as err:
         raise nt.CheckpointError(f"{path}: {err}") from None
-    extra = sorted(arrays.keys() - {name for name, _ in model.parameters()})
+    extra = sorted(arrays.keys() - params.keys())
     if extra:
         raise nt.CheckpointError(
             f"{path}: checkpoint holds tensors the model does not use: {', '.join(extra)}"
         )
     return model, meta
-
-
-def _model_from_params(geometry, tensor):
-    """The model of `geometry` whose tensors are `tensor(name)`, named as in
-    `parameters()`."""
-
-    def cell(prefix):
-        return nt.LstmCellParams(*(tensor(f"{prefix}.{key}") for key in ("wx", "wh", "b")))
-
-    def sub(prefix):
-        return dp.DprnnSubParams(
-            lstm_fwd=cell(f"{prefix}.lstm_fwd"),
-            lstm_bwd=cell(f"{prefix}.lstm_bwd"),
-            fc_weight=tensor(f"{prefix}.fc.weight"),
-            fc_bias=tensor(f"{prefix}.fc.bias"),
-            ln_scale=tensor(f"{prefix}.ln.scale"),
-            ln_bias=tensor(f"{prefix}.ln.bias"),
-        )
-
-    return SeparatorModel(
-        **geometry.sizes(),
-        encoder_kernels=tensor("encoder.kernels"),
-        decoder_kernels=tensor("decoder.kernels"),
-        mask_weight=tensor("mask_head.weight"),
-        mask_bias=tensor("mask_head.bias"),
-        blocks=[
-            dp.DprnnBlockParams(intra=sub(f"block{b}.intra"), inter=sub(f"block{b}.inter"))
-            for b in range(geometry.num_blocks)
-        ],
-    )

@@ -17,6 +17,10 @@ ops, `sub`, `div`, `log`, `sqrt` and `tmean` among them, which
 `training.upit_loss` computes as one op with the same loss bits. `div`,
 `sqrt` and `tmean` also compose the unit-RMS scaling that `tasnet.separate`
 runs in numpy.
+
+`initial` draws a part of a separator's parameters as `tasnet.build_model`
+draws them, and `cell_params`, `sub_params` and `block_params` build an
+LSTM cell, a sub-pass or a block from those draws.
 """
 
 from itertools import permutations
@@ -24,8 +28,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from dpsep import dualpath as dp
 from dpsep import numerics as nt
 from dpsep import tasnet
+from dpsep.config import Geometry
 from dpsep.numerics import NumericsError, ShapeError, Tensor
 from dpsep.training.loss import SI_SNR_EPS
 
@@ -314,3 +320,30 @@ def upit_loss(est, ref):
     weights = np.zeros(pair.shape, dtype=pair.dtype)
     weights[range(num_sources), best_perm] = -1.0 / num_sources
     return tsum(mul(pair, weights)), best_perm, best_value
+
+
+def initial(rng, prefix, num_filters, hidden, dtype=np.float32):
+    """{name after `prefix`: tensor} for the parameters under `prefix` of a
+    one-block separator of N=num_filters, H=hidden, drawn from rng with
+    `tasnet._initial` in layout order, as `build_model` draws them."""
+    geometry = Geometry(num_filters=num_filters, hidden=hidden, num_blocks=1)
+    return {
+        name[len(prefix) :]: tasnet._initial(rng, name, shape, dtype)
+        for name, shape in tasnet._layout(geometry)
+        if name.startswith(prefix)
+    }
+
+
+def cell_params(rng, input_size, hidden_size, dtype=np.float32):
+    cell = initial(rng, "block0.intra.lstm_fwd.", input_size, hidden_size, dtype)
+    return nt.LstmCellParams(**cell)
+
+
+def sub_params(rng, num_filters, hidden, dtype=np.float32):
+    tensors = initial(rng, "block0.intra.", num_filters, hidden, dtype)
+    return dp.DprnnSubParams.from_tensors(list(tensors.values()))
+
+
+def block_params(rng, num_filters, hidden, dtype=np.float32):
+    intra = sub_params(rng, num_filters, hidden, dtype)
+    return dp.DprnnBlockParams(intra=intra, inter=sub_params(rng, num_filters, hidden, dtype))

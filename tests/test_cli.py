@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -584,6 +585,28 @@ class TestMalformedCheckpoint:
 
         assert self._separate_exits_2(self._resaved(tmp_path, inflate), capsys)
 
+    def test_huge_block_count_exits_2_naming_the_missing_block(self, tmp_path, capsys):
+        # the tensors are read down the layout, which stops at the first one
+        # the file lacks, so a 10^12-block claim allocates no block
+        from dpsep.data import write_wav
+
+        def inflate(meta, arrays):
+            meta["num_blocks"] = str(10**12)
+
+        path = self._resaved(tmp_path, inflate)
+        wav = tmp_path / "mix.wav"
+        write_wav(wav, 0.5 * np.sin(np.arange(400) * 0.1), 8000)
+        tracemalloc.start()
+        try:
+            code = cli.main(["separate", str(path), str(wav), str(tmp_path / "o")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing tensor 'block1.intra.lstm_fwd.wx'" in err
+        assert peak < 1 << 20
+
     def test_huge_chunk_len_exits_2_naming_the_cap(self, tmp_path, capsys):
         # no tensor pins chunk_len, and separate pads every input to K/2 frames
         from dpsep import MAX_CHUNK_LEN
@@ -714,9 +737,14 @@ class TestEvaluateCommand:
         other.write_text("train\tsynth:harmonic:1\tsynth:chirp:2\t0.0\n")
         assert cli.main(["evaluate", str(run_dir / "best.ckpt"), str(other)]) == 2
 
-    def test_checkpoint_with_other_than_two_sources_exits_2(self, tmp_path, capsys):
-        from dpsep import tasnet
+    def test_checkpoint_with_other_than_two_sources_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the checkpoint is refused before any test example is synthesised
+        from dpsep import data, tasnet
 
+        def no_synthesis(*args):
+            raise AssertionError("evaluate synthesised a test set")
+
+        monkeypatch.setattr(data, "make_dataset", no_synthesis)
         model = tasnet.build_model(
             num_filters=4, window=8, num_sources=3, num_blocks=1, hidden=4, chunk_len=10
         )

@@ -10,7 +10,7 @@ import pytest
 from dpsep import dualpath as dp
 from dpsep import numerics as nt
 from dpsep.numerics import GradTape, ShapeError, Tensor
-from reference import add, mul, tsum
+from reference import add, block_params, initial, mul, sub_params, tsum
 
 
 class TestChooseChunkSize:
@@ -299,7 +299,7 @@ class TestGlobalLayerNorm:
 
 
 def _random_sub_params(rng, feat, hidden, dtype=np.float64):
-    return dp.init_sub_params(rng, feat, hidden, dtype=dtype)
+    return sub_params(rng, feat, hidden, dtype=dtype)
 
 
 def _recorded_ops(pass_fn, x, params):
@@ -323,9 +323,10 @@ class TestBlockPasses:
 
     def test_zero_params_reduce_to_bias_residual(self):
         rng = np.random.default_rng(13)
-        params = _random_sub_params(rng, 3, 2, dtype=np.float32)
-        for name, t in params.tensors():
+        tensors = list(initial(rng, "block0.intra.", 3, 2, np.float32).values())
+        for t in tensors:
             t.data = np.zeros_like(t.data)
+        params = dp.DprnnSubParams.from_tensors(tensors)
         params.ln_bias.data = np.array([0.5, -1.0, 2.0], dtype=np.float32)
         x = rng.standard_normal((4, 5, 3)).astype(np.float32)
         out = dp.intra_chunk_pass(Tensor(x), params).data
@@ -385,7 +386,8 @@ class TestBlockPasses:
         # no backward reads the normalised output, so under a live tape its
         # array lives only as long as its tensor
         rng = np.random.default_rng(23)
-        params = _random_sub_params(rng, 3, 2)
+        tensors = list(initial(rng, "block0.intra.", 3, 2, np.float64).values())
+        params = dp.DprnnSubParams.from_tensors(tensors)
         x = Tensor(rng.standard_normal((4, 5, 3)), dtype=np.float64, requires_grad=True)
         gc.disable()
         try:
@@ -403,7 +405,7 @@ class TestBlockPasses:
         finally:
             gc.enable()
         assert x.grad is not None
-        assert all(t.grad is not None for _, t in params.tensors())
+        assert all(t.grad is not None for t in tensors)
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_untaped_sub_pass_holds_one_input_size_beyond_its_input(self, axis):
@@ -445,7 +447,7 @@ class TestBlockPasses:
 class TestDprnnStack:
     def test_single_block_is_intra_then_inter(self):
         rng = np.random.default_rng(18)
-        block = dp.init_block_params(rng, 3, 2, dtype=np.float64)
+        block = block_params(rng, 3, 2, dtype=np.float64)
         x = Tensor(rng.standard_normal((4, 5, 3)), dtype=np.float64)
         out = dp.dprnn_stack(x, [block]).data
         expected = dp.inter_chunk_pass(dp.intra_chunk_pass(x, block.intra), block.inter).data
@@ -453,14 +455,14 @@ class TestDprnnStack:
 
     def test_shape_preserved_across_stack(self):
         rng = np.random.default_rng(19)
-        blocks = [dp.init_block_params(rng, 4, 3) for _ in range(3)]
+        blocks = [block_params(rng, 4, 3) for _ in range(3)]
         chunks = dp.segment(Tensor(rng.standard_normal((4, 20)).astype(np.float32)), 6)
         out = dp.dprnn_stack(chunks, blocks)
         assert out.shape == chunks.shape
 
     def test_two_blocks_match_manual_composition(self):
         rng = np.random.default_rng(20)
-        blocks = [dp.init_block_params(rng, 2, 2, dtype=np.float64) for _ in range(2)]
+        blocks = [block_params(rng, 2, 2, dtype=np.float64) for _ in range(2)]
         chunks = dp.segment(Tensor(rng.standard_normal((2, 9)), dtype=np.float64), 4)
         out = dp.dprnn_stack(chunks, blocks).data
         x = chunks

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from dpsep import numerics as nt
-from dpsep.numerics import ShapeError, Tensor, init_lstm_params
-from reference import affine, mul, tsum
+from dpsep.numerics import ShapeError, Tensor
+from reference import affine, cell_params, initial, mul, tsum
 
 
 def _zero_params(in_dim, hid, dtype=np.float32):
@@ -110,8 +110,8 @@ def test_saturated_gates_preserve_cell():
 
 def test_lstm_sequence_matches_scalar_oracle():
     rng = np.random.default_rng(9)
-    fwd = init_lstm_params(rng, 5, 4, dtype=np.float32)
-    bwd = init_lstm_params(rng, 5, 4, dtype=np.float32)
+    fwd = cell_params(rng, 5, 4, dtype=np.float32)
+    bwd = cell_params(rng, 5, 4, dtype=np.float32)
     xs = rng.standard_normal((3, 2, 5)).astype(np.float32)
     out = _bilstm(Tensor(xs), fwd, bwd).data
     for p, reverse in ((fwd, False), (bwd, True)):
@@ -120,10 +120,9 @@ def test_lstm_sequence_matches_scalar_oracle():
 
 
 def test_param_count_formula():
-    rng = np.random.default_rng(0)
-    p = init_lstm_params(rng, 64, 128)
-    assert [name for name, _ in p.tensors()] == ["wx", "wh", "b"]
-    counted = sum(t.size for _, t in p.tensors())
+    p = initial(np.random.default_rng(0), "block0.intra.lstm_fwd.", 64, 128)
+    assert list(p) == ["wx", "wh", "b"]
+    counted = sum(t.size for t in p.values())
     assert counted == 4 * (128 * 64 + 128 * 128 + 128)
 
 
@@ -131,7 +130,7 @@ def test_packed_layout_keeps_gate_order_and_init():
     # uniform input rows, an orthogonal recurrent block per gate, and the
     # forget bias in rows H:2H only
     rng = np.random.default_rng(0)
-    p = init_lstm_params(rng, 5, 3, dtype=np.float64)
+    p = cell_params(rng, 5, 3, dtype=np.float64)
     for k in range(4):
         block = _rows(p.wh, k)
         np.testing.assert_allclose(block @ block.T, np.eye(3), atol=1e-12)
@@ -152,8 +151,8 @@ def test_lstm_sequence_is_one_tape_node(reverse):
     # a BLSTM of which only one direction trains is still one op, and that
     # direction gets the gradients it gets when both train
     rng = np.random.default_rng(3)
-    p, q = init_lstm_params(rng, 3, 4), init_lstm_params(rng, 3, 4)
-    frozen = nt.LstmCellParams(*(Tensor(t.data) for _, t in q.tensors()))
+    p, q = cell_params(rng, 3, 4), cell_params(rng, 3, 4)
+    frozen = nt.LstmCellParams(*(Tensor(t.data) for t in vars(q).values()))
     xs = Tensor(rng.standard_normal((6, 2, 3)), dtype=np.float32)
     grads = []
     for other in (q, frozen):
@@ -161,10 +160,10 @@ def test_lstm_sequence_is_one_tape_node(reverse):
             loss = tsum(_bilstm(xs, *((other, p) if reverse else (p, other))))
         assert [name for name, _, _ in tape._nodes] == ["bilstm", "sum"]
         tape.backward(loss)
-        grads.append([t.grad for _, t in p.tensors()])
-        for _, t in p.tensors():
+        grads.append([t.grad for t in vars(p).values()])
+        for t in vars(p).values():
             t.zero_grad()
-    assert all(t.grad is None for _, t in frozen.tensors())
+    assert all(t.grad is None for t in vars(frozen).values())
     for trained, alone in zip(*grads):
         np.testing.assert_array_equal(trained, alone)
 
@@ -186,8 +185,8 @@ def test_lstm_sequence_rejects_wrong_input_size():
 
 def test_bilstm_single_step_is_concat_of_cells():
     rng = np.random.default_rng(2)
-    fwd = init_lstm_params(rng, 3, 2, dtype=np.float64)
-    bwd = init_lstm_params(rng, 3, 2, dtype=np.float64)
+    fwd = cell_params(rng, 3, 2, dtype=np.float64)
+    bwd = cell_params(rng, 3, 2, dtype=np.float64)
     x = rng.standard_normal(3)
     out = _bilstm(Tensor(x.reshape(1, 1, 3), dtype=np.float64), fwd, bwd)
     hf, _ = _scalar_oracle(x, np.zeros(2), np.zeros(2), fwd)
@@ -197,8 +196,8 @@ def test_bilstm_single_step_is_concat_of_cells():
 
 def test_bilstm_time_reversal_symmetry():
     rng = np.random.default_rng(4)
-    fwd = init_lstm_params(rng, 2, 3, dtype=np.float64)
-    bwd = init_lstm_params(rng, 2, 3, dtype=np.float64)
+    fwd = cell_params(rng, 2, 3, dtype=np.float64)
+    bwd = cell_params(rng, 2, 3, dtype=np.float64)
     seq = rng.standard_normal((5, 2, 2))
     out = _bilstm(Tensor(seq, dtype=np.float64), fwd, bwd).data
     flipped = _bilstm(Tensor(seq[::-1].copy(), dtype=np.float64), bwd, fwd).data
@@ -209,8 +208,8 @@ def test_bilstm_time_reversal_symmetry():
 
 def test_bilstm_matches_unrolled_chain():
     rng = np.random.default_rng(6)
-    fwd = init_lstm_params(rng, 3, 4, dtype=np.float64)
-    bwd = init_lstm_params(rng, 3, 4, dtype=np.float64)
+    fwd = cell_params(rng, 3, 4, dtype=np.float64)
+    bwd = cell_params(rng, 3, 4, dtype=np.float64)
     seq = rng.standard_normal((3, 2, 3))
     out = _bilstm(Tensor(seq, dtype=np.float64), fwd, bwd).data
     expected = np.concatenate(
@@ -221,7 +220,7 @@ def test_bilstm_matches_unrolled_chain():
 
 def test_bilstm_rejects_wrong_rank():
     rng = np.random.default_rng(1)
-    p = init_lstm_params(rng, 2, 2)
+    p = cell_params(rng, 2, 2)
     with pytest.raises(ShapeError):
         _bilstm(Tensor(np.ones((2, 2))), p, p)
 
@@ -232,7 +231,7 @@ _RECIPE = dict(steps=46, batch=45, in_dim=64, hid=128)
 
 def _recipe_case(seed, dtype=np.float32):
     rng = np.random.default_rng(seed)
-    p = init_lstm_params(rng, _RECIPE["in_dim"], _RECIPE["hid"], dtype=dtype)
+    p = cell_params(rng, _RECIPE["in_dim"], _RECIPE["hid"], dtype=dtype)
     xs = rng.standard_normal((_RECIPE["steps"], _RECIPE["batch"], _RECIPE["in_dim"]))
     return rng, p, xs.astype(dtype)
 
@@ -240,7 +239,7 @@ def _recipe_case(seed, dtype=np.float32):
 @pytest.mark.parametrize("reverse", [False, True])
 def test_lstm_sequence_float32_matches_float64(reverse):
     _, p, xs = _recipe_case(10)
-    p64 = nt.LstmCellParams(*(Tensor(t.data, dtype=np.float64) for _, t in p.tensors()))
+    p64 = nt.LstmCellParams(*(Tensor(t.data, dtype=np.float64) for t in vars(p).values()))
     h32 = _half(_bilstm(Tensor(xs), p, p).data, reverse)
     h64 = _half(_bilstm(Tensor(xs, dtype=np.float64), p64, p64).data, reverse)
     assert h32.dtype == np.float32
@@ -283,13 +282,13 @@ def test_lstm_sequence_saturates_gates_exactly(reverse):
 @pytest.mark.parametrize("reverse", [False, True])
 def test_lstm_sequence_leaves_parameters_unchanged(reverse):
     rng, p, xs = _recipe_case(12)
-    q = init_lstm_params(rng, _RECIPE["in_dim"], _RECIPE["hid"])
-    before = [t.data.copy() for _, t in p.tensors()]
+    q = cell_params(rng, _RECIPE["in_dim"], _RECIPE["hid"])
+    before = [t.data.copy() for t in vars(p).values()]
     xt = Tensor(xs, requires_grad=True)
     with nt.GradTape() as tape:
         loss = tsum(_bilstm(xt, *((q, p) if reverse else (p, q))))
     tape.backward(loss)
-    for (name, t), saved in zip(p.tensors(), before):
+    for (name, t), saved in zip(vars(p).items(), before):
         assert t.data.tobytes() == saved.tobytes(), name
 
 
@@ -301,7 +300,7 @@ def test_lstm_sequence_without_tape_matches_recorded_output(dtype, reverse, step
     # cannot hide behind a square shape; T=1 reads only the zero initial state
     batch, in_dim, hid = 2, 5, 32
     rng = np.random.default_rng(13)
-    p = init_lstm_params(rng, in_dim, hid, dtype=dtype)
+    p = cell_params(rng, in_dim, hid, dtype=dtype)
     xs = Tensor(rng.standard_normal((steps, batch, in_dim)), dtype=dtype, requires_grad=True)
     plain = _half(_bilstm(xs, p, p).data, reverse)
     with nt.GradTape() as tape:
@@ -321,7 +320,7 @@ def _fc(rng, n, hid, dtype=np.float32):
 def test_bilstm_is_one_tape_node():
     # both directions and the FC after them
     rng = np.random.default_rng(15)
-    fwd, bwd = init_lstm_params(rng, 3, 4), init_lstm_params(rng, 3, 4)
+    fwd, bwd = cell_params(rng, 3, 4), cell_params(rng, 3, 4)
     xs = Tensor(rng.standard_normal((6, 2, 3)), dtype=np.float32, requires_grad=True)
     with nt.GradTape() as tape:
         out = nt.bilstm_batched(xs, fwd, bwd, *_fc(rng, 3, 4), 0)
@@ -332,14 +331,14 @@ def test_bilstm_is_one_tape_node():
 def test_bilstm_rejects_mismatched_hidden_sizes():
     rng = np.random.default_rng(16)
     with pytest.raises(ShapeError):
-        _bilstm(Tensor(np.ones((2, 2, 3))), init_lstm_params(rng, 3, 4),
-                init_lstm_params(rng, 3, 5))
+        _bilstm(Tensor(np.ones((2, 2, 3))), cell_params(rng, 3, 4),
+                cell_params(rng, 3, 5))
 
 
 def test_bilstm_rejects_mismatched_fc():
     # the weight must read 2H features, and the bias match its N rows
     rng = np.random.default_rng(16)
-    p = init_lstm_params(rng, 3, 4)
+    p = cell_params(rng, 3, 4)
     xs = Tensor(np.ones((2, 2, 3)))
     weight, bias = _fc(rng, 5, 4)
     for w, b in (
@@ -359,7 +358,7 @@ def test_bilstm_without_tape_holds_little_beyond_its_output():
     steps, batch, in_dim, hid = 256, 64, 8, 64
     out_bytes = steps * batch * 2 * hid * 4  # (T, B, 2H) float32: 8 MiB
     rng = np.random.default_rng(17)
-    fwd, bwd = init_lstm_params(rng, in_dim, hid), init_lstm_params(rng, in_dim, hid)
+    fwd, bwd = cell_params(rng, in_dim, hid), cell_params(rng, in_dim, hid)
     xs = Tensor(rng.standard_normal((steps, batch, in_dim)), dtype=np.float32)
     fc = _identity_fc(hid)
     tracemalloc.start()
@@ -379,7 +378,7 @@ def test_bilstm_without_tape_forms_no_hidden_state_array():
     steps, batch, hid, n = 256, 64, 64, 16
     hs_bytes = steps * batch * 2 * hid * 4
     rng = np.random.default_rng(18)
-    fwd, bwd = init_lstm_params(rng, n, hid), init_lstm_params(rng, n, hid)
+    fwd, bwd = cell_params(rng, n, hid), cell_params(rng, n, hid)
     xs = Tensor(rng.standard_normal((steps, batch, n)), dtype=np.float32)
     fc = _fc(rng, n, hid)
     tracemalloc.start()
@@ -402,7 +401,7 @@ def test_recorded_bilstm_keeps_only_gates():
     gates_bytes = 2 * steps * 4 * hid * batch * 4
     cells_bytes = 2 * (steps + 1) * hid * batch * 4
     rng = np.random.default_rng(21)
-    fwd, bwd = init_lstm_params(rng, in_dim, hid), init_lstm_params(rng, in_dim, hid)
+    fwd, bwd = cell_params(rng, in_dim, hid), cell_params(rng, in_dim, hid)
     xs = Tensor(rng.standard_normal((steps, batch, in_dim)), dtype=np.float32)
     fc = _fc(rng, n, hid)
     tracemalloc.start()
@@ -421,7 +420,7 @@ def test_bilstm_fc_without_tape_matches_recorded_output(dtype):
     # a general FC: the untaped op runs the same per-step arithmetic as the
     # taped one, which also keeps its gates
     rng = np.random.default_rng(19)
-    fwd, bwd = (init_lstm_params(rng, 5, 32, dtype=dtype) for _ in range(2))
+    fwd, bwd = (cell_params(rng, 5, 32, dtype=dtype) for _ in range(2))
     fc = _fc(rng, 7, 32, dtype=dtype)
     xs = Tensor(rng.standard_normal((37, 2, 5)), dtype=dtype)
     plain = nt.bilstm_batched(xs, fwd, bwd, *fc, 0).data
@@ -436,10 +435,10 @@ def test_bilstm_fc_matches_affine_over_hidden_states():
     # values and every gradient agree with the identity-FC op followed by
     # `affine`, the FC as a separate op
     rng = np.random.default_rng(20)
-    fwd, bwd = (init_lstm_params(rng, 4, 6, dtype=np.float64) for _ in range(2))
+    fwd, bwd = (cell_params(rng, 4, 6, dtype=np.float64) for _ in range(2))
     weight, bias = _fc(rng, 4, 6, dtype=np.float64)
     xs = Tensor(rng.standard_normal((9, 3, 4)), dtype=np.float64, requires_grad=True)
-    leaves = [xs, weight, bias] + [t for p in (fwd, bwd) for _, t in p.tensors()]
+    leaves = [xs, weight, bias] + [t for p in (fwd, bwd) for t in vars(p).values()]
     results = []
     for fused in (True, False):
         with nt.GradTape() as tape:
@@ -461,10 +460,10 @@ def test_bilstm_axis1_is_axis0_on_the_transposed_input():
     # the contiguous transpose runs the same arithmetic, so the output agrees
     # bit for bit and the gradients up to the order of backward's reductions
     rng = np.random.default_rng(21)
-    fwd, bwd = (init_lstm_params(rng, 4, 5, dtype=np.float64) for _ in range(2))
+    fwd, bwd = (cell_params(rng, 4, 5, dtype=np.float64) for _ in range(2))
     weight, bias = _fc(rng, 4, 5, dtype=np.float64)
     x = rng.standard_normal((6, 3, 4))
-    params = [t for p in (fwd, bwd) for _, t in p.tensors()] + [weight, bias]
+    params = [t for p in (fwd, bwd) for t in vars(p).values()] + [weight, bias]
     results = []
     for axis, data in ((1, x), (0, x.transpose(1, 0, 2).copy())):
         xs = Tensor(data, dtype=np.float64, requires_grad=True)
@@ -496,7 +495,7 @@ def test_bilstm_rejects_an_axis_other_than_0_or_1():
 
 def test_bilstm_rejects_mixed_dtypes():
     rng = np.random.default_rng(22)
-    fwd, bwd = init_lstm_params(rng, 3, 4), init_lstm_params(rng, 3, 4)
+    fwd, bwd = cell_params(rng, 3, 4), cell_params(rng, 3, 4)
     xs = Tensor(rng.standard_normal((5, 2, 3)), dtype=np.float64)
     with pytest.raises(ShapeError, match="bilstm: mixed dtypes float64 vs float32"):
         nt.bilstm_batched(xs, fwd, bwd, *_fc(rng, 3, 4), 0)
