@@ -55,7 +55,8 @@ def _case_encode(rng):
     # the mixture is data; only the encoder kernels take a gradient
     model = _codec_model()
     x = Tensor(rng.standard_normal((1, 12)), dtype=F64)
-    return finite_diff_check(lambda _: _readout(tasnet.encode(x, model)), model.encoder_kernels)
+    kernels = model.params["encoder.kernels"]
+    return finite_diff_check(lambda _: _readout(tasnet.encode(x, model)), kernels)
 
 
 def _decode_case(rng, length, gain):
@@ -66,20 +67,19 @@ def _decode_case(rng, length, gain):
     def f(fv, _):
         return _readout(tasnet.decode(fv, model, length, gain))
 
-    return finite_diff_check(f, [frames, model.decoder_kernels])
+    return finite_diff_check(f, [frames, model.params["decoder.kernels"]])
 
 
 def _case_bilstm_batched(rng, steps, axis):
     # the FC maps 2H=8 to N=3 features, as in a sub-pass whose N is the input's;
     # two sequences of `steps` steps along `axis`
     cells = _drawn(rng, "block0.intra.lstm_", 3, 4)
-    fwd, bwd = nt.LstmCellParams(*cells[:3]), nt.LstmCellParams(*cells[3:])
     xs = _t(rng, (steps, 2, 3) if axis == 0 else (2, steps, 3))
     weight, bias = _t(rng, (3, 8), scale=0.5), _t(rng, (3,))
     tensors = [xs, *cells, weight, bias]
 
     def f(xv, *_):
-        return _readout(nt.bilstm_batched(xv, fwd, bwd, weight, bias, axis))
+        return _readout(nt.bilstm_batched(xv, cells, weight, bias, axis))
 
     return finite_diff_check(f, tensors)
 
@@ -121,12 +121,11 @@ def _case_mask_head(rng):
 
 def _intra_inter_case(rng, pass_fn):
     leaves = _drawn(rng, "block0.intra.", 4, 3)
-    params = dp.DprnnSubParams.from_tensors(leaves)
     x = _t(rng, (6, 5, 4))
     tensors = [x, *leaves]
 
     def f(xv, *_):
-        return _readout(pass_fn(xv, params))
+        return _readout(pass_fn(xv, leaves))
 
     return finite_diff_check(f, tensors, max_elements=16)
 
@@ -139,13 +138,11 @@ def _case_segment(rng):
 def _case_dprnn_stack(rng):
     # one full block on the K=6, S=5, N=4, H=3 chunk geometry (L=12)
     leaves = _drawn(rng, "block0.", 4, 3)
-    sub = dp.DprnnSubParams.from_tensors
-    block = dp.DprnnBlockParams(intra=sub(leaves[:10]), inter=sub(leaves[10:]))
     w = _t(rng, (4, 12))
     tensors = [w, *leaves]
 
     def f(wv, *_):
-        out = dp.dprnn_stack(dp.segment(wv, 6), [block])
+        out = dp.dprnn_stack(dp.segment(wv, 6), leaves)
         return _readout(dp.overlap_add(out, 12))
 
     return finite_diff_check(f, tensors, max_elements=10)

@@ -134,7 +134,6 @@ def _keep_freed_memory():
 def cmd_train(config_path):
     config = parse_config(config_path)
     _export_threads(config.threads)
-    _keep_freed_memory()
 
     from . import data, tasnet
     from .training import train_loop
@@ -199,7 +198,6 @@ EVAL_SEGMENT_SECONDS = 4.0
 
 
 def cmd_evaluate(ckpt_path, manifest_path):
-    _keep_freed_memory()
     from . import data, tasnet
     from .training import si_snri_scores
 
@@ -249,6 +247,7 @@ def main(argv=None):
     sub.add_parser("gradcheck", help="run finite-difference checks over all modules")
 
     args = parser.parse_args(argv)
+    _keep_freed_memory()
     try:
         if args.command == "train":
             return cmd_train(args.config)

@@ -25,12 +25,11 @@ the norm writes a third, since its backward reads the BLSTM output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nt
-from .numerics import LstmCellParams, ShapeError, Tensor
+from .numerics import ShapeError
 from .numerics.tensor import apply_op, recording_tape
 
 LN_EPS = 1e-8
@@ -223,42 +222,15 @@ def global_layer_norm(x, scale, bias, residual=None, *, _overwrite=False):
     return apply_op("global_layer_norm", inputs, forward_fn, backward_fn)
 
 
-@dataclass
-class DprnnSubParams:
-    """One sub-pass of a block, intra or inter: BLSTM cells, FC 2H -> N, LN
-    scale/bias."""
-
-    lstm_fwd: LstmCellParams
-    lstm_bwd: LstmCellParams
-    fc_weight: Tensor  # (N, 2H)
-    fc_bias: Tensor  # (N,)
-    ln_scale: Tensor  # (N,)
-    ln_bias: Tensor  # (N,)
-
-    @classmethod
-    def from_tensors(cls, t):
-        """The sub-pass of its 10 tensors in checkpoint order: each cell's wx,
-        wh and b, forward then backward, then fc_weight, fc_bias, ln_scale
-        and ln_bias."""
-        return cls(LstmCellParams(*t[:3]), LstmCellParams(*t[3:6]), *t[6:])
-
-
-@dataclass
-class DprnnBlockParams:
-    intra: DprnnSubParams
-    inter: DprnnSubParams
-
-
 def _sub_pass(x, params, axis):
     """x (K, S, N) plus the global LN of the BLSTM along `axis` of x, with
-    its FC back to N features."""
-    proj = nt.bilstm_batched(
-        x, params.lstm_fwd, params.lstm_bwd, params.fc_weight, params.fc_bias, axis
-    )  # (K, S, N)
+    its FC back to N features. `params` are the sub-pass's 10 tensors in
+    layout order: the six cell tensors, the FC's weight (N, 2H) and bias
+    (N,), then the norm's scale and bias (N,)."""
+    *cells, fc_weight, fc_bias, ln_scale, ln_bias = params
+    proj = nt.bilstm_batched(x, cells, fc_weight, fc_bias, axis)  # (K, S, N)
     # nothing else reads proj, so an untaped norm writes its output over it
-    return global_layer_norm(
-        proj, params.ln_scale, params.ln_bias, residual=x, _overwrite=True
-    )
+    return global_layer_norm(proj, ln_scale, ln_bias, residual=x, _overwrite=True)
 
 
 def intra_chunk_pass(x, params):
@@ -273,11 +245,13 @@ def inter_chunk_pass(x, params):
     return _sub_pass(x, params, 1)
 
 
-def dprnn_stack(x, blocks):
-    """Apply B blocks to x (K, S, N), each an intra pass then an inter pass."""
-    if not blocks:
-        raise ShapeError("dprnn_stack: need at least one block")
-    for block in blocks:
-        x = intra_chunk_pass(x, block.intra)
-        x = inter_chunk_pass(x, block.inter)
+def dprnn_stack(x, params):
+    """Apply B blocks to x (K, S, N), each an intra pass then an inter pass.
+    `params` are the blocks' tensors in layout order, 20 per block: the
+    intra sub-pass's 10, then the inter sub-pass's."""
+    if not params or len(params) % 20:
+        raise ShapeError(f"dprnn_stack: need 20 tensors per block, got {len(params)}")
+    for i in range(0, len(params), 20):
+        x = intra_chunk_pass(x, params[i : i + 10])
+        x = inter_chunk_pass(x, params[i + 10 : i + 20])
     return x

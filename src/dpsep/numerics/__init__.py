@@ -5,13 +5,12 @@ checking and the checkpoint format. The separator's own ops are defined in
 
 from .checkpoint import CheckpointError, load_arrays, save_arrays
 from .gradcheck import finite_diff_check
-from .rnn import LstmCellParams, bilstm_batched
+from .rnn import bilstm_batched
 from .tensor import GradTape, NumericsError, ShapeError, Tensor, apply_op
 
 __all__ = [
     "CheckpointError",
     "GradTape",
-    "LstmCellParams",
     "NumericsError",
     "ShapeError",
     "Tensor",

@@ -41,39 +41,21 @@ finishes i, f and o with one multiply and one add over the rows [:3H].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .tensor import ShapeError, Tensor, apply_op, recording_tape
+from .tensor import ShapeError, apply_op, recording_tape
 
-@dataclass
-class LstmCellParams:
-    """Packed weights of one LSTM cell, gate rows i, f, g, o:
-    wx (4H, In), wh (4H, H), b (4H,)."""
 
-    wx: Tensor
-    wh: Tensor
-    b: Tensor
-
-    def __post_init__(self):
-        if len(self.wx.shape) != 2 or len(self.wh.shape) != 2:
-            raise ShapeError(f"lstm weights must be 2-D: wx={self.wx.shape} wh={self.wh.shape}")
-        h = self.hidden_size
-        n = self.input_size
-        if self.wx.shape != (4 * h, n) or self.wh.shape != (4 * h, h) or self.b.shape != (4 * h,):
-            raise ShapeError(
-                f"lstm shapes disagree: wx={self.wx.shape} wh={self.wh.shape} "
-                f"b={self.b.shape}, expected ({4 * h},{n})/({4 * h},{h})/({4 * h},)"
-            )
-
-    @property
-    def input_size(self):
-        return self.wx.shape[1]
-
-    @property
-    def hidden_size(self):
-        return self.wh.shape[1]
+def _check_cell(wx, wh, b):
+    """Check one cell's packed wx (4H, In), wh (4H, H) and b (4H,)."""
+    if len(wx.shape) != 2 or len(wh.shape) != 2:
+        raise ShapeError(f"lstm weights must be 2-D: wx={wx.shape} wh={wh.shape}")
+    h, n = wh.shape[1], wx.shape[1]
+    if wx.shape != (4 * h, n) or wh.shape != (4 * h, h) or b.shape != (4 * h,):
+        raise ShapeError(
+            f"lstm shapes disagree: wx={wx.shape} wh={wh.shape} "
+            f"b={b.shape}, expected ({4 * h},{n})/({4 * h},{h})/({4 * h},)"
+        )
 
 
 def _gate_major(a, out=None):
@@ -97,15 +79,10 @@ def _halved(a):
     return out
 
 
-def _check_input(xs, params):
-    if xs.data.ndim != 3 or xs.shape[2] != params.input_size:
-        raise ShapeError(f"bilstm_batched: expected (K, S, {params.input_size}), got {xs.shape}")
-
-
-def _run(x, params, proj, y, keep, reverse):
-    """Forward recurrence of one direction over the time-major view x
-    (T, B, In) from zero states, projected into the time-major view y
-    (T, B, N).
+def _run(x, cell, proj, y, keep, reverse):
+    """Forward recurrence of one direction, `cell` its (wx, wh, b), over the
+    time-major view x (T, B, In) from zero states, projected into the
+    time-major view y (T, B, N).
 
     Each step's preactivations z (4H, B) are one matmul of the working matrix
     [wh | wx | b] (4H, H+In+1) with u = [h; x_t^T; 1], and the recurrence
@@ -119,9 +96,10 @@ def _run(x, params, proj, y, keep, reverse):
     array reused at every step, and None is returned.
     """
     steps, batch, in_dim = x.shape
-    hid = params.hidden_size
+    wx, wh, b = cell
+    hid = wh.shape[1]
     dtype = x.dtype
-    w = _halved(np.concatenate((params.wh.data, params.wx.data, params.b.data[:, None]), axis=1))
+    w = _halved(np.concatenate((wh.data, wx.data, b.data[:, None]), axis=1))
     u = np.zeros((hid + in_dim + 1, batch), dtype=dtype)
     h, xt = u[:hid], u[hid:-1]
     ht = h.T
@@ -156,12 +134,12 @@ def _run(x, params, proj, y, keep, reverse):
     return gates
 
 
-def _bptt(g, params, gates, hs, reverse):
-    """Backward of a kept `_run` given g (T, B, H), the gradient of its h at
-    every step: the preactivation gradients as (4H, T*B), stored row order,
-    column t*B + j for step t of sequence j. They are written over the kept
-    gate activations `gates`, whose pages are already mapped, so `gates` is
-    spent.
+def _bptt(g, wh, gates, hs, reverse):
+    """Backward of a kept `_run` with recurrent weights wh given g (T, B, H),
+    the gradient of its h at every step: the preactivation gradients as
+    (4H, T*B), stored row order, column t*B + j for step t of sequence j.
+    They are written over the kept gate activations `gates`, whose pages are
+    already mapped, so `gates` is spent.
 
     The forward kept neither c nor h. A scan in the forward's step order
     first rebuilds every cell state from the gates with the forward's own
@@ -182,7 +160,7 @@ def _bptt(g, params, gates, hs, reverse):
         cells[t] += tcs[t]
     np.tanh(cells, out=tcs)
     np.multiply(go_all, tcs, out=hs.transpose(1, 0, 2))
-    wh = _gate_major(params.wh.data)  # unhalved
+    wh = _gate_major(wh.data)  # unhalved
     dz = np.empty_like(gates)
     # the loop's factors that need no recurrence, 1 - tc^2 and 1 - gg^2, are
     # taken for all steps at once into the do and dg rows of dz; each step
@@ -229,28 +207,32 @@ def _bptt(g, params, gates, hs, reverse):
     return _gate_major(dz.transpose(1, 0, 2), out=spent).reshape(4 * hid, -1)
 
 
-def _grads(dz, hs, x, need_x, params, reverse):
-    """Gradients (x, wx, wh, b) of one direction from its preactivation
-    gradients dz (4H, T*B), its h at every step hs (H, T*B), the columns of
-    both in step order, and its contiguous time-major input x (T, B, In).
+def _grads(dz, hs, x, need_x, cell, reverse):
+    """Gradients (x, wx, wh, b) of one direction, `cell` its (wx, wh, b),
+    from its preactivation gradients dz (4H, T*B), its h at every step hs
+    (H, T*B), the columns of both in step order, and its contiguous
+    time-major input x (T, B, In).
     The input gradient is time-major too, and None unless `need_x`."""
     batch, in_dim = x.shape[1:]
-    dx = (dz.T @ params.wx.data).reshape(x.shape) if need_x else None
-    dwx = dz @ x.reshape(-1, in_dim) if params.wx.requires_grad else None
+    wx, wh, b = cell
+    dx = (dz.T @ wx.data).reshape(x.shape) if need_x else None
+    dwx = dz @ x.reshape(-1, in_dim) if wx.requires_grad else None
     dwh = None
-    if params.wh.requires_grad:
+    if wh.requires_grad:
         # step t reads h_prev = h[t -+ 1]; the first step's zero state adds nothing
         early, late = slice(None, -batch), slice(batch, None)
         cols, prev = (early, late) if reverse else (late, early)
         dwh = dz[:, cols] @ hs[:, prev].T
-    db = dz.sum(axis=1) if params.b.requires_grad else None
+    db = dz.sum(axis=1) if b.requires_grad else None
     return dx, dwx, dwh, db
 
 
-def bilstm_batched(xs, fwd, bwd, weight, bias, axis):
+def bilstm_batched(xs, cells, weight, bias, axis):
     """Bidirectional pass along `axis` of xs (K, S, In) and the FC after it
     -> (K, S, N): [h_fwd, h_bwd] @ weight^T + bias, with weight (N, 2H) and
-    bias (N,). Axis 0 runs the S sequences of K steps, axis 1 the K
+    bias (N,). `cells` are the six packed cell tensors in layout order: wx
+    (4H, In), wh (4H, H) and b (4H,) of the forward cell, then of the
+    backward one. Axis 0 runs the S sequences of K steps, axis 1 the K
     sequences of S steps.
 
     One tape op, `bilstm`. Both directions run `_run` on time-major views:
@@ -267,17 +249,22 @@ def bilstm_batched(xs, fwd, bwd, weight, bias, axis):
     """
     if axis not in (0, 1):
         raise ShapeError(f"bilstm_batched: axis must be 0 or 1, got {axis!r}")
-    _check_input(xs, fwd)
-    _check_input(xs, bwd)
-    hid = fwd.hidden_size
-    if bwd.hidden_size != hid:
-        raise ShapeError(f"bilstm_batched: hidden sizes differ, {hid} and {bwd.hidden_size}")
+    if len(cells) != 6:
+        raise ShapeError(f"bilstm_batched: need wx, wh and b of two cells, got {len(cells)}")
+    fwd, bwd = cells[:3], cells[3:]
+    for wx, wh, b in (fwd, bwd):
+        _check_cell(wx, wh, b)
+        if xs.data.ndim != 3 or xs.shape[2] != wx.shape[1]:
+            raise ShapeError(f"bilstm_batched: expected (K, S, {wx.shape[1]}), got {xs.shape}")
+    hid, other = fwd[1].shape[1], bwd[1].shape[1]
+    if other != hid:
+        raise ShapeError(f"bilstm_batched: hidden sizes differ, {hid} and {other}")
     if weight.data.ndim != 2 or weight.shape[1] != 2 * hid or bias.shape != weight.shape[:1]:
         raise ShapeError(
             f"bilstm_batched: weight {weight.shape} / bias {bias.shape} must be "
             f"(N, {2 * hid}) / (N,)"
         )
-    inputs = (xs, fwd.wx, fwd.wh, fwd.b, bwd.wx, bwd.wh, bwd.b, weight, bias)
+    inputs = (xs, *fwd, *bwd, weight, bias)
     x = xs.data.swapaxes(0, axis)  # time-major (T, B, In)
     steps, batch, _ = x.shape
     dtype = x.dtype
@@ -289,9 +276,9 @@ def bilstm_batched(xs, fwd, bwd, weight, bias, axis):
 
     def forward_fn():
         y = np.empty(xs.shape[:2] + weight.shape[:1], dtype=dtype)
-        for p, half, rev in sides:
+        for cell, half, rev in sides:
             proj = np.ascontiguousarray(wd[:, half].T, dtype=dtype)
-            saved.append(_run(x, p, proj, y.swapaxes(0, axis), keep, rev))
+            saved.append(_run(x, cell, proj, y.swapaxes(0, axis), keep, rev))
         y += bd
         return y
 
@@ -301,9 +288,10 @@ def bilstm_batched(xs, fwd, bwd, weight, bias, axis):
         hs = np.empty((2 * hid, steps, batch), dtype=dtype)
         xc = np.ascontiguousarray(x)
         dx, grads = None, []
-        for (p, half, rev), kept in zip(sides, saved):
-            dz = _bptt((g2 @ wd[:, half]).reshape(steps, batch, hid), p, kept, hs[half], rev)
-            gx, *gp = _grads(dz, hs[half].reshape(hid, -1), xc, need_x, p, rev)
+        for (cell, half, rev), kept in zip(sides, saved):
+            h_dir = hs[half]
+            dz = _bptt((g2 @ wd[:, half]).reshape(steps, batch, hid), cell[1], kept, h_dir, rev)
+            gx, *gp = _grads(dz, h_dir.reshape(hid, -1), xc, need_x, cell, rev)
             dx = gx if dx is None else np.add(dx, gx, out=dx)
             grads += gp
         gw = g2.T @ hs.reshape(2 * hid, -1).T if need_w else None

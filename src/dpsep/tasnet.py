@@ -12,7 +12,7 @@ to a waveform of the mixture's length and gain.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import zip_longest
 
 import numpy as np
@@ -80,15 +80,10 @@ def _orthogonal(a):
 @dataclass(kw_only=True)
 class SeparatorModel(Geometry):
     """A `Geometry` and its parameters: `params` maps each name of `_layout`
-    to its tensor, in layout order. The ops read the views derived from the
-    same tensors: the kernels, the mask head and the blocks."""
+    to its tensor, in layout order. The ops read them by name, and the
+    dual-path stack in layout order."""
 
     params: dict
-    encoder_kernels: Tensor = field(init=False, repr=False)  # (N, W)
-    decoder_kernels: Tensor = field(init=False, repr=False)  # (N, W)
-    mask_weight: Tensor = field(init=False, repr=False)  # (C*N, N)
-    mask_bias: Tensor = field(init=False, repr=False)  # (C*N,)
-    blocks: list = field(init=False, repr=False)  # DprnnBlockParams
 
     def __post_init__(self):
         """Check the parameters against the geometry's layout, so that a model
@@ -104,13 +99,6 @@ class SeparatorModel(Geometry):
                 raise ShapeError(f"expected parameter {name!r} {shape}, got {key!r}")
             if t.shape != shape:
                 raise ShapeError(f"parameter {name!r} must be {shape}, got {t.shape}")
-        t = list(self.params.values())
-        self.encoder_kernels, self.decoder_kernels, self.mask_weight, self.mask_bias = t[:4]
-        sub = dp.DprnnSubParams.from_tensors  # 10 tensors per sub-pass, 20 per block
-        self.blocks = [
-            dp.DprnnBlockParams(intra=sub(t[i : i + 10]), inter=sub(t[i + 10 : i + 20]))
-            for i in range(4, len(t), 20)
-        ]
 
     def parameters(self):
         """(name, tensor) pairs in the fixed checkpoint order."""
@@ -151,7 +139,7 @@ def encode(mixture, model):
     mixture is data, so one with `requires_grad` is a ShapeError and
     backward gives the kernels' gradient alone, (g * (out > 0)) @ windows.
     """
-    kernels, stride = model.encoder_kernels, model.stride
+    kernels, stride = model.params["encoder.kernels"], model.stride
     if mixture.data.ndim != 2 or mixture.shape[0] != 1:
         raise ShapeError(f"encode: mixture must be (1, T), got {mixture.shape}")
     if mixture.requires_grad:
@@ -251,10 +239,12 @@ def estimate_masks(rep, model):
     length = rep.shape[1]
     chunks = [dp.segment(rep, model.chunk_len)]  # (K, S, N)
     del rep
+    p = model.params
+    blocks = [t for name, t in p.items() if name.startswith("block")]  # in layout order
     # no local holds the chunk tensor or the stack's output, so the stack
     # frees the first after its first sub-pass and the head the second
     return mask_head(
-        dp.dprnn_stack(chunks.pop(), model.blocks), model.mask_weight, model.mask_bias, length
+        dp.dprnn_stack(chunks.pop(), blocks), p["mask_head.weight"], p["mask_head.bias"], length
     )
 
 
@@ -286,7 +276,7 @@ def decode(masked, model, length, gain):
     (C, L) frame products at samples w, w + stride, ..., in ascending w, and
     only those below `length` are kept.
     """
-    kernels, stride = model.decoder_kernels, model.stride
+    kernels, stride = model.params["decoder.kernels"], model.stride
     if masked.data.ndim != 3 or masked.shape[1] != kernels.shape[0]:
         raise ShapeError(f"decode: kernels {kernels.shape} do not match frames {masked.shape}")
     num_sets, _, frames = masked.shape
@@ -346,7 +336,7 @@ def separate(mixture, model):
         raise ShapeError("separate: the mixture is data and takes no gradient")
     if mixture.data.ndim != 2 or mixture.shape[0] != 1:
         raise ShapeError(f"separate: need a (1, T) mixture, got shape {mixture.shape}")
-    dtype = model.encoder_kernels.dtype
+    dtype = model.params["encoder.kernels"].dtype
     t_len = mixture.shape[1]
     rms = None
     with np.errstate(over="ignore"):  # an overflow is refused or scaled away below
@@ -382,7 +372,7 @@ def save_model(model, path):
     meta = {
         "format": "dpsep-separator",
         **model.sizes(),
-        "dtype": model.encoder_kernels.data.dtype.name,
+        "dtype": model.params["encoder.kernels"].dtype.name,
     }
     nt.save_arrays(path, ((name, t.data) for name, t in model.parameters()), meta=meta)
 

@@ -19,8 +19,9 @@ ops, `sub`, `div`, `log`, `sqrt` and `tmean` among them, which
 runs in numpy.
 
 `initial` draws a part of a separator's parameters as `tasnet.build_model`
-draws them, and `cell_params`, `sub_params` and `block_params` build an
-LSTM cell, a sub-pass or a block from those draws.
+draws them, and `cell_params`, `sub_params` and `block_params` give an LSTM
+cell's, a sub-pass's or a block's tensors from those draws, in layout
+order, as the ops read them.
 """
 
 from itertools import permutations
@@ -227,7 +228,8 @@ def codec(kernels, stride):
     """A stand-in model for `tasnet.encode` and `tasnet.decode`, which read
     only its kernels and stride, so any stride can be tried, not only the
     model's W // 2."""
-    return SimpleNamespace(encoder_kernels=kernels, decoder_kernels=kernels, stride=stride)
+    params = {"encoder.kernels": kernels, "decoder.kernels": kernels}
+    return SimpleNamespace(params=params, stride=stride)
 
 
 def encoder_conv(x, kernels, stride):
@@ -335,15 +337,15 @@ def initial(rng, prefix, num_filters, hidden, dtype=np.float32):
 
 
 def cell_params(rng, input_size, hidden_size, dtype=np.float32):
-    cell = initial(rng, "block0.intra.lstm_fwd.", input_size, hidden_size, dtype)
-    return nt.LstmCellParams(**cell)
+    """(wx, wh, b) of one LSTM cell."""
+    return tuple(initial(rng, "block0.intra.lstm_fwd.", input_size, hidden_size, dtype).values())
 
 
 def sub_params(rng, num_filters, hidden, dtype=np.float32):
-    tensors = initial(rng, "block0.intra.", num_filters, hidden, dtype)
-    return dp.DprnnSubParams.from_tensors(list(tensors.values()))
+    """The 10 tensors of a sub-pass."""
+    return list(initial(rng, "block0.intra.", num_filters, hidden, dtype).values())
 
 
 def block_params(rng, num_filters, hidden, dtype=np.float32):
-    intra = sub_params(rng, num_filters, hidden, dtype)
-    return dp.DprnnBlockParams(intra=intra, inter=sub_params(rng, num_filters, hidden, dtype))
+    """The 20 tensors of a block: its intra sub-pass's, then its inter's."""
+    return list(initial(rng, "block0.", num_filters, hidden, dtype).values())

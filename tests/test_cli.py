@@ -225,7 +225,7 @@ def _overflowing_checkpoint(tmp_path):
     model = tasnet.build_model(
         num_filters=4, window=8, num_sources=2, num_blocks=1, hidden=4, chunk_len=10
     )
-    model.mask_weight.data[...] = 3e38
+    model.params["mask_head.weight"].data[...] = 3e38
     path = tmp_path / "overflow.ckpt"
     tasnet.save_model(model, path)
     return path
@@ -342,6 +342,27 @@ class TestSeparateCommand:
             assert rate == 8000
             assert audio.shape[1] == mix.shape[1]
 
+    def test_separate_keeps_freed_memory_before_it_loads(self, tmp_path, monkeypatch):
+        # the allocator policy of train and evaluate holds for separate too,
+        # so the forward reuses the checkpoint's freed read buffer
+        from dpsep import tasnet
+        from dpsep.data import write_wav
+
+        ckpt = tmp_path / "toy.ckpt"
+        tasnet.save_model(tasnet.build_model(
+            num_filters=4, window=8, num_sources=2, num_blocks=1, hidden=4, chunk_len=10
+        ), ckpt)
+        wav = tmp_path / "mix.wav"
+        write_wav(wav, np.random.default_rng(0).uniform(-0.5, 0.5, 500), 8000)
+        calls = []
+        load_model = tasnet.load_model
+        monkeypatch.setattr(cli, "_keep_freed_memory", lambda: calls.append("policy"))
+        monkeypatch.setattr(
+            tasnet, "load_model", lambda path: calls.append("load") or load_model(path)
+        )
+        assert cli.main(["separate", str(ckpt), str(wav), str(tmp_path / "sep")]) == 0
+        assert calls == ["policy", "load"]
+
     def test_written_sources_are_peak_matched_and_never_clip(self, trained, tmp_path):
         from dpsep import tasnet
         from dpsep.data import read_wav, synth_source, write_wav
@@ -351,7 +372,7 @@ class TestSeparateCommand:
         # SI-SNR cannot tell a model from one with a louder decoder, so a
         # trained model may well produce estimates far above full scale
         model, _ = tasnet.load_model(trained[0])
-        model.decoder_kernels.data *= 64.0
+        model.params["decoder.kernels"].data *= 64.0
         ckpt = tmp_path / "loud.ckpt"
         tasnet.save_model(model, ckpt)
         wav_in = tmp_path / "mix.wav"

@@ -323,14 +323,13 @@ class TestBlockPasses:
 
     def test_zero_params_reduce_to_bias_residual(self):
         rng = np.random.default_rng(13)
-        tensors = list(initial(rng, "block0.intra.", 3, 2, np.float32).values())
-        for t in tensors:
+        params = initial(rng, "block0.intra.", 3, 2, np.float32)
+        for t in params.values():
             t.data = np.zeros_like(t.data)
-        params = dp.DprnnSubParams.from_tensors(tensors)
-        params.ln_bias.data = np.array([0.5, -1.0, 2.0], dtype=np.float32)
+        params["ln.bias"].data = np.array([0.5, -1.0, 2.0], dtype=np.float32)
         x = rng.standard_normal((4, 5, 3)).astype(np.float32)
-        out = dp.intra_chunk_pass(Tensor(x), params).data
-        np.testing.assert_allclose(out, x + params.ln_bias.data, atol=1e-6)
+        out = dp.intra_chunk_pass(Tensor(x), list(params.values())).data
+        np.testing.assert_allclose(out, x + params["ln.bias"].data, atol=1e-6)
 
     def test_single_chunk_matches_direct_composition(self):
         rng = np.random.default_rng(14)
@@ -338,10 +337,9 @@ class TestBlockPasses:
         x = Tensor(rng.standard_normal((6, 1, 3)), dtype=np.float64)  # (K, S=1, N)
         out = dp.intra_chunk_pass(x, params).data
 
-        proj = nt.bilstm_batched(
-            x, params.lstm_fwd, params.lstm_bwd, params.fc_weight, params.fc_bias, 0
-        )  # (K, 1, N)
-        normed = dp.global_layer_norm(proj, params.ln_scale, params.ln_bias)
+        *cells, fc_weight, fc_bias, ln_scale, ln_bias = params
+        proj = nt.bilstm_batched(x, cells, fc_weight, fc_bias, 0)  # (K, 1, N)
+        normed = dp.global_layer_norm(proj, ln_scale, ln_bias)
         expected = add(x, normed).data
         np.testing.assert_array_equal(out, expected)
 
@@ -369,17 +367,16 @@ class TestBlockPasses:
         out = dp.inter_chunk_pass(Tensor(x, dtype=np.float64), params).data
 
         # unroll: for each of the K=3 positions, run the BLSTM over the S=2 steps
+        *cells, fc_weight, fc_bias, ln_scale, ln_bias = params
         proj = np.zeros_like(x)
         for k in range(3):
             seq = Tensor(x[k].reshape(2, 1, 2), dtype=np.float64)  # (S, 1, N)
-            pr = nt.bilstm_batched(
-                seq, params.lstm_fwd, params.lstm_bwd, params.fc_weight, params.fc_bias, 0
-            )  # (S, 1, N)
+            pr = nt.bilstm_batched(seq, cells, fc_weight, fc_bias, 0)  # (S, 1, N)
             proj[k] = pr.data[:, 0, :]
         mu = proj.mean()
         var = ((proj - mu) ** 2).mean()
         ln = (proj - mu) / np.sqrt(var + dp.LN_EPS)
-        ln = ln * params.ln_scale.data + params.ln_bias.data
+        ln = ln * ln_scale.data + ln_bias.data
         np.testing.assert_allclose(out, x + ln, rtol=1e-8, atol=1e-10)
 
     def test_gln_output_is_freed_once_the_residual_add_consumed_it(self):
@@ -387,15 +384,13 @@ class TestBlockPasses:
         # array lives only as long as its tensor
         rng = np.random.default_rng(23)
         tensors = list(initial(rng, "block0.intra.", 3, 2, np.float64).values())
-        params = dp.DprnnSubParams.from_tensors(tensors)
+        *cells, fc_weight, fc_bias, ln_scale, ln_bias = tensors
         x = Tensor(rng.standard_normal((4, 5, 3)), dtype=np.float64, requires_grad=True)
         gc.disable()
         try:
             with GradTape() as tape:
-                proj = nt.bilstm_batched(
-                    x, params.lstm_fwd, params.lstm_bwd, params.fc_weight, params.fc_bias, 0
-                )
-                normed = dp.global_layer_norm(proj, params.ln_scale, params.ln_bias)
+                proj = nt.bilstm_batched(x, cells, fc_weight, fc_bias, 0)
+                normed = dp.global_layer_norm(proj, ln_scale, ln_bias)
                 out = add(x, normed)
                 freed = weakref.ref(normed.data)
                 del normed
@@ -449,28 +444,37 @@ class TestDprnnStack:
         rng = np.random.default_rng(18)
         block = block_params(rng, 3, 2, dtype=np.float64)
         x = Tensor(rng.standard_normal((4, 5, 3)), dtype=np.float64)
-        out = dp.dprnn_stack(x, [block]).data
-        expected = dp.inter_chunk_pass(dp.intra_chunk_pass(x, block.intra), block.inter).data
+        out = dp.dprnn_stack(x, block).data
+        expected = dp.inter_chunk_pass(dp.intra_chunk_pass(x, block[:10]), block[10:]).data
         np.testing.assert_array_equal(out, expected)
 
     def test_shape_preserved_across_stack(self):
         rng = np.random.default_rng(19)
         blocks = [block_params(rng, 4, 3) for _ in range(3)]
         chunks = dp.segment(Tensor(rng.standard_normal((4, 20)).astype(np.float32)), 6)
-        out = dp.dprnn_stack(chunks, blocks)
+        out = dp.dprnn_stack(chunks, [t for block in blocks for t in block])
         assert out.shape == chunks.shape
 
     def test_two_blocks_match_manual_composition(self):
         rng = np.random.default_rng(20)
         blocks = [block_params(rng, 2, 2, dtype=np.float64) for _ in range(2)]
         chunks = dp.segment(Tensor(rng.standard_normal((2, 9)), dtype=np.float64), 4)
-        out = dp.dprnn_stack(chunks, blocks).data
+        out = dp.dprnn_stack(chunks, blocks[0] + blocks[1]).data
         x = chunks
         for b in blocks:
-            x = dp.inter_chunk_pass(dp.intra_chunk_pass(x, b.intra), b.inter)
+            x = dp.inter_chunk_pass(dp.intra_chunk_pass(x, b[:10]), b[10:])
         np.testing.assert_array_equal(out, x.data)
 
     def test_empty_stack_rejected(self):
         chunks = dp.segment(Tensor(np.ones((1, 8))), 4)
         with pytest.raises(ShapeError):
             dp.dprnn_stack(chunks, [])
+
+    def test_partial_block_rejected(self):
+        # the stack reads its tensors 20 per block, in layout order
+        rng = np.random.default_rng(25)
+        block = block_params(rng, 1, 2)
+        chunks = dp.segment(Tensor(np.ones((1, 8))), 4)
+        for params in (block[:19], block + block[:1]):
+            with pytest.raises(ShapeError, match="20 tensors per block"):
+                dp.dprnn_stack(chunks, params)

@@ -1,7 +1,10 @@
 """Property tests: broadcasting, the uPIT pair matrix, SI-SNR gain
 invariance, the conv adjoint, chunking, gain-equivariant separation, and the
-input parsers on damaged files."""
+input parsers on damaged files; and a failing property test under the
+project's pytest settings."""
 
+import subprocess
+import sys
 import tempfile
 from itertools import permutations
 from pathlib import Path
@@ -270,3 +273,30 @@ def test_parser_on_damaged_file_succeeds_or_raises_its_error(name, edits):
             parse(path)
         except error:
             pass
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_always_fails(n):
+    assert n != n
+"""
+
+
+def test_a_failing_property_test_fails_alone(tmp_path):
+    # under the project's warning filters, hypothesis's report of a failing
+    # example raises no error of its own: pytest counts one failure and exits
+    # 1, where an INTERNALERROR (exit 3) would end every other test's run
+    test = tmp_path / "test_failing_property.py"
+    test.write_text(FAILING_PROPERTY)
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(pyproject),
+         "--rootdir", str(tmp_path), str(test)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed" in proc.stdout

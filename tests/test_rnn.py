@@ -22,9 +22,7 @@ def _zero_params(in_dim, hid, dtype=np.float32):
     def zt(shape):
         return Tensor(np.zeros(shape), dtype=dtype, requires_grad=True)
 
-    return nt.LstmCellParams(
-        wx=zt((4 * hid, in_dim)), wh=zt((4 * hid, hid)), b=zt((4 * hid,))
-    )
+    return zt((4 * hid, in_dim)), zt((4 * hid, hid)), zt((4 * hid,))
 
 
 def _rows(t, k):
@@ -34,7 +32,8 @@ def _rows(t, k):
 
 
 def _scalar_oracle(x, h, c, p):
-    """Elementwise gate equations computed with plain Python loops."""
+    """Elementwise gate equations computed with plain Python loops, for a
+    cell p = (wx, wh, b)."""
 
     def gate(wx, wh, b, squash):
         pre = wx @ x + wh @ h + b
@@ -42,7 +41,7 @@ def _scalar_oracle(x, h, c, p):
 
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
     i, f, g, o = (
-        gate(_rows(p.wx, k), _rows(p.wh, k), _rows(p.b, k), squash)
+        gate(*(_rows(t, k) for t in p), squash)
         for k, squash in enumerate((sig, sig, np.tanh, sig))
     )
     c2 = f * c + i * g
@@ -53,7 +52,7 @@ def _scalar_oracle(x, h, c, p):
 def _oracle_sequence(xs, p, reverse=False):
     """Scalar-oracle unroll of xs (T, B, In) from zero states -> (T, B, H)."""
     steps, batch, _ = xs.shape
-    hid = p.hidden_size
+    hid = p[1].shape[1]
     out = np.zeros((steps, batch, hid))
     for b in range(batch):
         h = np.zeros(hid)
@@ -71,8 +70,10 @@ def _identity_fc(hid, dtype=np.float32):
 
 
 def _bilstm(xs, fwd, bwd):
-    """`bilstm_batched` through the identity FC -> (T, B, 2H) hidden states."""
-    return nt.bilstm_batched(xs, fwd, bwd, *_identity_fc(fwd.hidden_size, xs.data.dtype), 0)
+    """`bilstm_batched` of the cells fwd and bwd, each (wx, wh, b), through
+    the identity FC -> (T, B, 2H) hidden states."""
+    fc = _identity_fc(fwd[1].shape[1], xs.data.dtype)
+    return nt.bilstm_batched(xs, (*fwd, *bwd), *fc, 0)
 
 
 def _half(out, reverse):
@@ -93,7 +94,7 @@ def test_saturated_gates_preserve_cell():
     # steps close it, forget ~ 1 keeps c, and output ~ 1 exposes h = tanh(c);
     # the backward direction's step 0 is the last time step
     p = _zero_params(2, 3)
-    wx_i, b_i, b_f, b_g, b_o = _rows(p.wx, 0), *(_rows(p.b, k) for k in range(4))
+    wx_i, b_i, b_f, b_g, b_o = _rows(p[0], 0), *(_rows(p[2], k) for k in range(4))
     wx_i[:, 0] = 40.0
     b_i[:] = -20.0
     b_f[:] = 20.0
@@ -132,18 +133,20 @@ def test_packed_layout_keeps_gate_order_and_init():
     rng = np.random.default_rng(0)
     p = cell_params(rng, 5, 3, dtype=np.float64)
     for k in range(4):
-        block = _rows(p.wh, k)
+        block = _rows(p[1], k)
         np.testing.assert_allclose(block @ block.T, np.eye(3), atol=1e-12)
-        assert np.all(np.abs(_rows(p.wx, k)) <= 1.0 / np.sqrt(5))
-    np.testing.assert_array_equal(p.b.data, [0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0])
+        assert np.all(np.abs(_rows(p[0], k)) <= 1.0 / np.sqrt(5))
+    np.testing.assert_array_equal(p[2].data, [0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0])
 
 
 def test_packed_shape_mismatch_rejected():
     good = _zero_params(3, 4)
-    with pytest.raises(ShapeError):
-        nt.LstmCellParams(wx=good.wx, wh=good.wh, b=Tensor(np.zeros(12)))
-    with pytest.raises(ShapeError):
-        nt.LstmCellParams(wx=Tensor(np.zeros((12, 3))), wh=good.wh, b=good.b)
+    wx, wh, b = good
+    xs = Tensor(np.zeros((5, 2, 3)))
+    for bad in ((wx, wh, Tensor(np.zeros(12))), (Tensor(np.zeros((12, 3))), wh, b)):
+        for fwd, bwd in ((bad, good), (good, bad)):
+            with pytest.raises(ShapeError, match="lstm shapes disagree"):
+                _bilstm(xs, fwd, bwd)
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -152,7 +155,7 @@ def test_lstm_sequence_is_one_tape_node(reverse):
     # direction gets the gradients it gets when both train
     rng = np.random.default_rng(3)
     p, q = cell_params(rng, 3, 4), cell_params(rng, 3, 4)
-    frozen = nt.LstmCellParams(*(Tensor(t.data) for t in vars(q).values()))
+    frozen = tuple(Tensor(t.data) for t in q)
     xs = Tensor(rng.standard_normal((6, 2, 3)), dtype=np.float32)
     grads = []
     for other in (q, frozen):
@@ -160,10 +163,10 @@ def test_lstm_sequence_is_one_tape_node(reverse):
             loss = tsum(_bilstm(xs, *((other, p) if reverse else (p, other))))
         assert [name for name, _, _ in tape._nodes] == ["bilstm", "sum"]
         tape.backward(loss)
-        grads.append([t.grad for t in vars(p).values()])
-        for t in vars(p).values():
+        grads.append([t.grad for t in p])
+        for t in p:
             t.zero_grad()
-    assert all(t.grad is None for t in vars(frozen).values())
+    assert all(t.grad is None for t in frozen)
     for trained, alone in zip(*grads):
         np.testing.assert_array_equal(trained, alone)
 
@@ -239,7 +242,7 @@ def _recipe_case(seed, dtype=np.float32):
 @pytest.mark.parametrize("reverse", [False, True])
 def test_lstm_sequence_float32_matches_float64(reverse):
     _, p, xs = _recipe_case(10)
-    p64 = nt.LstmCellParams(*(Tensor(t.data, dtype=np.float64) for t in vars(p).values()))
+    p64 = tuple(Tensor(t.data, dtype=np.float64) for t in p)
     h32 = _half(_bilstm(Tensor(xs), p, p).data, reverse)
     h64 = _half(_bilstm(Tensor(xs, dtype=np.float64), p64, p64).data, reverse)
     assert h32.dtype == np.float32
@@ -254,7 +257,7 @@ def test_lstm_sequence_saturates_gates_exactly(reverse):
     # directions
     rng, p, xs = _recipe_case(11)
     signs = rng.choice([-1.0, 1.0], size=4 * _RECIPE["hid"]).astype(np.float32)
-    p.wx.data[:, 0] = signs
+    p[0].data[:, 0] = signs
     xs[:, :, 0] = 1000.0 * rng.choice([-1.0, 1.0], size=xs.shape[:2])
     xt = Tensor(xs, requires_grad=True)
     with nt.GradTape() as tape:
@@ -275,7 +278,7 @@ def test_lstm_sequence_saturates_gates_exactly(reverse):
         expected[t] = np.where(go[t], np.tanh(c.astype(np.float32)), 0.0)
     np.testing.assert_array_equal(hs, expected)
     # every gate derivative, s(1-s) or 1-g^2, is then exactly zero
-    for leaf in (xt, p.wx, p.wh, p.b):
+    for leaf in (xt, *p):
         assert leaf.grad is not None and not np.any(leaf.grad)
 
 
@@ -283,12 +286,12 @@ def test_lstm_sequence_saturates_gates_exactly(reverse):
 def test_lstm_sequence_leaves_parameters_unchanged(reverse):
     rng, p, xs = _recipe_case(12)
     q = cell_params(rng, _RECIPE["in_dim"], _RECIPE["hid"])
-    before = [t.data.copy() for t in vars(p).values()]
+    before = [t.data.copy() for t in p]
     xt = Tensor(xs, requires_grad=True)
     with nt.GradTape() as tape:
         loss = tsum(_bilstm(xt, *((q, p) if reverse else (p, q))))
     tape.backward(loss)
-    for (name, t), saved in zip(vars(p).items(), before):
+    for name, t, saved in zip(("wx", "wh", "b"), p, before):
         assert t.data.tobytes() == saved.tobytes(), name
 
 
@@ -323,7 +326,7 @@ def test_bilstm_is_one_tape_node():
     fwd, bwd = cell_params(rng, 3, 4), cell_params(rng, 3, 4)
     xs = Tensor(rng.standard_normal((6, 2, 3)), dtype=np.float32, requires_grad=True)
     with nt.GradTape() as tape:
-        out = nt.bilstm_batched(xs, fwd, bwd, *_fc(rng, 3, 4), 0)
+        out = nt.bilstm_batched(xs, fwd + bwd, *_fc(rng, 3, 4), 0)
     assert out.shape == (6, 2, 3)
     assert [name for name, _, _ in tape._nodes] == ["bilstm"]
 
@@ -348,7 +351,7 @@ def test_bilstm_rejects_mismatched_fc():
         (weight, Tensor(np.ones((5, 1)))),
     ):
         with pytest.raises(ShapeError):
-            nt.bilstm_batched(xs, p, p, w, b, 0)
+            nt.bilstm_batched(xs, p + p, w, b, 0)
 
 
 def test_bilstm_without_tape_holds_little_beyond_its_output():
@@ -363,7 +366,7 @@ def test_bilstm_without_tape_holds_little_beyond_its_output():
     fc = _identity_fc(hid)
     tracemalloc.start()
     try:
-        out = nt.bilstm_batched(xs, fwd, bwd, *fc, 0)
+        out = nt.bilstm_batched(xs, fwd + bwd, *fc, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -383,7 +386,7 @@ def test_bilstm_without_tape_forms_no_hidden_state_array():
     fc = _fc(rng, n, hid)
     tracemalloc.start()
     try:
-        out = nt.bilstm_batched(xs, fwd, bwd, *fc, 0)
+        out = nt.bilstm_batched(xs, fwd + bwd, *fc, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -407,7 +410,7 @@ def test_recorded_bilstm_keeps_only_gates():
     tracemalloc.start()
     try:
         with nt.GradTape() as tape:
-            out = nt.bilstm_batched(xs, fwd, bwd, *fc, 0)
+            out = nt.bilstm_batched(xs, fwd + bwd, *fc, 0)
             held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -423,9 +426,9 @@ def test_bilstm_fc_without_tape_matches_recorded_output(dtype):
     fwd, bwd = (cell_params(rng, 5, 32, dtype=dtype) for _ in range(2))
     fc = _fc(rng, 7, 32, dtype=dtype)
     xs = Tensor(rng.standard_normal((37, 2, 5)), dtype=dtype)
-    plain = nt.bilstm_batched(xs, fwd, bwd, *fc, 0).data
+    plain = nt.bilstm_batched(xs, fwd + bwd, *fc, 0).data
     with nt.GradTape() as tape:
-        recorded = nt.bilstm_batched(xs, fwd, bwd, *fc, 0).data
+        recorded = nt.bilstm_batched(xs, fwd + bwd, *fc, 0).data
     assert len(tape) == 1
     assert plain.dtype == recorded.dtype == dtype
     np.testing.assert_array_equal(plain, recorded)
@@ -438,12 +441,12 @@ def test_bilstm_fc_matches_affine_over_hidden_states():
     fwd, bwd = (cell_params(rng, 4, 6, dtype=np.float64) for _ in range(2))
     weight, bias = _fc(rng, 4, 6, dtype=np.float64)
     xs = Tensor(rng.standard_normal((9, 3, 4)), dtype=np.float64, requires_grad=True)
-    leaves = [xs, weight, bias] + [t for p in (fwd, bwd) for t in vars(p).values()]
+    leaves = [xs, weight, bias, *fwd, *bwd]
     results = []
     for fused in (True, False):
         with nt.GradTape() as tape:
             if fused:
-                out = nt.bilstm_batched(xs, fwd, bwd, weight, bias, 0)
+                out = nt.bilstm_batched(xs, fwd + bwd, weight, bias, 0)
             else:
                 out = affine(_bilstm(xs, fwd, bwd), weight, bias)
             loss = tsum(mul(out, out))
@@ -463,13 +466,13 @@ def test_bilstm_axis1_is_axis0_on_the_transposed_input():
     fwd, bwd = (cell_params(rng, 4, 5, dtype=np.float64) for _ in range(2))
     weight, bias = _fc(rng, 4, 5, dtype=np.float64)
     x = rng.standard_normal((6, 3, 4))
-    params = [t for p in (fwd, bwd) for t in vars(p).values()] + [weight, bias]
+    params = [*fwd, *bwd, weight, bias]
     results = []
     for axis, data in ((1, x), (0, x.transpose(1, 0, 2).copy())):
         xs = Tensor(data, dtype=np.float64, requires_grad=True)
-        plain = nt.bilstm_batched(xs, fwd, bwd, weight, bias, axis).data
+        plain = nt.bilstm_batched(xs, fwd + bwd, weight, bias, axis).data
         with nt.GradTape() as tape:
-            out = nt.bilstm_batched(xs, fwd, bwd, weight, bias, axis)
+            out = nt.bilstm_batched(xs, fwd + bwd, weight, bias, axis)
             loss = tsum(mul(out, out))
         tape.backward(loss)
         np.testing.assert_array_equal(plain, out.data)
@@ -489,7 +492,7 @@ def test_bilstm_rejects_an_axis_other_than_0_or_1():
     p = _zero_params(3, 4)
     for axis in (2, -1):
         with pytest.raises(ShapeError):
-            nt.bilstm_batched(Tensor(np.zeros((5, 2, 3))), p, p,
+            nt.bilstm_batched(Tensor(np.zeros((5, 2, 3))), p + p,
                               *_identity_fc(4), axis)
 
 
@@ -498,4 +501,4 @@ def test_bilstm_rejects_mixed_dtypes():
     fwd, bwd = cell_params(rng, 3, 4), cell_params(rng, 3, 4)
     xs = Tensor(rng.standard_normal((5, 2, 3)), dtype=np.float64)
     with pytest.raises(ShapeError, match="bilstm: mixed dtypes float64 vs float32"):
-        nt.bilstm_batched(xs, fwd, bwd, *_fc(rng, 3, 4), 0)
+        nt.bilstm_batched(xs, fwd + bwd, *_fc(rng, 3, 4), 0)

@@ -62,7 +62,8 @@ def test_encoder_hop_is_half_the_window_and_the_model_stride():
 
 def test_encode_relu_kills_negative_kernels():
     model = tiny_model()
-    model.encoder_kernels.data = -np.abs(model.encoder_kernels.data) - 0.1
+    kernels = model.params["encoder.kernels"]
+    kernels.data = -np.abs(kernels.data) - 0.1
     mixture = np.abs(np.random.default_rng(0).standard_normal((1, 24))) + 0.1
     out = tasnet.encode(Tensor(mixture, dtype=np.float32), model)
     np.testing.assert_array_equal(out.data, np.zeros_like(out.data))
@@ -84,8 +85,10 @@ def test_estimate_masks_matches_straight_line_oracle():
     )
     got = tasnet.estimate_masks(rep, model).data
 
-    hidden = dp.dprnn_stack(dp.segment(rep, model.chunk_len), model.blocks)  # (K, S, N)
-    x = affine(hidden, model.mask_weight, model.mask_bias)  # (K, S, C*N)
+    p = model.params
+    blocks = [t for name, t in p.items() if name.startswith("block")]
+    hidden = dp.dprnn_stack(dp.segment(rep, model.chunk_len), blocks)  # (K, S, N)
+    x = affine(hidden, p["mask_head.weight"], p["mask_head.bias"])  # (K, S, C*N)
     maps = dp.overlap_add(x, 20)
     expected = reshape(relu(maps), (2, 4, 20)).data
     np.testing.assert_array_equal(got, expected)
@@ -271,7 +274,8 @@ def test_decode_single_frame_single_source():
     masked = Tensor(np.ones((1, 4, 1)), dtype=np.float32)
     out = tasnet.decode(masked, model, 4, None)
     assert out.shape == (1, 4)
-    np.testing.assert_allclose(out.data[0], model.decoder_kernels.data.sum(axis=0), rtol=1e-6)
+    kernels = model.params["decoder.kernels"]
+    np.testing.assert_allclose(out.data[0], kernels.data.sum(axis=0), rtol=1e-6)
 
 
 def test_decode_zero_input_zero_waveform():
@@ -284,6 +288,7 @@ def test_decode_zero_input_zero_waveform():
 def test_encode_is_one_op_with_the_conv_and_relu_bits(dtype):
     # values and the kernels' gradient equal those of conv1d then relu
     model = tiny_model(dtype=dtype, window=8)
+    kernels = model.params["encoder.kernels"]
     rng = np.random.default_rng(6)
     for t_len in (8, 9, 31, 400):
         mix = Tensor(rng.standard_normal((1, t_len)), dtype=dtype)
@@ -291,16 +296,16 @@ def test_encode_is_one_op_with_the_conv_and_relu_bits(dtype):
         g = Tensor(rng.standard_normal((4, frames)), dtype=dtype)
         results = []
         for fused in (True, False):
-            model.encoder_kernels.zero_grad()
+            kernels.zero_grad()
             with GradTape() as tape:
                 if fused:
                     out = tasnet.encode(mix, model)
                     assert [name for name, _, _ in tape._nodes] == ["encode"]
                 else:
-                    out = relu(conv1d(mix, model.encoder_kernels, model.stride))
+                    out = relu(conv1d(mix, kernels, model.stride))
                 loss = tsum(mul(out, g))
             tape.backward(loss)
-            results.append([out.data, model.encoder_kernels.grad])
+            results.append([out.data, kernels.grad])
         for got, expected in zip(*results):
             assert got.tobytes() == expected.tobytes()
 
@@ -312,6 +317,7 @@ def test_decode_is_one_op_with_the_transposed_conv_cut_pad_and_gain_bits(dtype):
     from reference import pad_last_axis
 
     model = tiny_model(dtype=dtype, window=8)
+    kernels = model.params["decoder.kernels"]
     rng = np.random.default_rng(7)
     frames = rng.standard_normal((2, 4, 8))
     for length in (1, 5, 35, 36, 37, 50):
@@ -320,13 +326,13 @@ def test_decode_is_one_op_with_the_transposed_conv_cut_pad_and_gain_bits(dtype):
             results = []
             for fused in (True, False):
                 masked = Tensor(frames, dtype=dtype, requires_grad=True)
-                model.decoder_kernels.zero_grad()
+                kernels.zero_grad()
                 with GradTape() as tape:
                     if fused:
                         out = tasnet.decode(masked, model, length, gain)
                         assert [name for name, _, _ in tape._nodes] == ["decode"]
                     else:
-                        out = transposed_conv1d(masked, model.decoder_kernels, model.stride)
+                        out = transposed_conv1d(masked, kernels, model.stride)
                         if length < 36:
                             out = slice_axis(out, 1, 0, length)
                         elif length > 36:
@@ -335,7 +341,7 @@ def test_decode_is_one_op_with_the_transposed_conv_cut_pad_and_gain_bits(dtype):
                             out = mul(out, gain)
                     loss = tsum(mul(out, g))
                 tape.backward(loss)
-                results.append([out.data, masked.grad, model.decoder_kernels.grad])
+                results.append([out.data, masked.grad, kernels.grad])
             for got, expected in zip(*results):
                 assert got.tobytes() == expected.tobytes(), (length, gain)
 
@@ -346,7 +352,7 @@ def test_encode_decode_adjoint_linear_parts():
     model = tiny_model()
     rng = np.random.default_rng(5)
     x = Tensor(rng.standard_normal((1, 35)), dtype=np.float64)
-    kernels = Tensor(model.encoder_kernels.data, dtype=np.float64)
+    kernels = Tensor(model.params["encoder.kernels"].data, dtype=np.float64)
     frames = (35 - model.window) // model.stride + 1
     y = Tensor(rng.standard_normal((2, 4, frames)), dtype=np.float64)
     encoded = encoder_conv(x, kernels, model.stride)
@@ -382,7 +388,7 @@ def test_separate_linear_in_input_with_unit_masks(monkeypatch):
 
     monkeypatch.setattr(tasnet, "estimate_masks", unit_masks)
     monkeypatch.setattr(
-        tasnet, "encode", lambda mix, m: conv1d(mix, m.encoder_kernels, m.stride)
+        tasnet, "encode", lambda mix, m: conv1d(mix, m.params["encoder.kernels"], m.stride)
     )
     rng = np.random.default_rng(9)
     a = rng.standard_normal((1, 30)).astype(np.float32)
@@ -545,7 +551,7 @@ def test_separate_names_the_op_that_overflows():
     model = tasnet.build_model(
         num_filters=4, window=8, num_sources=2, num_blocks=1, hidden=4, chunk_len=10
     )
-    model.mask_weight.data[...] = 3e38
+    model.params["mask_head.weight"].data[...] = 3e38
     mixture = Tensor(0.5 * np.sin(np.arange(400) * 0.1)[None, :])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # and shows no numpy warning
@@ -566,8 +572,8 @@ def test_parameter_count_default_config():
 
 def test_parameter_count_single_lstm_cell():
     model = tasnet.build_model(num_blocks=1)
-    cell = model.blocks[0].intra.lstm_fwd
-    assert sum(t.size for t in vars(cell).values()) == 4 * (128 * 64 + 128 * 128 + 128) == 98816
+    cell = [t for name, t in model.parameters() if name.startswith("block0.intra.lstm_fwd.")]
+    assert sum(t.size for t in cell) == 4 * (128 * 64 + 128 * 128 + 128) == 98816
 
 
 def test_parameter_count_zero_blocks_is_head_only():
@@ -575,11 +581,12 @@ def test_parameter_count_zero_blocks_is_head_only():
     model = tiny_model(num_blocks=1)
     block = sum(t.size for name, t in model.parameters() if name.startswith("block0."))
     head_only = parameter_count(model) - block
+    p = model.params
     assert head_only == (
-        model.encoder_kernels.size
-        + model.decoder_kernels.size
-        + model.mask_weight.size
-        + model.mask_bias.size
+        p["encoder.kernels"].size
+        + p["decoder.kernels"].size
+        + p["mask_head.weight"].size
+        + p["mask_head.bias"].size
     )
 
 

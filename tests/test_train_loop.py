@@ -95,7 +95,7 @@ def test_fixed_seed_reproduces_metrics_log_byte_identically(toy_sets, tmp_path):
 def test_nan_abort_carries_epoch_and_batch(toy_sets, tmp_path):
     train, valid = toy_sets
     model = _tiny_model()
-    model.mask_weight.data[:] = 1e30  # forces overflow in the first forward
+    model.params["mask_head.weight"].data[:] = 1e30  # forces overflow in the first forward
     config = TrainConfig(epochs=1, batch_size=2)
     with pytest.raises(TrainingAbort) as exc:
         train_loop(model, train, valid, config, str(tmp_path / "run"))
@@ -115,7 +115,7 @@ def test_non_finite_gradient_aborts_before_the_update(toy_sets, tmp_path, monkey
 
     def inf_backward(tape, loss):
         backward(tape, loss)
-        model.mask_weight.grad.flat[0] = np.inf
+        model.params["mask_head.weight"].grad.flat[0] = np.inf
 
     monkeypatch.setattr(GradTape, "backward", inf_backward)
     config = TrainConfig(epochs=1, batch_size=1)
