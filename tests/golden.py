@@ -57,6 +57,7 @@ def _blas_core():
             corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
         except (AttributeError, OSError):
             continue
+        corename.argtypes = ()
         corename.restype = ctypes.c_char_p
         return corename().decode()
     return "unknown"
@@ -154,8 +155,8 @@ def grads_cases():
                     chunks = [loss.data.tobytes()]
                     for name, t in model.parameters():
                         chunks += [name.encode(), t.grad.tobytes()]
-                    case = f"{np.dtype(dtype).name}-W{window}-{'cut' if cut else 'full'}-b{batch_size}"
-                    yield case, _sha(*chunks)
+                    segment = "cut" if cut else "full"
+                    yield f"{np.dtype(dtype).name}-W{window}-{segment}-b{batch_size}", _sha(*chunks)
 
 
 def separate_cases():

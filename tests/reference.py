@@ -29,7 +29,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from dpsep import dualpath as dp
 from dpsep import numerics as nt
 from dpsep import tasnet
 from dpsep.config import Geometry
