@@ -173,12 +173,8 @@ def separate_cases():
         )
         for name, mixture in mixtures.items():
             for taped in (False, True):
-                x = Tensor(mixture, dtype=dtype)
-                if taped:
-                    with GradTape():
-                        out = tasnet.separate(x, model)
-                else:
-                    out = tasnet.separate(x, model)
+                with GradTape() if taped else contextlib.nullcontext():
+                    out = tasnet.separate(Tensor(mixture, dtype=dtype), model)
                 case = f"{np.dtype(dtype).name}-{name}-{'taped' if taped else 'untaped'}"
                 yield case, _sha(out.data.tobytes())
 
