@@ -1,6 +1,7 @@
-"""Golden digests: the sha256 of what training and separation write, by case.
+"""Golden digests: the sha256 of what training, separation and gradient
+checking write, by case.
 
-Four groups of cases, each hashed in a fixed order:
+Five groups of cases, each hashed in a fixed order:
 - `train`: a seeded toy `dpsep train` (N16 W16 H32, two blocks, 0.5 s
   segments, batch 2, two epochs, a WAV record whose last segment is
   zero-padded): `best.ckpt`, `last.ckpt` and `metrics.tsv`;
@@ -11,7 +12,9 @@ Four groups of cases, each hashed in a fixed order:
   for a random, a silent, a 1e-21-gain and a short, padded mixture, in
   float32 and float64;
 - `cli_separate`: the WAVs `dpsep separate` writes for a 12345-sample and a
-  7-sample mixture.
+  7-sample mixture;
+- `gradcheck`: each `name: report` line that `dpsep gradcheck` prints, one
+  case per finite-difference check.
 
 `golden.json` stores each group's digest (the sha256 over its case digests
 in order), the first 16 hex digits of each case's digest, to name the first
@@ -41,12 +44,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from dpsep import cli, tasnet
+from dpsep.checks import run_gradcheck_suite
 from dpsep.data import write_wav
 from dpsep.numerics import GradTape, Tensor
 from dpsep.training.loop import _batch_mean, _example_loss
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
-GROUPS = ("train", "grads", "separate", "cli_separate")
+GROUPS = ("train", "grads", "separate", "cli_separate", "gradcheck")
 
 
 def _blas_core():
@@ -197,6 +201,11 @@ def cli_separate_cases(work):
             yield f"T{length}-source{c}", _sha((out_dir / f"source{c}.wav").read_bytes())
 
 
+def gradcheck_cases():
+    for name, report in run_gradcheck_suite():
+        yield name, _sha(f"{name}: {report}".encode())
+
+
 def compute():
     """{group: [(case, sha256)]} for every group, in order."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -208,6 +217,7 @@ def compute():
             "grads": list(grads_cases()),
             "separate": list(separate_cases()),
             "cli_separate": list(cli_separate_cases(work / "cli")),
+            "gradcheck": list(gradcheck_cases()),
         }
 
 

@@ -1,6 +1,7 @@
 """The golden digests of `golden.py` hold: a change that moves one bit of a
-seeded toy training run, a step's loss or gradients, or a separation fails
-here and names the first case that moved."""
+seeded toy training run, a step's loss or gradients, a separation or a line
+of `dpsep gradcheck`'s report fails here and names the first case that
+moved."""
 
 import json
 import os
