@@ -1,13 +1,18 @@
-"""The finite-difference harness itself, plus the invariant that every
-differentiable op passes it on several random shapes."""
+"""The finite-difference harness itself, the invariant that every
+differentiable op passes it on several random shapes, and that the tape alone
+decides which of an op's gradients are kept."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from dpsep import dualpath as dp
 from dpsep import numerics as nt
-from dpsep.numerics import NumericsError, Tensor, finite_diff_check
+from dpsep import tasnet
+from dpsep.numerics import GradTape, NumericsError, Tensor, finite_diff_check
 from dpsep.training.loss import upit_loss
-from reference import add, div, mul, relu, sqrt, tmean, tsum
+from reference import add, div, mul, relu, sqrt, sub_params, tmean, tsum
 
 
 def test_sum_has_near_zero_error():
@@ -113,3 +118,72 @@ def test_suite_covers_every_op_of_a_training_step(tmp_path, monkeypatch):
     seen.clear()
     run_gradcheck_suite()
     assert step_ops <= seen, sorted(step_ops - seen)
+
+
+def _t64(rng, shape):
+    return Tensor(rng.standard_normal(shape), dtype=np.float64, requires_grad=True)
+
+
+def _bilstm_inputs(rng, axis):
+    # the six cell tensors, the FC weight and bias of a sub-pass of N=3, H=4
+    *cells, weight, bias = sub_params(rng, 3, 4, np.float64)[:8]
+    xs = _t64(rng, (5, 2, 3) if axis == 0 else (2, 5, 3))
+
+    def f(xv, *rest):
+        return nt.bilstm_batched(xv, rest[:6], rest[6], rest[7], axis)
+
+    return [xs, *cells, weight, bias], f
+
+
+def _decode_inputs(rng):
+    model = tasnet.build_model(
+        num_filters=3, window=4, num_blocks=1, hidden=2, chunk_len=4, dtype=np.float64
+    )
+
+    def f(masked, kernels):
+        params = {**model.params, "decoder.kernels": kernels}
+        return tasnet.decode(masked, dataclasses.replace(model, params=params), 9, 0.7)
+
+    return [_t64(rng, (2, 3, 5)), model.params["decoder.kernels"]], f
+
+
+_FREEZE_CASES = {
+    "bilstm_axis0": lambda rng: _bilstm_inputs(rng, 0),
+    "bilstm_axis1": lambda rng: _bilstm_inputs(rng, 1),
+    "global_layer_norm": lambda rng: (
+        [_t64(rng, (4, 2, 3)), _t64(rng, (3,)), _t64(rng, (3,)), _t64(rng, (4, 2, 3))],
+        lambda x, scale, bias, res: dp.global_layer_norm(x, scale, bias, residual=res),
+    ),
+    "mask_head": lambda rng: (
+        [_t64(rng, (4, 4, 3)), _t64(rng, (6, 3)), _t64(rng, (6,))],
+        lambda x, weight, bias: tasnet.mask_head(x, weight, bias, 6),
+    ),
+    "decode": _decode_inputs,
+}
+
+
+def _tape_grads(f, inputs):
+    for t in inputs:
+        t.zero_grad()
+    with GradTape() as tape:
+        y = f(*inputs)
+        loss = tsum(mul(y, y))
+    tape.backward(loss)
+    return [t.grad for t in inputs]
+
+
+@pytest.mark.parametrize("case", sorted(_FREEZE_CASES))
+def test_the_tape_alone_drops_the_gradient_of_a_constant_input(case):
+    # an op gives a gradient for each differentiable input; when one input is
+    # a constant copy, it gets no .grad and every other input the bits it
+    # gets when all of them train
+    inputs, f = _FREEZE_CASES[case](np.random.default_rng(5))
+    trained = _tape_grads(f, inputs)
+    assert all(g is not None for g in trained)
+    for i, t in enumerate(inputs):
+        const = Tensor(t.data.copy())
+        grads = _tape_grads(f, [*inputs[:i], const, *inputs[i + 1 :]])
+        assert grads[i] is None
+        for j, (want, got) in enumerate(zip(trained, grads)):
+            if j != i:
+                np.testing.assert_array_equal(got, want)
