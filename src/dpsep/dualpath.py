@@ -69,14 +69,13 @@ def _chunk(w, hop, s):
     return out.reshape(2 * hop, s, f)
 
 
-def _fold(x, length, folded=None):
+def _fold(x, length):
     """Adjoint of `_chunk`: add the (K, S, F) chunks x at their offsets into
-    `folded` (F, S+1, P), zeros if not given, and return its (F, L) view
-    without the padding."""
+    a zero (F, S+1, P) array and return its (F, L) view without the
+    padding."""
     k, s, f = x.shape
     hop = k // 2
-    if folded is None:
-        folded = np.zeros((f, s + 1, hop), dtype=x.dtype)
+    folded = np.zeros((f, s + 1, hop), dtype=x.dtype)
     folded[:, :-1] += x[:hop].transpose(2, 1, 0)
     folded[:, 1:] += x[hop:].transpose(2, 1, 0)
     return folded.reshape(f, -1)[:, hop : hop + length]
@@ -187,7 +186,6 @@ def global_layer_norm(x, scale, bias, residual=None, *, _overwrite=False):
         inputs += (residual,)
     xd, sd, bd = x.data, scale.data, bias.data
     rd = None if residual is None else residual.data
-    need_x = x.requires_grad
     in_place = _overwrite and recording_tape(inputs) is None
     inv_size = xd.dtype.type(1.0 / x.size)
     mu = std = None
@@ -210,13 +208,11 @@ def global_layer_norm(x, scale, bias, residual=None, *, _overwrite=False):
         xhat /= std
         g_scale = (g * xhat).reshape(-1, n).sum(axis=0)
         g_bias = g.reshape(-1, n).sum(axis=0)
-        gx = None
-        if need_x:
-            # mean(gy) = scale . g_bias / size, mean(gy * xhat) = scale . g_scale / size
-            gx = g * sd
-            gx -= (sd @ g_bias) * inv_size
-            gx -= xhat * ((sd @ g_scale) * inv_size)
-            gx /= std
+        # mean(gy) = scale . g_bias / size, mean(gy * xhat) = scale . g_scale / size
+        gx = g * sd
+        gx -= (sd @ g_bias) * inv_size
+        gx -= xhat * ((sd @ g_scale) * inv_size)
+        gx /= std
         return (gx, g_scale, g_bias) if rd is None else (gx, g_scale, g_bias, g)
 
     return apply_op("global_layer_norm", inputs, forward_fn, backward_fn)

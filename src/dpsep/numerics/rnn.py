@@ -207,24 +207,17 @@ def _bptt(g, wh, gates, hs, reverse):
     return _gate_major(dz.transpose(1, 0, 2), out=spent).reshape(4 * hid, -1)
 
 
-def _grads(dz, hs, x, need_x, cell, reverse):
-    """Gradients (x, wx, wh, b) of one direction, `cell` its (wx, wh, b),
-    from its preactivation gradients dz (4H, T*B), its h at every step hs
+def _grads(dz, hs, x, wx, reverse):
+    """Gradients (x, wx, wh, b) of one direction with input weights wx, from
+    its preactivation gradients dz (4H, T*B), its h at every step hs
     (H, T*B), the columns of both in step order, and its contiguous
-    time-major input x (T, B, In).
-    The input gradient is time-major too, and None unless `need_x`."""
+    time-major input x (T, B, In). The input gradient is time-major too."""
     batch, in_dim = x.shape[1:]
-    wx, wh, b = cell
-    dx = (dz.T @ wx.data).reshape(x.shape) if need_x else None
-    dwx = dz @ x.reshape(-1, in_dim) if wx.requires_grad else None
-    dwh = None
-    if wh.requires_grad:
-        # step t reads h_prev = h[t -+ 1]; the first step's zero state adds nothing
-        early, late = slice(None, -batch), slice(batch, None)
-        cols, prev = (early, late) if reverse else (late, early)
-        dwh = dz[:, cols] @ hs[:, prev].T
-    db = dz.sum(axis=1) if b.requires_grad else None
-    return dx, dwx, dwh, db
+    # step t reads h_prev = h[t -+ 1]; the first step's zero state adds nothing
+    early, late = slice(None, -batch), slice(batch, None)
+    cols, prev = (early, late) if reverse else (late, early)
+    dx = (dz.T @ wx.data).reshape(x.shape)
+    return dx, dz @ x.reshape(-1, in_dim), dz[:, cols] @ hs[:, prev].T, dz.sum(axis=1)
 
 
 def bilstm_batched(xs, cells, weight, bias, axis):
@@ -269,7 +262,6 @@ def bilstm_batched(xs, cells, weight, bias, axis):
     steps, batch, _ = x.shape
     dtype = x.dtype
     wd, bd = weight.data, bias.data
-    need_x, need_w, need_b = xs.requires_grad, weight.requires_grad, bias.requires_grad
     keep = recording_tape(inputs) is not None
     sides = ((fwd, slice(0, hid), False), (bwd, slice(hid, 2 * hid), True))
     saved = []
@@ -284,19 +276,17 @@ def bilstm_batched(xs, cells, weight, bias, axis):
 
     def backward_fn(g):
         g2 = np.ascontiguousarray(g.swapaxes(0, axis)).reshape(-1, g.shape[-1])
-        gb = g2.sum(axis=0) if need_b else None
+        gb = g2.sum(axis=0)
         hs = np.empty((2 * hid, steps, batch), dtype=dtype)
         xc = np.ascontiguousarray(x)
         dx, grads = None, []
         for (cell, half, rev), kept in zip(sides, saved):
             h_dir = hs[half]
             dz = _bptt((g2 @ wd[:, half]).reshape(steps, batch, hid), cell[1], kept, h_dir, rev)
-            gx, *gp = _grads(dz, h_dir.reshape(hid, -1), xc, need_x, cell, rev)
+            gx, *gp = _grads(dz, h_dir.reshape(hid, -1), xc, cell[0], rev)
             dx = gx if dx is None else np.add(dx, gx, out=dx)
             grads += gp
-        gw = g2.T @ hs.reshape(2 * hid, -1).T if need_w else None
-        if dx is not None:
-            dx = np.ascontiguousarray(dx.swapaxes(0, axis))
-        return (dx, *grads, gw, gb)
+        gw = g2.T @ hs.reshape(2 * hid, -1).T
+        return (np.ascontiguousarray(dx.swapaxes(0, axis)), *grads, gw, gb)
 
     return apply_op("bilstm", inputs, forward_fn, backward_fn)

@@ -188,10 +188,12 @@ def apply_op(name, inputs, forward_fn, backward_fn):
     """Run a differentiable operation and record it on the active tape.
 
     `forward_fn()` returns the output ndarray. `backward_fn` receives its
-    gradient and returns one gradient array (or None) per input. It may
-    return views, of its argument or of saved arrays: the tape copies a
-    gradient the first time it stores it. Recording happens only when a tape
-    is active and some input needs grads. `backward_fn` is kept until
+    gradient and returns one gradient array per input, or None for an input
+    that is data, such as a mixture or a reference, and never differentiable.
+    It may return views, of its argument or of saved arrays: the tape copies
+    a gradient the first time it stores it, and keeps only those of inputs
+    recorded on it and of leaves that need grads. Recording happens only when
+    a tape is active and some input needs grads. `backward_fn` is kept until
     backward reaches it, so it should close over arrays, flags and shapes,
     never over input Tensors.
 

@@ -194,7 +194,6 @@ def mask_head(x, weight, bias, length):
     shape, hop = x.shape, chunk_len // 2
     xd, wd, bd = x.data, weight.data, bias.data
     x2 = xd.reshape(-1, n)
-    need_x, need_w, need_b = x.requires_grad, weight.requires_grad, bias.requires_grad
     out = None
 
     def forward_fn():
@@ -218,10 +217,7 @@ def mask_head(x, weight, bias, length):
     def backward_fn(g):
         g2 = _chunk((g * (out > 0)).reshape(rows, length), hop, s).reshape(-1, rows)
         g2 /= 2
-        gx = (g2 @ wd).reshape(shape) if need_x else None
-        gw = g2.T @ x2 if need_w else None
-        gb = g2.sum(axis=0) if need_b else None
-        return gx, gw, gb
+        return (g2 @ wd).reshape(shape), g2.T @ x2, g2.sum(axis=0)
 
     return nt.apply_op("mask_head", inputs, forward_fn, backward_fn)
 
@@ -283,7 +279,6 @@ def decode(masked, model, length, gain):
     width = kernels.shape[1]
     full = (frames - 1) * stride + width
     fd, kd = masked.data, kernels.data
-    need_f, need_k = masked.requires_grad, kernels.requires_grad
 
     def forward_fn():
         out = np.zeros((num_sets, length), dtype=fd.dtype)
@@ -300,9 +295,7 @@ def decode(masked, model, length, gain):
         if length < full:
             g = np.pad(g, ((0, 0), (0, full - length)))
         win = _windows(g, width, stride, frames)  # (C, L, W)
-        gf = kd @ win.transpose(0, 2, 1) if need_f else None
-        gk = (fd @ win).sum(axis=0) if need_k else None
-        return gf, gk
+        return kd @ win.transpose(0, 2, 1), (fd @ win).sum(axis=0)
 
     return nt.apply_op("decode", (masked, kernels), forward_fn, backward_fn)
 

@@ -145,16 +145,6 @@ class TestChunkAndFold:
                 lhs = np.sum(dp._chunk(w, chunk_len // 2, s) * x)
                 np.testing.assert_allclose(lhs, np.sum(w * dp._fold(x, length)), rtol=1e-12)
 
-    def test_fold_adds_into_a_given_buffer(self):
-        rng = np.random.default_rng(32)
-        x = rng.standard_normal((6, 5, 2))
-        folded = np.ones((4, 6, 3))
-        folded[1:3] = 0.0
-        view = dp._fold(x, 11, folded[1:3])
-        np.testing.assert_array_equal(view, dp._fold(x, 11))
-        assert np.shares_memory(view, folded)
-        np.testing.assert_array_equal(folded[[0, 3]], np.ones((2, 6, 3)))
-
 
 class TestGlobalLayerNorm:
     def test_rejects_mixed_dtypes(self):
