@@ -4,11 +4,16 @@ Layout: 4-byte magic `DPSP`, uint32 LE format version, a length-prefixed
 plain-text metadata section (key=value lines), a length-prefixed header
 listing one `name<TAB>dtype<TAB>shape` line per tensor in a fixed order, then
 the raw little-endian scalar data concatenated in header order.
+
+A file is written whole or not at all: it goes to a sibling temp file that
+then replaces the target, so a failed or killed write leaves the old file.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import shutil
 import struct
 
 import numpy as np
@@ -23,6 +28,26 @@ _DTYPES = {"float32": "<f4", "float64": "<f8"}
 
 class CheckpointError(InputError):
     """Raised on malformed or inconsistent checkpoint files."""
+
+
+def _replace(path, write):
+    """Let `write(fh)` fill `path`'s sibling temp file, then move that over
+    `path`. The temp file is removed if anything fails."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def copy_file(src, dst):
+    """Copy the file `src` over `dst`, replacing it as `save_arrays` does."""
+    with open(src, "rb") as fh:
+        _replace(dst, lambda out: shutil.copyfileobj(fh, out))
 
 
 def save_arrays(path, named_arrays, meta=None):
@@ -42,7 +67,7 @@ def save_arrays(path, named_arrays, meta=None):
         header_lines.append(f"{name}\t{arr.dtype.name}\t{shape}")
     header_blob = "\n".join(header_lines).encode("utf-8")
 
-    with open(path, "wb") as fh:
+    def write(fh):
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(meta_blob)))
@@ -51,6 +76,8 @@ def save_arrays(path, named_arrays, meta=None):
         fh.write(header_blob)
         for _, arr in items:
             fh.write(arr.astype(_DTYPES[arr.dtype.name], copy=False).tobytes())
+
+    _replace(path, write)
 
 
 def _read_u32(blob, pos, what):

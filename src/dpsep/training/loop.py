@@ -12,6 +12,7 @@ import numpy as np
 from .. import NumericFault
 from .. import tasnet
 from ..numerics import GradTape, NumericsError, Tensor, apply_op
+from ..numerics.checkpoint import copy_file
 from .loss import upit_loss, upit_si_snri
 from .optim import CLIP_NORM, Adam, clip_grad_norm, lr_at
 
@@ -97,8 +98,9 @@ def train_loop(model, train_set, valid_set, config, run_dir):
     """Train `model` on MixtureExamples per the configured recipe.
 
     Per epoch: seeded shuffle, then per batch zero grads -> forward -> mean
-    uPIT loss -> backward -> clip -> Adam. Keeps the checkpoint with the best
-    validation SI-SNRi; stops early once `config.patience` consecutive epochs
+    uPIT loss -> backward -> clip -> Adam. Writes the model to `last.ckpt`
+    once per epoch and copies it to `best.ckpt` when validation SI-SNRi
+    improves; stops early once `config.patience` consecutive epochs
     bring no improvement. Appends one metrics line per epoch to
     `metrics.tsv`: epoch, LR, train loss and validation SI-SNRi, so the file
     is the same on every run with the same seed. Wall time per epoch goes to
@@ -142,12 +144,13 @@ def train_loop(model, train_set, valid_set, config, run_dir):
                 val_si_snri = validate_si_snri(model, valid_set)
             except NumericsError as err:
                 raise TrainingAbort(epoch, None, f"validation {err}")
-            tasnet.save_model(model, os.path.join(run_dir, LAST_FILENAME))
+            last_path = os.path.join(run_dir, LAST_FILENAME)
+            tasnet.save_model(model, last_path)
             if val_si_snri > best_val:
                 best_val = val_si_snri
                 best_epoch = epoch
                 since_best = 0
-                tasnet.save_model(model, os.path.join(run_dir, BEST_FILENAME))
+                copy_file(last_path, os.path.join(run_dir, BEST_FILENAME))
             else:
                 since_best += 1
 

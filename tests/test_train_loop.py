@@ -1,5 +1,8 @@
-"""Train-loop behavior: early-stopping arithmetic, determinism, NaN aborts."""
+"""Train-loop behavior: early-stopping arithmetic, determinism, NaN aborts,
+checkpoint writes."""
 
+import dataclasses
+import errno
 import os
 
 import numpy as np
@@ -90,6 +93,84 @@ def test_fixed_seed_reproduces_metrics_log_byte_identically(toy_sets, tmp_path):
             for name in (METRICS_FILENAME, BEST_FILENAME, LAST_FILENAME)
         ])
     assert runs[0] == runs[1]
+
+
+def _improving(monkeypatch):
+    # every epoch's validation beats the last, so every epoch writes best.ckpt
+    import dpsep.training.loop as loop_mod
+
+    scores = iter(range(1000))
+    monkeypatch.setattr(loop_mod, "validate_si_snri", lambda model, examples: next(scores))
+
+
+def test_each_epoch_writes_the_model_once(toy_sets, tmp_path, monkeypatch):
+    # last.ckpt is written and best.ckpt copied from it, byte for byte
+    train, valid = toy_sets
+    _improving(monkeypatch)
+    calls = []
+    save_model = tasnet.save_model
+    monkeypatch.setattr(tasnet, "save_model", lambda *args: calls.append(save_model(*args)))
+    run_dir = tmp_path / "run"
+    train_loop(_tiny_model(), train, valid, TrainConfig(epochs=2, batch_size=2), str(run_dir))
+    assert len(calls) == 2
+    assert (run_dir / BEST_FILENAME).read_bytes() == (run_dir / LAST_FILENAME).read_bytes()
+
+
+class _FullDisk:
+    """A file whose first write stores half its bytes and then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, blob):
+        self.fh.write(blob[: len(blob) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("failing", [LAST_FILENAME, BEST_FILENAME])
+def test_a_failed_checkpoint_write_keeps_the_previous_file(
+    failing, toy_sets, tmp_path, monkeypatch
+):
+    # epoch 2's write of `failing` runs out of disk half way: the error
+    # surfaces, that file and best.ckpt keep epoch 1's bytes and still load,
+    # and no temp file is left behind
+    from dpsep.numerics import checkpoint
+
+    train, valid = toy_sets
+    config = TrainConfig(epochs=2, batch_size=2, seed=3)
+    _improving(monkeypatch)
+    train_loop(_tiny_model(), train, valid, dataclasses.replace(config, epochs=1),
+               str(tmp_path / "one"))
+    epoch1 = (tmp_path / "one" / BEST_FILENAME).read_bytes()
+
+    opened = []
+
+    def open_(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        if "w" in mode and os.path.basename(path) == f"{failing}.tmp":
+            opened.append(path)
+            if len(opened) == 2:
+                return _FullDisk(fh)
+        return fh
+
+    monkeypatch.setattr(checkpoint, "open", open_, raising=False)
+    _improving(monkeypatch)
+    run_dir = tmp_path / "two"
+    with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
+        train_loop(_tiny_model(), train, valid, config, str(run_dir))
+    assert len(opened) == 2
+    for name in {failing, BEST_FILENAME}:
+        assert (run_dir / name).read_bytes() == epoch1
+        tasnet.load_model(run_dir / name)
+    assert sorted(os.listdir(run_dir)) == sorted(
+        [METRICS_FILENAME, BEST_FILENAME, LAST_FILENAME]
+    )
 
 
 def test_nan_abort_carries_epoch_and_batch(toy_sets, tmp_path):
