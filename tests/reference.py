@@ -18,10 +18,11 @@ ops, `sub`, `div`, `log`, `sqrt` and `tmean` among them, which
 `sqrt` and `tmean` also compose the unit-RMS scaling that `tasnet.separate`
 runs in numpy.
 
-`initial` draws a part of a separator's parameters as `tasnet.build_model`
-draws them, and `cell_params`, `sub_params` and `block_params` give an LSTM
-cell's, a sub-pass's or a block's tensors from those draws, in layout
-order, as the ops read them.
+`initial` draws a part of a separator's parameters by gradcheck's draw rule,
+`checks._drawn`, which draws them as `tasnet.build_model` does, and
+`cell_params`, `sub_params` and `block_params` give an LSTM cell's, a
+sub-pass's or a block's tensors from those draws, in layout order, as the
+ops read them.
 """
 
 from itertools import permutations
@@ -31,6 +32,7 @@ import numpy as np
 
 from dpsep import numerics as nt
 from dpsep import tasnet
+from dpsep.checks import _drawn
 from dpsep.config import Geometry
 from dpsep.numerics import NumericsError, ShapeError, Tensor
 from dpsep.training.loss import SI_SNR_EPS
@@ -223,12 +225,17 @@ def transposed_conv1d(frames, kernels, stride):
     return nt.apply_op("transposed_conv1d", (frames, kernels), forward_fn, backward_fn)
 
 
+class _Codec(SimpleNamespace):
+    frames = Geometry.frames
+    samples = Geometry.samples
+
+
 def codec(kernels, stride):
     """A stand-in model for `tasnet.encode` and `tasnet.decode`, which read
-    only its kernels and stride, so any stride can be tried, not only the
-    model's W // 2."""
+    only its kernels, its stride and `Geometry`'s frame arithmetic, so any
+    stride can be tried, not only the model's W // 2."""
     params = {"encoder.kernels": kernels, "decoder.kernels": kernels}
-    return SimpleNamespace(params=params, stride=stride)
+    return _Codec(params=params, stride=stride, window=kernels.shape[1])
 
 
 def encoder_conv(x, kernels, stride):
@@ -325,13 +332,14 @@ def upit_loss(est, ref):
 
 def initial(rng, prefix, num_filters, hidden, dtype=np.float32):
     """{name after `prefix`: tensor} for the parameters under `prefix` of a
-    one-block separator of N=num_filters, H=hidden, drawn from rng with
-    `tasnet._initial` in layout order, as `build_model` draws them."""
-    geometry = Geometry(num_filters=num_filters, hidden=hidden, num_blocks=1)
+    one-block separator of N=num_filters, H=hidden, drawn from rng by
+    `checks._drawn`, as `build_model` draws them, and cast to `dtype`."""
+    layout = tasnet._layout(Geometry(num_filters=num_filters, hidden=hidden, num_blocks=1))
+    names = [name[len(prefix) :] for name, _ in layout if name.startswith(prefix)]
+    drawn = _drawn(rng, prefix, num_filters, hidden)
     return {
-        name[len(prefix) :]: tasnet._initial(rng, name, shape, dtype)
-        for name, shape in tasnet._layout(geometry)
-        if name.startswith(prefix)
+        name: Tensor(t.data, dtype=dtype, requires_grad=True)
+        for name, t in zip(names, drawn, strict=True)
     }
 
 
