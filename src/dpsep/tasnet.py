@@ -100,10 +100,6 @@ class SeparatorModel(Geometry):
             if t.shape != shape:
                 raise ShapeError(f"parameter {name!r} must be {shape}, got {t.shape}")
 
-    def parameters(self):
-        """(name, tensor) pairs in the fixed checkpoint order."""
-        return iter(self.params.items())
-
     def parameter_tensors(self):
         return list(self.params.values())
 
@@ -147,7 +143,7 @@ def encode(mixture, model):
     t_len, width = mixture.shape[1], kernels.shape[1]
     if t_len < width:
         raise ShapeError(f"encode: input too short, T={t_len} < window W={width}")
-    win = _windows(mixture.data[0], width, stride, (t_len - width) // stride + 1)
+    win = _windows(mixture.data[0], width, stride, model.frames(t_len))
     kd = kernels.data
     out = None
 
@@ -277,7 +273,7 @@ def decode(masked, model, length, gain):
         raise ShapeError(f"decode: kernels {kernels.shape} do not match frames {masked.shape}")
     num_sets, _, frames = masked.shape
     width = kernels.shape[1]
-    full = (frames - 1) * stride + width
+    full = model.samples(frames)
     fd, kd = masked.data, kernels.data
 
     def forward_fn():
@@ -367,7 +363,7 @@ def save_model(model, path):
         **model.sizes(),
         "dtype": model.params["encoder.kernels"].dtype.name,
     }
-    nt.save_arrays(path, ((name, t.data) for name, t in model.parameters()), meta=meta)
+    nt.save_arrays(path, ((name, t.data) for name, t in model.params.items()), meta=meta)
 
 
 def load_model(path):

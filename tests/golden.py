@@ -157,7 +157,7 @@ def grads_cases():
                         loss = _batch_mean([_example_loss(model, ex) for ex in batch])
                     tape.backward(loss)
                     chunks = [loss.data.tobytes()]
-                    for name, t in model.parameters():
+                    for name, t in model.params.items():
                         chunks += [name.encode(), t.grad.tobytes()]
                     segment = "cut" if cut else "full"
                     yield f"{np.dtype(dtype).name}-W{window}-{segment}-b{batch_size}", _sha(*chunks)

@@ -696,7 +696,7 @@ class TestMalformedCheckpoint:
             num_filters=4, window=8, num_sources=2, num_blocks=1, hidden=4, chunk_len=10
         )
         arrays = []
-        for name, t in model.parameters():
+        for name, t in model.params.items():
             prefix, _, group = name.rpartition(".")
             if group in ("wx", "wh", "b"):
                 for k, gate in enumerate("ifgo"):

@@ -560,7 +560,7 @@ def test_separate_names_the_op_that_overflows():
 
 
 def parameter_count(model):
-    return sum(t.size for _, t in model.parameters())
+    return sum(t.size for _, t in model.params.items())
 
 
 def test_parameter_count_default_config():
@@ -572,14 +572,14 @@ def test_parameter_count_default_config():
 
 def test_parameter_count_single_lstm_cell():
     model = tasnet.build_model(num_blocks=1)
-    cell = [t for name, t in model.parameters() if name.startswith("block0.intra.lstm_fwd.")]
+    cell = [t for name, t in model.params.items() if name.startswith("block0.intra.lstm_fwd.")]
     assert sum(t.size for t in cell) == 4 * (128 * 64 + 128 * 128 + 128) == 98816
 
 
 def test_parameter_count_zero_blocks_is_head_only():
     # encoder, decoder and mask head: a one-block model less its block
     model = tiny_model(num_blocks=1)
-    block = sum(t.size for name, t in model.parameters() if name.startswith("block0."))
+    block = sum(t.size for name, t in model.params.items() if name.startswith("block0."))
     head_only = parameter_count(model) - block
     p = model.params
     assert head_only == (
@@ -602,7 +602,7 @@ def test_checkpoint_round_trip(tmp_path):
     tasnet.save_model(model, path)
     loaded, meta = tasnet.load_model(path)
     assert meta["sample_rate"] == "8000"
-    for (name_a, ta), (name_b, tb) in zip(model.parameters(), loaded.parameters()):
+    for (name_a, ta), (name_b, tb) in zip(model.params.items(), loaded.params.items()):
         assert name_a == name_b
         assert np.array_equal(ta.data, tb.data)
     mix = Tensor(np.random.default_rng(0).standard_normal((1, 40)).astype(np.float32))
@@ -643,9 +643,9 @@ def test_load_model_builds_from_the_saved_arrays_alone(dtype, tmp_path, monkeypa
                          (np.random, "default_rng")):
         monkeypatch.setattr(module, name, initialiser)
     loaded, _ = tasnet.load_model(path)
-    saved = list(model.parameters())
-    assert [name for name, _ in loaded.parameters()] == [name for name, _ in saved]
-    for (name, t), (_, ref) in zip(loaded.parameters(), saved):
+    saved = list(model.params.items())
+    assert [name for name, _ in loaded.params.items()] == [name for name, _ in saved]
+    for (name, t), (_, ref) in zip(loaded.params.items(), saved):
         assert t.data.dtype == dtype and t.requires_grad, name
         assert t.data.tobytes() == ref.data.tobytes(), name
     geometry = ("num_filters", "window", "stride", "num_sources", "num_blocks", "hidden",
@@ -657,7 +657,7 @@ def test_load_model_rejects_a_tensor_that_overflows_its_dtype(tmp_path):
     # float64 arrays in a float32 checkpoint; the cast of 1e39 overflows,
     # with no numpy warning
     model = tiny_model(dtype=np.float64, seed=15)
-    arrays = [(name, t.data) for name, t in model.parameters()]
+    arrays = [(name, t.data) for name, t in model.params.items()]
     arrays[0][1][0, 0] = 1e39
     path = tmp_path / "model.ckpt"
     nt.save_arrays(path, arrays, meta={"format": "dpsep-separator", **model.sizes(),
@@ -670,7 +670,7 @@ def test_load_model_rejects_a_tensor_that_overflows_its_dtype(tmp_path):
 
 def test_checkpoint_block_naming():
     model = tiny_model()
-    names = [name for name, _ in model.parameters()]
+    names = [name for name, _ in model.params.items()]
     assert "block0.intra.lstm_fwd.wx" in names
     assert "block0.inter.lstm_bwd.b" in names
     assert not any("wx_" in name or "wh_" in name for name in names)
