@@ -109,7 +109,12 @@ def test_each_epoch_writes_the_model_once(toy_sets, tmp_path, monkeypatch):
     _improving(monkeypatch)
     calls = []
     save_model = tasnet.save_model
-    monkeypatch.setattr(tasnet, "save_model", lambda *args: calls.append(save_model(*args)))
+
+    def counted(*args):
+        calls.append(args)
+        return save_model(*args)
+
+    monkeypatch.setattr(tasnet, "save_model", counted)
     run_dir = tmp_path / "run"
     train_loop(_tiny_model(), train, valid, TrainConfig(epochs=2, batch_size=2), str(run_dir))
     assert len(calls) == 2
